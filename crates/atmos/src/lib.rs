@@ -24,6 +24,8 @@
 //! the lid. The vertical extent covers "the whole atmosphere" of the
 //! simulated domain, as WRF's non-nestable vertical requires (§2.3).
 
+#![forbid(unsafe_code)]
+
 pub mod advect;
 pub mod model;
 pub mod multigrid;

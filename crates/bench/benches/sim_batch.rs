@@ -1,6 +1,6 @@
-//! Criterion bench for the batched multi-fire layer: `SimBatch` (SoA
-//! group-fused stepping on the shared pool) against the same fires run as
-//! independent `Simulation` loops work-stolen from an identical pool.
+//! Criterion bench for the batched multi-fire layer: `SimBatch` against
+//! the same fires run as independent `Simulation` loops work-stolen from
+//! an identical pool (the pair measures the batch's bookkeeping cost).
 //!
 //! The perf harness (`perf_report`/`perf_gate`) records the same comparison
 //! under the `sim_batch::…` labels; this bench gives the criterion view

@@ -6,6 +6,8 @@
 //! DESIGN.md §5 maps each experiment to its paper artifact; EXPERIMENTS.md
 //! records paper-vs-measured outcomes.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod perf;
 

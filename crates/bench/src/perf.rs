@@ -316,33 +316,18 @@ pub fn time_level_set_rhs(small: bool, evals: usize) -> [StepTiming; 2] {
     ]
 }
 
-/// Times batched multi-fire stepping ([`SimBatch`]) against the same
-/// `n_fires` fig1-sized fires advanced as independent [`Simulation`] loops
-/// distributed over the same worker pool — the ISSUE-7 acceptance
-/// comparison. The fires are ignition-displaced fig1 variants sharing one
-/// solver configuration, so the batch path steps them as a single SoA
-/// group (cross-fire row sweeps); the independent baseline gets identical
-/// work-stealing parallelism but no grouping, isolating what the SoA path
-/// buys. `steps` counts fire·steps, so `steps_per_sec` is the fires·steps/s
-/// throughput. Interleaved best-of-three (batched, independent, …).
-///
-/// `fast_math` (labelled `::fastmath`) selects the polynomial pow palette:
-/// that is the configuration where the grouped sweep batches its pow lanes
-/// *across fires* (`rhs_multi_batched`), so it is where the SoA fusion is
-/// designed to pay. With the default bitwise palette the grouped path runs
-/// the identical per-slot sweep and only the scheduling differs.
-pub fn time_sim_batch(
-    small: bool,
-    t_end: f64,
-    n_fires: usize,
-    threads: usize,
-    fast_math: bool,
-) -> [StepTiming; 2] {
+/// Times [`SimBatch`] against the same `n_fires` fig1-sized fires advanced
+/// as independent [`Simulation`] loops distributed over the same worker
+/// pool. The fires are ignition-displaced fig1 variants. Both sides run one
+/// `run_until` per fire, work-stolen over the pool, so the pair measures
+/// what the batch's bookkeeping costs (expected: nothing). `steps` counts
+/// fire·steps, so `steps_per_sec` is the fires·steps/s throughput.
+/// Interleaved best-of-three (batched, independent, …).
+pub fn time_sim_batch(small: bool, t_end: f64, n_fires: usize, threads: usize) -> [StepTiming; 2] {
     let scenario = {
         let mut b = SimulationBuilder::from_scenario(
             registry::by_name("fig1-fireline").expect("registry scenario"),
-        )
-        .fast_math(fast_math);
+        );
         if small {
             b = b.domain(DomainSpec::SMALL);
         }
@@ -354,7 +339,7 @@ pub fn time_sim_batch(
     let mut best = [f64::INFINITY; 2];
     let mut steps = [0usize; 2];
     for _rep in 0..3 {
-        // Batched: one SoA group stepped cooperatively on the pool.
+        // Batched: the fires as slots of one SimBatch.
         let mut batch = SimBatch::new(threads);
         for sim in build() {
             batch.push(sim);
@@ -366,7 +351,7 @@ pub fn time_sim_batch(
         best[0] = best[0].min(wall);
 
         // Independent: the same fires, each through its own run_until loop,
-        // work-stolen from the same pool (parallelism yes, grouping no).
+        // work-stolen from the same pool.
         let mut sims: Vec<(Simulation, usize)> = build().into_iter().map(|s| (s, 0usize)).collect();
         let mut scratch = vec![(); threads.max(1)];
         let start = Instant::now();
@@ -382,15 +367,14 @@ pub fn time_sim_batch(
         best[1] = best[1].min(wall);
     }
     let small_tag = if small { " (small)" } else { "" };
-    let mode_tag = if fast_math { "::fastmath" } else { "" };
     [
         StepTiming {
-            label: format!("sim_batch{small_tag}::n{n_fires}{mode_tag}::batched"),
+            label: format!("sim_batch{small_tag}::n{n_fires}::batched"),
             steps: steps[0],
             wall_secs: best[0],
         },
         StepTiming {
-            label: format!("sim_batch{small_tag}::n{n_fires}{mode_tag}::independent"),
+            label: format!("sim_batch{small_tag}::n{n_fires}::independent"),
             steps: steps[1],
             wall_secs: best[1],
         },
@@ -399,11 +383,10 @@ pub fn time_sim_batch(
 
 /// Times [`SimBatch`] against independent loops on the **service shape**:
 /// many narrow-grid fires (a 13×13 fire mesh each, the forecast-service
-/// request granularity) spread over a multi-worker pool. On grids this
-/// small the adaptive lockstep-unit bound widens well past the legacy
-/// cap of 4, so this is the configuration that exercises wide SoA groups;
-/// labels are `sim_batch::service::…`. Interleaved best-of-three, same
-/// protocol as [`time_sim_batch`].
+/// request granularity) spread over a multi-worker pool, where per-item
+/// scheduling cost is largest relative to the stepping; labels are
+/// `sim_batch::service::…`. Interleaved best-of-three, same protocol as
+/// [`time_sim_batch`].
 pub fn time_sim_batch_service(t_end: f64, n_fires: usize, threads: usize) -> [StepTiming; 2] {
     let domain = DomainSpec {
         nx: 5,
@@ -812,22 +795,16 @@ pub fn measure_filtered(
     }
 
     // Batched multi-fire scaling (ISSUE 7): SimBatch vs independent loops
-    // at N ∈ {1, 4, 16, 64} group-compatible fig1 fires. A shorter horizon
+    // at N ∈ {1, 4, 16, 64} displaced fig1 fires. A shorter horizon
     // than the per-scenario entries keeps the N=64 sweep affordable on the
     // full domain.
     if sect("sim_batch") {
         let t_batch = if small { t_end } else { t_end.min(15.0) };
         for n_fires in [1usize, 4, 16, 64] {
-            timings.extend(time_sim_batch(small, t_batch, n_fires, threads, false));
-        }
-        // The fast-math palette is where the grouped sweep batches pow
-        // lanes across fires — the configuration the SoA path targets.
-        for n_fires in [16usize, 64] {
-            timings.extend(time_sim_batch(small, t_batch, n_fires, threads, true));
+            timings.extend(time_sim_batch(small, t_batch, n_fires, threads));
         }
         // Service shape (ISSUE 8): many narrow-grid fires on a multi-worker
-        // pool — the forecast-service request granularity, where the
-        // adaptive lockstep-unit bound widens the SoA groups.
+        // pool — the forecast-service request granularity.
         for n_fires in [8usize, 32] {
             timings.extend(time_sim_batch_service(30.0, n_fires, 4));
         }

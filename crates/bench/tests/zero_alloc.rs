@@ -524,69 +524,32 @@ fn workspace_buffers_are_reused_not_reallocated_across_sizes() {
 }
 
 #[test]
-fn grouped_step_with_scratch_is_allocation_free_after_warmup() {
-    // The ISSUE-8 satellite bar: stepping a multi-slot lockstep group
-    // through `step_group_scratch_ws` with a warm `GroupScratch` performs
-    // no heap allocation — the per-step Vec of per-slot borrows that
-    // `step_group_ws` built each round is recycled through the scratch.
-    let model = CoupledModel::new(
-        small_atmos_grid(),
-        Default::default(),
-        wildfire_fuel::FuelCategory::ShortGrass,
-        5,
-    )
-    .unwrap();
-    let (ex, ey) = model.fire_grid.extent();
-    let mut states: Vec<_> = (0..3)
-        .map(|k| {
-            model.ignite(
-                &[IgnitionShape::Circle {
-                    center: (ex / 2.0 + 12.0 * k as f64, ey / 2.0),
-                    radius: 20.0,
-                }],
-                0.0,
-            )
-        })
-        .collect();
-    let mut workspaces: Vec<_> = (0..states.len()).map(|_| CoupledWorkspace::new()).collect();
-    let mut diags = vec![wildfire_core::StepDiagnostics::default(); states.len()];
-    let mut scratch = wildfire_core::GroupScratch::new();
-    let step = |scratch: &mut wildfire_core::GroupScratch,
-                states: &mut [wildfire_core::CoupledState],
-                workspaces: &mut [CoupledWorkspace],
-                diags: &mut [wildfire_core::StepDiagnostics]| {
-        let mut slots: Vec<_> = states
-            .iter_mut()
-            .zip(workspaces.iter_mut())
-            .map(|(state, ws)| wildfire_core::BatchSlot {
-                model: &model,
-                state,
-                ws,
+fn sim_batch_advance_is_allocation_free_after_warmup() {
+    // A batch advance is N independent `run_until` loops over the slots'
+    // own workspaces; at `threads = 1` the pool runs inline, so once the
+    // first advance has sized every workspace, further advances must not
+    // touch the heap (no per-advance scheduling vectors).
+    use wildfire_sim::{DomainSpec, SimBatch, SimulationBuilder};
+    let mut batch = SimBatch::new(1);
+    let center = DomainSpec::SMALL.center();
+    for k in 0..3 {
+        let sim = SimulationBuilder::new()
+            .domain(DomainSpec::SMALL)
+            .ignite(IgnitionShape::Circle {
+                center: (center.0 + 12.0 * k as f64, center.1),
+                radius: 20.0,
             })
-            .collect();
-        wildfire_core::step_group_scratch_ws(&mut slots, 0.5, diags, scratch).unwrap();
-    };
-    step(&mut scratch, &mut states, &mut workspaces, &mut diags);
-    // The borrow Vec above is built fresh per call here (that is the
-    // caller's job to amortize — SimBatch recycles it too); measure only
-    // the grouped core with a pre-built slot array.
-    let mut slots: Vec<_> = states
-        .iter_mut()
-        .zip(workspaces.iter_mut())
-        .map(|(state, ws)| wildfire_core::BatchSlot {
-            model: &model,
-            state,
-            ws,
-        })
-        .collect();
+            .build()
+            .unwrap();
+        batch.push(sim);
+    }
+    batch.advance_to(1.0).unwrap();
     let n = allocations_during(|| {
-        for _ in 0..4 {
-            wildfire_core::step_group_scratch_ws(&mut slots, 0.5, &mut diags, &mut scratch)
-                .unwrap();
-        }
+        batch.advance_to(2.0).unwrap();
+        batch.advance_to(3.0).unwrap();
     });
     assert_eq!(
         n, 0,
-        "step_group_scratch_ws must not allocate in steady state with a warm scratch"
+        "SimBatch::advance_to must not allocate in steady state"
     );
 }

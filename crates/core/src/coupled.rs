@@ -7,7 +7,7 @@ use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::{AtmosModel, AtmosParams, AtmosState};
 use wildfire_fire::heat::heat_fluxes_into;
 use wildfire_fire::ignition::IgnitionShape;
-use wildfire_fire::{FireMesh, FireState, FuelMap, GroupSlot, LevelSetSolver};
+use wildfire_fire::{FireMesh, FireState, FuelMap, LevelSetSolver};
 use wildfire_fuel::FuelCategory;
 use wildfire_grid::transfer::{prolong_into, restrict_into};
 use wildfire_grid::{Grid2, VectorField2};
@@ -175,7 +175,11 @@ impl CoupledModel {
     /// Allocation-free [`CoupledModel::step`]: every temporary — fire Heun
     /// stages, mesh-transfer fields, heat fluxes, atmosphere tendencies and
     /// CG vectors — comes from `ws`, sized on first use and reused
-    /// thereafter. Bit-identical to the allocating wrapper.
+    /// thereafter. Bit-identical to the allocating wrapper. This is the one
+    /// stepping path: wind onto the fire mesh
+    /// ([`CoupledModel::fire_wind_into`]), the fire advance
+    /// ([`LevelSetSolver::advance_to_stats_ws`]), then heat fluxes,
+    /// atmosphere and diagnostics.
     ///
     /// The heat fluxes are evaluated once per step (the fire state does not
     /// change while the atmosphere sub-steps) and shared between the
@@ -190,24 +194,17 @@ impl CoupledModel {
         dt: f64,
         ws: &mut CoupledWorkspace,
     ) -> Result<StepDiagnostics> {
-        // Route through the grouped stepping path as a batch of one, so
-        // single-simulation and batched execution share exactly one code
-        // path (and the bitwise pins on either cover both).
-        let mut diags = [StepDiagnostics::default()];
-        let mut slot = BatchSlot {
-            model: self,
-            state,
-            ws,
-        };
-        step_group_ws(std::slice::from_mut(&mut slot), dt, &mut diags)?;
-        Ok(diags[0])
+        let t_target = state.fire.time + dt;
+        self.fire_wind_into(state, &mut ws.surface_wind, &mut ws.wind)?;
+        let stats =
+            self.fire
+                .advance_to_stats_ws(&mut state.fire, &ws.wind, t_target, dt, &mut ws.fire)?;
+        self.finish_step_ws(state, t_target, stats.max_spread_rate, ws)
     }
 
     /// Phases 4–7 of one coupled step, after the fire advance: heat fluxes,
     /// restriction (or zeroing) to the coarse grid, atmospheric
-    /// sub-stepping, and the diagnostics rollup. Split out so the grouped
-    /// path can interleave phase 1–3 across fires and then finish each slot
-    /// independently.
+    /// sub-stepping, and the diagnostics rollup.
     fn finish_step_ws(
         &self,
         state: &mut CoupledState,
@@ -306,203 +303,6 @@ impl CoupledModel {
         }
         Ok(())
     }
-}
-
-/// One simulation's borrowed stepping context inside a
-/// [`step_group_ws`] call: its model, its mutable state, and its private
-/// workspace. The grouped step interleaves the fire phase of all slots
-/// through one cross-fire level-set sweep, then finishes each slot's
-/// atmosphere phase independently.
-pub struct BatchSlot<'a> {
-    /// The coupled model stepping this slot. All slots of a group must be
-    /// mutually [`LevelSetSolver::group_compatible`] on the fire side.
-    pub model: &'a CoupledModel,
-    /// The slot's coupled state.
-    pub state: &'a mut CoupledState,
-    /// The slot's private workspace.
-    pub ws: &'a mut CoupledWorkspace,
-}
-
-/// Reusable scratch for [`step_group_scratch_ws`]: carries the capacity of
-/// the per-step `Vec` of per-slot borrows across coupled steps, so a caller
-/// stepping the same batch repeatedly (e.g. `wildfire-sim`'s `SimBatch`)
-/// performs no heap allocation per step in steady state (pinned by the
-/// counting-allocator tests in `wildfire-bench`).
-///
-/// The buffer is empty between calls — only its allocation is recycled —
-/// so no borrow outlives the step that created it.
-#[derive(Default)]
-pub struct GroupScratch {
-    /// Always empty between steps; only the capacity is carried over.
-    group: Vec<GroupSlot<'static>>,
-}
-
-impl std::fmt::Debug for GroupScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupScratch")
-            .field("capacity", &self.group.capacity())
-            .finish()
-    }
-}
-
-impl GroupScratch {
-    /// An empty scratch; the borrow buffer is sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hands out the recycled (empty) buffer re-borrowed at the caller's
-    /// lifetime.
-    fn take<'a>(&mut self) -> Vec<GroupSlot<'a>> {
-        let v = std::mem::take(&mut self.group);
-        debug_assert!(v.is_empty());
-        // SAFETY: the vector is empty, so it holds no values of the
-        // `'static`-annotated element type — only its raw allocation
-        // (pointer + capacity, lifetime-free) is being reused. Layout is
-        // identical: the types differ only in a lifetime parameter.
-        unsafe { std::mem::transmute::<Vec<GroupSlot<'static>>, Vec<GroupSlot<'a>>>(v) }
-    }
-
-    /// Parks the buffer's capacity for the next step, dropping its contents.
-    fn put(&mut self, mut v: Vec<GroupSlot<'_>>) {
-        v.clear();
-        // SAFETY: emptied above, so no borrow escapes into storage; see
-        // `take` for the layout argument.
-        self.group =
-            unsafe { std::mem::transmute::<Vec<GroupSlot<'_>>, Vec<GroupSlot<'static>>>(v) };
-    }
-}
-
-/// Advances a group of coupled simulations by one shared step `dt`,
-/// writing each slot's diagnostics into the matching `diags` entry.
-///
-/// The fire phase runs as one grouped level-set advance
-/// ([`LevelSetSolver::advance_group_to_ws`]): every RHS evaluation is a
-/// single cross-fire sweep over the shared kernel planes, so fast-math pow
-/// lanes fill with nodes drawn across fires. The atmosphere phase then
-/// finishes per slot. A group of one takes an allocation-free inline path
-/// (this is how [`CoupledModel::step_ws`] routes); larger groups build one
-/// small `Vec` of per-slot borrows per step — use
-/// [`step_group_scratch_ws`] with a reusable [`GroupScratch`] to amortise
-/// even that across steps.
-///
-/// **Contract (debug-asserted):** all slots' fire solvers are mutually
-/// [`LevelSetSolver::group_compatible`] and all slots share the same fire
-/// clock (lockstep). Callers — `wildfire-sim`'s `SimBatch` — group slots
-/// accordingly. Each slot's trajectory and diagnostics are then
-/// bitwise-identical to stepping it alone via [`CoupledModel::step_ws`].
-///
-/// # Panics
-/// Panics when `diags.len() != slots.len()`.
-///
-/// # Errors
-/// Propagates component failures; the failing slot's group round leaves
-/// no state mutated by this round's fire phase on the error path of the
-/// CFL check, but callers should treat any error as poisoning the batch.
-pub fn step_group_ws(
-    slots: &mut [BatchSlot<'_>],
-    dt: f64,
-    diags: &mut [StepDiagnostics],
-) -> Result<()> {
-    let mut scratch = GroupScratch::new();
-    step_group_scratch_ws(slots, dt, diags, &mut scratch)
-}
-
-/// [`step_group_ws`] with a caller-owned [`GroupScratch`], recycling the
-/// per-step `Vec` of per-slot borrows across steps. With a warm scratch the
-/// grouped step is allocation-free for groups of any size (matching the
-/// batch-of-one inline path), which is what batched drivers stepping many
-/// coupled steps per call should use.
-///
-/// # Panics
-/// Panics when `diags.len() != slots.len()`.
-///
-/// # Errors
-/// Same as [`step_group_ws`].
-pub fn step_group_scratch_ws(
-    slots: &mut [BatchSlot<'_>],
-    dt: f64,
-    diags: &mut [StepDiagnostics],
-    scratch: &mut GroupScratch,
-) -> Result<()> {
-    assert_eq!(
-        slots.len(),
-        diags.len(),
-        "step_group_ws needs one diagnostics slot per batch slot"
-    );
-    if slots.is_empty() {
-        return Ok(());
-    }
-    let model0 = slots[0].model;
-    let t_target = slots[0].state.fire.time + dt;
-    debug_assert!(
-        slots
-            .iter()
-            .all(|s| s.state.fire.time.to_bits() == slots[0].state.fire.time.to_bits()),
-        "step_group_ws requires all slots in lockstep (same fire clock)"
-    );
-    debug_assert!(
-        slots
-            .iter()
-            .all(|s| model0.fire.group_compatible(&s.model.fire)),
-        "step_group_ws requires group-compatible fire solvers"
-    );
-
-    // 1–2: wind to every slot's fire mesh.
-    for slot in slots.iter_mut() {
-        let model = slot.model;
-        model.fire_wind_into(slot.state, &mut slot.ws.surface_wind, &mut slot.ws.wind)?;
-    }
-
-    if slots.len() == 1 {
-        // Batch of one: stay allocation-free (no Vec of borrows) — this is
-        // the single-`Simulation` route, pinned by the zero-alloc tests.
-        let slot = &mut slots[0];
-        let model = slot.model;
-        let ws = &mut *slot.ws;
-        let stats = model.fire.advance_to_stats_ws(
-            &mut slot.state.fire,
-            &ws.wind,
-            t_target,
-            dt,
-            &mut ws.fire,
-        )?;
-        diags[0] = model.finish_step_ws(slot.state, t_target, stats.max_spread_rate, slot.ws)?;
-        return Ok(());
-    }
-
-    // 3: grouped fire advance. The Vec of per-slot borrows is recycled
-    // through the scratch, so with a warm scratch this phase is
-    // allocation-free (the heavy buffers all live in the slots'
-    // workspaces).
-    let mut group: Vec<GroupSlot<'_>> = scratch.take();
-    group.reserve(slots.len());
-    for (i, slot) in slots.iter_mut().enumerate() {
-        let ws = &mut *slot.ws;
-        let mut gs = GroupSlot::new(&mut slot.state.fire, &ws.wind, &mut ws.fire);
-        gs.tag = i;
-        group.push(gs);
-    }
-    let advanced = model0.fire.advance_group_to_ws(&mut group, t_target, dt);
-    if advanced.is_ok() {
-        // The group may have been permuted by the retire compaction; park
-        // each slot's spread-rate rollup in its diagnostics entry via the
-        // tag.
-        for gs in &group {
-            diags[gs.tag].max_spread_rate = gs.max_spread_rate;
-        }
-    }
-    scratch.put(group);
-    advanced?;
-
-    // 4–7: per-slot heat fluxes, atmosphere, diagnostics.
-    for (slot, diag) in slots.iter_mut().zip(diags.iter_mut()) {
-        let rate = diag.max_spread_rate;
-        *diag = slot
-            .model
-            .finish_step_ws(slot.state, t_target, rate, slot.ws)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -20,13 +20,13 @@
 //! of Fig. 1, whose caption notes fire behaviour that "cannot be modeled by
 //! empirical spread models alone".
 
+#![forbid(unsafe_code)]
+
 pub mod coupled;
 pub mod diagnostics;
 pub mod workspace;
 
-pub use coupled::{
-    step_group_scratch_ws, step_group_ws, BatchSlot, CoupledModel, CoupledState, GroupScratch,
-};
+pub use coupled::{CoupledModel, CoupledState};
 pub use diagnostics::StepDiagnostics;
 pub use workspace::CoupledWorkspace;
 

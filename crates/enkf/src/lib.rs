@@ -23,6 +23,8 @@
 //!   corrections, which is exactly what rescues the filter when observed and
 //!   simulated fires disagree in location (Fig. 4).
 
+#![forbid(unsafe_code)]
+
 pub mod enkf;
 pub mod etkf;
 pub mod localization;

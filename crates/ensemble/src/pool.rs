@@ -95,7 +95,12 @@ where
 /// and step counts needs. Each item's computation is independent of which
 /// worker claims it, so results are bit-identical to the sequential loop
 /// for every workspace count; only the scratch buffers are worker-local.
-/// With a single workspace the loop runs inline.
+///
+/// The calling thread is one of the workers: it runs `workspaces[0]`'s
+/// claim loop itself and one thread fewer is spawned, so a caller that
+/// fans out small batches often (a service tick) does not pay for a
+/// thread it would only sit waiting on. With a single workspace or a
+/// single item the loop runs inline.
 ///
 /// # Panics
 /// Panics if `workspaces` is empty while `items` is not.
@@ -123,10 +128,15 @@ pub fn parallel_for_each_dynamic_ws<T: Send, W: Send, F>(
         return;
     }
 
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     /// Raw base pointer of the item slice, made sendable so each scoped
     /// worker can materialize disjoint `&mut` borrows from claimed indices.
     struct SendPtr<T>(*mut T);
-    unsafe impl<T> Send for SendPtr<T> {}
+    // SAFETY: the pointer is only dereferenced at indices claimed from the
+    // shared cursor (each handed out once), and `T: Send` lets the item
+    // behind a claimed index be mutated from whichever thread claimed it.
+    unsafe impl<T: Send> Send for SendPtr<T> {}
     impl<T> Clone for SendPtr<T> {
         fn clone(&self) -> Self {
             *self
@@ -134,30 +144,40 @@ pub fn parallel_for_each_dynamic_ws<T: Send, W: Send, F>(
     }
     impl<T> Copy for SendPtr<T> {}
 
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let base = SendPtr(items.as_mut_ptr());
-    crossbeam::thread::scope(|scope| {
-        for w in workspaces.iter_mut().take(threads) {
-            let f = &f;
-            let cursor = &cursor;
-            scope.spawn(move |_| {
-                // Capture the whole `SendPtr` (edition-2021 closures would
-                // otherwise capture the bare `*mut T` field, which is !Send).
-                let base = base;
-                loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // SAFETY: `fetch_add` hands out each index in `0..n` to
-                    // exactly one worker, so the `&mut` borrows formed here
-                    // are disjoint, in-bounds, and outlived by the scope that
-                    // holds the exclusive borrow of `items`.
-                    let item = unsafe { &mut *base.0.add(i) };
-                    f(i, item, w);
-                }
-            });
+    /// One worker's loop: claim the next index, run `f` on it, until the
+    /// cursor passes `n`.
+    fn claim_loop<T, W, F: Fn(usize, &mut T, &mut W)>(
+        base: SendPtr<T>,
+        n: usize,
+        cursor: &AtomicUsize,
+        f: &F,
+        w: &mut W,
+    ) {
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            // SAFETY: `fetch_add` hands out each index in `0..n` to exactly
+            // one worker, so the `&mut` borrows formed here are disjoint,
+            // in-bounds, and outlived by the scope that holds the exclusive
+            // borrow of `items`.
+            let item = unsafe { &mut *base.0.add(i) };
+            f(i, item, w);
         }
+    }
+
+    let cursor = AtomicUsize::new(0);
+    let base = SendPtr(items.as_mut_ptr());
+    let (own, spawned) = workspaces[..threads]
+        .split_first_mut()
+        .expect("threads >= 2 past the inline path");
+    crossbeam::thread::scope(|scope| {
+        let (f, cursor) = (&f, &cursor);
+        for w in spawned {
+            scope.spawn(move |_| claim_loop(base, n, cursor, f, w));
+        }
+        claim_loop(base, n, cursor, f, own);
     })
     .expect("worker thread panicked");
 }
@@ -415,6 +435,54 @@ mod tests {
         for (i, v) in items.iter().enumerate() {
             assert_eq!(*v, i + 1, "slot {i} not visited exactly once");
         }
+    }
+
+    #[test]
+    fn dynamic_ws_caller_is_a_worker() {
+        // Three workspaces = the caller plus two spawned threads. The first
+        // three items rendezvous, so all three workers must be claiming at
+        // once; workspace 0 must then have been used, and only ever from
+        // the calling thread. Item costs are skewed so the claim order
+        // differs from the index order.
+        let n = 40;
+        let work = |i: usize| -> f64 {
+            let iters = if i.is_multiple_of(7) { 20_000 } else { 50 };
+            (0..iters).fold(i as f64, |a, k| (a + k as f64).sin())
+        };
+        let mut items = vec![0.0_f64; n];
+        let mut wss: Vec<Vec<std::thread::ThreadId>> = vec![Vec::new(); 3];
+        let arrived = AtomicUsize::new(0);
+        let met = AtomicUsize::new(0);
+        parallel_for_each_dynamic_ws(&mut items, &mut wss, |i, item, seen| {
+            seen.push(std::thread::current().id());
+            if i < 3 {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while arrived.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                if arrived.load(Ordering::SeqCst) >= 3 {
+                    met.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            *item = work(i);
+        });
+        assert_eq!(
+            met.load(Ordering::SeqCst),
+            3,
+            "three workers never overlapped"
+        );
+        let caller = std::thread::current().id();
+        assert!(!wss[0].is_empty(), "the caller claimed nothing");
+        assert!(
+            wss[0].iter().all(|&id| id == caller),
+            "workspace 0 was used off the calling thread"
+        );
+        assert_eq!(wss.iter().map(Vec::len).sum::<usize>(), n);
+        let threads: std::collections::HashSet<_> = wss.iter().flatten().collect();
+        assert!(threads.len() <= wss.len(), "more threads than workspaces");
+        let sequential: Vec<f64> = (0..n).map(work).collect();
+        assert_eq!(items, sequential);
     }
 
     #[test]

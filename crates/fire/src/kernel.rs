@@ -20,10 +20,9 @@
 //! input. The contract is pinned by the property suite in
 //! `tests/proptest_levelset_fused.rs`; any rewrite here must keep it green.
 
-use wildfire_fuel::{PowPlan, SpreadCoeffs};
+use wildfire_fuel::SpreadCoeffs;
 use wildfire_grid::{Field2, Grid2, VectorField2};
 
-use crate::levelset::GroupSlot;
 use crate::mesh::FireMesh;
 use crate::LevelSetSolver;
 
@@ -95,46 +94,6 @@ impl KernelPlanes {
     #[inline]
     pub(crate) fn grid(&self) -> Grid2 {
         self.grid
-    }
-
-    /// Bitwise equality of two flattened landscapes: same grid, identical
-    /// palette coefficients (bit-for-bit, including the pow plan), identical
-    /// fuel-index and terrain-gradient planes. Solvers whose planes agree by
-    /// this predicate run bitwise-identical sweeps on the same inputs, which
-    /// is what lets their fires share one grouped advance.
-    pub(crate) fn bitwise_eq(&self, other: &KernelPlanes) -> bool {
-        fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        }
-        fn pow_eq(a: &PowPlan, b: &PowPlan) -> bool {
-            match (a, b) {
-                (PowPlan::Bitwise(x), PowPlan::Bitwise(y)) => x.to_bits() == y.to_bits(),
-                (PowPlan::Identity, PowPlan::Identity) => true,
-                (PowPlan::Square, PowPlan::Square) => true,
-                (PowPlan::Fast(x), PowPlan::Fast(y)) => x.to_bits() == y.to_bits(),
-                _ => false,
-            }
-        }
-        fn coeffs_eq(a: &SpreadCoeffs, b: &SpreadCoeffs) -> bool {
-            a.r0.to_bits() == b.r0.to_bits()
-                && a.wind_factor.to_bits() == b.wind_factor.to_bits()
-                && pow_eq(&a.pow, &b.pow)
-                && a.slope_factor.to_bits() == b.slope_factor.to_bits()
-                && a.max_spread.to_bits() == b.max_spread.to_bits()
-                && a.moisture_damping.to_bits() == b.moisture_damping.to_bits()
-                && a.zero_wind_term.to_bits() == b.zero_wind_term.to_bits()
-        }
-        self.grid == other.grid
-            && self.flat == other.flat
-            && self.index == other.index
-            && self.coeffs.len() == other.coeffs.len()
-            && self
-                .coeffs
-                .iter()
-                .zip(&other.coeffs)
-                .all(|(a, b)| coeffs_eq(a, b))
-            && bits_eq(&self.tzx, &other.tzx)
-            && bits_eq(&self.tzy, &other.tzy)
     }
 
     /// Canary against stale planes, run under `debug_assert!` on every
@@ -432,272 +391,6 @@ fn interior_row_batched<const GODUNOV: bool, const FLAT: bool>(
             out_row[start + k] = -s * norm;
         }
         start += len;
-    }
-}
-
-/// Selects which ψ a grouped RHS pass reads and which workspace slope field
-/// it writes: the shared first stage (`ψ → k1`, also yielding the CFL
-/// `s_max`) or the Heun corrector stage (`ψ* → k2`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MultiPass {
-    /// `k1 = −S‖∇ψ‖` from the current state.
-    Predictor,
-    /// `k2 = −S‖∇ψ*‖` from the Heun predictor in the workspace.
-    Corrector,
-}
-
-/// Grouped RHS over a batch of fires sharing one [`KernelPlanes`]: writes
-/// each slot's pass output field and `round_s_max`. For bitwise pow plans
-/// (or a single slot) this is a per-slot [`rhs_fused_into`]-equivalent
-/// sweep; fast-math uniform palettes take the cross-fire batched path that
-/// fills [`wildfire_fuel::PowPlan::eval_slice`] lanes with nodes drawn
-/// across fires, so the vector lanes stay full even on narrow grids.
-///
-/// **Equivalence contract.** Per slot, the output field and `s_max` are
-/// bitwise-identical to running [`rhs_fused_into`] on that slot alone:
-/// every lane runs the same per-node arithmetic (`eval_slice` is pinned
-/// bitwise to element-wise `eval` regardless of chunk partitioning), and
-/// staged blocks are flushed at the end of each row, so each slot's
-/// `s_max` fold order — boundary nodes of a row before its interior, rows
-/// in order — matches the single-fire sweep exactly.
-pub(crate) fn rhs_fused_multi<const GODUNOV: bool>(
-    planes: &KernelPlanes,
-    slots: &mut [GroupSlot<'_>],
-    pass: MultiPass,
-) {
-    match (planes.coeffs.len() == 1, planes.flat) {
-        (true, true) => rhs_multi_dispatch::<GODUNOV, true, true>(planes, slots, pass),
-        (true, false) => rhs_multi_dispatch::<GODUNOV, true, false>(planes, slots, pass),
-        (false, true) => rhs_multi_dispatch::<GODUNOV, false, true>(planes, slots, pass),
-        (false, false) => rhs_multi_dispatch::<GODUNOV, false, false>(planes, slots, pass),
-    }
-}
-
-fn rhs_multi_dispatch<const GODUNOV: bool, const UNIFORM: bool, const FLAT: bool>(
-    planes: &KernelPlanes,
-    slots: &mut [GroupSlot<'_>],
-    pass: MultiPass,
-) {
-    let batched = UNIFORM && !planes.coeffs[0].pow.is_bitwise();
-    if !batched || slots.len() == 1 {
-        // Scalar libm pow (or a single fire): nothing to share across
-        // fires, run each slot through the single-fire sweep.
-        for slot in slots.iter_mut() {
-            let s = match pass {
-                MultiPass::Predictor => rhs_fused_dispatch::<GODUNOV, UNIFORM, FLAT>(
-                    planes,
-                    &slot.state.psi,
-                    slot.wind,
-                    &mut slot.ws.k1,
-                ),
-                MultiPass::Corrector => {
-                    let ws = &mut *slot.ws;
-                    rhs_fused_dispatch::<GODUNOV, UNIFORM, FLAT>(
-                        planes,
-                        &ws.psi_star,
-                        slot.wind,
-                        &mut ws.k2,
-                    )
-                }
-            };
-            slot.round_s_max = s;
-        }
-        return;
-    }
-    rhs_multi_batched::<GODUNOV, FLAT>(planes, slots, pass);
-}
-
-/// Lane count of the cross-fire staging block — matches the single-fire
-/// [`interior_row_batched`] block so per-lane arithmetic stays identical.
-const MULTI_BLOCK: usize = 32;
-
-/// The cross-fire SoA sweep: one row-major pass over the shared grid, with
-/// every fire's interior nodes of the current row staged into one shared
-/// block for the batched pow evaluation. Blocks may span fires within a
-/// row but are always flushed at the row's end, and each fire's boundary
-/// columns are evaluated (and folded into its `s_max`) before its interior
-/// is staged — preserving every slot's single-fire fold order bit-for-bit.
-fn rhs_multi_batched<const GODUNOV: bool, const FLAT: bool>(
-    planes: &KernelPlanes,
-    slots: &mut [GroupSlot<'_>],
-    pass: MultiPass,
-) {
-    let g = planes.grid;
-    let (nx, ny) = (g.nx, g.ny);
-    let inv_dx = 1.0 / g.dx;
-    let inv_dy = 1.0 / g.dy;
-    let c = planes.coeffs[0];
-    for slot in slots.iter_mut() {
-        slot.pass_out_mut(pass).resize_no_zero(g);
-        slot.round_s_max = 0.0;
-    }
-    let mut norm_b = [0.0_f64; MULTI_BLOCK];
-    let mut wa_b = [0.0_f64; MULTI_BLOCK];
-    let mut pow_b = [0.0_f64; MULTI_BLOCK];
-    let mut slope_b = [0.0_f64; MULTI_BLOCK];
-    let mut slot_b = [0_usize; MULTI_BLOCK];
-    let mut col_b = [0_usize; MULTI_BLOCK];
-    let mut len = 0_usize;
-
-    for iy in 0..ny {
-        if nx < 3 || iy == 0 || iy + 1 == ny {
-            for si in 0..slots.len() {
-                for ix in 0..nx {
-                    let (v, sm) = {
-                        let slot = &slots[si];
-                        let mut sm = slot.round_s_max;
-                        let v = boundary_node::<GODUNOV, FLAT>(
-                            planes,
-                            slot.pass_psi(pass),
-                            slot.wind,
-                            ix,
-                            iy,
-                            &mut sm,
-                        );
-                        (v, sm)
-                    };
-                    let slot = &mut slots[si];
-                    slot.round_s_max = sm;
-                    slot.pass_out_mut(pass).set(ix, iy, v);
-                }
-            }
-            continue;
-        }
-        let base = iy * nx;
-        let tzx = &planes.tzx[base..base + nx];
-        let tzy = &planes.tzy[base..base + nx];
-        for si in 0..slots.len() {
-            // Boundary columns first: same per-slot fold order as the
-            // single-fire sweep (v_first, v_last, then interior in order).
-            let (v_first, v_last, sm) = {
-                let slot = &slots[si];
-                let mut sm = slot.round_s_max;
-                let psi = slot.pass_psi(pass);
-                let v_first =
-                    boundary_node::<GODUNOV, FLAT>(planes, psi, slot.wind, 0, iy, &mut sm);
-                let v_last =
-                    boundary_node::<GODUNOV, FLAT>(planes, psi, slot.wind, nx - 1, iy, &mut sm);
-                (v_first, v_last, sm)
-            };
-            {
-                let slot = &mut slots[si];
-                slot.round_s_max = sm;
-                let out_row = slot.pass_out_mut(pass).row_mut(iy);
-                out_row[0] = v_first;
-                out_row[nx - 1] = v_last;
-            }
-            // Stage this fire's interior nodes into the shared block,
-            // flushing whenever the lanes fill.
-            let mut ix = 1;
-            while ix < nx - 1 {
-                let take = (MULTI_BLOCK - len).min(nx - 1 - ix);
-                {
-                    let slot = &slots[si];
-                    let psi = slot.pass_psi(pass);
-                    let row = psi.row(iy);
-                    let below = psi.row(iy - 1);
-                    let above = psi.row(iy + 1);
-                    let wu = slot.wind.u.row(iy);
-                    let wv = slot.wind.v.row(iy);
-                    for t in 0..take {
-                        let i = ix + t;
-                        let k = len + t;
-                        let here = row[i];
-                        let left = (here - row[i - 1]) * inv_dx;
-                        let right = (row[i + 1] - here) * inv_dx;
-                        let down = (here - below[i]) * inv_dy;
-                        let up = (above[i] - here) * inv_dy;
-                        let (gx, gy) = if GODUNOV {
-                            (godunov_select(left, right), godunov_select(down, up))
-                        } else {
-                            (0.5 * (left + right), 0.5 * (down + up))
-                        };
-                        let norm = (gx * gx + gy * gy).sqrt();
-                        norm_b[k] = norm;
-                        slot_b[k] = si;
-                        col_b[k] = i;
-                        if norm == 0.0 {
-                            wa_b[k] = 0.0;
-                            pow_b[k] = 1.0;
-                            slope_b[k] = 0.0;
-                            continue;
-                        }
-                        let n = (gx / norm, gy / norm);
-                        let wa = (wu[i] * n.0 + wv[i] * n.1).max(0.0);
-                        wa_b[k] = wa;
-                        pow_b[k] = if wa > 0.0 { wa } else { 1.0 };
-                        slope_b[k] = if FLAT {
-                            0.0
-                        } else {
-                            tzx[i] * n.0 + tzy[i] * n.1
-                        };
-                    }
-                }
-                len += take;
-                ix += take;
-                if len == MULTI_BLOCK {
-                    flush_multi_block::<FLAT>(
-                        &c, slots, pass, iy, &norm_b, &wa_b, &mut pow_b, &slope_b, &slot_b, &col_b,
-                        len,
-                    );
-                    len = 0;
-                }
-            }
-        }
-        if len > 0 {
-            // Row-end flush: staged lanes never span rows, so every slot's
-            // fold order advances to the next row only after this row's
-            // interior drained.
-            flush_multi_block::<FLAT>(
-                &c, slots, pass, iy, &norm_b, &wa_b, &mut pow_b, &slope_b, &slot_b, &col_b, len,
-            );
-            len = 0;
-        }
-    }
-}
-
-/// Drains a staged cross-fire block: one batched pow evaluation, then the
-/// exact per-lane drain arithmetic of [`interior_row_batched`], folding
-/// each lane's spread rate into its own fire's `s_max`.
-#[allow(clippy::too_many_arguments)]
-fn flush_multi_block<const FLAT: bool>(
-    c: &SpreadCoeffs,
-    slots: &mut [GroupSlot<'_>],
-    pass: MultiPass,
-    iy: usize,
-    norm_b: &[f64; MULTI_BLOCK],
-    wa_b: &[f64; MULTI_BLOCK],
-    pow_b: &mut [f64; MULTI_BLOCK],
-    slope_b: &[f64; MULTI_BLOCK],
-    slot_b: &[usize; MULTI_BLOCK],
-    col_b: &[usize; MULTI_BLOCK],
-    len: usize,
-) {
-    c.pow.eval_slice(&mut pow_b[..len]);
-    for k in 0..len {
-        let si = slot_b[k];
-        let norm = norm_b[k];
-        if norm == 0.0 {
-            slots[si].pass_out_mut(pass).row_mut(iy)[col_b[k]] = 0.0;
-            continue;
-        }
-        // Same term order as `spread_rate` / `spread_rate_flat`:
-        // (r0 + wind) [+ slope], damped, clamped.
-        let wind_term = if wa_b[k] > 0.0 {
-            c.wind_factor * pow_b[k]
-        } else {
-            c.zero_wind_term
-        };
-        let base_rate = c.r0 + wind_term;
-        let s = if FLAT {
-            base_rate
-        } else {
-            base_rate + c.slope_factor * slope_b[k]
-        };
-        let s = (s * c.moisture_damping).clamp(0.0, c.max_spread);
-        let slot = &mut slots[si];
-        slot.round_s_max = slot.round_s_max.max(s);
-        slot.pass_out_mut(pass).row_mut(iy)[col_b[k]] = -s * norm;
     }
 }
 

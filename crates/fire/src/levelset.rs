@@ -62,70 +62,6 @@ pub struct AdvanceStats {
     pub max_spread_rate: f64,
 }
 
-/// One fire's borrowed stepping context inside a grouped
-/// [`LevelSetSolver::advance_group_to_ws`] call: its mutable state, its
-/// (externally fixed) wind field, and its private workspace, plus the
-/// per-slot rollups the grouped sweep maintains.
-///
-/// Slots in a group may be permuted by the internal swap-compaction that
-/// retires finished fires; use [`GroupSlot::tag`] to re-associate results
-/// with whatever external indexing produced the slots.
-pub struct GroupSlot<'a> {
-    /// The fire being stepped; `state.time` advances per-slot.
-    pub state: &'a mut FireState,
-    /// Wind driving this fire, held fixed for the whole advance.
-    pub wind: &'a VectorField2,
-    /// This fire's private scratch (`k1`, `k2`, ψ*).
-    pub ws: &'a mut FireWorkspace,
-    /// Sub-steps taken for this slot so far (cumulative across rounds).
-    pub steps: usize,
-    /// Largest spread rate seen by this slot so far.
-    pub max_spread_rate: f64,
-    /// Caller-owned identity, preserved across the internal permutation.
-    pub tag: usize,
-    /// `s_max` of the current round's predictor RHS (per-slot CFL input).
-    pub(crate) round_s_max: f64,
-    /// The step size chosen for the current round.
-    pub(crate) round_dt: f64,
-}
-
-impl<'a> GroupSlot<'a> {
-    /// Wraps one fire's state/wind/workspace as a group slot with zeroed
-    /// rollups and `tag = 0`.
-    pub fn new(
-        state: &'a mut FireState,
-        wind: &'a VectorField2,
-        ws: &'a mut FireWorkspace,
-    ) -> Self {
-        GroupSlot {
-            state,
-            wind,
-            ws,
-            steps: 0,
-            max_spread_rate: 0.0,
-            tag: 0,
-            round_s_max: 0.0,
-            round_dt: 0.0,
-        }
-    }
-
-    /// The ψ field the given RHS pass reads for this slot.
-    pub(crate) fn pass_psi(&self, pass: kernel::MultiPass) -> &Field2 {
-        match pass {
-            kernel::MultiPass::Predictor => &self.state.psi,
-            kernel::MultiPass::Corrector => &self.ws.psi_star,
-        }
-    }
-
-    /// The slope field the given RHS pass writes for this slot.
-    pub(crate) fn pass_out_mut(&mut self, pass: kernel::MultiPass) -> &mut Field2 {
-        match pass {
-            kernel::MultiPass::Predictor => &mut self.ws.k1,
-            kernel::MultiPass::Corrector => &mut self.ws.k2,
-        }
-    }
-}
-
 /// Level-set solver bound to a fire mesh.
 ///
 /// Construction flattens the mesh's static inputs (fuel coefficients,
@@ -474,12 +410,12 @@ impl LevelSetSolver {
     }
 
     /// [`LevelSetSolver::advance_to_ws`] that also reports the maximum
-    /// spread rate encountered. Routed through the grouped stepping path
-    /// as a group of one, so single-fire and batched stepping share
-    /// exactly one code path (and the bitwise pins on either cover both).
+    /// spread rate encountered: the plain loop over `rhs_into` →
+    /// `cfl_bound` → `step_prepared`, one RHS evaluation per step.
     ///
     /// # Errors
-    /// Propagates stepping errors.
+    /// [`FireError::GridMismatch`] when a step is due and the state or wind
+    /// lives off the solver grid; propagates stepping errors.
     pub fn advance_to_stats_ws(
         &self,
         state: &mut FireState,
@@ -488,169 +424,21 @@ impl LevelSetSolver {
         dt_hint: f64,
         ws: &mut FireWorkspace,
     ) -> Result<AdvanceStats> {
-        let mut slot = GroupSlot::new(state, wind, ws);
-        self.advance_group_to_ws(std::slice::from_mut(&mut slot), t_target, dt_hint)?;
-        Ok(AdvanceStats {
-            steps: slot.steps,
-            max_spread_rate: slot.max_spread_rate,
-        })
-    }
-
-    /// Advances every slot of a group to `t_target` by repeated stable
-    /// steps, evaluating the level-set RHS **across fires** per round: one
-    /// shared kernel-planes pass serves the whole group, and for
-    /// fast-math palettes the row sweep batches its pow lanes over the
-    /// fire axis (see `kernel::rhs_fused_multi`). Each slot keeps its own
-    /// clock, step count and CFL-bound step size; finished slots retire
-    /// from the round-robin without blocking the rest (they are
-    /// swap-compacted to the back of the slice — callers re-associate via
-    /// [`GroupSlot::tag`]).
-    ///
-    /// **Equivalence contract:** every slot's trajectory (ψ, ignition
-    /// times, clock, step count) is bitwise-identical to advancing it
-    /// alone via [`LevelSetSolver::advance_to_ws`]; the proptest suite in
-    /// `tests/proptest_levelset_fused.rs` and the in-crate test below pin
-    /// this.
-    ///
-    /// # Errors
-    /// [`FireError::GridMismatch`] when any active slot's state or wind
-    /// lives off the solver grid; [`FireError::CflViolation`] cannot occur
-    /// here (steps are clamped to the bound) but is propagated defensively.
-    pub fn advance_group_to_ws(
-        &self,
-        slots: &mut [GroupSlot<'_>],
-        t_target: f64,
-        dt_hint: f64,
-    ) -> Result<()> {
-        let g = self.mesh.grid;
-        // Compact the slots that still need stepping to the front; slots
-        // already at (or beyond) the horizon never touch the grid checks,
-        // matching the single-fire loop which checks only when it steps.
-        let mut n_active = slots.len();
-        let mut i = 0;
-        while i < n_active {
-            if slots[i].state.time < t_target - 1e-12 {
-                i += 1;
-            } else {
-                n_active -= 1;
-                slots.swap(i, n_active);
-            }
-        }
-        for slot in slots[..n_active].iter() {
-            if slot.wind.grid() != g || slot.state.grid() != g {
+        let mut stats = AdvanceStats::default();
+        // Defensive cap against a dt that never reaches the horizon.
+        while state.time < t_target - 1e-12 && stats.steps <= 1_000_000 {
+            if wind.grid() != self.mesh.grid || state.grid() != self.mesh.grid {
                 return Err(FireError::GridMismatch("level-set step"));
             }
+            let s_max = self.rhs_into(&state.psi, wind, &mut ws.k1);
+            let dt = dt_hint
+                .min(self.cfl_bound(s_max))
+                .min(t_target - state.time);
+            self.step_prepared(state, wind, dt, s_max, ws)?;
+            stats.steps += 1;
+            stats.max_spread_rate = stats.max_spread_rate.max(s_max);
         }
-        if n_active > 0 {
-            debug_assert!(
-                self.planes.matches_mesh(&self.mesh),
-                "kernel planes are stale: call refresh_kernel_planes() after mutating the mesh"
-            );
-        }
-        while n_active > 0 {
-            let active = &mut slots[..n_active];
-            // Predictor slopes (and per-slot s_max) for the whole group in
-            // one cross-fire sweep.
-            self.rhs_group(active, kernel::MultiPass::Predictor);
-            // Choose every slot's step before mutating any state, so a
-            // (defensive) CFL rejection leaves the group untouched.
-            for slot in active.iter_mut() {
-                let dt = dt_hint
-                    .min(self.cfl_bound(slot.round_s_max))
-                    .min(t_target - slot.state.time);
-                if self.enforce_cfl && slot.round_s_max > 0.0 {
-                    let dt_max = 1.0 / (slot.round_s_max * (1.0 / g.dx + 1.0 / g.dy));
-                    if dt > dt_max {
-                        return Err(FireError::CflViolation { dt, dt_max });
-                    }
-                }
-                slot.round_dt = dt;
-            }
-            match self.integrator {
-                Integrator::Euler => {
-                    for slot in active.iter_mut() {
-                        let t0 = slot.state.time;
-                        kernel::euler_update_and_mark(
-                            &mut slot.state.psi,
-                            &mut slot.state.tig,
-                            &slot.ws.k1,
-                            slot.round_dt,
-                            t0,
-                        );
-                        slot.state.time = t0 + slot.round_dt;
-                    }
-                }
-                Integrator::Heun => {
-                    for slot in active.iter_mut() {
-                        let ws = &mut *slot.ws;
-                        kernel::scaled_sum_into(
-                            &slot.state.psi,
-                            slot.round_dt,
-                            &ws.k1,
-                            &mut ws.psi_star,
-                        );
-                    }
-                    // Corrector slopes for the whole group, again one
-                    // cross-fire sweep over the predictor fields.
-                    self.rhs_group(active, kernel::MultiPass::Corrector);
-                    for slot in active.iter_mut() {
-                        let t0 = slot.state.time;
-                        let ws = &*slot.ws;
-                        kernel::heun_correct_and_mark(
-                            &mut slot.state.psi,
-                            &mut slot.state.tig,
-                            &ws.k1,
-                            &ws.k2,
-                            0.5 * slot.round_dt,
-                            t0,
-                            slot.round_dt,
-                        );
-                        slot.state.time = t0 + slot.round_dt;
-                    }
-                }
-            }
-            for slot in active.iter_mut() {
-                slot.steps += 1;
-                slot.max_spread_rate = slot.max_spread_rate.max(slot.round_s_max);
-            }
-            // Retire finished slots (and the defensive step-count cap the
-            // single-fire loop also applies) by swapping them past the
-            // active frontier — no allocation, cheap per round.
-            let mut i = 0;
-            while i < n_active {
-                let done = slots[i].state.time >= t_target - 1e-12 || slots[i].steps > 1_000_000;
-                if done {
-                    n_active -= 1;
-                    slots.swap(i, n_active);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// True when `other` would produce bitwise-identical stepping for any
-    /// state: same grid, integrator, CFL configuration, gradient scheme,
-    /// and bit-identical kernel planes (fuel palette + index + terrain).
-    /// This is the gate batched drivers use before sharing one solver's
-    /// cross-fire sweep between fires built from different scenarios.
-    pub fn group_compatible(&self, other: &LevelSetSolver) -> bool {
-        self.mesh.grid == other.mesh.grid
-            && self.integrator == other.integrator
-            && self.cfl.to_bits() == other.cfl.to_bits()
-            && self.enforce_cfl == other.enforce_cfl
-            && self.gradient == other.gradient
-            && self.planes.bitwise_eq(&other.planes)
-    }
-
-    /// Grouped RHS dispatch by gradient scheme (the multi-fire analogue of
-    /// [`LevelSetSolver::rhs_into`]'s match).
-    fn rhs_group(&self, slots: &mut [GroupSlot<'_>], pass: kernel::MultiPass) {
-        match self.gradient {
-            GradientScheme::Godunov => kernel::rhs_fused_multi::<true>(&self.planes, slots, pass),
-            GradientScheme::Central => kernel::rhs_fused_multi::<false>(&self.planes, slots, pass),
-        }
+        Ok(stats)
     }
 }
 
@@ -1027,78 +815,5 @@ mod tests {
             prev = t;
         }
         assert!(prev > 0.0, "fire must have spread at least a few cells");
-    }
-
-    #[test]
-    fn grouped_advance_matches_independent_bitwise() {
-        // Three fires with different ignitions and winds advanced as one
-        // group must be bit-identical to advancing each alone — in both
-        // pow modes, since fast-math palettes take the cross-fire batched
-        // sweep while bitwise palettes take the per-slot path.
-        for fast_math in [false, true] {
-            let mut solver = grass_solver(37, 2.0);
-            solver.set_fast_math(fast_math);
-            let g = solver.mesh.grid;
-            let (ex, ey) = g.extent();
-            let mk_state = |cx: f64, cy: f64, r: f64| {
-                FireState::ignite(
-                    g,
-                    &[IgnitionShape::Circle {
-                        center: (cx, cy),
-                        radius: r,
-                    }],
-                    0.0,
-                )
-            };
-            let mut states = [
-                mk_state(ex / 2.0, ey / 2.0, 8.0),
-                mk_state(ex / 3.0, ey / 3.0, 5.0),
-                mk_state(2.0 * ex / 3.0, ey / 2.0, 11.0),
-            ];
-            let winds = [
-                VectorField2::from_fn(g, |ix, iy| (3.0 + 0.01 * ix as f64, 0.02 * iy as f64)),
-                VectorField2::from_fn(g, |_, _| (-2.0, 4.0)),
-                VectorField2::zeros(g),
-            ];
-            let mut independent = states.clone();
-            let mut grouped_stats = [AdvanceStats::default(); 3];
-            {
-                let mut workspaces = [
-                    FireWorkspace::new(),
-                    FireWorkspace::new(),
-                    FireWorkspace::new(),
-                ];
-                let mut slots: Vec<GroupSlot<'_>> = states
-                    .iter_mut()
-                    .zip(winds.iter())
-                    .zip(workspaces.iter_mut())
-                    .enumerate()
-                    .map(|(i, ((state, wind), ws))| {
-                        let mut slot = GroupSlot::new(state, wind, ws);
-                        slot.tag = i;
-                        slot
-                    })
-                    .collect();
-                solver.advance_group_to_ws(&mut slots, 14.0, 1.0).unwrap();
-                for slot in &slots {
-                    grouped_stats[slot.tag] = AdvanceStats {
-                        steps: slot.steps,
-                        max_spread_rate: slot.max_spread_rate,
-                    };
-                }
-            }
-            let mut ws = FireWorkspace::new();
-            for (i, (state, wind)) in independent.iter_mut().zip(winds.iter()).enumerate() {
-                let stats = solver
-                    .advance_to_stats_ws(state, wind, 14.0, 1.0, &mut ws)
-                    .unwrap();
-                assert_eq!(stats, grouped_stats[i], "fast_math={fast_math} slot {i}");
-            }
-            for (i, (a, b)) in states.iter().zip(independent.iter()).enumerate() {
-                assert_eq!(a.psi, b.psi, "fast_math={fast_math} slot {i} ψ");
-                assert_eq!(a.tig, b.tig, "fast_math={fast_math} slot {i} t_i");
-                assert_eq!(a.time, b.time, "fast_math={fast_math} slot {i} clock");
-            }
-        }
     }
 }

@@ -35,6 +35,8 @@
 //! both gradient schemes, degenerate plateaus) pins that equivalence, so the
 //! fast path can keep evolving without physics review.
 
+#![forbid(unsafe_code)]
+
 pub mod heat;
 pub mod ignition;
 pub(crate) mod kernel;
@@ -46,7 +48,7 @@ pub mod state;
 pub mod workspace;
 
 pub use ignition::IgnitionShape;
-pub use levelset::{AdvanceStats, GradientScheme, GroupSlot, Integrator, LevelSetSolver};
+pub use levelset::{AdvanceStats, GradientScheme, Integrator, LevelSetSolver};
 pub use mesh::{FireMesh, FuelMap};
 pub use reinit::{reinitialize, reinitialize_into};
 pub use state::FireState;

@@ -15,6 +15,8 @@
 //!   spacing; sampling clamps to the domain (constant extrapolation), which
 //!   is the correct behaviour for bounded physical domains.
 
+#![forbid(unsafe_code)]
+
 pub mod field2;
 pub mod field3;
 pub mod sample;

@@ -14,6 +14,8 @@
 //! All floating point work is `f64`. Matrices are column-major, matching the
 //! convention of the ensemble algebra in the paper (states are columns).
 
+#![forbid(unsafe_code)]
+
 pub mod cholesky;
 pub mod eigen;
 pub mod interp;

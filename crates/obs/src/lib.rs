@@ -37,6 +37,8 @@
 //!   observation log ([`StateFileTail`] / [`ObsLogWriter`]), or a channel
 //!   fed from other threads ([`ChannelSource`]).
 
+#![forbid(unsafe_code)]
+
 pub mod image_obs;
 pub mod obs_set;
 pub mod operator;

@@ -24,6 +24,8 @@
 //! checked against published biomass-burning radiative fractions
 //! (Wooster et al. 2003).
 
+#![forbid(unsafe_code)]
+
 pub mod camera;
 pub mod flame;
 pub mod ground;

@@ -15,8 +15,8 @@
 //!   shared batch — late-arriving requests join the running batch and
 //!   catch up tick by tick.
 //! * The service loop alternates batched forecasting
-//!   (`SimBatch::advance_to`, SoA cross-fire stepping over the worker
-//!   pool) with streaming assimilation: due observation reports are
+//!   (`SimBatch::advance_to`, independent simulations work-stolen over
+//!   the worker pool) with streaming assimilation: due observation reports are
 //!   drained from each request's [`wildfire_obs::ObsSource`] and applied
 //!   through [`wildfire_ensemble::EnsembleDriver::cycle_source_ws`] at the
 //!   batch clock, steering the in-flight forecast.
@@ -29,6 +29,8 @@
 //! No async runtime: the service thread is a plain [`std::thread`], the
 //! worker pool under the batch uses crossbeam scoped threads, and every
 //! channel is the vendored `crossbeam::channel` MPMC queue.
+
+#![forbid(unsafe_code)]
 
 mod request;
 mod service;

@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wildfire_core::CoupledState;
 use wildfire_ensemble::{EnsembleDriver, EnsembleWorkspace};
-use wildfire_fire::perimeter::perimeter_length;
 use wildfire_math::GaussianSampler;
 use wildfire_obs::{ObsInbox, ObsSource, ObservationOperator, TIME_EPS};
 use wildfire_sim::batch::SimBatch;
@@ -279,18 +278,16 @@ fn assimilate_and_emit(a: &mut Active, batch: &mut SimBatch) -> std::result::Res
 
 /// Aggregates the request's member slots into one product.
 fn product_at(a: &Active, batch: &SimBatch, horizon: f64, time: f64) -> ForecastProduct {
-    let products = batch.products();
     let mut mean_burned = 0.0;
     let mut mean_perimeter = 0.0;
     let mut max_spread = 0.0f64;
     let mut max_updraft = 0.0f64;
     for &sid in &a.member_ids {
-        let sim = batch.simulation(sid);
-        mean_burned += sim.state.fire.burned_area();
-        mean_perimeter += perimeter_length(&sim.state.fire.psi);
-        let at = batch.position_of(sid).expect("member slot present");
-        max_spread = max_spread.max(products[at].max_spread_rate);
-        max_updraft = max_updraft.max(products[at].max_updraft);
+        let p = batch.slot_products(sid).expect("member slot present");
+        mean_burned += p.burned_area;
+        mean_perimeter += p.perimeter_length;
+        max_spread = max_spread.max(p.max_spread_rate);
+        max_updraft = max_updraft.max(p.max_updraft);
     }
     let n = a.member_ids.len() as f64;
     ForecastProduct {

@@ -199,3 +199,54 @@ fn handle_events_stream_products_then_terminal() {
     assert!(saw_product);
     service.shutdown();
 }
+
+#[test]
+fn product_is_independent_of_the_rest_of_the_batch() {
+    // A request's products aggregate its own member slots only: the same
+    // request served alone and served from the middle of a 50-request
+    // batch must emit the same products, field for field. Tick and
+    // horizons are multiples of the scenario dt, so the member step
+    // sequence does not depend on when the other requests were admitted.
+    let probe = || ForecastRequest {
+        n_members: 3,
+        position_spread: 8.0,
+        seed: 11,
+        ..ForecastRequest::free_run(tiny_scenario("probe"), vec![1.0, 2.0])
+    };
+    let solo_service = ForecastService::start(service_config());
+    let solo = solo_service.submit(probe()).expect("submit").wait();
+    solo_service.shutdown();
+    let solo = solo.expect("solo request succeeds");
+
+    let crowd_service = ForecastService::start(service_config());
+    let mut others = Vec::new();
+    let mut crowded = None;
+    for k in 0..50u64 {
+        if k == 25 {
+            crowded = Some(crowd_service.submit(probe()).expect("submit"));
+            continue;
+        }
+        let filler = ForecastRequest {
+            seed: k,
+            position_spread: 12.0,
+            ..ForecastRequest::free_run(tiny_scenario("filler"), vec![2.0])
+        };
+        others.push(crowd_service.submit(filler).expect("submit"));
+    }
+    let crowded = crowded.expect("probe submitted").wait();
+    for h in others {
+        h.wait().expect("filler request succeeds");
+    }
+    crowd_service.shutdown();
+    let crowded = crowded.expect("crowded request succeeds");
+
+    assert_eq!(solo.len(), 2);
+    assert_eq!(crowded.len(), 2);
+    for (s, c) in solo.iter().zip(&crowded) {
+        let c = wildfire_service::ForecastProduct {
+            request: s.request,
+            ..c.clone()
+        };
+        assert_eq!(*s, c);
+    }
+}

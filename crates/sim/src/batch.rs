@@ -1,34 +1,22 @@
-//! [`SimBatch`]: many concurrent fire forecasts stepped as one batch.
+//! [`SimBatch`]: many concurrent fire forecasts advanced as one batch.
 //!
 //! The paper's end goal is an operational service running many data-driven
 //! fire forecasts at once, not one simulation per process. `SimBatch` is
 //! that service layer's execution core: it owns N realized
 //! [`Simulation`]s (each a coupled model + state + private workspace) and
-//! advances them toward a shared horizon with two cooperating mechanisms:
+//! advances them toward a shared horizon the way the paper's Fig. 2 loop
+//! advances ensemble members — independently, in parallel. Every slot is
+//! one work item, claimed from a shared atomic cursor by the ensemble
+//! worker pool (`wildfire_ensemble::pool::parallel_for_each_dynamic_ws`),
+//! so a cheap or already-finished fire never pins a worker while another
+//! grinds through an expensive one. There is no lockstep and no
+//! compatibility rule: slots may differ in grid, fuels, reference dt and
+//! clock.
 //!
-//! * **Cooperative scheduling** — slots are claimed from a shared atomic
-//!   cursor by the ensemble worker pool
-//!   (`wildfire_ensemble::pool::parallel_for_each_dynamic_ws`), so cheap
-//!   or already-finished fires never pin a worker while another grinds
-//!   through an expensive one.
-//! * **SoA cross-fire stepping** — slots whose fire solvers are
-//!   [`group_compatible`](wildfire_core::CoupledModel) (same grid, fuel
-//!   palette, terrain, integrator and CFL configuration) are stepped in
-//!   lockstep through [`wildfire_core::step_group_ws`]: every level-set
-//!   RHS evaluation is one row-major sweep across the fires of the
-//!   unit, sharing one pass over the static kernel planes and filling
-//!   the fast-math pow lanes with nodes drawn across fires even on
-//!   narrow grids. Compatibility groups wider than the adaptive unit
-//!   bound (cache budget over the group's per-fire working set, clamped
-//!   to 4..=32) split into several lockstep units so a unit's working
-//!   set stays cache-sized and the pool has more units to balance.
-//!
-//! **Bitwise contract.** Batched stepping is bit-identical to running
-//! every slot alone through [`Simulation::run_until`] — grouping, lane
-//! packing and work-stealing are pure schedule changes, never arithmetic
-//! changes. The proptest suite in `crates/sim/tests/` pins this, and the
-//! single-`Simulation` path itself routes through the same grouped code
-//! as a batch of one, so there is exactly one stepping path to trust.
+//! **Bitwise contract.** A slot's advance *is* [`Simulation::run_until`],
+//! so batched results are bit-identical to running every slot alone, for
+//! every batch composition and thread count, by construction. The proptest
+//! suite in `crates/sim/tests/` pins the schedule independence.
 //!
 //! ```no_run
 //! use wildfire_sim::batch::SimBatch;
@@ -48,7 +36,7 @@
 use crate::builder::Simulation;
 use crate::scenario::Scenario;
 use crate::{Result, SimulationBuilder};
-use wildfire_core::{step_group_scratch_ws, BatchSlot, GroupScratch, StepDiagnostics};
+use wildfire_core::StepDiagnostics;
 use wildfire_ensemble::pool;
 use wildfire_fire::perimeter::perimeter_length;
 
@@ -76,17 +64,36 @@ impl Rollup {
     }
 }
 
-/// One owned simulation inside the batch plus its rollup and its stable
-/// identity (slots are re-sorted by id after every advance, since grouping
-/// permutes the internal order).
+/// One owned simulation inside the batch plus its rollup, its stable
+/// identity (slots stay sorted by id) and the outcome of its last advance.
 struct Slot {
     sim: Simulation,
     rollup: Rollup,
     id: usize,
+    outcome: Result<()>,
+}
+
+impl Slot {
+    /// Burned area, perimeter length, and the diagnostics rollups
+    /// accumulated across every advance so far.
+    fn products(&self) -> SlotProducts {
+        SlotProducts {
+            name: self.sim.scenario.name.clone(),
+            time: self.sim.time(),
+            coupled_steps: self.rollup.steps,
+            burned_area: self.sim.state.fire.burned_area(),
+            perimeter_length: perimeter_length(&self.sim.state.fire.psi),
+            max_spread_rate: self.rollup.max_spread_rate,
+            max_updraft: self.rollup.max_updraft,
+            max_surface_wind: self.rollup.max_surface_wind,
+            peak_sensible_power: self.rollup.peak_sensible_power,
+            peak_latent_power: self.rollup.peak_latent_power,
+        }
+    }
 }
 
 /// Batch-level products for one slot, as reported by
-/// [`SimBatch::products`].
+/// [`SimBatch::products`] and [`SimBatch::slot_products`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotProducts {
     /// Scenario name of the slot.
@@ -110,83 +117,6 @@ pub struct SlotProducts {
     pub peak_sensible_power: f64,
     /// Peak domain-integrated latent heat release (W).
     pub peak_latent_power: f64,
-}
-
-/// Floor (and legacy fixed value) for the lockstep-unit size bound: the
-/// fallback whenever the adaptive heuristic cannot say anything better,
-/// chosen so the figure-1-scale grids keep exactly the unit shapes they
-/// had when the bound was a constant.
-const MAX_GROUP_FLOOR: usize = 4;
-
-/// Ceiling for the adaptive unit size: past this width the lockstep
-/// rotation bookkeeping dominates whatever pow-lane fill is left to gain,
-/// even when the combined working set would still fit in cache.
-const MAX_GROUP_CEIL: usize = 32;
-
-/// Cache budget (bytes) assumed for one lockstep unit's combined fire
-/// working set — roughly a per-core L2 slice. The adaptive bound packs as
-/// many fires per unit as fit this budget, clamped to
-/// [`MAX_GROUP_FLOOR`]..=[`MAX_GROUP_CEIL`].
-const GROUP_CACHE_BUDGET: usize = 2 << 20;
-
-/// Resident f64 fields per fire in a lockstep round: ψ and `t_i` of the
-/// state plus the solver scratch (k1, k2, ψ*, speed planes, …).
-const FIELDS_PER_FIRE: usize = 8;
-
-/// Upper bound on the number of fires stepped as one lockstep unit, chosen
-/// per compatibility group from its grid size: a unit should be as wide as
-/// possible (cross-fire pow lanes fill better, fewer units of pool
-/// bookkeeping) *while* its combined ψ/workspace footprint stays
-/// cache-sized — lockstep rotation across many large fires cycles their
-/// working sets through cache every sub-step and measurably loses to
-/// independent stepping. Narrow grids therefore get wide units (up to
-/// [`MAX_GROUP_CEIL`]); figure-1-scale grids fall back to the legacy
-/// [`MAX_GROUP_FLOOR`]. Deterministic: depends only on the group
-/// representative's grid, never on thread count or timing, so grouping
-/// (and through the bitwise contract, every result) is reproducible.
-fn max_group_for(rep: &Simulation) -> usize {
-    let nodes = rep.model.fire_grid.len();
-    let per_fire = nodes.saturating_mul(FIELDS_PER_FIRE * std::mem::size_of::<f64>());
-    if per_fire == 0 {
-        return MAX_GROUP_FLOOR;
-    }
-    (GROUP_CACHE_BUDGET / per_fire).clamp(MAX_GROUP_FLOOR, MAX_GROUP_CEIL)
-}
-
-/// Per-worker stepping scratch for [`SimBatch::advance_to`]: the grouped
-/// core's borrow-Vec recycler plus the unit-level borrow and diagnostics
-/// buffers, all carried across rounds and units so steady-state batched
-/// stepping allocates nothing per step.
-#[derive(Default)]
-struct WorkerScratch {
-    group: GroupScratch,
-    borrows: BorrowScratch,
-    diags: Vec<StepDiagnostics>,
-}
-
-/// Capacity recycler for the per-round `Vec<BatchSlot>` of `advance_unit`,
-/// mirroring [`GroupScratch`] one layer up: empty between rounds, only the
-/// allocation is reused.
-#[derive(Default)]
-struct BorrowScratch {
-    buf: Vec<BatchSlot<'static>>,
-}
-
-impl BorrowScratch {
-    fn take<'a>(&mut self) -> Vec<BatchSlot<'a>> {
-        let v = std::mem::take(&mut self.buf);
-        debug_assert!(v.is_empty());
-        // SAFETY: the vector is empty — no `'static`-annotated value
-        // exists — so only the lifetime-free allocation is reused; the two
-        // types differ only in a lifetime parameter, so layout matches.
-        unsafe { std::mem::transmute::<Vec<BatchSlot<'static>>, Vec<BatchSlot<'a>>>(v) }
-    }
-
-    fn put(&mut self, mut v: Vec<BatchSlot<'_>>) {
-        v.clear();
-        // SAFETY: emptied above; see `take` for the layout argument.
-        self.buf = unsafe { std::mem::transmute::<Vec<BatchSlot<'_>>, Vec<BatchSlot<'static>>>(v) };
-    }
 }
 
 /// A batch of concurrent fire forecasts; see the [module docs](self).
@@ -218,6 +148,7 @@ impl SimBatch {
             sim,
             rollup: Rollup::default(),
             id,
+            outcome: Ok(()),
         });
         id
     }
@@ -243,8 +174,7 @@ impl SimBatch {
     }
 
     /// Position of the slot with the given stable id, if still present.
-    /// Slots are kept sorted by id between advances, so this is a binary
-    /// search.
+    /// Slots are kept sorted by id, so this is a binary search.
     pub fn position_of(&self, id: usize) -> Option<usize> {
         self.slots.binary_search_by_key(&id, |s| s.id).ok()
     }
@@ -264,8 +194,8 @@ impl SimBatch {
     }
 
     /// Mutable access to a slot's simulation, by stable id. Mutating model
-    /// configuration mid-batch is allowed — grouping is re-derived on
-    /// every [`SimBatch::advance_to`] call.
+    /// configuration or state mid-batch is allowed — slots are advanced
+    /// independently.
     ///
     /// # Panics
     /// Panics when no slot has this id (e.g. after [`SimBatch::remove`]).
@@ -284,136 +214,36 @@ impl SimBatch {
     }
 
     /// Advances every slot to `horizon` (slots already past it are left
-    /// untouched). Compatible slots step as SoA groups in lockstep; groups
-    /// (and incompatible singletons) are distributed over the worker pool
-    /// by the dynamic work-stealing scheduler. Results are bit-identical
-    /// to advancing each slot alone, for every thread count.
+    /// untouched). Each slot is its own work item: workers claim slots from
+    /// the pool's shared cursor and run [`Simulation::run_until`] on them,
+    /// so results are bit-identical to advancing each slot alone, for every
+    /// thread count. Allocation-free once the slots' workspaces are warm.
     ///
     /// # Errors
-    /// The first failing slot's error, with the batch left partially
-    /// advanced (failed groups stop at the failing step; other groups
-    /// complete).
+    /// The error of the first (lowest-id) failing slot, with the batch left
+    /// partially advanced: a failed slot stops at its failing step, every
+    /// other slot completes.
     pub fn advance_to(&mut self, horizon: f64) -> Result<()> {
-        if self.slots.is_empty() {
-            return Ok(());
-        }
-        // Greedy grouping: a slot joins the first group whose
-        // representative has a bitwise-compatible fire solver, the same
-        // reference dt, and the same clock (lockstep requirement). O(N²)
-        // in the number of groups, which is tiny.
-        let mut order: Vec<Vec<Slot>> = Vec::new();
-        for slot in self.slots.drain(..) {
-            let found = order.iter_mut().find(|group| {
-                let rep = &group[0].sim;
-                rep.model.fire.group_compatible(&slot.sim.model.fire)
-                    && rep.dt.to_bits() == slot.sim.dt.to_bits()
-                    && rep.time().to_bits() == slot.sim.time().to_bits()
-            });
-            match found {
-                Some(group) => group.push(slot),
-                None => order.push(vec![slot]),
-            }
-        }
-        // Split every compatibility group into lockstep units of at most
-        // `max_group_for(rep)` slots; workers steal units from the shared
-        // cursor. The adaptive split bounds a unit's cache working set (a
-        // 64-fire lockstep round over large grids cycles 64 ψ/workspace
-        // sets through cache every step and measurably loses to
-        // independent stepping) while letting many-narrow-grid service
-        // shapes pack wider units, and hands the pool more units to
-        // balance. Grouping is a pure schedule choice under the bitwise
-        // contract, so the split never changes results. The unit carries
-        // its outcome so the pool closure stays infallible.
-        let mut units: Vec<(Vec<Slot>, Result<()>)> = Vec::new();
-        for group in order {
-            let cap = max_group_for(&group[0].sim);
-            let mut rest = group;
-            while rest.len() > cap {
-                let tail = rest.split_off(cap);
-                units.push((rest, Ok(())));
-                rest = tail;
-            }
-            units.push((rest, Ok(())));
-        }
-        let mut worker_scratch: Vec<WorkerScratch> = Vec::new();
-        worker_scratch.resize_with(self.threads, WorkerScratch::default);
-        pool::parallel_for_each_dynamic_ws(&mut units, &mut worker_scratch, |_, unit, scratch| {
-            unit.1 = advance_unit(&mut unit.0, horizon, scratch);
+        // The simulations carry their own workspaces; the pool only needs
+        // a worker count (a `Vec` of zero-sized items never allocates).
+        let mut workers = vec![(); self.threads];
+        pool::parallel_for_each_dynamic_ws(&mut self.slots, &mut workers, |_, slot, ()| {
+            let rollup = &mut slot.rollup;
+            slot.outcome = slot.sim.run_until(horizon, |_, diag| rollup.absorb(diag));
         });
-        let mut first_err = Ok(());
-        for (group, outcome) in units {
-            if first_err.is_ok() {
-                if let Err(e) = outcome {
-                    first_err = Err(e);
-                }
-            }
-            self.slots.extend(group);
-        }
-        // Grouping permuted the slots; restore the id ordering.
-        self.slots.sort_by_key(|s| s.id);
-        first_err
+        self.slots.iter().try_for_each(|s| s.outcome.clone())
     }
 
-    /// The batch product table, in slot order: per-fire burned area,
-    /// perimeter length, and the diagnostics rollups accumulated across
-    /// every advance so far.
+    /// Products of the slot with the given stable id, or `None` when no
+    /// slot has this id.
+    pub fn slot_products(&self, id: usize) -> Option<SlotProducts> {
+        Some(self.slots[self.position_of(id)?].products())
+    }
+
+    /// The batch product table, in slot order.
     pub fn products(&self) -> Vec<SlotProducts> {
-        self.slots
-            .iter()
-            .map(|s| SlotProducts {
-                name: s.sim.scenario.name.clone(),
-                time: s.sim.time(),
-                coupled_steps: s.rollup.steps,
-                burned_area: s.sim.state.fire.burned_area(),
-                perimeter_length: perimeter_length(&s.sim.state.fire.psi),
-                max_spread_rate: s.rollup.max_spread_rate,
-                max_updraft: s.rollup.max_updraft,
-                max_surface_wind: s.rollup.max_surface_wind,
-                peak_sensible_power: s.rollup.peak_sensible_power,
-                peak_latent_power: s.rollup.peak_latent_power,
-            })
-            .collect()
+        self.slots.iter().map(Slot::products).collect()
     }
-}
-
-/// Advances one compatibility group to the horizon. A singleton runs the
-/// plain [`Simulation::run_until`] loop (which itself routes through the
-/// grouped core path as a batch of one); larger groups step in lockstep
-/// rounds through [`wildfire_core::step_group_scratch_ws`], applying each
-/// slot's wind-shift schedule at the same times the independent loop
-/// would. With a warm [`WorkerScratch`] the round loop is allocation-free.
-fn advance_unit(slots: &mut [Slot], horizon: f64, scratch: &mut WorkerScratch) -> Result<()> {
-    if let [slot] = slots {
-        let rollup = &mut slot.rollup;
-        return slot.sim.run_until(horizon, |_, diag| rollup.absorb(diag));
-    }
-    scratch.diags.clear();
-    scratch
-        .diags
-        .resize(slots.len(), StepDiagnostics::default());
-    while slots[0].sim.time() < horizon - 1e-9 {
-        // All slots share dt and clock (the grouping key), so one round
-        // steps everyone by the same clamped dt — exactly the step sizes
-        // `run_until` would choose slot by slot.
-        let time = slots[0].sim.time();
-        let dt = slots[0].sim.dt.min(horizon - time);
-        for slot in slots.iter_mut() {
-            slot.sim.apply_due_shifts(time);
-        }
-        let mut group: Vec<BatchSlot<'_>> = scratch.borrows.take();
-        group.extend(slots.iter_mut().map(|slot| BatchSlot {
-            model: &slot.sim.model,
-            state: &mut slot.sim.state,
-            ws: &mut slot.sim.workspace,
-        }));
-        let stepped = step_group_scratch_ws(&mut group, dt, &mut scratch.diags, &mut scratch.group);
-        scratch.borrows.put(group);
-        stepped.map_err(crate::SimError::Model)?;
-        for (slot, diag) in slots.iter_mut().zip(scratch.diags.iter()) {
-            slot.rollup.absorb(diag);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -422,8 +252,7 @@ mod tests {
     use crate::scenario::DomainSpec;
     use wildfire_fire::IgnitionShape;
 
-    /// 13×13 fire mesh — small enough that the cache heuristic packs the
-    /// widest allowed lockstep units.
+    /// 13×13 fire mesh, so the tests below stay cheap.
     const TINY: DomainSpec = DomainSpec {
         nx: 5,
         ny: 5,
@@ -448,18 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_unit_bound_floors_on_paper_grids_and_widens_on_narrow() {
-        let paper = SimulationBuilder::new().build().unwrap();
-        assert_eq!(max_group_for(&paper), MAX_GROUP_FLOOR);
-        let narrow = tiny_sim(0);
-        let cap = max_group_for(&narrow);
-        assert!(
-            cap > MAX_GROUP_FLOOR && cap <= MAX_GROUP_CEIL,
-            "narrow grids should pack wider units, got {cap}"
-        );
-    }
-
-    #[test]
     fn slot_ids_are_stable_across_removal_and_reinsertion() {
         let mut batch = SimBatch::new(1);
         let a = batch.push(tiny_sim(0));
@@ -479,11 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn wide_adaptive_groups_are_deterministic_across_thread_counts() {
-        // More slots than the legacy fixed bound of 4, all compatible, so
-        // the adaptive width actually engages; every thread count must
-        // produce bitwise-identical states (grouping is a schedule choice,
-        // never an arithmetic one).
+    fn more_slots_than_threads_are_deterministic_across_thread_counts() {
+        // More slots than workers, so which worker claims which slot
+        // varies run to run; every thread count must still produce
+        // bitwise-identical states (the schedule never touches arithmetic).
         let n = 6;
         let t_end = 1.5;
         let mut reference: Option<Vec<crate::Simulation>> = None;

@@ -282,10 +282,11 @@ impl Simulation {
         self.state.time()
     }
 
-    /// Applies every wind shift scheduled at or before `time`. Crate-visible
-    /// so the batched driver ([`crate::batch::SimBatch`]) can honor each
-    /// slot's schedule while stepping groups in lockstep.
-    pub(crate) fn apply_due_shifts(&mut self, time: f64) {
+    /// Applies every wind shift scheduled at or before `time`; called
+    /// before each step, so the schedule is honored on every stepping
+    /// route (a [`crate::batch::SimBatch`] slot advances through
+    /// [`Simulation::run_until`] like any other simulation).
+    fn apply_due_shifts(&mut self, time: f64) {
         while self.next_shift < self.shifts.len() && self.shifts[self.next_shift].at <= time {
             self.model.atmos.params.ambient_wind = self.shifts[self.next_shift].to;
             self.next_shift += 1;

@@ -16,10 +16,9 @@
 //! * [`builder`] — [`SimulationBuilder`], a fluent constructor, and
 //!   [`Simulation`], a model + state pair that applies scheduled wind
 //!   shifts while stepping;
-//! * [`batch`] — [`SimBatch`], batched multi-fire execution: N scenarios
-//!   stepped cooperatively on the worker pool, with compatible fires
-//!   sharing SoA cross-fire level-set sweeps (bit-identical to stepping
-//!   each alone);
+//! * [`batch`] — [`SimBatch`], batched multi-fire execution: N
+//!   independent simulations work-stolen over the worker pool
+//!   (bit-identical to running each alone);
 //! * [`registry`] — named, ready-to-run scenarios (the paper's Fig. 1
 //!   fireline, circle ignition, multi-ignition merge, mid-run wind shift,
 //!   heterogeneous fuel map, uncoupled baseline, the Fig. 2 data-driven
@@ -32,6 +31,8 @@
 //! instruments report (gridded ψ, weather stations, thermal imagery) and
 //! how often. [`Scenario::timeline`] expands the declarations into the
 //! sorted [`wildfire_obs::ObsTimeline`] an assimilation driver walks.
+
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod builder;

@@ -5,8 +5,7 @@
 //! advanced to t = 20 s must reproduce the burned-area and
 //! perimeter-length products recorded here to 1e-9 (relative). The batch
 //! deliberately mixes domains (PAPER and SMALL), palettes, and coupling
-//! modes, so it exercises multi-group scheduling: fig1 and the baseline
-//! share one SoA group, the other two run as singleton groups.
+//! modes, so the slots differ in cost and the pool has to balance them.
 //!
 //! These pins complement the bitwise proptest suite: the proptests prove
 //! batch == independent, this test proves both still equal *yesterday's

@@ -3,12 +3,12 @@
 //!
 //! This is the PR-5/6-style contract for the `SimBatch` layer: for random
 //! small batches — mixed ignitions, winds, coupling flags, pow modes,
-//! reference steps and wind-shift schedules, on any worker count — every
-//! slot advanced through the batch (SoA cross-fire sweeps for compatible
-//! slots, work-stealing over groups) must end in exactly the state the
-//! plain [`Simulation::run_until`] loop produces, and the batch rollups
-//! must equal the rollup of the independent diagnostics stream bit for
-//! bit. Scheduling and lane packing are allowed to change *when* work
+//! reference steps, wind-shift schedules and starting clocks, with fewer
+//! or more slots than workers — every slot advanced through the batch
+//! (one work item per slot, work-stolen over the pool) must end in exactly
+//! the state the plain [`Simulation::run_until`] loop produces, and the
+//! batch rollups must equal the rollup of the independent diagnostics
+//! stream bit for bit. Scheduling is allowed to change *when* work
 //! happens, never *what* is computed.
 
 use proptest::prelude::*;
@@ -25,6 +25,9 @@ struct SlotSpec {
     fast_math: bool,
     half_dt: bool,
     shift: Option<(f64, f64)>,
+    /// Clock the slot has already reached when it joins the batch: `0`,
+    /// part-way, or past the batch horizon.
+    head_start: f64,
 }
 
 fn slot_spec() -> impl Strategy<Value = SlotSpec> {
@@ -33,15 +36,19 @@ fn slot_spec() -> impl Strategy<Value = SlotSpec> {
         (-5.0f64..5.0, -5.0f64..5.0),
         0u32..8,
         (0u32..2, (-4.0f64..4.0, -4.0f64..4.0)),
+        0u32..4,
     )
-        .prop_map(|(offset, wind, flags, (has_shift, shift_to))| SlotSpec {
-            offset,
-            wind,
-            coupled: flags & 1 != 0,
-            fast_math: flags & 2 != 0,
-            half_dt: flags & 4 != 0,
-            shift: (has_shift == 1).then_some(shift_to),
-        })
+        .prop_map(
+            |(offset, wind, flags, (has_shift, shift_to), clock)| SlotSpec {
+                offset,
+                wind,
+                coupled: flags & 1 != 0,
+                fast_math: flags & 2 != 0,
+                half_dt: flags & 4 != 0,
+                shift: (has_shift == 1).then_some(shift_to),
+                head_start: [0.0, 0.0, 0.75, 3.0][clock as usize],
+            },
+        )
 }
 
 /// A deliberately tiny domain (13×13 fire mesh over a 5×5×4 atmosphere)
@@ -73,7 +80,10 @@ fn build_slot(spec: &SlotSpec) -> Simulation {
     if let Some(to) = spec.shift {
         b = b.wind_shift(1.0, to);
     }
-    b.build().expect("slot scenario builds")
+    let mut sim = b.build().expect("slot scenario builds");
+    sim.run_until(spec.head_start, |_, _| {})
+        .expect("head start");
+    sim
 }
 
 proptest! {
@@ -82,7 +92,7 @@ proptest! {
     /// bitwise-equal, for every worker count.
     #[test]
     fn batch_advance_is_bitwise_identical_to_independent_runs(
-        specs in prop::collection::vec(slot_spec(), 1..5),
+        specs in prop::collection::vec(slot_spec(), 1..9),
         threads in 1usize..5,
     ) {
         let t_end = 2.0;

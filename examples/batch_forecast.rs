@@ -2,11 +2,10 @@
 //! the fig1 fireline through one [`SimBatch`] and print the per-fire
 //! product table (burned area, perimeter, peak spread/updraft/power).
 //!
-//! The batch groups bitwise-compatible fires into one SoA level-set sweep
-//! per step and work-steals the groups across the thread pool, so a small
-//! probabilistic forecast like this costs much less than eight independent
-//! runs — while every trajectory stays bit-identical to its independent
-//! counterpart.
+//! The batch work-steals the fires across the thread pool — each one an
+//! independent simulation, as the paper's Fig. 2 loop advances ensemble
+//! members — so every trajectory is bit-identical to running that fire
+//! alone.
 //!
 //! Run with: `cargo run --release --example batch_forecast`
 

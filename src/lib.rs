@@ -29,6 +29,8 @@
 //! | [`sim`] | scenario descriptors, builder, registry, ensemble hooks |
 //! | [`service`] | threaded forecast service over the batched executor |
 
+#![forbid(unsafe_code)]
+
 pub use wildfire_atmos as atmos;
 pub use wildfire_core as core;
 pub use wildfire_enkf as enkf;
