@@ -1,13 +1,26 @@
 //! The stochastic ensemble Kalman filter with perturbed observations
 //! (Evensen 2003) — the paper's reference filter.
 //!
-//! States are the columns of an `n × N` matrix. The analysis solves, per
-//! member, the `m × m` SPD system
-//! `(HA·HAᵀ/(N−1) + R) z_j = d + ε_j − y_j` and updates
-//! `x_j ← x_j + A·(HAᵀ z_j)/(N−1)`, i.e. the ensemble is replaced by linear
-//! combinations of its members — exactly the "least squares problem to
-//! balance the change in the state and the difference from the data" of
-//! §3.3.
+//! States are the columns of an `n × N` matrix. With the perturbed
+//! innovations `δ_j = d + ε_j − y_j` (the columns of `Δ`, `m × N`) the
+//! analysis is `X ← X + A·W`, `W = HAᵀ(HA·HAᵀ/(N−1) + R)⁻¹Δ/(N−1)`, i.e.
+//! the ensemble is replaced by linear combinations of its members —
+//! exactly the "least squares problem to balance the change in the state
+//! and the difference from the data" of §3.3.
+//!
+//! `R` is diagonal and `N ≪ m` on every workload (25 members against a
+//! whole residual field), so the weights are computed in *ensemble space*
+//! through the Sherman–Morrison–Woodbury identity: with the whitened
+//! `S̃ = R^{-1/2}·HA` and `Δ̃ = R^{-1/2}·Δ`,
+//!
+//! ```text
+//! M = I + S̃ᵀS̃/(N−1)          (N × N, SPD, λ_min ≥ 1 whatever the ensemble rank)
+//! W = M⁻¹·S̃ᵀΔ̃/(N−1)
+//! ```
+//!
+//! which is the same analysis at `O(mN² + N³)` instead of `O(m³ + m²N)` and
+//! never forms an `m × m` matrix. The observation-space form survives only
+//! as the test oracle of this module.
 
 use crate::workspace::AnalysisWorkspace;
 use crate::{EnkfError, Result};
@@ -20,9 +33,9 @@ pub struct EnkfConfig {
     /// anomalies before the analysis (1.0 = none). Compensates for the
     /// spread deficit of small ensembles.
     pub inflation: f64,
-    /// Additive jitter on the innovation covariance diagonal, as a fraction
-    /// of the mean observation variance — a regularization backstop against
-    /// rank-deficient ensembles (cf. the paper's reference \[7\]).
+    /// Additive jitter on the observation error variances, as a fraction
+    /// of their mean — a regularization backstop against rank-deficient
+    /// ensembles (cf. the paper's reference \[7\]).
     pub ridge: f64,
 }
 
@@ -33,6 +46,38 @@ impl Default for EnkfConfig {
             ridge: 1e-10,
         }
     }
+}
+
+/// Input checks shared by the stochastic filter and the ETKF, made before
+/// the ensemble or an RNG is touched. `Ok(false)` means the inputs are
+/// consistent but there is nothing to assimilate.
+pub(crate) fn check_inputs(
+    ensemble: &Matrix,
+    synthetic: &Matrix,
+    data: &[f64],
+    obs_var: &[f64],
+) -> Result<bool> {
+    let (n, n_ens) = ensemble.dims();
+    let (m, n_ens2) = synthetic.dims();
+    if n_ens < 2 {
+        return Err(EnkfError::EnsembleTooSmall);
+    }
+    if n_ens2 != n_ens {
+        return Err(EnkfError::DimensionMismatch {
+            what: "synthetic-data ensemble size differs from state ensemble size",
+        });
+    }
+    if data.len() != m || obs_var.len() != m {
+        return Err(EnkfError::DimensionMismatch {
+            what: "data/obs_var length differs from synthetic data rows",
+        });
+    }
+    // Both filters scale by 1/√R: a zero, negative or non-finite variance
+    // would become a silent ∞/NaN weight.
+    if let Some(row) = obs_var.iter().position(|&v| !(v > 0.0 && v.is_finite())) {
+        return Err(EnkfError::NonPositiveObsVariance { row });
+    }
+    Ok(m > 0 && n > 0)
 }
 
 /// The stochastic EnKF.
@@ -55,12 +100,14 @@ impl EnsembleKalmanFilter {
     ///   observation vector per member (computed by the caller's
     ///   observation function — the model stays a black box);
     /// * `data` — the real observation vector `d` (`m`);
-    /// * `obs_var` — observation error variances (diagonal of `R`, `m`);
+    /// * `obs_var` — observation error variances (diagonal of `R`, `m`),
+    ///   each positive and finite;
     /// * `rng` — source of the observation perturbations.
     ///
     /// # Errors
-    /// Dimension mismatches, ensembles smaller than 2, and linear-algebra
-    /// failures.
+    /// Dimension mismatches, ensembles smaller than 2,
+    /// [`EnkfError::NonPositiveObsVariance`], and linear-algebra failures.
+    /// The first three are returned before `ensemble` or `rng` is touched.
     pub fn analyze(
         &self,
         ensemble: &mut Matrix,
@@ -89,24 +136,11 @@ impl EnsembleKalmanFilter {
         rng: &mut GaussianSampler,
         ws: &mut AnalysisWorkspace,
     ) -> Result<()> {
+        if !check_inputs(ensemble, synthetic, data, obs_var)? {
+            return Ok(());
+        }
         let (n, n_ens) = ensemble.dims();
-        let (m, n_ens2) = synthetic.dims();
-        if n_ens < 2 {
-            return Err(EnkfError::EnsembleTooSmall);
-        }
-        if n_ens2 != n_ens {
-            return Err(EnkfError::DimensionMismatch {
-                what: "synthetic-data ensemble size differs from state ensemble size",
-            });
-        }
-        if data.len() != m || obs_var.len() != m {
-            return Err(EnkfError::DimensionMismatch {
-                what: "data/obs_var length differs from synthetic data rows",
-            });
-        }
-        if m == 0 || n == 0 {
-            return Ok(()); // nothing to assimilate
-        }
+        let m = synthetic.rows();
 
         // Anomalies, with optional inflation of the state ensemble.
         ensemble.anomalies_into(&mut ws.a, &mut ws.mean_x);
@@ -121,36 +155,48 @@ impl EnsembleKalmanFilter {
             }
         }
         synthetic.anomalies_into(&mut ws.ha, &mut ws.mean_y);
-        let ha = &ws.ha;
 
-        // Innovation covariance C = HA·HAᵀ/(N−1) + R (+ ridge).
-        let scale = 1.0 / (n_ens as f64 - 1.0);
-        let c = &mut ws.c;
-        ha.matmul_tr_into(ha, c)?;
-        c.scale_mut(scale);
+        // R̃^{-1/2} with R̃ = R + ridge·mean(R).
         let mean_var = obs_var.iter().sum::<f64>() / m as f64;
-        for i in 0..m {
-            c[(i, i)] += obs_var[i] + self.config.ridge * mean_var.max(f64::MIN_POSITIVE);
-        }
-        Cholesky::factor_into(c, &mut ws.l)?;
+        let jitter = self.config.ridge * mean_var.max(f64::MIN_POSITIVE);
+        let inv_sqrt_r = &mut ws.innov;
+        inv_sqrt_r.clear();
+        inv_sqrt_r.extend(obs_var.iter().map(|&v| 1.0 / (v + jitter).sqrt()));
 
-        // Perturbed innovations Δ (m × N): δ_j = d + ε_j − y_j.
-        let delta = &mut ws.delta;
-        delta.resize_zeroed(m, n_ens);
+        // Whitened observation anomalies S̃ = R̃^{-1/2}·HA, in place.
         for j in 0..n_ens {
-            for i in 0..m {
+            for (v, &r) in ws.ha.col_mut(j).iter_mut().zip(inv_sqrt_r.iter()) {
+                *v *= r;
+            }
+        }
+        let s = &ws.ha;
+
+        // Whitened perturbed innovations Δ̃ (m × N): δ_j = d + ε_j − y_j.
+        let delta = &mut ws.delta;
+        delta.resize_no_zero(m, n_ens);
+        for j in 0..n_ens {
+            let y = synthetic.col(j);
+            for (i, v) in delta.col_mut(j).iter_mut().enumerate() {
                 let eps = rng.normal(0.0, obs_var[i].sqrt());
-                delta[(i, j)] = data[i] + eps - synthetic[(i, j)];
+                *v = (data[i] + eps - y[i]) * inv_sqrt_r[i];
             }
         }
 
-        // Z = C⁻¹ Δ (solved in place), W = HAᵀ Z / (N−1), X ← X + A W.
-        for j in 0..n_ens {
-            Cholesky::solve_in_place_with(&ws.l, delta.col_mut(j));
-        }
+        // M = I + S̃ᵀS̃/(N−1), W = M⁻¹·S̃ᵀΔ̃/(N−1).
+        let scale = 1.0 / (n_ens as f64 - 1.0);
+        let m_mat = &mut ws.c;
+        s.tr_matmul_into(s, m_mat)?;
+        m_mat.scale_mut(scale);
+        m_mat.add_diagonal_mut(1.0);
+        Cholesky::factor_into(m_mat, &mut ws.l)?;
         let w = &mut ws.w;
-        ha.tr_matmul_into(delta, w)?;
+        s.tr_matmul_into(delta, w)?;
         w.scale_mut(scale);
+        for j in 0..n_ens {
+            Cholesky::solve_in_place_with(&ws.l, w.col_mut(j));
+        }
+
+        // X ← X + A·W.
         ws.a.matmul_into(w, &mut ws.update)?;
         ensemble.axpy_mut(1.0, &ws.update)?;
         Ok(())
@@ -160,14 +206,177 @@ impl EnsembleKalmanFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wildfire_math::stats;
 
+    /// The observation-space form of the same analysis — the oracle the
+    /// ensemble-space solver is checked against: forms and Cholesky-factors
+    /// the `m × m` innovation covariance `HA·HAᵀ/(N−1) + R̃` and solves it
+    /// once per member. Draws its perturbations in the production order.
+    fn analyze_in_observation_space(
+        config: EnkfConfig,
+        ensemble: &mut Matrix,
+        synthetic: &Matrix,
+        data: &[f64],
+        obs_var: &[f64],
+        rng: &mut GaussianSampler,
+    ) {
+        let (n, n_ens) = ensemble.dims();
+        let m = synthetic.rows();
+        let (mut a, mean_x) = ensemble.anomalies();
+        if config.inflation != 1.0 {
+            a.scale_mut(config.inflation);
+            for j in 0..n_ens {
+                for i in 0..n {
+                    ensemble[(i, j)] = mean_x[i] + a[(i, j)];
+                }
+            }
+        }
+        let (ha, _) = synthetic.anomalies();
+        let scale = 1.0 / (n_ens as f64 - 1.0);
+        let mut c = ha.matmul_tr(&ha).unwrap();
+        c.scale_mut(scale);
+        let mean_var = obs_var.iter().sum::<f64>() / m as f64;
+        for i in 0..m {
+            c[(i, i)] += obs_var[i] + config.ridge * mean_var.max(f64::MIN_POSITIVE);
+        }
+        let chol = Cholesky::new(&c).unwrap();
+        let mut delta = Matrix::zeros(m, n_ens);
+        for j in 0..n_ens {
+            for i in 0..m {
+                let eps = rng.normal(0.0, obs_var[i].sqrt());
+                delta[(i, j)] = data[i] + eps - synthetic[(i, j)];
+            }
+        }
+        let z = chol.solve_matrix(&delta).unwrap();
+        let mut w = ha.tr_matmul(&z).unwrap();
+        w.scale_mut(scale);
+        ensemble.axpy_mut(1.0, &a.matmul(&w).unwrap()).unwrap();
+    }
+
+    /// Same inputs and seed through the production filter and the oracle:
+    /// returns `max|Δx| / max|x|`, and checks that both consumed the RNG
+    /// identically (the next draws agree).
+    fn relative_difference_from_oracle(
+        (n, m, n_ens): (usize, usize, usize),
+        config: EnkfConfig,
+        var_range: (f64, f64),
+        seed: u64,
+    ) -> f64 {
+        let mut init = GaussianSampler::new(seed);
+        let x0 = init.normal_matrix(n, n_ens, 2.0);
+        // A dense random observation operator, so that m may exceed n.
+        let h = init.normal_matrix(m, n, 1.0);
+        let y0 = h.matmul(&x0).unwrap();
+        let data: Vec<f64> = (0..m).map(|_| init.normal(1.0, 2.0)).collect();
+        let (lo, hi) = (var_range.0.ln(), var_range.1.ln());
+        let obs_var: Vec<f64> = (0..m).map(|_| init.uniform(lo, hi).exp()).collect();
+
+        let mut x = x0.clone();
+        let mut rng = GaussianSampler::new(seed ^ 0x5eed);
+        EnsembleKalmanFilter::new(config)
+            .analyze(&mut x, &y0, &data, &obs_var, &mut rng)
+            .unwrap();
+        let mut x_ref = x0;
+        let mut rng_ref = GaussianSampler::new(seed ^ 0x5eed);
+        analyze_in_observation_space(config, &mut x_ref, &y0, &data, &obs_var, &mut rng_ref);
+        assert_eq!(
+            rng.standard_normal().to_bits(),
+            rng_ref.standard_normal().to_bits(),
+            "draw count differs from the oracle's"
+        );
+        let diff = x
+            .as_slice()
+            .iter()
+            .zip(x_ref.as_slice())
+            .fold(0.0_f64, |d, (a, b)| d.max((a - b).abs()));
+        diff / x_ref.max_abs()
+    }
+
+    /// Pinned shapes: `m < N`, `m = N`, `m ≫ N`, the smallest ensemble
+    /// `N = 2`, and the morphing filter's proportions (a quarter of its
+    /// benchmark-domain size, so the oracle's `m³` stays cheap in a debug
+    /// run) with variances spanning eight decades.
+    #[test]
+    fn ensemble_space_solver_matches_observation_space_oracle() {
+        for (shape, var_range) in [
+            ((30, 3, 8), (1e-3, 1e3)),
+            ((30, 8, 8), (1e-3, 1e3)),
+            ((12, 90, 5), (1e-3, 1e3)),
+            ((9, 1, 2), (1e-3, 1e3)),
+            ((9, 40, 2), (1e-3, 1e3)),
+            ((660, 336, 25), (1e-4, 1e4)),
+        ] {
+            for inflation in [1.0, 1.2] {
+                for ridge in [0.0, EnkfConfig::default().ridge] {
+                    let config = EnkfConfig { inflation, ridge };
+                    let rel = relative_difference_from_oracle(shape, config, var_range, 17);
+                    assert!(
+                        rel <= 1e-6,
+                        "{shape:?} {config:?}: relative difference {rel}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn ensemble_space_solver_matches_oracle_on_random_shapes(
+            n in 1usize..40,
+            n_ens in 2usize..12,
+            // Observation rows relative to the ensemble size: fewer, as
+            // many, or many more.
+            m_class in 0usize..3,
+            m_extra in 1usize..60,
+            inflated in 0usize..2,
+            ridged in 0usize..2,
+            seed in 0u64..10_000,
+        ) {
+            let m = match m_class {
+                0 => 1 + m_extra % (n_ens - 1),
+                1 => n_ens,
+                _ => n_ens + m_extra,
+            };
+            let config = EnkfConfig {
+                inflation: [1.0, 1.2][inflated],
+                ridge: [0.0, EnkfConfig::default().ridge][ridged],
+            };
+            let rel = relative_difference_from_oracle((n, m, n_ens), config, (1e-3, 1e3), seed);
+            prop_assert!(rel <= 1e-6, "n={n} m={m} N={n_ens} {config:?}: {rel}");
+        }
+    }
+
+    /// A zero, negative or non-finite observation variance is a typed error
+    /// raised before the inflation rewrites the ensemble or a perturbation
+    /// is drawn.
+    #[test]
+    fn hostile_obs_variance_is_rejected_before_anything_is_touched() {
+        let mut rng = GaussianSampler::new(19);
+        let x0 = rng.normal_matrix(5, 6, 1.0);
+        let y = x0.submatrix(0, 3, 0, 6);
+        let filter = EnsembleKalmanFilter::new(EnkfConfig {
+            inflation: 1.2,
+            ..Default::default()
+        });
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut x = x0.clone();
+            let rng_before = rng.state();
+            let err = filter.analyze(&mut x, &y, &[0.0; 3], &[0.5, 0.5, bad], &mut rng);
+            assert_eq!(err, Err(EnkfError::NonPositiveObsVariance { row: 2 }));
+            assert!(err.unwrap_err().to_string().contains("row 2"));
+            assert_eq!(x, x0, "ensemble touched for variance {bad}");
+            assert_eq!(rng.state(), rng_before, "rng touched for variance {bad}");
+        }
+    }
+
     /// Scalar linear-Gaussian case: the EnKF analysis must match the exact
-    /// Kalman filter in the large-ensemble limit.
+    /// Kalman filter in the large-ensemble limit. (`N` is the dimension the
+    /// solver factors, so the ensemble is kept at a few hundred members.)
     #[test]
     fn scalar_case_matches_kalman_filter() {
         let mut rng = GaussianSampler::new(42);
-        let n_ens = 4000;
+        let n_ens = 400;
         let prior_mean = 1.0;
         let prior_var: f64 = 4.0;
         let obs = 3.0;

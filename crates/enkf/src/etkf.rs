@@ -6,8 +6,9 @@
 //! at small ensemble sizes. Useful as a cross-check baseline in the filter
 //! experiments.
 
+use crate::enkf::check_inputs;
 use crate::workspace::AnalysisWorkspace;
-use crate::{EnkfError, Result};
+use crate::Result;
 use wildfire_math::Matrix;
 
 /// The ensemble transform Kalman filter.
@@ -30,7 +31,8 @@ impl Etkf {
     /// perturbations are drawn).
     ///
     /// # Errors
-    /// Same classes as the stochastic filter.
+    /// Same classes as the stochastic filter, checked before `ensemble` is
+    /// touched.
     pub fn analyze(
         &self,
         ensemble: &mut Matrix,
@@ -60,24 +62,11 @@ impl Etkf {
         obs_var: &[f64],
         ws: &mut AnalysisWorkspace,
     ) -> Result<()> {
-        let (n, n_ens) = ensemble.dims();
-        let (m, n_ens2) = synthetic.dims();
-        if n_ens < 2 {
-            return Err(EnkfError::EnsembleTooSmall);
-        }
-        if n_ens2 != n_ens {
-            return Err(EnkfError::DimensionMismatch {
-                what: "synthetic-data ensemble size differs from state ensemble size",
-            });
-        }
-        if data.len() != m || obs_var.len() != m {
-            return Err(EnkfError::DimensionMismatch {
-                what: "data/obs_var length differs from synthetic data rows",
-            });
-        }
-        if m == 0 || n == 0 {
+        if !check_inputs(ensemble, synthetic, data, obs_var)? {
             return Ok(());
         }
+        let (n, n_ens) = ensemble.dims();
+        let m = synthetic.rows();
         let inflation = if self.inflation > 0.0 {
             self.inflation
         } else {
@@ -151,12 +140,15 @@ impl Etkf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnkfError;
     use wildfire_math::{stats, GaussianSampler};
 
+    /// `N` is the dimension of the eigendecomposition, so the "large
+    /// ensemble" stays at a few hundred members.
     #[test]
     fn scalar_case_matches_kalman_filter() {
         let mut rng = GaussianSampler::new(21);
-        let n_ens = 2000;
+        let n_ens = 400;
         let mut x = Matrix::zeros(1, n_ens);
         for j in 0..n_ens {
             x[(0, j)] = rng.normal(1.0, 2.0);
@@ -226,6 +218,19 @@ mod tests {
         f.analyze_ws(&mut x_ws, &y0, &data, &obs_var, &mut ws)
             .unwrap();
         assert_eq!(x_alloc.as_slice(), x_ws.as_slice());
+    }
+
+    #[test]
+    fn hostile_obs_variance_is_rejected_before_the_ensemble_is_touched() {
+        let mut rng = GaussianSampler::new(29);
+        let x0 = rng.normal_matrix(5, 6, 1.0);
+        let y = x0.submatrix(0, 3, 0, 6);
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut x = x0.clone();
+            let err = Etkf::new(1.2).analyze(&mut x, &y, &[0.0; 3], &[bad, 0.5, 0.5]);
+            assert_eq!(err, Err(EnkfError::NonPositiveObsVariance { row: 0 }));
+            assert_eq!(x, x0, "ensemble touched for variance {bad}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use workspace::AnalysisWorkspace;
 /// Errors from the assimilation layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EnkfError {
-    /// Linear algebra failure (singular innovation covariance, …).
+    /// Linear algebra failure (a factorization that broke down, …).
     Math(wildfire_math::MathError),
     /// Ensemble/observation dimensions are inconsistent.
     DimensionMismatch {
@@ -54,6 +54,13 @@ pub enum EnkfError {
     },
     /// The ensemble has fewer than 2 members.
     EnsembleTooSmall,
+    /// An observation error variance is zero, negative or non-finite: the
+    /// filters weight innovations by `R^{-1/2}`, which such a row would turn
+    /// into infinite or NaN weights.
+    NonPositiveObsVariance {
+        /// First offending row of the observation vector.
+        row: usize,
+    },
     /// Grid mismatch between fields.
     Grid(wildfire_grid::GridError),
 }
@@ -64,6 +71,10 @@ impl std::fmt::Display for EnkfError {
             EnkfError::Math(e) => write!(f, "linear algebra: {e}"),
             EnkfError::DimensionMismatch { what } => write!(f, "dimension mismatch: {what}"),
             EnkfError::EnsembleTooSmall => write!(f, "ensemble needs at least 2 members"),
+            EnkfError::NonPositiveObsVariance { row } => write!(
+                f,
+                "observation error variance of row {row} is not positive and finite"
+            ),
             EnkfError::Grid(e) => write!(f, "grid: {e}"),
         }
     }

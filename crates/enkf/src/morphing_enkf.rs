@@ -41,9 +41,6 @@ pub struct MorphingWorkspace {
     pub(crate) obs_var: Vec<f64>,
     /// Inner stochastic-EnKF scratch.
     pub enkf: AnalysisWorkspace,
-    /// Registration scratch pyramid (gradient fields + per-level descent
-    /// buffers) for [`MorphingEnkf::to_extended_ws`].
-    pub reg: RegistrationWorkspace,
 }
 
 impl MorphingWorkspace {
@@ -125,9 +122,8 @@ impl MorphingEnkf {
     }
 
     /// [`MorphingEnkf::to_extended`] with caller-provided registration
-    /// scratch (e.g. [`MorphingWorkspace::reg`], or one workspace per
-    /// worker when registrations fan out in parallel). Bit-identical to
-    /// the allocating wrapper.
+    /// scratch (one workspace per worker when registrations fan out in
+    /// parallel). Bit-identical to the allocating wrapper.
     ///
     /// # Errors
     /// Registration/grid failures.
@@ -509,6 +505,44 @@ mod tests {
                 assert_eq!(fa, fw, "morphing workspace path must be bit-identical");
             }
         }
+    }
+
+    /// The inner solve is in ensemble space: a whole observed field
+    /// (m = 36² + 2·5² = 1346 rows) against 6 members leaves only 6 × 6
+    /// matrices in the workspace — no `m × m` buffer exists.
+    #[test]
+    fn analysis_workspace_holds_no_observation_space_matrix() {
+        let g = Grid2::new(36, 36, 2.0, 2.0).unwrap();
+        let cone = |cx: f64| {
+            Field2::from_world_fn(g, |x, y| {
+                ((x - cx).powi(2) + (y - 35.0).powi(2)).sqrt() - 10.0
+            })
+        };
+        let filter = MorphingEnkf::new(MorphingConfig {
+            registration: RegistrationConfig {
+                max_shift: 30.0,
+                levels: vec![3, 5],
+                iterations: 5,
+                ..Default::default()
+            },
+            ..cfg()
+        });
+        let reference = vec![cone(30.0)];
+        let extended: Vec<ExtendedState> = (0..6)
+            .map(|i| {
+                let member = [cone(26.0 + 2.0 * i as f64)];
+                filter.to_extended(&member, &reference, 0).unwrap()
+            })
+            .collect();
+        let data_ext = filter.to_extended(&[cone(40.0)], &reference, 0).unwrap();
+        let mut ws = MorphingWorkspace::new();
+        let mut rng = GaussianSampler::new(3);
+        filter
+            .analyze_extended_ws(&extended, &data_ext, &reference, &mut rng, &mut ws)
+            .unwrap();
+        assert_eq!(ws.enkf.delta.dims(), (1346, 6));
+        assert_eq!(ws.enkf.c.dims(), (6, 6));
+        assert_eq!(ws.enkf.l.dims(), (6, 6));
     }
 
     #[test]

@@ -124,6 +124,9 @@ pub struct RegistrationWorkspace {
     u0_gx: Field2,
     /// `∂u0/∂y` on the field grid.
     u0_gy: Field2,
+    /// Per-column x-lookups of the translation scan (one entry per field
+    /// column, refilled for every candidate shift).
+    shift_cols: Vec<(usize, usize, f64)>,
     /// Per-level control-grid scratch, coarsest first.
     levels: Vec<LevelScratch>,
 }
@@ -166,14 +169,57 @@ fn control_grid(field_grid: Grid2, n: usize) -> Grid2 {
     .expect("control grid dims are positive")
 }
 
-/// Data misfit `Σ (u(x) − u0(x + T(x)))² dA` for a constant shift.
-fn shift_misfit(u: &Field2, u0: &Field2, sx: f64, sy: f64) -> f64 {
+/// One axis of [`Grid2::locate`] — the cell index clamped into `[0, n−2]`
+/// and the fractional offset within it — plus the upper neighbour
+/// `min(i0 + 1, n − 1)` that [`Field2::sample_bilinear`] pairs it with.
+/// Same operations in the same order as those two, so a sample assembled
+/// from two axis lookups and [`blend`] is bit-identical to theirs.
+#[inline]
+fn locate_axis(p: f64, origin: f64, h: f64, n: usize) -> (usize, usize, f64) {
+    let c = ((p - origin) / h).clamp(0.0, (n - 1) as f64);
+    let i0 = (c.floor() as usize).min(n.saturating_sub(2));
+    (i0, (i0 + 1).min(n - 1), c - i0 as f64)
+}
+
+/// The three lerps of [`Field2::sample_bilinear`] on axis lookups made by
+/// [`locate_axis`] against `field`'s grid. Splitting the lookup from the
+/// blend lets several fields be sampled at one point, and a whole row or
+/// column of points share one axis, without redoing the lookup.
+#[inline]
+fn blend(
+    field: &Field2,
+    (ix, ix1, fx): (usize, usize, f64),
+    (iy, iy1, fy): (usize, usize, f64),
+) -> f64 {
+    let v00 = field.get(ix, iy);
+    let v10 = field.get(ix1, iy);
+    let v01 = field.get(ix, iy1);
+    let v11 = field.get(ix1, iy1);
+    let v0 = v00 * (1.0 - fx) + v10 * fx;
+    let v1 = v01 * (1.0 - fx) + v11 * fx;
+    v0 * (1.0 - fy) + v1 * fy
+}
+
+/// Data misfit `Σ (u(x) − u0(x + T(x)))² dA` for a constant shift. A
+/// constant shift keeps the sample points on a lattice, so the lookup is
+/// separable: the x-part once per column (into `cols`), the y-part once per
+/// row.
+fn shift_misfit(
+    u: &Field2,
+    u0: &Field2,
+    sx: f64,
+    sy: f64,
+    cols: &mut Vec<(usize, usize, f64)>,
+) -> f64 {
     let g = u.grid();
+    let g0 = u0.grid();
+    cols.clear();
+    cols.extend((0..g.nx).map(|ix| locate_axis(g.world(ix, 0).0 + sx, g0.origin.0, g0.dx, g0.nx)));
     let mut s = 0.0;
     for iy in 0..g.ny {
-        for ix in 0..g.nx {
-            let (x, y) = g.world(ix, iy);
-            let d = u.get(ix, iy) - u0.sample_bilinear(x + sx, y + sy);
+        let row = locate_axis(g.world(0, iy).1 + sy, g0.origin.1, g0.dy, g0.ny);
+        for (ix, &col) in cols.iter().enumerate() {
+            let d = u.get(ix, iy) - blend(u0, col, row);
             s += d * d;
         }
     }
@@ -198,6 +244,7 @@ fn objective_and_gradient_into(
     grad_y: &mut Field2,
 ) -> f64 {
     let g = u.grid();
+    let g0 = u0.grid();
     let cg = t.grid();
     let mut j_data = 0.0;
     grad_x.resize_zeroed(cg);
@@ -223,14 +270,16 @@ fn objective_and_gradient_into(
                 + w10 * t.v.get(ci1, cj)
                 + w01 * t.v.get(ci, cj1)
                 + w11 * t.v.get(ci1, cj1);
-            let xw = x + tx;
-            let yw = y + ty;
-            let e = u0.sample_bilinear(xw, yw) - u.get(ix, iy);
+            // `u0` and its two gradient fields live on one grid and are
+            // sampled at the same warped point: one lookup serves all three.
+            let col = locate_axis(x + tx, g0.origin.0, g0.dx, g0.nx);
+            let row = locate_axis(y + ty, g0.origin.1, g0.dy, g0.ny);
+            let e = blend(u0, col, row) - u.get(ix, iy);
             j_data += e * e;
             // Chain rule: dJ/dtx at this node = 2·e·∂u0/∂x(warped); scatter
             // to control nodes with the bilinear weights.
-            let gx = u0_gx.sample_bilinear(xw, yw);
-            let gy = u0_gy.sample_bilinear(xw, yw);
+            let gx = blend(u0_gx, col, row);
+            let gy = blend(u0_gy, col, row);
             let cx = 2.0 * e * gx * cell_area;
             let cy = 2.0 * e * gy * cell_area;
             for &(i, j, w) in &[
@@ -355,8 +404,15 @@ pub fn register_into(
     }
     let fg = u.grid();
 
+    let RegistrationWorkspace {
+        u0_gx,
+        u0_gy,
+        shift_cols,
+        levels,
+    } = ws;
+
     // Phase 1: global translation scan (coarse lattice, then refined).
-    let mut best = (0.0_f64, 0.0_f64, shift_misfit(u, u0, 0.0, 0.0));
+    let mut best = (0.0_f64, 0.0_f64, shift_misfit(u, u0, 0.0, 0.0, shift_cols));
     let samples = cfg.shift_samples.max(3) | 1; // force odd
     let mut radius = cfg.max_shift;
     let mut center = (0.0_f64, 0.0_f64);
@@ -368,7 +424,7 @@ pub fn register_into(
             for sx in 0..samples {
                 let ox = center.0 - radius + 2.0 * radius * sx as f64 / (samples - 1) as f64;
                 let oy = center.1 - radius + 2.0 * radius * sy as f64 / (samples - 1) as f64;
-                let j = shift_misfit(u, u0, ox, oy);
+                let j = shift_misfit(u, u0, ox, oy, shift_cols);
                 if j < best.2 {
                     best = (ox, oy, j);
                 }
@@ -379,11 +435,6 @@ pub fn register_into(
     }
 
     // Phase 2: multilevel control-grid descent on the scratch pyramid.
-    let RegistrationWorkspace {
-        u0_gx,
-        u0_gy,
-        levels,
-    } = ws;
     gradient_fields_into(u0, u0_gx, u0_gy);
     if levels.len() < cfg.levels.len() {
         levels.resize_with(cfg.levels.len(), LevelScratch::default);
@@ -494,6 +545,78 @@ pub fn register_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Coordinates inside, exactly on the edges of, and far outside a grid
+    /// axis of `n` nodes starting at `origin` with spacing `h`.
+    fn axis_point(kind: usize, frac: f64, origin: f64, h: f64, n: usize) -> f64 {
+        let extent = (n - 1) as f64 * h;
+        match kind {
+            0 => origin + frac * extent,
+            1 => origin,
+            2 => origin + extent,
+            3 => origin - (1.0 + 1e3 * frac) * h,
+            _ => origin + extent + (1.0 + 1e3 * frac) * h,
+        }
+    }
+
+    proptest! {
+        /// `locate_axis` is each half of `Grid2::locate` and `blend` on two
+        /// of them is `Field2::sample_bilinear`, bit for bit — including
+        /// one-node axes, edge points and points far outside the grid.
+        #[test]
+        fn axis_lookups_and_blend_match_grid_sampling_bitwise(
+            nx in prop::sample::select(vec![1usize, 2, 3, 36]),
+            ny in prop::sample::select(vec![1usize, 2, 3, 36]),
+            (dx, dy) in (0.1f64..7.0, 0.1f64..7.0),
+            (ox, oy) in (-50.0f64..50.0, -50.0f64..50.0),
+            (kx, ky) in (0usize..5, 0usize..5),
+            (px, py) in (0.0f64..1.0, 0.0f64..1.0),
+            seed in 0u64..1000,
+        ) {
+            let g = Grid2::with_origin(nx, ny, dx, dy, (ox, oy)).unwrap();
+            let x = axis_point(kx, px, ox, dx, nx);
+            let y = axis_point(ky, py, oy, dy, ny);
+            let col = locate_axis(x, g.origin.0, g.dx, g.nx);
+            let row = locate_axis(y, g.origin.1, g.dy, g.ny);
+            let (ix, iy, fx, fy) = g.locate(x, y);
+            prop_assert_eq!((col.0, col.2.to_bits()), (ix, fx.to_bits()));
+            prop_assert_eq!((row.0, row.2.to_bits()), (iy, fy.to_bits()));
+            let mut rng = wildfire_math::GaussianSampler::new(seed);
+            let field = Field2::from_fn(g, |_, _| rng.normal(0.0, 10.0));
+            prop_assert_eq!(
+                blend(&field, col, row).to_bits(),
+                field.sample_bilinear(x, y).to_bits()
+            );
+        }
+
+        /// The separable translation scan equals the plain double loop over
+        /// `sample_bilinear` bit for bit, for shifts that push part (or all)
+        /// of the field out of the domain.
+        #[test]
+        fn shift_misfit_matches_naive_double_loop_bitwise(
+            (nx, ny) in (1usize..20, 1usize..20),
+            (sx, sy) in (-30.0f64..30.0, -30.0f64..30.0),
+            seed in 0u64..1000,
+        ) {
+            let g = Grid2::with_origin(nx, ny, 1.5, 0.75, (-3.0, 4.0)).unwrap();
+            let mut rng = wildfire_math::GaussianSampler::new(seed);
+            let u = Field2::from_fn(g, |_, _| rng.normal(0.0, 1.0));
+            let u0 = Field2::from_fn(g, |_, _| rng.normal(0.0, 1.0));
+            let mut naive = 0.0;
+            for iy in 0..g.ny {
+                for ix in 0..g.nx {
+                    let (x, y) = g.world(ix, iy);
+                    let d = u.get(ix, iy) - u0.sample_bilinear(x + sx, y + sy);
+                    naive += d * d;
+                }
+            }
+            let naive = naive * g.dx * g.dy;
+            // A stale, wrongly sized column scratch must not matter.
+            let mut cols = vec![(7, 8, 0.5); 3];
+            prop_assert_eq!(shift_misfit(&u, &u0, sx, sy, &mut cols).to_bits(), naive.to_bits());
+        }
+    }
 
     /// A smooth bump field centered at `(cx, cy)`.
     fn bump(grid: Grid2, cx: f64, cy: f64) -> Field2 {

@@ -1,13 +1,14 @@
 //! Reusable scratch buffers for allocation-free filter analyses.
 //!
-//! One stochastic-EnKF analysis allocated seven dense temporaries — the
-//! anomaly matrices, the innovation covariance and its Cholesky factor, the
-//! perturbed innovations, and the two update products. On the paper's cycle
+//! One stochastic-EnKF analysis needs the two anomaly matrices, the
+//! whitened perturbed innovations, the state update (all `n × N` or
+//! `m × N`) and three `N × N` ensemble-space matrices. On the paper's cycle
 //! (analysis every few minutes of simulation time, 25 members, grid-sized
 //! states) that is megabytes of allocator traffic per cycle for buffers
 //! whose shapes never change. [`AnalysisWorkspace`] owns them all: sized on
 //! first use, reused thereafter, so a steady-state analysis performs no
-//! heap allocation.
+//! heap allocation. No buffer is `m × m`: both filters solve in ensemble
+//! space.
 
 use wildfire_math::{EigenWorkspace, Matrix, SymmetricEigen};
 
@@ -20,16 +21,18 @@ use wildfire_math::{EigenWorkspace, Matrix, SymmetricEigen};
 pub struct AnalysisWorkspace {
     /// State anomaly matrix `A` (`n × N`).
     pub a: Matrix,
-    /// Observation anomaly matrix `HA` (`m × N`).
+    /// Observation anomaly matrix `HA` (`m × N`); the stochastic filter
+    /// whitens it in place into `S̃ = R̃^{-1/2}·HA`.
     pub ha: Matrix,
-    /// Innovation covariance `C` (`m × m`) — the ETKF reuses this slot for
-    /// its ensemble-space matrix `M` (`N × N`).
+    /// Ensemble-space matrix `M = I + S̃ᵀS̃/(N−1)` (`N × N`) of both
+    /// filters.
     pub c: Matrix,
-    /// Cholesky factor of `C`.
+    /// Cholesky factor of `M` (`N × N`) — the ETKF keeps `M^{-1/2}` here.
     pub l: Matrix,
-    /// Perturbed innovations `Δ`, solved in place into `Z` (`m × N`).
+    /// Whitened perturbed innovations `Δ̃ = R̃^{-1/2}·Δ` (`m × N`) — the
+    /// ETKF keeps its scaled observation anomalies here.
     pub delta: Matrix,
-    /// Ensemble-space weights `W` (`N × N`).
+    /// Ensemble-space weights `W` (`N × N`) — the ETKF keeps `M⁻¹` here.
     pub w: Matrix,
     /// State update `A·W` (`n × N`) — the ETKF reuses this slot for its
     /// transformed anomalies.
@@ -38,7 +41,8 @@ pub struct AnalysisWorkspace {
     pub mean_x: Vec<f64>,
     /// Ensemble mean of the synthetic observations.
     pub mean_y: Vec<f64>,
-    /// Length-`m` innovation scratch.
+    /// Length-`m` observation-space scratch: `R̃^{-1/2}` in the stochastic
+    /// filter, the scaled mean innovation in the ETKF.
     pub innov: Vec<f64>,
     /// Length-`N` ensemble-space scratch.
     pub wvec: Vec<f64>,

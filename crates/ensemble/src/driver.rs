@@ -12,7 +12,6 @@
 //! bit.
 
 use crate::metrics::{evaluate_coupled_ensemble, EnsembleMetrics};
-use crate::parallel_enkf::ParallelEnkf;
 use crate::pool::{
     parallel_for_each_column_ws, parallel_for_each_dynamic_ws, parallel_for_each_ws,
 };
@@ -21,7 +20,8 @@ use crate::{EnsembleError, Result};
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace};
 use wildfire_enkf::morphing_enkf::ExtendedState;
 use wildfire_enkf::{
-    AnalysisWorkspace, Etkf, MorphingConfig, MorphingEnkf, MorphingWorkspace, RegistrationWorkspace,
+    AnalysisWorkspace, EnkfConfig, EnsembleKalmanFilter, Etkf, MorphingConfig, MorphingEnkf,
+    MorphingWorkspace, RegistrationWorkspace,
 };
 use wildfire_fire::ignition::IgnitionShape;
 use wildfire_fire::FireState;
@@ -650,7 +650,10 @@ impl EnsembleDriver {
         ws: &mut EnsembleWorkspace,
     ) -> Result<()> {
         self.pack_members(members, ws)?;
-        let filter = ParallelEnkf::new(self.threads, inflation);
+        let filter = EnsembleKalmanFilter::new(EnkfConfig {
+            inflation,
+            ..EnkfConfig::default()
+        });
         filter.analyze_ws(
             &mut ws.x,
             &ws.obs.hx,
@@ -844,17 +847,22 @@ impl EnsembleDriver {
         ws.data_fields[0].copy_from(psi_data);
         ws.data_fields[1].copy_from(tig_data.unwrap_or(&reference[1]));
 
-        // Parallel registrations (the expensive transform phase): members
-        // are stolen from a shared cursor by workers that each reuse a
-        // pooled registration scratch pyramid, so the steady-state per-cycle
-        // allocations are the returned extended states themselves.
+        // Parallel registrations (the expensive transform phase): the
+        // members and, as the last item, the data are stolen from a shared
+        // cursor by workers that each reuse a pooled registration scratch
+        // pyramid, so the steady-state per-cycle allocations are the
+        // returned extended states themselves.
         let workers = self.threads.max(1);
         if ws.reg_pool.len() < workers {
             ws.reg_pool.resize_with(workers, RegistrationWorkspace::new);
         }
         type ExtResult = std::result::Result<ExtendedState, wildfire_enkf::EnkfError>;
-        let mut reg_items: Vec<(Vec<Field2>, Option<ExtResult>)> =
-            members.iter().map(|m| (to_fields(&m.fire), None)).collect();
+        let mut reg_items: Vec<(Vec<Field2>, Option<ExtResult>)> = members
+            .iter()
+            .map(|m| to_fields(&m.fire))
+            .chain(std::iter::once(std::mem::take(&mut ws.data_fields)))
+            .map(|fields| (fields, None))
+            .collect();
         parallel_for_each_dynamic_ws(
             &mut reg_items,
             &mut ws.reg_pool[..workers],
@@ -862,12 +870,14 @@ impl EnsembleDriver {
                 item.1 = Some(filter.to_extended_ws(&item.0, &reference, 0, reg));
             },
         );
+        let (data_fields, data_ext) = reg_items.pop().expect("the data item is last");
+        ws.data_fields = data_fields;
         let mut ext_states = Vec::with_capacity(n_ens);
         for (_, e) in reg_items {
             ext_states.push(e.expect("registered").map_err(EnsembleError::Filter)?);
         }
-        let data_ext = filter
-            .to_extended_ws(&ws.data_fields, &reference, 0, &mut ws.morph.reg)
+        let data_ext = data_ext
+            .expect("registered")
             .map_err(EnsembleError::Filter)?;
 
         let analyzed = filter

@@ -17,9 +17,6 @@
 //!   byte-identical to what separate executables would exchange; shards of
 //!   the ensemble can live in different worker processes that meet only at
 //!   the store;
-//! * [`parallel_enkf`] — the "parallel linear algebra" of the analysis
-//!   step: the state-update product is fanned out over output columns,
-//!   which keeps results bit-for-bit identical to the sequential filter;
 //! * [`driver`] — assimilation cycles tying it together for both filters
 //!   (standard EnKF on raw fields, morphing EnKF on extended states), with
 //!   the identical-twin experiment setup of Fig. 4 (ensemble ignited at an
@@ -27,7 +24,6 @@
 
 pub mod driver;
 pub mod metrics;
-pub mod parallel_enkf;
 pub mod pool;
 pub mod store;
 
@@ -35,7 +31,6 @@ pub use driver::{
     CycleReport, EnsembleDriver, EnsembleSetup, EnsembleWorkspace, FilterKind, ObsCycleReport,
     ObsFilter, SourceCycleReport, StoreWorker,
 };
-pub use parallel_enkf::ParallelEnkf;
 pub use store::{DiskStore, MemStore, SnapshotStore};
 
 /// Errors from the ensemble layer.

@@ -1,9 +1,10 @@
 //! Cholesky factorization `A = L·Lᵀ` of symmetric positive definite matrices.
 //!
-//! The EnKF analysis step solves one `m × m` SPD system per assimilation
-//! cycle (`m` = number of observations), and multivariate Gaussian sampling
-//! needs a matrix square root of the observation error covariance — both use
-//! this factorization.
+//! The EnKF analysis step factors one `N × N` SPD ensemble-space system per
+//! assimilation cycle (`N` = number of members) and solves it for `N`
+//! right-hand sides, and multivariate Gaussian sampling needs a matrix
+//! square root of the observation error covariance — both use this
+//! factorization.
 
 use crate::matrix::Matrix;
 use crate::{MathError, Result};
