@@ -5,12 +5,24 @@ use crate::workspace::CoupledWorkspace;
 use crate::{CoupledError, Result};
 use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::{AtmosModel, AtmosParams, AtmosState};
-use wildfire_fire::heat::heat_fluxes_into;
+use wildfire_fire::heat::heat_fluxes_box_into;
 use wildfire_fire::ignition::IgnitionShape;
 use wildfire_fire::{FireMesh, FireState, FuelMap, LevelSetSolver};
 use wildfire_fuel::FuelCategory;
-use wildfire_grid::transfer::{prolong_into, restrict_into};
-use wildfire_grid::{Grid2, VectorField2};
+use wildfire_grid::transfer::{prolong_box_into, refinement_between, restrict_box_into};
+use wildfire_grid::{Grid2, NodeBox, VectorField2};
+
+/// Width of the signed-distance band [`CoupledModel::ignite`] keeps around
+/// the ignition shapes, in fire-mesh cells: ψ₀ is capped at
+/// `FAR_FIELD_CELLS · max(dx, dy)`.
+///
+/// The cap is an approximation with a measured reach, not an identity: the
+/// kink at the cap level leaks toward lower ψ by about a decade per three
+/// cells. On Fig. 1 every ignition time, the burned area, the perimeter and
+/// ψ within 3Δx of the front are bitwise the uncapped run's through 240 s
+/// (`crates/sim/tests/far_field.rs`); carried on, the first near-front
+/// difference is 2 ulp at 246 s and 0.16 m at 600 s (README, "far field").
+pub const FAR_FIELD_CELLS: f64 = 32.0;
 
 /// Joint state of the coupled system.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,13 +126,20 @@ impl CoupledModel {
     }
 
     /// Initial coupled state: ambient atmosphere, fire ignited from shapes.
+    ///
+    /// ψ is the exact signed distance to the shapes up to
+    /// [`FAR_FIELD_CELLS`] cells from them and a flat plateau at that value
+    /// beyond — the far field the level set then skips bit for bit. Only
+    /// the *outside* is capped: upwinding differences toward lower ψ, so
+    /// the front is fed from the burned interior, not from the far field;
+    /// a negative cap would sit upwind of the front and move it directly.
     pub fn ignite(&self, shapes: &[IgnitionShape], time: f64) -> CoupledState {
         let mut atmos = self.atmos.initial_state();
         atmos.time = time;
-        CoupledState {
-            fire: FireState::ignite(self.fire_grid, shapes, time),
-            atmos,
-        }
+        let mut fire = FireState::ignite(self.fire_grid, shapes, time);
+        let cap = FAR_FIELD_CELLS * self.fire_grid.dx.max(self.fire_grid.dy);
+        fire.psi.map_inplace(|v| v.min(cap));
+        CoupledState { fire, atmos }
     }
 
     /// The wind field the fire currently sees (fine mesh). With coupling on
@@ -148,16 +167,28 @@ impl CoupledModel {
         surface: &mut VectorField2,
         out: &mut VectorField2,
     ) -> Result<()> {
-        // Both branches fully overwrite `out` (constant fill or
-        // prolongation of every node); skip the memset.
+        self.fire_wind_box_into(state, surface, out, NodeBox::full(self.fire_grid))
+    }
+
+    /// [`CoupledModel::fire_wind_into`] with the prolongation confined to
+    /// the fine nodes of `bx`; the rest of `out` is left as it was.
+    fn fire_wind_box_into(
+        &self,
+        state: &CoupledState,
+        surface: &mut VectorField2,
+        out: &mut VectorField2,
+        bx: NodeBox,
+    ) -> Result<()> {
+        // Every node of the box is overwritten (constant fill or
+        // prolongation); skip the memset.
         out.resize_no_zero(self.fire_grid);
         if !self.coupled {
             out.fill(self.atmos.params.ambient_wind);
             return Ok(());
         }
         self.atmos.surface_wind_into(&state.atmos, surface);
-        prolong_into(&surface.u, &mut out.u)?;
-        prolong_into(&surface.v, &mut out.v)?;
+        prolong_box_into(&surface.u, &mut out.u, bx)?;
+        prolong_box_into(&surface.v, &mut out.v, bx)?;
         Ok(())
     }
 
@@ -195,7 +226,9 @@ impl CoupledModel {
         ws: &mut CoupledWorkspace,
     ) -> Result<StepDiagnostics> {
         let t_target = state.fire.time + dt;
-        self.fire_wind_into(state, &mut ws.surface_wind, &mut ws.wind)?;
+        // The wind is needed only where the fire advance can read it.
+        let reach = self.fire.reach(&state.fire.psi, dt, &mut ws.fire);
+        self.fire_wind_box_into(state, &mut ws.surface_wind, &mut ws.wind, reach)?;
         let stats =
             self.fire
                 .advance_to_stats_ws(&mut state.fire, &ws.wind, t_target, dt, &mut ws.fire)?;
@@ -215,19 +248,29 @@ impl CoupledModel {
         // 4–5: heat fluxes (evaluated once per step, after the fire
         // advance), restricted to the atmosphere's horizontal grid when the
         // feedback is on.
+        //
+        // Both sweep only around the ignited nodes: the fine flux fields
+        // are written on `live` — the ignited box plus the rim of dual
+        // cells the restriction reads — and are stale beyond it, where the
+        // whole-field calls would hold zeros that add nothing to a coarse
+        // average or to the integrals.
         let h = self.atmos.grid.horizontal();
-        heat_fluxes_into(
+        let ignited = state.fire.ignited_box();
+        let refinement = refinement_between(&self.fire_grid, &h)?;
+        let live = ignited.dilated(refinement.rx.max(refinement.ry), self.fire_grid);
+        let (sum_sensible, sum_latent) = heat_fluxes_box_into(
             self.fire.mesh(),
             &state.fire,
             state.fire.time,
             &mut ws.fluxes,
+            live,
         );
         if self.coupled {
             // Restriction writes every coarse node; skip the memset.
             ws.sensible_coarse.resize_no_zero(h);
             ws.latent_coarse.resize_no_zero(h);
-            restrict_into(&ws.fluxes.sensible, &mut ws.sensible_coarse)?;
-            restrict_into(&ws.fluxes.latent, &mut ws.latent_coarse)?;
+            restrict_box_into(&ws.fluxes.sensible, &mut ws.sensible_coarse, ignited)?;
+            restrict_box_into(&ws.fluxes.latent, &mut ws.latent_coarse, ignited)?;
         } else {
             // Uncoupled: the atmosphere must see genuinely zero fluxes, so
             // this zeroing is load-bearing.
@@ -261,8 +304,9 @@ impl CoupledModel {
             time: state.fire.time,
             burned_area: state.fire.burned_area(),
             max_updraft: state.atmos.max_updraft(),
-            total_sensible_power: ws.fluxes.sensible.integral(),
-            total_latent_power: ws.fluxes.latent.integral(),
+            // `Field2::integral` of the whole-field fluxes, term for term.
+            total_sensible_power: sum_sensible * self.fire_grid.dx * self.fire_grid.dy,
+            total_latent_power: sum_latent * self.fire_grid.dx * self.fire_grid.dy,
             max_surface_wind: ws.surface_wind.max_magnitude(),
             max_spread_rate,
         })

@@ -26,7 +26,7 @@ pub mod coupled;
 pub mod diagnostics;
 pub mod workspace;
 
-pub use coupled::{CoupledModel, CoupledState};
+pub use coupled::{CoupledModel, CoupledState, FAR_FIELD_CELLS};
 pub use diagnostics::StepDiagnostics;
 pub use workspace::CoupledWorkspace;
 

@@ -9,7 +9,7 @@
 use crate::mesh::FireMesh;
 use crate::state::FireState;
 use crate::UNBURNED;
-use wildfire_grid::Field2;
+use wildfire_grid::{Field2, NodeBox};
 
 /// Sensible and latent heat flux fields (W/m²) on the fire grid.
 #[derive(Debug, Clone, Default)]
@@ -52,28 +52,55 @@ pub fn heat_fluxes_at(mesh: &FireMesh, state: &FireState, t: f64) -> HeatFluxFie
 
 /// Allocation-free [`heat_fluxes_at`]: overwrites `out`, re-targeting its
 /// fields to the fire grid (no allocation once the shape has been seen).
-///
-/// Swept over the contiguous storage (arrival times, palette indices and
-/// both outputs share the row-major layout); the zeroing of the outputs is
-/// load-bearing — not-yet-burning nodes must read as exactly 0 flux.
+/// Not-yet-burning nodes read as exactly 0 flux.
 pub fn heat_fluxes_into(mesh: &FireMesh, state: &FireState, t: f64, out: &mut HeatFluxFields) {
+    heat_fluxes_box_into(mesh, state, t, out, NodeBox::full(mesh.grid));
+}
+
+/// [`heat_fluxes_into`] on the nodes of `bx` only: every node of the box is
+/// written (flux, or exactly 0 where nothing burns yet), the rest of `out`
+/// is left as it was. Returns the plain sums `(Σ sensible, Σ latent)` over
+/// the box, accumulated in row-major order over the burning nodes — when
+/// `bx` holds every ignited node these are bit for bit the
+/// [`Field2::sum`]s of the whole-field result, because adding that
+/// result's zeros changes nothing.
+///
+/// Swept over contiguous row slices (arrival times, palette indices and
+/// both outputs share the row-major layout).
+pub fn heat_fluxes_box_into(
+    mesh: &FireMesh,
+    state: &FireState,
+    t: f64,
+    out: &mut HeatFluxFields,
+    bx: NodeBox,
+) -> (f64, f64) {
     let g = mesh.grid;
-    out.sensible.resize_zeroed(g);
-    out.latent.resize_zeroed(g);
+    out.sensible.resize_no_zero(g);
+    out.latent.resize_no_zero(g);
     let palette = mesh.fuel.palette();
     let indices = mesh.fuel.indices();
-    let tig = state.tig.as_slice();
-    let sensible = out.sensible.as_mut_slice();
-    let latent = out.latent.as_mut_slice();
-    for i in 0..g.len() {
-        let ti = tig[i];
-        if ti == UNBURNED || t <= ti {
-            continue;
+    let (mut sum_s, mut sum_l) = (0.0, 0.0);
+    for iy in bx.y0..bx.y1 {
+        let cols = bx.x0..bx.x1;
+        let index = &indices[iy * g.nx..][cols.clone()];
+        let tig = &state.tig.row(iy)[cols.clone()];
+        let sensible = &mut out.sensible.row_mut(iy)[cols.clone()];
+        let latent = &mut out.latent.row_mut(iy)[cols];
+        for i in 0..tig.len() {
+            let ti = tig[i];
+            if ti == UNBURNED || t <= ti {
+                sensible[i] = 0.0;
+                latent[i] = 0.0;
+                continue;
+            }
+            let hf = palette[index[i] as usize].heat_fluxes(t - ti);
+            sensible[i] = hf.sensible;
+            latent[i] = hf.latent;
+            sum_s += hf.sensible;
+            sum_l += hf.latent;
         }
-        let hf = palette[indices[i] as usize].heat_fluxes(t - ti);
-        sensible[i] = hf.sensible;
-        latent[i] = hf.latent;
     }
+    (sum_s, sum_l)
 }
 
 /// Remaining fuel fraction field at time `t` (1 where unburned).
@@ -141,6 +168,41 @@ mod tests {
         assert_eq!(hf.latent.get(0, 0), 0.0);
         assert!(hf.sensible.get(10, 10) > 0.0);
         assert!(hf.latent.get(10, 10) > 0.0);
+    }
+
+    #[test]
+    fn box_sweep_matches_whole_field_bitwise() {
+        let (mesh, mut state) = setup();
+        state.time = 10.0;
+        // A second, later ignition so the box is not one blob.
+        state.tig.set(2, 17, 4.0);
+        let whole = heat_fluxes(&mesh, &state);
+        let bx = state.ignited_box();
+        assert_eq!((bx.x0, bx.x1, bx.y0, bx.y1), (2, 13, 8, 18));
+        let mut part = HeatFluxFields {
+            sensible: Field2::filled(mesh.grid, f64::NAN),
+            latent: Field2::filled(mesh.grid, f64::NAN),
+        };
+        let (sum_s, sum_l) = heat_fluxes_box_into(&mesh, &state, state.time, &mut part, bx);
+        assert_eq!(sum_s.to_bits(), whole.sensible.sum().to_bits());
+        assert_eq!(sum_l.to_bits(), whole.latent.sum().to_bits());
+        for iy in 0..mesh.grid.ny {
+            for ix in 0..mesh.grid.nx {
+                let inside = (bx.x0..bx.x1).contains(&ix) && (bx.y0..bx.y1).contains(&iy);
+                if inside {
+                    assert_eq!(part.sensible.get(ix, iy), whole.sensible.get(ix, iy));
+                    assert_eq!(part.latent.get(ix, iy), whole.latent.get(ix, iy));
+                } else {
+                    assert!(part.sensible.get(ix, iy).is_nan());
+                    assert_eq!(whole.sensible.get(ix, iy), 0.0);
+                }
+            }
+        }
+        // Nothing ignited: an empty box, zero sums.
+        let cold = FireState::unburned(mesh.grid);
+        assert!(cold.ignited_box().is_empty());
+        let sums = heat_fluxes_box_into(&mesh, &cold, 5.0, &mut part, cold.ignited_box());
+        assert_eq!(sums, (0.0, 0.0));
     }
 
     #[test]

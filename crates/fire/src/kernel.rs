@@ -1,27 +1,60 @@
-//! Fused, SIMD-friendly level-set RHS kernel.
+//! The level-set kernels: the fused RHS, the span-taking integrator updates,
+//! and the active-row bookkeeping of banded stepping.
 //!
-//! [`crate::LevelSetSolver::rhs_reference_into`] is the paper-faithful
-//! per-node formulation: every node calls the boundary-aware
-//! `diff_x`/`diff_y` stencils (four of them — two on ψ, two on the static
-//! terrain), matches on the gradient scheme, and chases the fuel palette
-//! through the full [`wildfire_fuel::FuelModel`] struct. None of that
-//! per-node work vectorizes or even stays branch-free.
+//! Three things coexist in this crate, each pinned bitwise to the one
+//! before it:
 //!
-//! This module is the production rewrite: the static inputs (fuel
-//! spread-rate coefficients, terrain gradient components) are flattened
-//! once per solver into [`KernelPlanes`], interior rows are swept over
-//! contiguous slices with the gradient selection, spread-rate evaluation,
-//! `−S‖∇ψ‖`, and the `s_max` reduction fused into one branch-free pass,
-//! and only the domain boundary takes the stencil-based scalar path.
+//! 1. **The reference RHS** — [`crate::LevelSetSolver::rhs_reference_into`],
+//!    the paper-faithful per-node loop: boundary-aware `diff_x`/`diff_y`
+//!    stencils, a match on the gradient scheme, the fuel palette chased
+//!    through the full [`wildfire_fuel::FuelModel`]. The semantic oracle.
+//! 2. **The fused whole-field RHS** — [`rhs_fused_into`] over every node
+//!    (what the public `rhs_into` runs). The static inputs are flattened
+//!    once per solver into [`KernelPlanes`]; interior rows are swept over
+//!    contiguous slices with the gradient selection, the spread rate,
+//!    `−S‖∇ψ‖` and the `s_max` reduction fused into one branch-free pass;
+//!    only the domain boundary takes the stencil path. It keeps the
+//!    reference's per-node floating-point operation order, so RHS and
+//!    `s_max` are bitwise the reference's for every input
+//!    (`tests/proptest_levelset_fused.rs`).
+//! 3. **Banded stepping** — the same kernel and the integrator updates
+//!    below, run on per-row spans ([`ActiveRows`]) instead of whole rows.
+//!    This is the only stepping path; it is bitwise the whole-field sweep
+//!    for every input (`tests/proptest_levelset_band.rs`, whose oracle is
+//!    built from 2.).
 //!
-//! **Equivalence contract.** The fused kernel preserves the reference's
-//! per-node floating-point operation order exactly, so its output (RHS
-//! field and `s_max`) is *bitwise identical* to the reference for every
-//! input. The contract is pinned by the property suite in
-//! `tests/proptest_levelset_fused.rs`; any rewrite here must keep it green.
+//! **The quiet-node contract.** A node is *quiet* when its ψ is finite,
+//! strictly positive, and compares equal (`==`) to each of its (up to four)
+//! neighbours. Every one-sided difference at a quiet node is `±0`, so under
+//! either gradient scheme its RHS is exactly `+0.0` and it adds nothing to
+//! `s_max`. From that alone, for a finite `dt`:
+//!
+//! * the predictor `ψ* = ψ + dt·k1` leaves a quiet node's value as it is;
+//! * a node whose radius-1 diamond is quiet is therefore quiet in `ψ*` too,
+//!   its second slope is `+0.0`, and the update `(ψ + h·k1) + h·k2` returns
+//!   its ψ bit for bit; being positive it is not stamped with a `t_i`;
+//! * so the first RHS and the predictor are needed on the non-quiet nodes
+//!   dilated by 2, the second RHS and the update on them dilated by 1, and
+//!   every other node is one the whole-field sweep would leave untouched.
+//!
+//! The three exclusions are what makes "untouched" literal: a NaN never
+//! compares equal; `∞ − ∞` is NaN, not 0; and a non-positive plateau is
+//! *not* left alone by the whole-field sweep — it stamps `t_i` on a burning
+//! node that lacks one and turns `−0.0` into `+0.0`. (For a non-finite `dt`,
+//! `0·dt` is NaN and nothing is quiet; the solver then marks every node.)
+//!
+//! Signed-distance ψ has no plateau, so something must create one:
+//! `CoupledModel::ignite` caps ψ₀ at 32 cells' distance. Only the *outside*
+//! (ψ > 0) is capped. Upwinding takes its differences toward lower ψ, so
+//! the front is fed by the burned interior, not by the far field — a
+//! positive cap reaches it only through the scheme's weak inward leak
+//! (measured in `wildfire_core::FAR_FIELD_CELLS`'s docs), a negative one
+//! would sit upwind of the front and move it directly. The cap is that
+//! crate's approximation; nothing in this crate depends on it, and the
+//! banded sweep is exact for whatever ψ it is given.
 
 use wildfire_fuel::SpreadCoeffs;
-use wildfire_grid::{Field2, Grid2, VectorField2};
+use wildfire_grid::{Field2, Grid2, NodeBox, VectorField2};
 
 use crate::mesh::FireMesh;
 use crate::LevelSetSolver;
@@ -96,6 +129,12 @@ impl KernelPlanes {
         self.grid
     }
 
+    /// Largest spread rate any palette entry can return (`S` is clamped to
+    /// `[0, max_spread]`) — the a-priori bound on `s_max`.
+    pub(crate) fn max_spread(&self) -> f64 {
+        self.coeffs.iter().fold(0.0, |m, c| m.max(c.max_spread))
+    }
+
     /// Canary against stale planes, run under `debug_assert!` on every
     /// fused dispatch: true when the flattened fuel-index plane *and* the
     /// cached terrain-gradient planes still match the mesh. (Palette
@@ -117,6 +156,150 @@ impl KernelPlanes {
         }
         true
     }
+}
+
+/// What a sweep visits in row `iy`: the half-open column range it returns
+/// (nothing when `lo >= hi`). Whole-field callers pass `&|_| (0, nx)`.
+pub(crate) type RowSpan<'a> = &'a dyn Fn(usize) -> (usize, usize);
+
+/// Per-row spans of the nodes that are **not quiet** — the nodes a step
+/// can move (see the module header for the contract). One half-open
+/// interval per row, the hull of that row's non-quiet nodes: a superset is
+/// always exact, because a sweep over a quiet node writes what was there.
+/// Recomputed from ψ by [`ActiveRows::mark`] at every step, so it is a pure
+/// function of the state; the vector only carries capacity.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ActiveRows {
+    nx: usize,
+    rows: Vec<(usize, usize)>,
+}
+
+impl ActiveRows {
+    /// Recomputes the spans from `psi`, one comparison per quiet node: a
+    /// row's quiet prefix is as long as the run of its first value `c`
+    /// through the row itself and through the rows below and above (less
+    /// one in the row itself — the node left of a differing node has a
+    /// differing neighbour), and likewise for the suffix from the right.
+    pub(crate) fn mark(&mut self, psi: &Field2) {
+        let g = psi.grid();
+        let (nx, ny) = (g.nx, g.ny);
+        self.nx = nx;
+        self.rows.clear();
+        // Pass 1, each row on its own: (length of the leading run of
+        // row[0], start of the trailing run of row[nx − 1]) — a uniform
+        // row is scanned once.
+        self.rows.extend((0..ny).map(|iy| {
+            let row = psi.row(iy);
+            match leading_run(row, row[0]) {
+                lead if lead == nx => (nx, 0),
+                lead => (lead, nx - trailing_run(row, row[nx - 1])),
+            }
+        }));
+        // Pass 2 combines each row with its neighbours in place; `below`
+        // carries the pass-1 value the row underneath has just overwritten.
+        // A missing neighbour row is replaced by the row itself.
+        let plateau = |c: f64| c > 0.0 && c < f64::INFINITY;
+        let mut below = self.rows[0];
+        for iy in 0..ny {
+            let own = self.rows[iy];
+            let above = self.rows[(iy + 1).min(ny - 1)];
+            let row = psi.row(iy);
+            let rows = [
+                (psi.row(iy.saturating_sub(1)), below),
+                (psi.row((iy + 1).min(ny - 1)), above),
+            ];
+            let (first, last) = (row[0], row[nx - 1]);
+            let mut lo = if own.0 == nx {
+                nx
+            } else {
+                own.0.saturating_sub(1)
+            };
+            let mut hi = if own.1 == 0 { 0 } else { own.1 + 1 };
+            for (other, (lead, trail)) in rows {
+                lo = lo.min(if other[0] == first { lead } else { 0 });
+                hi = hi.max(if other[nx - 1] == last { trail } else { nx });
+            }
+            if !plateau(first) {
+                lo = 0;
+            }
+            if !plateau(last) {
+                hi = nx;
+            }
+            self.rows[iy] = if lo < hi { (lo, hi) } else { (0, 0) };
+            below = own;
+        }
+    }
+
+    /// Marks every node active (the fallback for a non-finite `dt`, where
+    /// `0·dt` is NaN and even a quiet node moves).
+    pub(crate) fn mark_all(&mut self) {
+        self.rows.fill((0, self.nx));
+    }
+
+    /// Row `iy`'s span dilated by the radius-`d` diamond: the hull of the
+    /// spans of rows `iy ± j` widened by `d − j` columns, clipped to the
+    /// mesh.
+    pub(crate) fn dilated(&self, iy: usize, d: usize) -> (usize, usize) {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for jy in iy.saturating_sub(d)..=(iy + d).min(self.rows.len() - 1) {
+            let (a, b) = self.rows[jy];
+            if a < b {
+                let w = d - jy.abs_diff(iy);
+                lo = lo.min(a.saturating_sub(w));
+                hi = hi.max((b + w).min(self.nx));
+            }
+        }
+        (lo.min(hi), hi)
+    }
+
+    /// Number of nodes in the spans dilated by `d`.
+    pub(crate) fn visited(&self, d: usize) -> usize {
+        (0..self.rows.len())
+            .map(|iy| {
+                let (lo, hi) = self.dilated(iy, d);
+                hi - lo
+            })
+            .sum()
+    }
+
+    /// Bounding box of the undilated spans (empty when every node is quiet).
+    pub(crate) fn bounding_box(&self) -> NodeBox {
+        let mut bx = NodeBox::EMPTY;
+        for (iy, &(lo, hi)) in self.rows.iter().enumerate() {
+            bx.cover_row(iy, lo, hi);
+        }
+        bx
+    }
+}
+
+/// Length of the run of values equal to `c` at the start of `row`
+/// (eight at a time while they all match, so long plateaus cost a fraction
+/// of a nanosecond per node).
+pub(crate) fn leading_run(row: &[f64], c: f64) -> usize {
+    let mut n = 0;
+    for chunk in row.chunks_exact(8) {
+        if !chunk.iter().fold(true, |all, &v| all & (v == c)) {
+            break;
+        }
+        n += 8;
+    }
+    n + row[n..].iter().take_while(|&&v| v == c).count()
+}
+
+/// Length of the run of values equal to `c` at the end of `row`.
+pub(crate) fn trailing_run(row: &[f64], c: f64) -> usize {
+    let mut n = 0;
+    for chunk in row.rchunks_exact(8) {
+        if !chunk.iter().fold(true, |all, &v| all & (v == c)) {
+            break;
+        }
+        n += 8;
+    }
+    n + row[..row.len() - n]
+        .iter()
+        .rev()
+        .take_while(|&&v| v == c)
+        .count()
 }
 
 /// The paper's Godunov selection per axis, on precomputed one-sided
@@ -170,7 +353,8 @@ fn boundary_node<const GODUNOV: bool, const FLAT: bool>(
     -s * norm
 }
 
-/// Fused one-pass RHS `dψ/dt = −S‖∇ψ‖` with the running `s_max` reduction.
+/// Fused one-pass RHS `dψ/dt = −S‖∇ψ‖` on the given row spans, with the
+/// running `s_max` reduction over the visited nodes.
 ///
 /// Interior rows sweep contiguous row slices (ψ row ± its neighbors, wind,
 /// terrain-gradient and fuel-index planes) with no per-node boundary
@@ -179,23 +363,25 @@ fn boundary_node<const GODUNOV: bool, const FLAT: bool>(
 /// interior row go through [`boundary_node`], which reproduces the
 /// reference's stencil behaviour at the domain edge.
 ///
-/// Every node of `out` is overwritten (zero where the upwinded gradient
-/// vanishes), so the memset of `resize_zeroed` is skipped.
+/// Every node of the spans is overwritten (zero where the upwinded
+/// gradient vanishes) and no other, so `out` is re-targeted without a
+/// memset; outside the spans it keeps whatever it held.
 pub(crate) fn rhs_fused_into<const GODUNOV: bool>(
     planes: &KernelPlanes,
     psi: &Field2,
     wind: &VectorField2,
     out: &mut Field2,
+    span: RowSpan<'_>,
 ) -> f64 {
     // Monomorphize on the two landscape degeneracies the common scenarios
     // hit: a single-entry fuel palette (coefficients live in registers, no
     // per-node indirection) and exactly flat terrain (the slope term is a
     // bitwise no-op and is skipped — see `KernelPlanes::flat`).
     match (planes.coeffs.len() == 1, planes.flat) {
-        (true, true) => rhs_fused_dispatch::<GODUNOV, true, true>(planes, psi, wind, out),
-        (true, false) => rhs_fused_dispatch::<GODUNOV, true, false>(planes, psi, wind, out),
-        (false, true) => rhs_fused_dispatch::<GODUNOV, false, true>(planes, psi, wind, out),
-        (false, false) => rhs_fused_dispatch::<GODUNOV, false, false>(planes, psi, wind, out),
+        (true, true) => rhs_fused_dispatch::<GODUNOV, true, true>(planes, psi, wind, out, span),
+        (true, false) => rhs_fused_dispatch::<GODUNOV, true, false>(planes, psi, wind, out, span),
+        (false, true) => rhs_fused_dispatch::<GODUNOV, false, true>(planes, psi, wind, out, span),
+        (false, false) => rhs_fused_dispatch::<GODUNOV, false, false>(planes, psi, wind, out, span),
     }
 }
 
@@ -207,6 +393,7 @@ fn rhs_fused_dispatch<const GODUNOV: bool, const UNIFORM: bool, const FLAT: bool
     psi: &Field2,
     wind: &VectorField2,
     out: &mut Field2,
+    span: RowSpan<'_>,
 ) -> f64 {
     let g = psi.grid();
     debug_assert_eq!(g, planes.grid, "kernel planes built for a different grid");
@@ -218,17 +405,29 @@ fn rhs_fused_dispatch<const GODUNOV: bool, const UNIFORM: bool, const FLAT: bool
     let mut s_max = 0.0_f64;
 
     for iy in 0..ny {
+        let (lo, hi) = span(iy);
+        if lo >= hi {
+            continue;
+        }
         if nx < 3 || iy == 0 || iy + 1 == ny {
             // Boundary rows (and degenerate single/double-column domains):
             // every node needs the edge-aware stencils.
-            for ix in 0..nx {
+            for ix in lo..hi {
                 let v = boundary_node::<GODUNOV, FLAT>(planes, psi, wind, ix, iy, &mut s_max);
                 out.set(ix, iy, v);
             }
             continue;
         }
-        let v_first = boundary_node::<GODUNOV, FLAT>(planes, psi, wind, 0, iy, &mut s_max);
-        let v_last = boundary_node::<GODUNOV, FLAT>(planes, psi, wind, nx - 1, iy, &mut s_max);
+        // The two boundary columns of the row, when the span reaches them.
+        if lo == 0 {
+            let v = boundary_node::<GODUNOV, FLAT>(planes, psi, wind, 0, iy, &mut s_max);
+            out.set(0, iy, v);
+        }
+        if hi == nx {
+            let v = boundary_node::<GODUNOV, FLAT>(planes, psi, wind, nx - 1, iy, &mut s_max);
+            out.set(nx - 1, iy, v);
+        }
+        let (lo, hi) = (lo.max(1), hi.min(nx - 1));
         let row = psi.row(iy);
         let below = psi.row(iy - 1);
         let above = psi.row(iy + 1);
@@ -240,8 +439,6 @@ fn rhs_fused_dispatch<const GODUNOV: bool, const UNIFORM: bool, const FLAT: bool
         let index = &planes.index[base..base + nx];
         let coeffs = planes.coeffs.as_slice();
         let out_row = out.row_mut(iy);
-        out_row[0] = v_first;
-        out_row[nx - 1] = v_last;
         if UNIFORM && !uniform_coeffs.pow.is_bitwise() {
             // Fast-math palettes batch the wind power per row block (the
             // vectorizable `PowPlan::eval_slice` form) — bitwise-identical
@@ -257,12 +454,13 @@ fn rhs_fused_dispatch<const GODUNOV: bool, const UNIFORM: bool, const FLAT: bool
                 tzy,
                 inv_dx,
                 inv_dy,
+                lo..hi,
                 out_row,
                 &mut s_max,
             );
             continue;
         }
-        for i in 1..nx - 1 {
+        for i in lo..hi {
             let here = row[i];
             // Same expressions as `diff_x`/`diff_y` at an interior node.
             let left = (here - row[i - 1]) * inv_dx;
@@ -324,18 +522,18 @@ fn interior_row_batched<const GODUNOV: bool, const FLAT: bool>(
     tzy: &[f64],
     inv_dx: f64,
     inv_dy: f64,
+    cols: std::ops::Range<usize>,
     out_row: &mut [f64],
     s_max: &mut f64,
 ) {
     const BLOCK: usize = 32;
-    let nx = row.len();
     let mut norm_b = [0.0_f64; BLOCK];
     let mut wa_b = [0.0_f64; BLOCK];
     let mut pow_b = [0.0_f64; BLOCK];
     let mut slope_b = [0.0_f64; BLOCK];
-    let mut start = 1;
-    while start < nx - 1 {
-        let len = BLOCK.min(nx - 1 - start);
+    let mut start = cols.start;
+    while start < cols.end {
+        let len = BLOCK.min(cols.end - start);
         for k in 0..len {
             let i = start + k;
             let here = row[i];
@@ -394,19 +592,28 @@ fn interior_row_batched<const GODUNOV: bool, const FLAT: bool>(
     }
 }
 
-/// `out = a + alpha·b`, fully overwriting `out` — one fused pass with the
-/// same per-node operation order as `copy_from` followed by `axpy` (the
-/// Heun predictor), at half the memory traffic.
-pub(crate) fn scaled_sum_into(a: &Field2, alpha: f64, b: &Field2, out: &mut Field2) {
+/// `out = a + alpha·b` on the spans — one fused pass with the same per-node
+/// operation order as `copy_from` followed by `axpy` (the Heun predictor),
+/// at half the memory traffic. Nodes outside the spans keep whatever `out`
+/// held.
+pub(crate) fn scaled_sum_into(
+    a: &Field2,
+    alpha: f64,
+    b: &Field2,
+    out: &mut Field2,
+    span: RowSpan<'_>,
+) {
     debug_assert_eq!(a.grid(), b.grid());
     out.resize_no_zero(a.grid());
-    for ((o, &x), &y) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(a.as_slice())
-        .zip(b.as_slice())
-    {
-        *o = x + alpha * y;
+    for iy in 0..a.grid().ny {
+        let (lo, hi) = span(iy);
+        for ((o, &x), &y) in out.row_mut(iy)[lo..hi]
+            .iter_mut()
+            .zip(&a.row(iy)[lo..hi])
+            .zip(&b.row(iy)[lo..hi])
+        {
+            *o = x + alpha * y;
+        }
     }
 }
 
@@ -422,11 +629,12 @@ fn crossing_time(old: f64, new: f64, t0: f64, dt: f64) -> f64 {
     t0 + frac * dt
 }
 
-/// Heun corrector fused with the ignition-time crossing detection:
-/// `ψ ← (ψ + h·k1) + h·k2` (the exact operation order of two consecutive
-/// `axpy` calls with `h = dt/2`), reading each node's pre-update value in
-/// the same sweep — so no "ψ before the step" copy is ever made — and
-/// stamping `t_i` where ψ crossed zero.
+/// Heun corrector fused with the ignition-time crossing detection, on the
+/// spans: `ψ ← (ψ + h·k1) + h·k2` (the exact operation order of two
+/// consecutive `axpy` calls with `h = dt/2`), reading each node's
+/// pre-update value in the same sweep — so no "ψ before the step" copy is
+/// ever made — and stamping `t_i` where ψ crossed zero.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn heun_correct_and_mark(
     psi: &mut Field2,
     tig: &mut Field2,
@@ -435,47 +643,53 @@ pub(crate) fn heun_correct_and_mark(
     half_dt: f64,
     t0: f64,
     dt: f64,
+    span: RowSpan<'_>,
 ) {
     debug_assert_eq!(psi.grid(), k1.grid());
     debug_assert_eq!(psi.grid(), k2.grid());
-    for (((p, t), &x), &y) in psi
-        .as_mut_slice()
-        .iter_mut()
-        .zip(tig.as_mut_slice())
-        .zip(k1.as_slice())
-        .zip(k2.as_slice())
-    {
-        let old = *p;
-        let new = (old + half_dt * x) + half_dt * y;
-        *p = new;
-        if new < 0.0 && *t == crate::UNBURNED {
-            *t = crossing_time(old, new, t0, dt);
+    for iy in 0..psi.grid().ny {
+        let (lo, hi) = span(iy);
+        for (((p, t), &x), &y) in psi.row_mut(iy)[lo..hi]
+            .iter_mut()
+            .zip(&mut tig.row_mut(iy)[lo..hi])
+            .zip(&k1.row(iy)[lo..hi])
+            .zip(&k2.row(iy)[lo..hi])
+        {
+            let old = *p;
+            let new = (old + half_dt * x) + half_dt * y;
+            *p = new;
+            if new < 0.0 && *t == crate::UNBURNED {
+                *t = crossing_time(old, new, t0, dt);
+            }
         }
     }
 }
 
-/// Euler update fused with the ignition-time crossing detection:
-/// `ψ ← ψ + dt·k1` (the exact `axpy` operation order), stamping `t_i`
-/// exactly as [`heun_correct_and_mark`] does.
+/// Euler update fused with the ignition-time crossing detection, on the
+/// spans: `ψ ← ψ + dt·k1` (the exact `axpy` operation order), stamping
+/// `t_i` exactly as [`heun_correct_and_mark`] does.
 pub(crate) fn euler_update_and_mark(
     psi: &mut Field2,
     tig: &mut Field2,
     k1: &Field2,
     dt: f64,
     t0: f64,
+    span: RowSpan<'_>,
 ) {
     debug_assert_eq!(psi.grid(), k1.grid());
-    for ((p, t), &x) in psi
-        .as_mut_slice()
-        .iter_mut()
-        .zip(tig.as_mut_slice())
-        .zip(k1.as_slice())
-    {
-        let old = *p;
-        let new = old + dt * x;
-        *p = new;
-        if new < 0.0 && *t == crate::UNBURNED {
-            *t = crossing_time(old, new, t0, dt);
+    for iy in 0..psi.grid().ny {
+        let (lo, hi) = span(iy);
+        for ((p, t), &x) in psi.row_mut(iy)[lo..hi]
+            .iter_mut()
+            .zip(&mut tig.row_mut(iy)[lo..hi])
+            .zip(&k1.row(iy)[lo..hi])
+        {
+            let old = *p;
+            let new = old + dt * x;
+            *p = new;
+            if new < 0.0 && *t == crate::UNBURNED {
+                *t = crossing_time(old, new, t0, dt);
+            }
         }
     }
 }
@@ -529,10 +743,11 @@ mod tests {
         let b2 = Field2::from_fn(g, |ix, iy| ((ix + iy) as f64).cos() - 0.5);
         let alpha = 0.123;
         let (t0, dt) = (7.0, 0.4);
+        let whole = |_| (0, g.nx);
 
         // Predictor: one fused pass vs copy_from + axpy.
         let mut fused = Field2::default();
-        scaled_sum_into(&a, alpha, &b1, &mut fused);
+        scaled_sum_into(&a, alpha, &b1, &mut fused, &whole);
         let mut two_pass = Field2::default();
         two_pass.copy_from(&a);
         two_pass.axpy(alpha, &b1).unwrap();
@@ -541,7 +756,16 @@ mod tests {
         // Heun corrector + crossing mark vs two axpys + a separate sweep.
         let mut psi_fused = a.clone();
         let mut tig_fused = Field2::filled(g, crate::UNBURNED);
-        heun_correct_and_mark(&mut psi_fused, &mut tig_fused, &b1, &b2, alpha, t0, dt);
+        heun_correct_and_mark(
+            &mut psi_fused,
+            &mut tig_fused,
+            &b1,
+            &b2,
+            alpha,
+            t0,
+            dt,
+            &whole,
+        );
         let mut psi_ref = a.clone();
         let mut tig_ref = Field2::filled(g, crate::UNBURNED);
         psi_ref.axpy(alpha, &b1).unwrap();
@@ -572,9 +796,93 @@ mod tests {
         // Euler variant.
         let mut psi_e = a.clone();
         let mut tig_e = Field2::filled(g, crate::UNBURNED);
-        euler_update_and_mark(&mut psi_e, &mut tig_e, &b1, alpha, t0);
+        euler_update_and_mark(&mut psi_e, &mut tig_e, &b1, alpha, t0, &whole);
         let mut psi_e_ref = a.clone();
         psi_e_ref.axpy(alpha, &b1).unwrap();
         assert_eq!(psi_e, psi_e_ref);
+
+        // On a span the helpers write the span and nothing else.
+        let part = |iy: usize| if iy == 1 { (1, 3) } else { (0, 0) };
+        let mut psi_p = a.clone();
+        let mut tig_p = Field2::filled(g, crate::UNBURNED);
+        heun_correct_and_mark(&mut psi_p, &mut tig_p, &b1, &b2, alpha, t0, dt, &part);
+        let mut star_p = Field2::filled(g, -7.0);
+        scaled_sum_into(&a, alpha, &b1, &mut star_p, &part);
+        for iy in 0..g.ny {
+            for ix in 0..g.nx {
+                let inside = iy == 1 && (1..3).contains(&ix);
+                let (psi_want, tig_want, star_want) = if inside {
+                    (
+                        psi_ref.get(ix, iy),
+                        tig_ref.get(ix, iy),
+                        two_pass.get(ix, iy),
+                    )
+                } else {
+                    (a.get(ix, iy), crate::UNBURNED, -7.0)
+                };
+                assert_eq!(psi_p.get(ix, iy).to_bits(), psi_want.to_bits());
+                assert_eq!(tig_p.get(ix, iy), tig_want);
+                assert_eq!(star_p.get(ix, iy).to_bits(), star_want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn active_rows_hull_the_nodes_that_are_not_quiet() {
+        let g = Grid2::new(9, 7, 1.0, 1.0).unwrap();
+        let mut psi = Field2::filled(g, 5.0);
+        let mut active = ActiveRows::default();
+        active.mark(&psi);
+        assert!(active.bounding_box().is_empty());
+        assert_eq!(active.visited(2), 0);
+        // One lowered node makes itself and its four neighbours non-quiet.
+        psi.set(4, 3, 1.0);
+        active.mark(&psi);
+        assert_eq!(active.rows[2], (4, 5));
+        assert_eq!(active.rows[3], (3, 6));
+        assert_eq!(active.rows[4], (4, 5));
+        assert_eq!(active.dilated(3, 1), (2, 7));
+        assert_eq!(active.dilated(1, 1), (4, 5));
+        assert_eq!(active.dilated(0, 1), (0, 0));
+        assert_eq!(active.dilated(0, 2), (4, 5));
+        assert_eq!(active.dilated(3, 2), (1, 8));
+        // Against the definition, node by node, on plateau-heavy fields.
+        for seed in 0..200u64 {
+            let (nx, ny) = (1 + (seed % 11) as usize, 1 + (seed / 11 % 7) as usize);
+            let g = Grid2::new(nx, ny, 1.0, 1.0).unwrap();
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let psi = Field2::from_fn(g, |_, _| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Mostly the plateau value 2.0, some other levels, a NaN.
+                [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, -1.0, 0.0, f64::NAN][(x % 10) as usize]
+            });
+            let quiet = |ix: usize, iy: usize| {
+                let v = psi.get(ix, iy);
+                v > 0.0
+                    && v < f64::INFINITY
+                    && v == psi.get(ix.saturating_sub(1), iy)
+                    && v == psi.get((ix + 1).min(nx - 1), iy)
+                    && v == psi.get(ix, iy.saturating_sub(1))
+                    && v == psi.get(ix, (iy + 1).min(ny - 1))
+            };
+            active.mark(&psi);
+            for iy in 0..ny {
+                let want = match (0..nx).find(|&ix| !quiet(ix, iy)) {
+                    Some(lo) => (lo, (0..nx).rfind(|&ix| !quiet(ix, iy)).unwrap() + 1),
+                    None => (0, 0),
+                };
+                assert_eq!(active.rows[iy], want, "seed {seed}, row {iy} of {nx}x{ny}");
+            }
+        }
+        // NaN, ±∞, zero and negative plateaus are never quiet.
+        for v in [f64::NAN, f64::INFINITY, 0.0, -0.0, -3.0] {
+            active.mark(&Field2::filled(g, v));
+            assert_eq!(active.visited(0), g.len(), "plateau of {v}");
+        }
+        active.mark(&psi);
+        active.mark_all();
+        assert_eq!(active.visited(2), g.len());
     }
 }

@@ -15,18 +15,38 @@
 //! reasonably well" — not an accuracy argument but a conservation one. Both
 //! integrators are exposed so experiment E5 can reproduce that claim.
 //!
-//! Two implementations of the RHS coexist: the paper-faithful per-node
-//! scalar loop ([`LevelSetSolver::rhs_reference_into`]) and the fused
-//! row-sweep kernel (the private `kernel` module) that the stepping paths
-//! run. They are bitwise-identical by construction, and the property suite
-//! in `tests/proptest_levelset_fused.rs` pins that equivalence.
+//! Three things coexist here, each pinned bitwise to the one before it (the
+//! private `kernel` module's header has the details):
+//!
+//! * the paper-faithful per-node RHS
+//!   ([`LevelSetSolver::rhs_reference_into`]) — the semantic oracle;
+//! * the fused whole-field RHS ([`LevelSetSolver::rhs_into`]) — the same
+//!   bits from a row-sweep kernel over precomputed planes, pinned by
+//!   `tests/proptest_levelset_fused.rs`;
+//! * **banded stepping** — [`LevelSetSolver::step_ws`] and
+//!   [`LevelSetSolver::advance_to_stats_ws`] run that kernel and the
+//!   integrator updates only on the per-row spans of nodes that can move.
+//!   A node is *quiet* when ψ is finite, positive and equal to its four
+//!   neighbours; its RHS is exactly 0, and a node whose radius-2 diamond is
+//!   quiet is left bit for bit as it was by both Heun stages. The spans are
+//!   recomputed from ψ at every step — a pure function of the state, so a
+//!   fresh workspace, a restored snapshot and a replay all get the same
+//!   bits — and the result is bitwise the whole-field sweep for every
+//!   input (`tests/proptest_levelset_band.rs`). There is no other stepping
+//!   path and no switch.
+//!
+//! Signed-distance ψ has no flat region; `CoupledModel::ignite` makes one by
+//! capping ψ₀ 32 cells outside the ignition shapes. Only the outside is
+//! capped: upwinding differences toward lower ψ, so the front is fed from
+//! the burned side. (That cap is an approximation of the coupled model's,
+//! with a measured reach; the banded sweep itself is exact for any ψ.)
 
-use crate::kernel::{self, KernelPlanes};
+use crate::kernel::{self, KernelPlanes, RowSpan};
 use crate::mesh::FireMesh;
 use crate::state::FireState;
 use crate::workspace::FireWorkspace;
 use crate::{FireError, Result};
-use wildfire_grid::{Field2, VectorField2};
+use wildfire_grid::{Field2, NodeBox, VectorField2};
 
 /// Time integrator for the level-set equation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +80,10 @@ pub struct AdvanceStats {
     /// Maximum spread rate `S` (m/s) seen across all sub-steps' RHS
     /// evaluations; `0.0` when nothing propagated (or no step ran).
     pub max_spread_rate: f64,
+    /// Nodes visited by the first RHS stage, summed over the sub-steps —
+    /// band occupancy. It follows the fire, not the mesh: the same fire on
+    /// a larger domain visits the same number of nodes.
+    pub active_nodes: usize,
 }
 
 /// Level-set solver bound to a fire mesh.
@@ -199,16 +223,36 @@ impl LevelSetSolver {
         if psi.grid() != self.planes.grid() {
             return self.rhs_reference_into(psi, wind, out);
         }
+        let nx = psi.grid().nx;
+        self.rhs_on(psi, wind, out, &|_| (0, nx))
+    }
+
+    /// The fused RHS on the given row spans: `out` is written there and
+    /// nowhere else, and the returned maximum spread rate is taken over the
+    /// visited nodes. Quiet nodes never contribute to it, so any set of
+    /// spans that covers the non-quiet nodes returns the whole-field value.
+    fn rhs_on(&self, psi: &Field2, wind: &VectorField2, out: &mut Field2, span: RowSpan) -> f64 {
         debug_assert!(
             self.planes.matches_mesh(&self.mesh),
             "kernel planes are stale: call refresh_kernel_planes() after mutating the mesh"
         );
         match self.gradient {
-            GradientScheme::Godunov => kernel::rhs_fused_into::<true>(&self.planes, psi, wind, out),
+            GradientScheme::Godunov => {
+                kernel::rhs_fused_into::<true>(&self.planes, psi, wind, out, span)
+            }
             GradientScheme::Central => {
-                kernel::rhs_fused_into::<false>(&self.planes, psi, wind, out)
+                kernel::rhs_fused_into::<false>(&self.planes, psi, wind, out, span)
             }
         }
+    }
+
+    /// Stage 1 of a step: marks the nodes that can move (`ws.active`, from
+    /// ψ alone) and evaluates `k1 = −S‖∇ψ‖` on their spans dilated by 2 —
+    /// everything the predictor needs. Returns the maximum spread rate.
+    fn first_stage(&self, psi: &Field2, wind: &VectorField2, ws: &mut FireWorkspace) -> f64 {
+        ws.active.mark(psi);
+        let FireWorkspace { k1, active, .. } = ws;
+        self.rhs_on(psi, wind, k1, &|iy| active.dilated(iy, 2))
     }
 
     /// The paper-faithful scalar RHS: one node at a time through the
@@ -316,15 +360,18 @@ impl LevelSetSolver {
         if wind.grid() != self.mesh.grid || state.grid() != self.mesh.grid {
             return Err(FireError::GridMismatch("level-set step"));
         }
-        let s_max = self.rhs_into(&state.psi, wind, &mut ws.k1);
+        let s_max = self.first_stage(&state.psi, wind, ws);
         self.step_prepared(state, wind, dt, s_max, ws)
     }
 
-    /// Completes one step whose first-stage slope `k1 = −S‖∇ψ‖` (and its
-    /// maximum spread rate `s_max`) is already in `ws.k1` for the *current*
-    /// ψ — the seam that lets [`LevelSetSolver::advance_to_ws`] share one
-    /// RHS evaluation between the CFL bound and the step itself instead of
-    /// evaluating it twice.
+    /// Completes one step whose first stage (`first_stage`: active spans,
+    /// `k1` on them, `s_max`) is already in `ws` for the *current* ψ — the
+    /// seam that lets [`LevelSetSolver::advance_to_ws`] share one RHS
+    /// evaluation between the CFL bound and the step itself instead of
+    /// evaluating it twice. The predictor runs on the spans dilated by 2,
+    /// the second RHS and the update on the spans dilated by 1; every other
+    /// node is one the whole-field sweep would have left bit for bit as it
+    /// was (the quiet-node contract in the `kernel` module header).
     fn step_prepared(
         &self,
         state: &mut FireState,
@@ -346,29 +393,64 @@ impl LevelSetSolver {
         // so no "ψ before the step" copy exists at all. Operation order per
         // node matches the separate update-then-scan formulation exactly.
         let t0 = state.time;
+        if !dt.is_finite() {
+            // `0·dt` is NaN, so even a quiet node moves: redo stage 1 on
+            // every node (same `s_max` — quiet nodes add nothing to it).
+            ws.active.mark_all();
+            let FireWorkspace { k1, active, .. } = &mut *ws;
+            self.rhs_on(&state.psi, wind, k1, &|iy| active.dilated(iy, 2));
+        }
+        let FireWorkspace {
+            k1,
+            k2,
+            psi_star,
+            active,
+        } = ws;
+        let (inner, outer) = (|iy| active.dilated(iy, 1), |iy| active.dilated(iy, 2));
         match self.integrator {
             Integrator::Euler => {
-                kernel::euler_update_and_mark(&mut state.psi, &mut state.tig, &ws.k1, dt, t0);
+                kernel::euler_update_and_mark(&mut state.psi, &mut state.tig, k1, dt, t0, &inner);
             }
             Integrator::Heun => {
                 // Predictor ψ* = ψ + dt·k1, one fused pass (same operation
                 // order as copy_from + axpy).
-                kernel::scaled_sum_into(&state.psi, dt, &ws.k1, &mut ws.psi_star);
+                kernel::scaled_sum_into(&state.psi, dt, k1, psi_star, &outer);
                 // Corrector with the slope re-evaluated at the predictor.
-                self.rhs_into(&ws.psi_star, wind, &mut ws.k2);
+                self.rhs_on(psi_star, wind, k2, &inner);
                 kernel::heun_correct_and_mark(
                     &mut state.psi,
                     &mut state.tig,
-                    &ws.k1,
-                    &ws.k2,
+                    k1,
+                    k2,
                     0.5 * dt,
                     t0,
                     dt,
+                    &inner,
                 );
             }
         }
         state.time = t0 + dt;
         Ok(())
+    }
+
+    /// The box of fire-mesh nodes that [`LevelSetSolver::advance_to_stats_ws`]
+    /// can touch when it advances `psi` by `dt` (with `dt` as the step
+    /// hint), so the wind needs to be valid only there. Empty when nothing
+    /// can move. Each sub-step sweeps the non-quiet nodes dilated by 2 and
+    /// can wake at most that ring, and the palette's largest `max_spread`
+    /// bounds `s_max` and with it the number of CFL sub-steps `n` — hence
+    /// the bounding box of the non-quiet nodes grown by `2n`.
+    pub fn reach(&self, psi: &Field2, dt: f64, ws: &mut FireWorkspace) -> NodeBox {
+        let g = psi.grid();
+        // One spare sub-step for the round-off sliver that can be left
+        // before the target time.
+        let sub_steps = (dt / dt.min(self.cfl_bound(self.planes.max_spread()))).ceil() + 1.0;
+        let bounded = sub_steps < 1e6; // false for NaN too
+        if g != self.mesh.grid || !bounded {
+            return NodeBox::full(g);
+        }
+        ws.active.mark(psi);
+        ws.active.bounding_box().dilated(2 * sub_steps as usize, g)
     }
 
     /// Advances to `t_target` by repeated stable steps (each no larger than
@@ -430,13 +512,14 @@ impl LevelSetSolver {
             if wind.grid() != self.mesh.grid || state.grid() != self.mesh.grid {
                 return Err(FireError::GridMismatch("level-set step"));
             }
-            let s_max = self.rhs_into(&state.psi, wind, &mut ws.k1);
+            let s_max = self.first_stage(&state.psi, wind, ws);
             let dt = dt_hint
                 .min(self.cfl_bound(s_max))
                 .min(t_target - state.time);
             self.step_prepared(state, wind, dt, s_max, ws)?;
             stats.steps += 1;
             stats.max_spread_rate = stats.max_spread_rate.max(s_max);
+            stats.active_nodes += ws.active.visited(2);
         }
         Ok(stats)
     }

@@ -24,16 +24,17 @@
 //! ## Kernel strategy
 //!
 //! The level-set RHS — the per-step cost center of the whole coupled model —
-//! has two implementations. [`LevelSetSolver::rhs_reference_into`] is the
-//! paper-faithful per-node scalar loop and serves as the semantic reference;
-//! the production path ([`LevelSetSolver::rhs_into`] and everything built on
-//! it) runs the fused row-sweep kernel of the private `kernel` module, which
-//! streams precomputed fuel-coefficient and terrain-gradient planes over
-//! contiguous row slices with branch-free interiors. The two are
-//! **bitwise-identical** for every input; the property suite in
-//! `tests/proptest_levelset_fused.rs` (random ψ, winds, terrains, fuel maps,
-//! both gradient schemes, degenerate plateaus) pins that equivalence, so the
-//! fast path can keep evolving without physics review.
+//! exists three times, each pinned **bitwise** to the one before it.
+//! [`LevelSetSolver::rhs_reference_into`] is the paper-faithful per-node
+//! scalar loop and serves as the semantic reference;
+//! [`LevelSetSolver::rhs_into`] runs the fused row-sweep kernel of the
+//! private `kernel` module over the whole field (precomputed
+//! fuel-coefficient and terrain-gradient planes, contiguous row slices,
+//! branch-free interiors; `tests/proptest_levelset_fused.rs`); and stepping
+//! runs that kernel only on the row spans of nodes that can move — a node
+//! whose ψ equals its neighbours' has RHS exactly 0 and is skipped, which
+//! changes no bit of the result (`tests/proptest_levelset_band.rs`) and
+//! makes the step cost follow the fire instead of the mesh.
 
 #![forbid(unsafe_code)]
 

@@ -7,8 +7,9 @@
 //! two plain scalar fields here.
 
 use crate::ignition::{initial_level_set, IgnitionShape};
+use crate::kernel::{leading_run, trailing_run};
 use crate::UNBURNED;
-use wildfire_grid::{Field2, Grid2};
+use wildfire_grid::{Field2, Grid2, NodeBox};
 
 /// Fire state: level-set field ψ (burning where ψ < 0) and ignition-time
 /// field `t_i` (UNBURNED = +∞ where the fire has not arrived).
@@ -66,6 +67,18 @@ impl FireState {
     /// Number of burning nodes.
     pub fn burned_nodes(&self) -> usize {
         self.psi.count_where(|v| v < 0.0)
+    }
+
+    /// Bounding box of the ignited nodes (`t_i ≠ UNBURNED`) — outside it
+    /// the fire releases no heat. Empty when nothing has ignited.
+    pub fn ignited_box(&self) -> NodeBox {
+        let mut bx = NodeBox::EMPTY;
+        for iy in 0..self.grid().ny {
+            let row = self.tig.row(iy);
+            let first = leading_run(row, UNBURNED);
+            bx.cover_row(iy, first, row.len() - trailing_run(&row[first..], UNBURNED));
+        }
+        bx
     }
 
     /// Both fields finite (ψ always; t_i allowed to be +∞) and consistent:

@@ -5,8 +5,10 @@
 //! twice per Heun step. A [`FireWorkspace`] owns those temporaries instead:
 //! it is sized lazily on first use and reused thereafter, so steady-state
 //! stepping performs no heap allocation. Hold one workspace per thread —
-//! the buffers carry no state between steps, only capacity.
+//! the buffers carry no state between steps, only capacity (the active
+//! row spans included: they are recomputed from ψ at every step).
 
+use crate::kernel::ActiveRows;
 use wildfire_grid::Field2;
 
 /// Scratch buffers for [`crate::LevelSetSolver`] stepping.
@@ -27,6 +29,10 @@ pub struct FireWorkspace {
     pub(crate) k2: Field2,
     /// Heun predictor `ψ* = ψ + dt·k1`.
     pub(crate) psi_star: Field2,
+    /// Per-row spans of the nodes the current step can move, recomputed
+    /// from ψ at every step. `k1`, `k2` and `psi_star` are valid only on
+    /// these spans (dilated); elsewhere they hold stale values.
+    pub(crate) active: ActiveRows,
 }
 
 impl FireWorkspace {

@@ -111,6 +111,83 @@ impl Grid2 {
     }
 }
 
+/// Half-open box `[x0, x1) × [y0, y1)` of node indices: the unit of "only
+/// this part of the mesh" shared by the banded fire step, the box-taking
+/// transfer operators and the heat-flux sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeBox {
+    /// First column.
+    pub x0: usize,
+    /// One past the last column.
+    pub x1: usize,
+    /// First row.
+    pub y0: usize,
+    /// One past the last row.
+    pub y1: usize,
+}
+
+impl NodeBox {
+    /// The box holding no node.
+    pub const EMPTY: NodeBox = NodeBox {
+        x0: 0,
+        x1: 0,
+        y0: 0,
+        y1: 0,
+    };
+
+    /// Every node of `grid`.
+    pub fn full(grid: Grid2) -> Self {
+        NodeBox {
+            x0: 0,
+            x1: grid.nx,
+            y0: 0,
+            y1: grid.ny,
+        }
+    }
+
+    /// Whether the box holds no node.
+    pub fn is_empty(&self) -> bool {
+        self.x0 >= self.x1 || self.y0 >= self.y1
+    }
+
+    /// Grows the box to cover columns `[x0, x1)` of row `iy` (a no-op for an
+    /// empty column range).
+    pub fn cover_row(&mut self, iy: usize, x0: usize, x1: usize) {
+        if x0 >= x1 {
+            return;
+        }
+        *self = if self.is_empty() {
+            NodeBox {
+                x0,
+                x1,
+                y0: iy,
+                y1: iy + 1,
+            }
+        } else {
+            NodeBox {
+                x0: self.x0.min(x0),
+                x1: self.x1.max(x1),
+                y0: self.y0.min(iy),
+                y1: self.y1.max(iy + 1),
+            }
+        };
+    }
+
+    /// The box grown by `margin` nodes on every side, clipped to `grid`;
+    /// an empty box stays empty.
+    pub fn dilated(self, margin: usize, grid: Grid2) -> Self {
+        if self.is_empty() {
+            return NodeBox::EMPTY;
+        }
+        NodeBox {
+            x0: self.x0.saturating_sub(margin),
+            x1: self.x1.saturating_add(margin).min(grid.nx),
+            y0: self.y0.saturating_sub(margin),
+            y1: self.y1.saturating_add(margin).min(grid.ny),
+        }
+    }
+}
+
 /// A scalar field on the nodes of a [`Grid2`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Field2 {

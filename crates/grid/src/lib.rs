@@ -24,7 +24,7 @@ pub mod stencil;
 pub mod transfer;
 pub mod vecfield;
 
-pub use field2::{Field2, Grid2};
+pub use field2::{Field2, Grid2, NodeBox};
 pub use field3::{Field3, Grid3};
 pub use vecfield::VectorField2;
 

@@ -6,7 +6,7 @@
 //! fire's heat fluxes are *restricted* (conservatively averaged) from fine to
 //! coarse. Both grids must be node-aligned with an integer refinement ratio.
 
-use crate::field2::{Field2, Grid2};
+use crate::field2::{Field2, Grid2, NodeBox};
 use crate::{GridError, Result};
 
 /// Relationship between an aligned coarse/fine grid pair.
@@ -79,6 +79,19 @@ pub fn prolong(coarse: &Field2, fine_grid: Grid2) -> Result<Field2> {
 /// # Errors
 /// Propagates alignment errors from [`refinement_between`].
 pub fn prolong_into(coarse: &Field2, out: &mut Field2) -> Result<()> {
+    prolong_box_into(coarse, out, NodeBox::full(out.grid()))
+}
+
+/// [`prolong_into`] onto the fine nodes of `bx` only: every node of `bx`
+/// gets exactly the value the whole-field call gives it (the kernel emits
+/// the whole coarse cells that meet the box, so a few nodes around it are
+/// written too); the rest of `out` is left as it was. This is what the
+/// coupled step uses to interpolate the wind only where the fire can read
+/// it.
+///
+/// # Errors
+/// Propagates alignment errors from [`refinement_between`].
+pub fn prolong_box_into(coarse: &Field2, out: &mut Field2, bx: NodeBox) -> Result<()> {
     let fine_grid = out.grid();
     let refn = refinement_between(&fine_grid, &coarse.grid())?;
     let cg = coarse.grid();
@@ -88,7 +101,14 @@ pub fn prolong_into(coarse: &Field2, out: &mut Field2) -> Result<()> {
     let cdata = coarse.as_slice();
     let (fnx, cnx) = (fine_grid.nx, cg.nx);
     let odata = out.as_mut_slice();
-    for cy in 0..cg.ny {
+    if bx.is_empty() {
+        return Ok(());
+    }
+    // Coarse cells that meet the box (the last coarse row / column owns
+    // only the final aligned fine row / column).
+    let cys = bx.y0 / ry..=((bx.y1 - 1) / ry).min(cg.ny - 1);
+    let cxs = bx.x0 / rx..=((bx.x1 - 1) / rx).min(cg.nx - 1);
+    for cy in cys {
         // Fine rows covered by coarse row `cy`: its `ry` interior offsets,
         // or just the final aligned row for the last coarse row.
         let subs_y = if cy + 1 < cg.ny { ry } else { 1 };
@@ -102,7 +122,7 @@ pub fn prolong_into(coarse: &Field2, out: &mut Field2) -> Result<()> {
             let fy = sy as f64 * inv_ry;
             let wy0 = 1.0 - fy;
             let orow_base = (cy * ry + sy) * fnx;
-            for cx in 0..cg.nx {
+            for cx in cxs.clone() {
                 let subs_x = if cx + 1 < cg.nx { rx } else { 1 };
                 let cx1 = if cx + 1 < cg.nx { cx + 1 } else { cx };
                 let v00 = row0[cx];
@@ -144,9 +164,34 @@ pub fn restrict(fine: &Field2, coarse_grid: Grid2) -> Result<Field2> {
 /// # Errors
 /// Propagates alignment errors from [`refinement_between`].
 pub fn restrict_into(fine: &Field2, out: &mut Field2) -> Result<()> {
+    restrict_box_into(fine, out, NodeBox::full(fine.grid()))
+}
+
+/// [`restrict_into`] for a fine field that is zero outside `bx`: the coarse
+/// nodes whose dual cell meets `bx` are averaged exactly as the whole-field
+/// call averages them, every other coarse node is set to the `0.0` that
+/// call would compute. `fine` is read only inside those dual cells — at
+/// most one refinement ratio beyond `bx` per axis — so it needs to hold
+/// its zeros only there, not over the whole mesh.
+///
+/// # Errors
+/// Propagates alignment errors from [`refinement_between`].
+pub fn restrict_box_into(fine: &Field2, out: &mut Field2, bx: NodeBox) -> Result<()> {
     let coarse_grid = out.grid();
     let refn = refinement_between(&fine.grid(), &coarse_grid)?;
     let fg = fine.grid();
+    if bx != NodeBox::full(fg) {
+        out.fill(0.0);
+    }
+    if bx.is_empty() {
+        return Ok(());
+    }
+    // Coarse nodes `c` with `[c·r − r/2, c·r + r/2]` meeting `[f0, f1)`.
+    let meeting = |f0: usize, f1: usize, r: usize, nc: usize| {
+        (f0.saturating_sub(r / 2)).div_ceil(r)..((f1 - 1 + r / 2) / r + 1).min(nc)
+    };
+    let cys = meeting(bx.y0, bx.y1, refn.ry, coarse_grid.ny);
+    let cxs = meeting(bx.x0, bx.x1, refn.rx, coarse_grid.nx);
     // Dual cell of a coarse node spans ±r/2 fine intervals. For odd r the
     // boundary falls between fine nodes (no edge weighting needed); for even
     // r the boundary passes through fine nodes, which are shared half/half
@@ -155,7 +200,7 @@ pub fn restrict_into(fine: &Field2, out: &mut Field2) -> Result<()> {
     let hy = (refn.ry / 2) as isize;
     let even_x = refn.rx % 2 == 0;
     let even_y = refn.ry % 2 == 0;
-    for cy in 0..coarse_grid.ny {
+    for cy in cys {
         let fy = (cy * refn.ry) as isize;
         // Clamp the dual-cell sample window to the domain up front (the
         // skipped samples contributed nothing), so the sample loops below
@@ -165,7 +210,7 @@ pub fn restrict_into(fine: &Field2, out: &mut Field2) -> Result<()> {
         // per-sample formulation produced.
         let dy_lo = (-hy).max(-fy);
         let dy_hi = hy.min(fg.ny as isize - 1 - fy);
-        for cx in 0..coarse_grid.nx {
+        for cx in cxs.clone() {
             let fx = (cx * refn.rx) as isize;
             let dx_lo = (-hx).max(-fx);
             let dx_hi = hx.min(fg.nx as isize - 1 - fx);
@@ -299,6 +344,75 @@ mod tests {
         let coarse_int = coarse.integral();
         let rel = (fine_int - coarse_int).abs() / fine_int;
         assert!(rel < 0.25, "integral drift {rel}");
+    }
+
+    #[test]
+    fn box_transfers_match_whole_field_bitwise() {
+        for r in [1, 2, 5, 10] {
+            let (fine_g, coarse_g) = pair(r, 7);
+            let coarse = Field2::from_fn(coarse_g, |ix, iy| ((ix * 7 + iy * 3) as f64).sin());
+            let whole = prolong(&coarse, fine_g).unwrap();
+            let n = fine_g.nx;
+            let boxes = [
+                NodeBox::full(fine_g),
+                NodeBox::EMPTY,
+                NodeBox {
+                    x0: 0,
+                    x1: 1,
+                    y0: 0,
+                    y1: 1,
+                },
+                NodeBox {
+                    x0: n - 1,
+                    x1: n,
+                    y0: n - 1,
+                    y1: n,
+                },
+                NodeBox {
+                    x0: n / 3,
+                    x1: n / 2 + 1,
+                    y0: 1,
+                    y1: n - 2,
+                },
+            ];
+            for bx in boxes {
+                // Prolongation: sentinel outside, whole-field bits inside.
+                let mut out = Field2::filled(fine_g, f64::NAN);
+                prolong_box_into(&coarse, &mut out, bx).unwrap();
+                for iy in bx.y0..bx.y1 {
+                    for ix in bx.x0..bx.x1 {
+                        assert_eq!(
+                            out.get(ix, iy).to_bits(),
+                            whole.get(ix, iy).to_bits(),
+                            "r = {r}, {bx:?}, node ({ix},{iy})"
+                        );
+                    }
+                }
+                // Restriction: a field that is zero outside the box, with
+                // garbage beyond the dual cells the box meets.
+                let mut fine = Field2::zeros(fine_g);
+                for iy in bx.y0..bx.y1 {
+                    for ix in bx.x0..bx.x1 {
+                        fine.set(ix, iy, 1.0 + ((ix + 2 * iy) as f64).cos());
+                    }
+                }
+                let expected = restrict(&fine, coarse_g).unwrap();
+                let halo = bx.dilated(r, fine_g);
+                for iy in 0..fine_g.ny {
+                    for ix in 0..fine_g.nx {
+                        let inside = halo.x0 <= ix && ix < halo.x1 && halo.y0 <= iy && iy < halo.y1;
+                        if !inside {
+                            fine.set(ix, iy, f64::NAN);
+                        }
+                    }
+                }
+                let mut got = Field2::filled(coarse_g, f64::NAN);
+                restrict_box_into(&fine, &mut got, bx).unwrap();
+                for (a, b) in got.as_slice().iter().zip(expected.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "r = {r}, {bx:?}");
+                }
+            }
+        }
     }
 
     #[test]
