@@ -1,34 +1,38 @@
 //! # wildfire-service
 //!
 //! The operational layer the paper aims at: "a data driven wildland fire
-//! model … running in real time, ahead of the fire". This crate turns the
-//! batched execution core ([`wildfire_sim::batch::SimBatch`]) and the
-//! streaming observation layer ([`wildfire_obs::ObsSource`]) into a
-//! long-lived **forecast service**:
+//! model … running in real time, ahead of the fire". A long-lived
+//! **forecast service** in which every request is an independent job, the
+//! way the paper's workflow treats every ensemble member:
 //!
-//! * [`ForecastService`] owns a `SimBatch` on a background thread. Clients
-//!   submit [`ForecastRequest`]s (a scenario — ignition, fuel, wind — plus
-//!   requested product horizons and optionally a live observation stream)
-//!   and get back a [`RequestHandle`] with a per-request product channel.
-//! * Each request is realized as a small ensemble of perturbed members
-//!   (the Fig. 4 setup, via [`wildfire_sim::perturb`]), admitted into the
-//!   shared batch — late-arriving requests join the running batch and
-//!   catch up tick by tick.
-//! * The service loop alternates batched forecasting
-//!   (`SimBatch::advance_to`, independent simulations work-stolen over
-//!   the worker pool) with streaming assimilation: due observation reports are
-//!   drained from each request's [`wildfire_obs::ObsSource`] and applied
-//!   through [`wildfire_ensemble::EnsembleDriver::cycle_source_ws`] at the
-//!   batch clock, steering the in-flight forecast.
+//! * Clients submit [`ForecastRequest`]s (a scenario — ignition, fuel,
+//!   wind — plus product horizons and optionally a live
+//!   [`wildfire_obs::ObsSource`]) and get back a [`RequestHandle`] with a
+//!   per-request event channel.
+//! * [`ForecastService`] runs [`ServiceConfig::threads`] workers on one
+//!   FIFO queue. A worker pops the oldest request, realizes its ensemble
+//!   of perturbed members (the Fig. 4 setup, via [`wildfire_sim::perturb`])
+//!   only then, and runs it to completion: memory is proportional to the
+//!   workers, not to the queue, and requests are started in submission
+//!   order. A lone request fans its members out over every idle worker.
+//! * A free run steps straight to each horizon — its products are exactly
+//!   what `Simulation::run_until(horizon)` of its members yields. A
+//!   streamed request advances on its own clock and polls its source every
+//!   [`ServiceConfig::tick`] simulated seconds, applying due reports
+//!   through [`wildfire_ensemble::EnsembleDriver::cycle_source_ws`]. Either
+//!   way the products are the same served alone or from a crowd.
 //! * At every requested horizon a [`ForecastProduct`] (burned area,
 //!   perimeter length, spread-rate/updraft rollups) is pushed to the
-//!   request's channel; clients poll or block on the handle.
-//! * [`ForecastService::shutdown`] drains in-flight work — every admitted
-//!   request still delivers all of its products — then joins the thread.
+//!   request's channel, then one terminal event. A step error, a filter
+//!   error or a panic inside a request becomes `Failed` for that request
+//!   only; the worker carries on with the next one.
+//! * [`ForecastService::shutdown`] closes the queue — every request
+//!   already submitted still delivers all of its products — then joins
+//!   the workers.
 //!
-//! No async runtime: the service thread is a plain [`std::thread`], the
-//! worker pool under the batch uses crossbeam scoped threads, and every
-//! channel is the vendored `crossbeam::channel` MPMC queue.
+//! No async runtime: the workers are plain [`std::thread`]s, a lone
+//! request's fan-out uses crossbeam scoped threads, and every channel is
+//! the vendored `crossbeam::channel` MPMC queue.
 
 #![forbid(unsafe_code)]
 
@@ -41,12 +45,12 @@ pub use service::{ForecastService, ServiceConfig};
 /// Errors from the service layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The service thread is no longer accepting requests (after
-    /// [`ForecastService::shutdown`] or a service-thread exit).
+    /// The service is no longer accepting requests (after
+    /// [`ForecastService::shutdown`]) or ended without a terminal event.
     Stopped,
-    /// The request was structurally invalid and never admitted.
+    /// The request was structurally invalid and never queued.
     Rejected(&'static str),
-    /// The request was admitted but failed in flight.
+    /// The request was accepted but failed in flight.
     Failed(String),
 }
 

@@ -62,7 +62,7 @@ pub struct ForecastRequest {
     /// perturbations; equal seeds give equal forecasts.
     pub seed: u64,
     /// Simulation times (s) at which a [`ForecastProduct`] is produced.
-    /// Sorted and deduplicated at admission; must be non-empty.
+    /// Sorted and deduplicated by the worker; must be non-empty.
     pub horizons: Vec<f64>,
     /// Observation operator per stream index: a report with
     /// `stream == s` is evaluated through `operators[s]`.
@@ -99,8 +99,8 @@ pub struct ForecastProduct {
     pub request: u64,
     /// The horizon (s) that triggered this product.
     pub horizon: f64,
-    /// Actual member simulation time (s) at emission (≥ `horizon`, equal
-    /// up to the service tick clamp).
+    /// Actual member simulation time (s) at emission (the horizon, up to
+    /// the stepping tolerance; the start time for a horizon already past).
     pub time: f64,
     /// Ensemble size the aggregates run over.
     pub members: usize,
@@ -124,7 +124,7 @@ pub struct ForecastProduct {
 pub enum ForecastEvent {
     /// A horizon's product.
     Product(ForecastProduct),
-    /// All horizons delivered; the request's slots have been retired.
+    /// All horizons delivered; the request's members have been dropped.
     Finished {
         /// The finished request.
         request: u64,

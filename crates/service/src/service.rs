@@ -1,49 +1,57 @@
-//! The service runtime: [`ForecastService`] (client facade + background
-//! thread) and the per-request bookkeeping of the service loop.
+//! The service runtime: [`ForecastService`] (client facade + worker
+//! threads) and the life of one request on a worker.
 //!
-//! ## Loop shape
+//! ## Contract
 //!
-//! One iteration of the service loop:
-//!
-//! 1. **Admit** — drain the control channel (blocking when idle): new
-//!    requests are realized as perturbed member [`Simulation`]s and pushed
-//!    into the shared [`SimBatch`]; a shutdown message flips the service
-//!    into draining mode (no new admissions, finish what is in flight).
-//! 2. **Advance** — step the whole batch to the next event time: the
-//!    earliest pending horizon, clamped to one service tick past the
-//!    slowest member so late-admitted requests catch up gradually and
-//!    observation streams are polled at a bounded sim-time cadence.
-//! 3. **Assimilate** — per request with a source, swap the member states
-//!    out of their batch slots, run
-//!    [`EnsembleDriver::cycle_source_ws`] at the batch clock (due reports
-//!    only — members are already at the target time, so the embedded
-//!    forecasts are no-ops and the batch remains the only stepping path),
-//!    and swap the analyzed states back in.
-//! 4. **Emit** — requests whose next horizon has been reached push a
-//!    [`ForecastProduct`]; fully served requests retire their slots
-//!    (`SimBatch::remove`) and send the terminal event.
+//! * **The request is the work item.** [`ForecastService::start`] spawns
+//!   `threads` persistent workers on one FIFO queue of still-*unrealized*
+//!   requests. A worker pops the oldest one, realizes its members only
+//!   then, and runs it to its terminal event before it pops the next —
+//!   so live memory follows the workers, not the queue, and the first
+//!   request finishes long before the last one starts.
+//! * **Each request runs through its own events.** A free run goes
+//!   straight to its next horizon in reference steps: its products equal
+//!   [`Simulation::run_until`] of its members exactly, also when the tick
+//!   is not a multiple of the scenario dt. A streamed request advances on
+//!   its own clock, one [`ServiceConfig::tick`] at a time, polling its
+//!   [`ObsSource`] after every leg through
+//!   [`EnsembleDriver::cycle_source_ws`] (members are already at the poll
+//!   time, so the cycle's embedded forecasts are no-ops). Nothing a
+//!   request computes depends on what else the service holds.
+//! * **Failures stay with their request.** The whole request body runs
+//!   under `catch_unwind`: a step error, a filter error or a panic becomes
+//!   exactly one `Failed` event on that request's channel and the worker
+//!   takes the next request.
+//! * **A lone request uses every worker.** Members fan out over
+//!   [`lanes`]` = 1 + idle workers` threads per leg: 1 (inline, nothing
+//!   spawned) under a surge, every worker for a lone 25-member ensemble.
+//! * **Shutdown is the queue closing.** Dropping the only sender lets the
+//!   workers drain what is queued and return.
 
 use crate::request::{ForecastEvent, ForecastProduct, ForecastRequest, RequestHandle};
 use crate::{Result, ServiceError};
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crossbeam::channel::{self, Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use wildfire_core::CoupledState;
-use wildfire_ensemble::{EnsembleDriver, EnsembleWorkspace};
+use wildfire_core::{CoupledState, CoupledWorkspace};
+use wildfire_ensemble::{pool, EnsembleDriver, EnsembleWorkspace};
+use wildfire_fire::perimeter::perimeter_length;
 use wildfire_math::GaussianSampler;
 use wildfire_obs::{ObsInbox, ObsSource, ObservationOperator, TIME_EPS};
-use wildfire_sim::batch::SimBatch;
 use wildfire_sim::perturb::perturbed_simulations;
 use wildfire_sim::{PerturbationSpec, Simulation};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
-    /// Worker threads of the batch's stepping pool (clamped to ≥ 1).
+    /// Worker threads (clamped to ≥ 1): how many requests run at once, and
+    /// how far a lone request's members fan out.
     pub threads: usize,
-    /// Service tick (simulation seconds): the upper bound on how far the
-    /// batch advances between observation polls, and the catch-up quantum
-    /// for late-admitted requests. Must be positive.
+    /// Poll cadence of a streamed request (simulation seconds, on that
+    /// request's own clock): the upper bound on how far its members
+    /// advance between two polls of its observation source. Free runs
+    /// ignore it. Must be positive.
     pub tick: f64,
 }
 
@@ -56,13 +64,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Control messages from clients to the service thread.
-enum Control {
-    Submit(Box<Pending>),
-    Shutdown,
-}
-
-/// A submitted request traveling to the service thread.
+/// A submitted, not yet realized request waiting in the queue.
 struct Pending {
     id: u64,
     req: ForecastRequest,
@@ -70,34 +72,43 @@ struct Pending {
 }
 
 /// The forecast service facade. Cloneable submission is not needed —
-/// share by reference; the background thread lives until
+/// share by reference; the workers live until
 /// [`ForecastService::shutdown`] (or drop, which also shuts down
 /// gracefully).
 pub struct ForecastService {
-    tx: Sender<Control>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    next_id: Arc<AtomicU64>,
+    /// The queue's only sender; `None` once shut down.
+    tx: Option<Sender<Box<Pending>>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
+    next_id: AtomicU64,
 }
 
 impl ForecastService {
-    /// Starts the service thread with the given configuration.
+    /// Starts the workers with the given configuration.
     pub fn start(cfg: ServiceConfig) -> Self {
-        let (tx, rx) = channel::unbounded();
-        let worker = std::thread::Builder::new()
-            .name("wildfire-forecast-service".to_string())
-            .spawn(move || service_loop(&rx, cfg))
-            .expect("spawn forecast service thread");
+        let threads = cfg.threads.max(1);
+        let tick = if cfg.tick > 0.0 { cfg.tick } else { 2.0 };
+        let (tx, rx) = channel::unbounded::<Box<Pending>>();
+        let holding = Arc::new(AtomicUsize::new(0));
+        let workers = (0..threads)
+            .map(|k| {
+                let (rx, holding) = (rx.clone(), Arc::clone(&holding));
+                std::thread::Builder::new()
+                    .name(format!("wildfire-forecast-worker-{k}"))
+                    .spawn(move || worker_loop(&rx, threads, tick, &holding))
+                    .expect("spawn forecast worker thread")
+            })
+            .collect();
         ForecastService {
-            tx,
-            worker: Some(worker),
-            next_id: Arc::new(AtomicU64::new(0)),
+            tx: Some(tx),
+            workers,
+            next_id: AtomicU64::new(0),
         }
     }
 
     /// Submits a forecast request; returns the handle carrying the
     /// per-request product channel. Cheap structural validation happens
     /// here; anything involving model construction is validated on the
-    /// service thread and reported as a `Failed` event.
+    /// worker that picks the request up and reported as a `Failed` event.
     ///
     /// # Errors
     /// [`ServiceError::Rejected`] for structurally invalid requests,
@@ -117,25 +128,28 @@ impl ForecastService {
                 "a streamed request needs at least one stream operator",
             ));
         }
+        let queue = self.tx.as_ref().ok_or(ServiceError::Stopped)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::unbounded();
-        let pending = Box::new(Pending { id, req, tx });
-        self.tx
-            .send(Control::Submit(pending))
+        queue
+            .send(Box::new(Pending { id, req, tx }))
             .map_err(|_| ServiceError::Stopped)?;
         Ok(RequestHandle { id, rx })
     }
 
-    /// Graceful shutdown: stops admitting, finishes every in-flight
-    /// request (all remaining products are still delivered), then joins
-    /// the service thread.
+    /// Graceful shutdown: stops accepting, serves every queued request to
+    /// its terminal event (all remaining products are still delivered),
+    /// then joins the workers.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            let _ = self.tx.send(Control::Shutdown);
+        // Closing the queue is the signal: `recv` keeps handing out what is
+        // queued and errors once it is empty with no sender left.
+        self.tx = None;
+        for worker in self.workers.drain(..) {
+            // A worker cannot panic outside `catch_unwind`; nothing to report.
             let _ = worker.join();
         }
     }
@@ -147,245 +161,245 @@ impl Drop for ForecastService {
     }
 }
 
-/// One admitted request inside the service loop.
-struct Active {
-    id: u64,
-    /// Stable batch slot ids of the member simulations.
-    member_ids: Vec<usize>,
-    /// Sorted, deduplicated product horizons; `next` indexes the first
-    /// not-yet-emitted one.
-    horizons: Vec<f64>,
-    next: usize,
-    /// Reference coupled step (the scenario's dt).
-    dt: f64,
-    source: Option<Box<dyn ObsSource + Send>>,
+/// How many threads one leg of a request fans its members over: the
+/// worker's own plus one per worker that holds no request right now.
+/// `holding` counts the asking worker itself.
+fn lanes(threads: usize, holding: usize, members: usize) -> usize {
+    (1 + threads.saturating_sub(holding.max(1))).clamp(1, members.max(1))
+}
+
+/// One worker: pops requests until the queue is closed and empty.
+fn worker_loop(rx: &Receiver<Box<Pending>>, threads: usize, tick: f64, holding: &AtomicUsize) {
+    // The stepping scratch lives with the worker, one lane per possible
+    // fan-out thread, and is lent to a member for the length of a leg: a
+    // member costs model + state, and no request allocates scratch.
+    let mut scratch = vec![CoupledWorkspace::new(); threads];
+    while let Ok(pending) = rx.recv() {
+        let Pending { id, req, tx } = *pending;
+        // `holding` only sizes the fan-out (a heuristic, no data is
+        // published through it), so `Relaxed` suffices.
+        holding.fetch_add(1, Ordering::Relaxed);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            serve(id, req, &tx, &mut scratch, tick, holding)
+        }));
+        holding.fetch_sub(1, Ordering::Relaxed);
+        let event = match outcome {
+            Ok(Ok(())) => ForecastEvent::Finished { request: id },
+            Ok(Err(error)) => ForecastEvent::Failed { request: id, error },
+            Err(payload) => {
+                // The unwind may have dropped a lent lane with its member.
+                scratch.fill_with(CoupledWorkspace::new);
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("opaque payload");
+                ForecastEvent::Failed {
+                    request: id,
+                    error: format!("panic: {message}"),
+                }
+            }
+        };
+        let _ = tx.send(event);
+    }
+}
+
+/// One ensemble member of a request in flight.
+struct Member {
+    sim: Simulation,
+    max_spread_rate: f64,
+    max_updraft: f64,
+    /// Outcome of the member's last leg.
+    outcome: wildfire_sim::Result<()>,
+}
+
+/// What only a streamed request needs.
+struct Assimilation {
+    source: Box<dyn ObsSource + Send>,
     inbox: ObsInbox,
     operators: Vec<Box<dyn ObservationOperator>>,
     filter: crate::AnalysisFilter,
     driver: EnsembleDriver,
     rng: GaussianSampler,
     ws: EnsembleWorkspace,
-    /// Swap-gathering placeholders: one spare [`CoupledState`] per member.
-    /// An assimilation pass swaps the real states out of the batch slots
-    /// into this buffer, analyzes, and swaps back — the driver never needs
-    /// to borrow across the batch.
+    /// One spare [`CoupledState`] per member: a poll swaps the real states
+    /// out of the members into this buffer, analyzes, and swaps back.
     gather: Vec<CoupledState>,
     analyses: usize,
     reports_assimilated: usize,
-    tx: Sender<ForecastEvent>,
 }
 
-impl Active {
-    /// Earliest horizon still owed, if any.
-    fn next_horizon(&self) -> Option<f64> {
-        self.horizons.get(self.next).copied()
-    }
-
-    /// Current member clock (all members share it between advances).
-    fn time(&self, batch: &SimBatch) -> f64 {
-        batch.simulation(self.member_ids[0]).time()
+impl Assimilation {
+    /// Assimilates whatever reports are due at the members' clock `t_now`.
+    fn poll(
+        &mut self,
+        members: &mut [Member],
+        t_now: f64,
+        dt: f64,
+    ) -> std::result::Result<(), String> {
+        let swap = |members: &mut [Member], gather: &mut [CoupledState]| {
+            for (m, g) in members.iter_mut().zip(gather) {
+                std::mem::swap(&mut m.sim.state, g);
+            }
+        };
+        swap(members, &mut self.gather);
+        let outcome = self.driver.cycle_source_ws(
+            &mut self.gather,
+            self.source.as_mut(),
+            &mut self.inbox,
+            &self.operators,
+            self.filter.as_obs_filter(),
+            t_now,
+            dt,
+            &mut self.rng,
+            &mut self.ws,
+        );
+        swap(members, &mut self.gather);
+        let report = outcome.map_err(|e| format!("assimilation: {e}"))?;
+        self.analyses += report.analyses;
+        self.reports_assimilated += report.reports_assimilated;
+        Ok(())
     }
 }
 
-/// Realizes a pending request into batch slots; on failure the request is
-/// answered with a `Failed` event and never admitted.
-fn admit(pending: Pending, batch: &mut SimBatch) -> Option<Active> {
-    let Pending { id, req, tx } = pending;
+/// Runs one request from realization to its last product on the calling
+/// worker, whose `scratch` holds one lane per service worker. `Err` is the
+/// `Failed` text.
+fn serve(
+    id: u64,
+    req: ForecastRequest,
+    tx: &Sender<ForecastEvent>,
+    scratch: &mut [CoupledWorkspace],
+    tick: f64,
+    holding: &AtomicUsize,
+) -> std::result::Result<(), String> {
     let mut horizons = req.horizons;
     horizons.sort_by(f64::total_cmp);
     horizons.dedup_by(|a, b| (*a - *b).abs() <= TIME_EPS);
     let spec = PerturbationSpec::position_only(req.position_spread, req.seed);
-    let members: Vec<Simulation> = match perturbed_simulations(&req.scenario, &spec, req.n_members)
-    {
-        Ok(m) => m,
-        Err(e) => {
-            let _ = tx.send(ForecastEvent::Failed {
-                request: id,
-                error: format!("member construction: {e}"),
-            });
-            return None;
-        }
-    };
+    let sims = perturbed_simulations(&req.scenario, &spec, req.n_members)
+        .map_err(|e| format!("member construction: {e}"))?;
     let dt = req.scenario.dt;
-    let driver = EnsembleDriver::new(members[0].model.clone(), 1);
-    let gather: Vec<CoupledState> = members.iter().map(|m| m.state.clone()).collect();
-    let member_ids: Vec<usize> = members.into_iter().map(|m| batch.push(m)).collect();
-    Some(Active {
-        id,
-        member_ids,
-        horizons,
-        next: 0,
-        dt,
-        source: req.source,
+    // The warm-started projection seeds from the φ the previous step left
+    // in the workspace: such members keep their own instead of borrowing.
+    let lend = !req.scenario.pressure_warm_start;
+    let mut assim = req.source.map(|source| Assimilation {
+        source,
         inbox: ObsInbox::default(),
         operators: req.operators,
         filter: req.filter,
-        driver,
+        driver: EnsembleDriver::new(sims[0].model.clone(), 1),
         rng: GaussianSampler::new(req.seed ^ 0x9e37_79b9_7f4a_7c15),
         ws: EnsembleWorkspace::new(),
-        gather,
+        gather: sims.iter().map(|m| m.state.clone()).collect(),
         analyses: 0,
         reports_assimilated: 0,
-        tx,
-    })
-}
+    });
+    let mut members: Vec<Member> = sims
+        .into_iter()
+        .map(|sim| Member {
+            sim,
+            max_spread_rate: 0.0,
+            max_updraft: 0.0,
+            outcome: Ok(()),
+        })
+        .collect();
 
-/// Post-advance pass for one request: streaming assimilation at the batch
-/// clock, then product emission for every horizon reached. Returns
-/// `Err(description)` on analysis failure.
-fn assimilate_and_emit(a: &mut Active, batch: &mut SimBatch) -> std::result::Result<(), String> {
-    let t_now = a.time(batch);
-    if let Some(source) = a.source.as_mut() {
-        // Swap-gather the member states out of their slots…
-        for (k, &sid) in a.member_ids.iter().enumerate() {
-            std::mem::swap(&mut batch.simulation_mut(sid).state, &mut a.gather[k]);
-        }
-        // …analyze due reports at the batch clock (members are at `t_now`
-        // already, so the cycle's embedded forecasts are no-ops — the
-        // batch stays the only stepping path)…
-        let outcome = a.driver.cycle_source_ws(
-            &mut a.gather,
-            source.as_mut(),
-            &mut a.inbox,
-            &a.operators,
-            a.filter.as_obs_filter(),
-            t_now,
-            a.dt,
-            &mut a.rng,
-            &mut a.ws,
+    let mut next = 0;
+    while next < horizons.len() {
+        let target = match assim {
+            Some(_) => horizons[next].min(members[0].sim.time() + tick),
+            None => horizons[next],
+        };
+        let width = lanes(
+            scratch.len(),
+            holding.load(Ordering::Relaxed),
+            members.len(),
         );
-        // …and swap back unconditionally, so the batch is never left
-        // holding placeholder states.
-        for (k, &sid) in a.member_ids.iter().enumerate() {
-            std::mem::swap(&mut batch.simulation_mut(sid).state, &mut a.gather[k]);
-        }
-        match outcome {
-            Ok(report) => {
-                a.analyses += report.analyses;
-                a.reports_assimilated += report.reports_assimilated;
+        pool::parallel_for_each_dynamic_ws(&mut members, &mut scratch[..width], |_, m, lane| {
+            if lend {
+                std::mem::swap(&mut m.sim.workspace, lane);
             }
-            Err(e) => return Err(format!("assimilation: {e}")),
+            let (spread, updraft) = (&mut m.max_spread_rate, &mut m.max_updraft);
+            m.outcome = m.sim.run_until(target, |_, diag| {
+                *spread = spread.max(diag.max_spread_rate);
+                *updraft = updraft.max(diag.max_updraft);
+            });
+            if lend {
+                std::mem::swap(&mut m.sim.workspace, lane);
+            }
+        });
+        for m in &members {
+            m.outcome.clone().map_err(|e| format!("advance: {e}"))?;
         }
-    }
-    while a.next_horizon().is_some_and(|h| h <= t_now + TIME_EPS) {
-        let horizon = a.horizons[a.next];
-        a.next += 1;
-        let product = product_at(a, batch, horizon, t_now);
-        let _ = a.tx.send(ForecastEvent::Product(product));
+        let t_now = members[0].sim.time();
+        if let Some(a) = assim.as_mut() {
+            a.poll(&mut members, t_now, dt)?;
+        }
+        while next < horizons.len() && horizons[next] <= t_now + TIME_EPS {
+            let product = product_at(id, &members, assim.as_ref(), horizons[next], t_now);
+            let _ = tx.send(ForecastEvent::Product(product));
+            next += 1;
+        }
     }
     Ok(())
 }
 
-/// Aggregates the request's member slots into one product.
-fn product_at(a: &Active, batch: &SimBatch, horizon: f64, time: f64) -> ForecastProduct {
+/// Aggregates the request's members into one product.
+fn product_at(
+    request: u64,
+    members: &[Member],
+    assim: Option<&Assimilation>,
+    horizon: f64,
+    time: f64,
+) -> ForecastProduct {
     let mut mean_burned = 0.0;
     let mut mean_perimeter = 0.0;
     let mut max_spread = 0.0f64;
     let mut max_updraft = 0.0f64;
-    for &sid in &a.member_ids {
-        let p = batch.slot_products(sid).expect("member slot present");
-        mean_burned += p.burned_area;
-        mean_perimeter += p.perimeter_length;
-        max_spread = max_spread.max(p.max_spread_rate);
-        max_updraft = max_updraft.max(p.max_updraft);
+    for m in members {
+        mean_burned += m.sim.state.fire.burned_area();
+        mean_perimeter += perimeter_length(&m.sim.state.fire.psi);
+        max_spread = max_spread.max(m.max_spread_rate);
+        max_updraft = max_updraft.max(m.max_updraft);
     }
-    let n = a.member_ids.len() as f64;
+    let n = members.len() as f64;
     ForecastProduct {
-        request: a.id,
+        request,
         horizon,
         time,
-        members: a.member_ids.len(),
+        members: members.len(),
         mean_burned_area: mean_burned / n,
         mean_perimeter_length: mean_perimeter / n,
         max_spread_rate: max_spread,
         max_updraft,
-        analyses: a.analyses,
-        reports_assimilated: a.reports_assimilated,
+        analyses: assim.map_or(0, |a| a.analyses),
+        reports_assimilated: assim.map_or(0, |a| a.reports_assimilated),
     }
 }
 
-/// The background service loop; exits when shutdown has been requested
-/// (or every client handle dropped) **and** all in-flight requests have
-/// delivered their products.
-fn service_loop(rx: &Receiver<Control>, cfg: ServiceConfig) {
-    let tick = if cfg.tick > 0.0 { cfg.tick } else { 2.0 };
-    let mut batch = SimBatch::new(cfg.threads);
-    let mut active: Vec<Active> = Vec::new();
-    let mut draining = false;
-    loop {
-        // Admit: block when idle, drain opportunistically when busy.
-        if active.is_empty() {
-            if draining {
-                return;
-            }
-            match rx.recv() {
-                Ok(Control::Submit(p)) => active.extend(admit(*p, &mut batch)),
-                Ok(Control::Shutdown) | Err(_) => return,
-            }
-        }
-        loop {
-            match rx.try_recv() {
-                Ok(Control::Submit(p)) => {
-                    if draining {
-                        let _ = p.tx.send(ForecastEvent::Failed {
-                            request: p.id,
-                            error: "service is shutting down".to_string(),
-                        });
-                    } else {
-                        active.extend(admit(*p, &mut batch));
-                    }
-                }
-                Ok(Control::Shutdown) => draining = true,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    draining = true;
-                    break;
-                }
-            }
-        }
-        if active.is_empty() {
-            continue;
-        }
+#[cfg(test)]
+mod tests {
+    use super::lanes;
 
-        // Advance to the next event: the earliest owed horizon, clamped to
-        // one tick past the slowest member (catch-up + obs cadence).
-        let target = active
-            .iter()
-            .filter_map(Active::next_horizon)
-            .fold(f64::INFINITY, f64::min);
-        let t_min = active
-            .iter()
-            .map(|a| a.time(&batch))
-            .fold(f64::INFINITY, f64::min);
-        let t_step = target.min(t_min + tick);
-        let advanced = batch.advance_to(t_step);
-
-        // Assimilate + emit per request; retire the finished and the
-        // failed.
-        let mut k = 0;
-        while k < active.len() {
-            let failed = if let Err(e) = &advanced {
-                Some(format!("batch advance: {e}"))
-            } else {
-                assimilate_and_emit(&mut active[k], &mut batch).err()
-            };
-            let done = failed.is_none() && active[k].next >= active[k].horizons.len();
-            if failed.is_some() || done {
-                let a = active.swap_remove(k);
-                for sid in &a.member_ids {
-                    batch.remove(*sid);
+    #[test]
+    fn lane_width_is_own_thread_plus_idle_workers() {
+        for threads in 1..=8usize {
+            // Surge: every worker holds a request — inline, nothing spawned.
+            assert_eq!(lanes(threads, threads, 25), 1);
+            for members in 1..=30usize {
+                // Lone request: every worker, as far as there are members.
+                assert_eq!(lanes(threads, 1, members), threads.min(members));
+                for holding in 0..=threads + 1 {
+                    let w = lanes(threads, holding, members);
+                    assert!(
+                        (1..=threads.max(1)).contains(&w),
+                        "never 0, never more than workers"
+                    );
                 }
-                let event = match failed {
-                    Some(error) => ForecastEvent::Failed {
-                        request: a.id,
-                        error,
-                    },
-                    None => ForecastEvent::Finished { request: a.id },
-                };
-                let _ = a.tx.send(event);
-            } else {
-                k += 1;
             }
+            assert_eq!(lanes(threads, 1, 0), 1, "never 0");
         }
+        assert_eq!(lanes(4, 3, 25), 2);
     }
 }

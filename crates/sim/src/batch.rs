@@ -2,16 +2,17 @@
 //!
 //! The paper's end goal is an operational service running many data-driven
 //! fire forecasts at once, not one simulation per process. `SimBatch` is
-//! that service layer's execution core: it owns N realized
-//! [`Simulation`]s (each a coupled model + state + private workspace) and
-//! advances them toward a shared horizon the way the paper's Fig. 2 loop
-//! advances ensemble members — independently, in parallel. Every slot is
-//! one work item, claimed from a shared atomic cursor by the ensemble
-//! worker pool (`wildfire_ensemble::pool::parallel_for_each_dynamic_ws`),
-//! so a cheap or already-finished fire never pins a worker while another
-//! grinds through an expensive one. There is no lockstep and no
-//! compatibility rule: slots may differ in grid, fuels, reference dt and
-//! clock.
+//! the offline form of that: it owns N realized [`Simulation`]s (each a
+//! coupled model + state + private workspace) and advances them toward a
+//! shared horizon the way the paper's Fig. 2 loop advances ensemble
+//! members — independently, in parallel. Every slot is one work item,
+//! claimed from a shared atomic cursor by the ensemble worker pool
+//! (`wildfire_ensemble::pool::parallel_for_each_dynamic_ws`), so a cheap
+//! or already-finished fire never pins a worker while another grinds
+//! through an expensive one. There is no lockstep and no compatibility
+//! rule: slots may differ in grid, fuels, reference dt and clock. (The
+//! long-lived `wildfire-service` schedules whole requests on its own
+//! workers and does not go through this type.)
 //!
 //! **Bitwise contract.** A slot's advance *is* [`Simulation::run_until`],
 //! so batched results are bit-identical to running every slot alone, for
@@ -64,12 +65,11 @@ impl Rollup {
     }
 }
 
-/// One owned simulation inside the batch plus its rollup, its stable
-/// identity (slots stay sorted by id) and the outcome of its last advance.
+/// One owned simulation inside the batch plus its rollup and the outcome
+/// of its last advance.
 struct Slot {
     sim: Simulation,
     rollup: Rollup,
-    id: usize,
     outcome: Result<()>,
 }
 
@@ -93,7 +93,7 @@ impl Slot {
 }
 
 /// Batch-level products for one slot, as reported by
-/// [`SimBatch::products`] and [`SimBatch::slot_products`].
+/// [`SimBatch::products`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotProducts {
     /// Scenario name of the slot.
@@ -123,7 +123,6 @@ pub struct SlotProducts {
 pub struct SimBatch {
     slots: Vec<Slot>,
     threads: usize,
-    next_id: usize,
 }
 
 impl SimBatch {
@@ -133,28 +132,21 @@ impl SimBatch {
         SimBatch {
             slots: Vec::new(),
             threads: threads.max(1),
-            next_id: 0,
         }
     }
 
-    /// Adds a realized simulation; returns its stable slot id. Ids are
-    /// assigned monotonically, never reused, and survive
-    /// [`SimBatch::remove`] of other slots — while no slot has been
-    /// removed, the id coincides with the slot's position.
+    /// Adds a realized simulation; returns its slot index.
     pub fn push(&mut self, sim: Simulation) -> usize {
-        let id = self.next_id;
-        self.next_id += 1;
         self.slots.push(Slot {
             sim,
             rollup: Rollup::default(),
-            id,
             outcome: Ok(()),
         });
-        id
+        self.slots.len() - 1
     }
 
-    /// Builds and adds a simulation from a scenario; returns its stable
-    /// slot id.
+    /// Builds and adds a simulation from a scenario; returns its slot
+    /// index.
     ///
     /// # Errors
     /// Propagates [`SimulationBuilder::build`] failures.
@@ -173,44 +165,12 @@ impl SimBatch {
         self.slots.is_empty()
     }
 
-    /// Position of the slot with the given stable id, if still present.
-    /// Slots are kept sorted by id, so this is a binary search.
-    pub fn position_of(&self, id: usize) -> Option<usize> {
-        self.slots.binary_search_by_key(&id, |s| s.id).ok()
-    }
-
-    /// The stable ids of all current slots, in slot order.
-    pub fn ids(&self) -> Vec<usize> {
-        self.slots.iter().map(|s| s.id).collect()
-    }
-
-    /// The slot's simulation, by stable id.
+    /// The simulation in slot `index`.
     ///
     /// # Panics
-    /// Panics when no slot has this id (e.g. after [`SimBatch::remove`]).
-    pub fn simulation(&self, id: usize) -> &Simulation {
-        let at = self.position_of(id).expect("no batch slot with this id");
-        &self.slots[at].sim
-    }
-
-    /// Mutable access to a slot's simulation, by stable id. Mutating model
-    /// configuration or state mid-batch is allowed — slots are advanced
-    /// independently.
-    ///
-    /// # Panics
-    /// Panics when no slot has this id (e.g. after [`SimBatch::remove`]).
-    pub fn simulation_mut(&mut self, id: usize) -> &mut Simulation {
-        let at = self.position_of(id).expect("no batch slot with this id");
-        &mut self.slots[at].sim
-    }
-
-    /// Retires a slot, returning its simulation (with whatever state it
-    /// has reached). `None` when no slot has this id. The remaining slots'
-    /// ids are unaffected — this is how a long-lived service admits and
-    /// retires forecasts from a running batch.
-    pub fn remove(&mut self, id: usize) -> Option<Simulation> {
-        let at = self.position_of(id)?;
-        Some(self.slots.remove(at).sim)
+    /// Panics when `index` is out of range.
+    pub fn simulation(&self, index: usize) -> &Simulation {
+        &self.slots[index].sim
     }
 
     /// Advances every slot to `horizon` (slots already past it are left
@@ -220,9 +180,9 @@ impl SimBatch {
     /// thread count. Allocation-free once the slots' workspaces are warm.
     ///
     /// # Errors
-    /// The error of the first (lowest-id) failing slot, with the batch left
-    /// partially advanced: a failed slot stops at its failing step, every
-    /// other slot completes.
+    /// The error of the first (lowest-index) failing slot, with the batch
+    /// left partially advanced: a failed slot stops at its failing step,
+    /// every other slot completes.
     pub fn advance_to(&mut self, horizon: f64) -> Result<()> {
         // The simulations carry their own workspaces; the pool only needs
         // a worker count (a `Vec` of zero-sized items never allocates).
@@ -232,12 +192,6 @@ impl SimBatch {
             slot.outcome = slot.sim.run_until(horizon, |_, diag| rollup.absorb(diag));
         });
         self.slots.iter().try_for_each(|s| s.outcome.clone())
-    }
-
-    /// Products of the slot with the given stable id, or `None` when no
-    /// slot has this id.
-    pub fn slot_products(&self, id: usize) -> Option<SlotProducts> {
-        Some(self.slots[self.position_of(id)?].products())
     }
 
     /// The batch product table, in slot order.
@@ -274,25 +228,6 @@ mod tests {
             })
             .build()
             .expect("tiny scenario builds")
-    }
-
-    #[test]
-    fn slot_ids_are_stable_across_removal_and_reinsertion() {
-        let mut batch = SimBatch::new(1);
-        let a = batch.push(tiny_sim(0));
-        let b = batch.push(tiny_sim(1));
-        let c = batch.push(tiny_sim(2));
-        assert_eq!((a, b, c), (0, 1, 2));
-        let removed = batch.remove(b).expect("slot b present");
-        assert_eq!(removed.scenario.name, "tiny-1");
-        assert!(batch.remove(b).is_none());
-        assert_eq!(batch.ids(), vec![a, c]);
-        assert_eq!(batch.simulation(c).scenario.name, "tiny-2");
-        assert_eq!(batch.position_of(c), Some(1));
-        let d = batch.push(tiny_sim(3));
-        assert_eq!(d, 3, "ids are monotonic, never reused");
-        batch.advance_to(1.0).expect("advance");
-        assert_eq!(batch.ids(), vec![a, c, d], "advance preserves id order");
     }
 
     #[test]

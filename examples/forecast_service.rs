@@ -1,8 +1,8 @@
 //! The forecast service end to end: a long-lived [`ForecastService`]
-//! owning one shared `SimBatch`, four concurrent forecast requests —
-//! one of them steered by a live channel-fed observation stream — and
-//! per-request product channels delivering burned-area/perimeter rollups
-//! at each requested horizon.
+//! with two workers, four forecast requests — one of them steered by a
+//! live channel-fed observation stream — each run to completion on a
+//! worker, and per-request product channels delivering
+//! burned-area/perimeter rollups at each requested horizon.
 //!
 //! This is the paper's operational picture in miniature: a standing
 //! "faster than real time" forecast engine that fields requests while
@@ -12,11 +12,13 @@
 
 use wildfire::fire::IgnitionShape;
 use wildfire::obs::{ChannelSource, ObsReport, ObservationOperator, StridedPsi};
-use wildfire::service::{ForecastProduct, ForecastRequest, ForecastService, ServiceConfig};
+use wildfire::service::{
+    ForecastEvent, ForecastProduct, ForecastRequest, ForecastService, ServiceConfig,
+};
 use wildfire::sim::{DomainSpec, Scenario, SimulationBuilder};
 
-/// A small domain (13×13 fire mesh over a 5×5×4 atmosphere) so the
-/// service loop turns over many ticks quickly.
+/// A small domain (13×13 fire mesh over a 5×5×4 atmosphere) so every
+/// request is served quickly.
 const DOMAIN: DomainSpec = DomainSpec {
     nx: 5,
     ny: 5,
@@ -100,33 +102,43 @@ fn main() {
         })
         .expect("submit streamed");
 
-    // Requests 2–4: free-running forecasts sharing the same batch.
-    let free: Vec<_> = [
-        ("free-a", vec![3.0]),
-        ("free-b", vec![2.0, 4.0]),
-        ("free-c", vec![1.0]),
-    ]
-    .into_iter()
-    .map(|(name, horizons)| {
-        service
-            .submit(ForecastRequest::free_run(scenario(name), horizons))
-            .expect("submit free run")
-    })
-    .collect();
+    // Requests 2–4: free-running forecasts queued behind it.
+    const NAMES: [&str; 4] = ["streamed", "free-a", "free-b", "free-c"];
+    let mut handles = vec![streamed];
+    for (name, horizons) in [
+        (NAMES[1], vec![3.0]),
+        (NAMES[2], vec![2.0, 4.0]),
+        (NAMES[3], vec![1.0]),
+    ] {
+        let req = ForecastRequest::free_run(scenario(name), horizons);
+        handles.push(service.submit(req).expect("submit free run"));
+    }
 
-    let streamed_products = streamed.wait().expect("streamed request succeeds");
-    let free_products: Vec<Vec<ForecastProduct>> = free
-        .into_iter()
-        .map(|h| h.wait().expect("free run succeeds"))
-        .collect();
+    // Drain every handle as events arrive, noting who finishes when: the
+    // workers take requests oldest first and run each to completion.
+    let mut products: Vec<Vec<ForecastProduct>> = vec![Vec::new(); handles.len()];
+    let mut finished = Vec::new();
+    while finished.len() < handles.len() {
+        for (k, handle) in handles.iter().enumerate() {
+            while let Some(event) = handle.try_next() {
+                match event {
+                    ForecastEvent::Product(p) => products[k].push(p),
+                    ForecastEvent::Finished { .. } => finished.push(NAMES[k]),
+                    ForecastEvent::Failed { error, .. } => panic!("{} failed: {error}", NAMES[k]),
+                }
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    println!("finished in order: {}", finished.join(", "));
+    let (streamed_products, free_products) = products.split_first().expect("four requests");
 
     println!(
         "\n{:<12} {:>7} {:>7} {:>7} {:>12} {:>10} {:>9} {:>9}",
         "request", "horizon", "t [s]", "members", "area [m2]", "perim [m]", "ros max", "reports"
     );
-    print_products("streamed", &streamed_products);
-    for (i, products) in free_products.iter().enumerate() {
-        print_products(["free-a", "free-b", "free-c"][i], products);
+    for (name, products) in NAMES.iter().zip(&products) {
+        print_products(name, products);
     }
 
     assert_eq!(streamed_products.len(), 2, "one product per horizon");

@@ -27,7 +27,7 @@
 //! | [`enkf`] | EnKF, registration, morphing EnKF (§3.3) |
 //! | [`ensemble`] | parallel ensemble driver, assimilation cycles (Fig. 2) |
 //! | [`sim`] | scenario descriptors, builder, registry, ensemble hooks |
-//! | [`service`] | threaded forecast service over the batched executor |
+//! | [`service`] | threaded forecast service: one request per worker, run to completion |
 
 #![forbid(unsafe_code)]
 
