@@ -2,9 +2,8 @@
 //!
 //! A simplified three-dimensional atmospheric dynamics core standing in for
 //! WRF (the Weather Research and Forecasting model) in the coupled
-//! fire–atmosphere system of §2.3. See DESIGN.md §2 for the substitution
-//! argument; in short, every coupling mechanism the paper exercises is
-//! present:
+//! fire–atmosphere system of §2.3. The substitution keeps every coupling
+//! mechanism the paper exercises:
 //!
 //! * horizontal winds near the surface advect the fire;
 //! * fire heat creates buoyant updrafts that modify those winds (the Fig. 1

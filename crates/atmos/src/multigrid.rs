@@ -75,8 +75,8 @@ const COARSE_TOL: f64 = 1e-2;
 /// sides: at 320 cells CG is still faster end-to-end; with the
 /// color-contiguous smoother and the relaxed coarse-level tolerance the
 /// paper's fig1 grid (600 cells) already favors multigrid (~1.17×), and
-/// the gap widens with size (~2.5× at 20×20×10, ~4.9× at 40×40×16 — see
-/// the `poisson_solvers` criterion bench).
+/// the gap widens with size (~2.5× at 20×20×10, ~4.9× at 40×40×16,
+/// measured when multigrid landed).
 pub const AUTO_MULTIGRID_MIN: usize = 512;
 
 /// Whether `grid` supports a multigrid hierarchy: it must be large enough
@@ -275,7 +275,7 @@ impl PackedSmoother {
     /// identical to [`smooth_reference`] on the same inputs. Packs `x` and
     /// `b` on entry, unpacks `x` on exit. The V-cycle itself keeps levels
     /// packed-resident instead (see [`MgHierarchy`]); this entry point
-    /// serves standalone smoothing and the criterion bench.
+    /// serves standalone smoothing.
     pub fn smooth(&mut self, g: &AtmosGrid, b: &[f64], x: &mut [f64], sweeps: usize) {
         self.pack_x(x);
         self.pack_b(b);

@@ -9,8 +9,6 @@
 //!   data mismatch, using the model only as a black box.
 //! * [`etkf`] — a deterministic square-root variant (ensemble transform
 //!   Kalman filter), provided as an extension for comparison runs.
-//! * [`localization`] — Gaspari–Cohn covariance tapering (extension; the
-//!   paper's reference \[7\] pursues a related regularization theme).
 //! * [`registration`] — automatic grid registration: finds the mapping `T`
 //!   with `u ≈ u0∘(I + T)` by multilevel optimization of
 //!   `‖u − u0∘(I+T)‖² + c₁‖T‖² + c₂‖∇T‖²` (the paper's registration
@@ -27,7 +25,6 @@
 
 pub mod enkf;
 pub mod etkf;
-pub mod localization;
 pub mod morph;
 pub mod morphing_enkf;
 pub mod registration;

@@ -122,14 +122,4 @@ proptest! {
         }
         prop_assert!(max_err < 0.05, "reconstruction error {max_err}");
     }
-
-    /// Gaspari–Cohn is a valid taper: in [0, 1], 1 at 0, 0 beyond 2c.
-    #[test]
-    fn gaspari_cohn_taper_valid(r in 0.0f64..5.0) {
-        let v = wildfire_enkf::localization::gaspari_cohn(r);
-        prop_assert!((0.0..=1.0).contains(&v));
-        if r >= 2.0 {
-            prop_assert_eq!(v, 0.0);
-        }
-    }
 }

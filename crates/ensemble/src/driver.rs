@@ -11,12 +11,12 @@
 //! plus the filter RNG so an interrupted assimilation run resumes bit for
 //! bit.
 
-use crate::metrics::{evaluate_coupled_ensemble, EnsembleMetrics};
 use crate::pool::{
     parallel_for_each_column_ws, parallel_for_each_dynamic_ws, parallel_for_each_ws,
 };
 use crate::store::SnapshotStore;
 use crate::{EnsembleError, Result};
+use std::sync::{Mutex, PoisonError};
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace};
 use wildfire_enkf::morphing_enkf::ExtendedState;
 use wildfire_enkf::{
@@ -32,7 +32,7 @@ use wildfire_obs::snapshot::{
 };
 use wildfire_obs::{
     CoupledSnapshot, ObsInbox, ObsScratch, ObsSet, ObsSource, ObsWorkspace, ObservationOperator,
-    Snapshot, StridedPsi, TIME_EPS,
+    Snapshot, TIME_EPS,
 };
 
 /// Cap used to encode the `t_i = ∞` (unburned) sentinel as a finite value
@@ -42,16 +42,14 @@ pub const TIG_CAP: f64 = 1.0e4;
 /// Scratch for a full forecast–analysis cycle: one [`CoupledWorkspace`] per
 /// worker thread for the member-parallel forecast, plus the packed filter
 /// matrices and the analysis workspaces. Create once per driver lifetime
-/// and thread through [`EnsembleDriver::cycle_ws`]; everything is sized on
-/// first use and reused across cycles.
+/// and thread through [`EnsembleDriver::cycle_obs_ws`]; everything is sized
+/// on first use and reused across cycles.
 #[derive(Debug, Default)]
 pub struct EnsembleWorkspace {
     /// Per-worker coupled-model workspaces (index = worker).
     pub workers: Vec<CoupledWorkspace>,
     /// Packed state ensemble `X` (`2·grid × N`).
     pub(crate) x: Matrix,
-    /// Identical-twin measurement scratch for the `obs_stride` wrappers.
-    pub(crate) data: Vec<f64>,
     /// Observation-pool packing buffers: `(y, H(X), R)`.
     pub obs: ObsWorkspace,
     /// Inner dense-analysis scratch (standard-EnKF and ETKF paths).
@@ -109,16 +107,6 @@ impl EnsembleWorkspace {
     }
 }
 
-/// Which analysis algorithm a cycle uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterKind {
-    /// Stochastic EnKF applied directly to the model fields `(ψ, t_i)` —
-    /// the baseline that Fig. 4(c) shows diverging.
-    Standard,
-    /// The morphing EnKF of §3.3 — Fig. 4(d).
-    Morphing,
-}
-
 /// Initial-ensemble specification: the identical-twin setup of Fig. 4
 /// ("the initial ensemble was created by a random perturbation of the
 /// comparison solution, with the fire ignited at an intentionally incorrect
@@ -135,15 +123,6 @@ pub struct EnsembleSetup {
     pub position_spread: f64,
     /// RNG seed for the perturbation draws.
     pub seed: u64,
-}
-
-/// Outcome metrics of one assimilation cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleReport {
-    /// Metrics before the analysis (forecast fit).
-    pub forecast: EnsembleMetrics,
-    /// Metrics after the analysis.
-    pub analysis: EnsembleMetrics,
 }
 
 /// Which analysis algorithm an observation-pool cycle runs.
@@ -165,8 +144,8 @@ pub enum ObsFilter<'a> {
 
 /// Data-side outcome of one observation-pool cycle: RMS innovation of the
 /// ensemble mean against the pooled measurements, before and after the
-/// analysis. Unlike [`CycleReport`] this needs no truth state — it is the
-/// metric available with *real* data.
+/// analysis. It needs no truth state — it is the metric available with
+/// *real* data.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsCycleReport {
     /// RMS innovation after the forecast, before the analysis.
@@ -222,18 +201,9 @@ impl EnsembleDriver {
     }
 
     /// Advances all members to `t_target` in parallel (the forecast phase
-    /// of Fig. 2). Member failures are collected and the first is returned.
-    ///
-    /// # Errors
-    /// The first member failure, if any.
-    pub fn forecast(&self, members: &mut [CoupledState], t_target: f64, dt: f64) -> Result<()> {
-        let mut ws = EnsembleWorkspace::new();
-        self.forecast_ws(members, t_target, dt, &mut ws)
-    }
-
-    /// Workspace-backed [`EnsembleDriver::forecast`]: each worker thread
-    /// steps its members through its own [`CoupledWorkspace`] from `ws`, so
-    /// the parallel path stays lock-free and bit-identical to sequential.
+    /// of Fig. 2): each worker thread steps its members through its own
+    /// [`CoupledWorkspace`] from `ws`, so the parallel path stays lock-free
+    /// and bit-identical to sequential.
     /// All *stepping* buffers are reused; with `threads <= 1` the call is
     /// fully allocation-free in steady state, while `threads > 1` still
     /// spawns the scoped worker threads each call.
@@ -252,42 +222,26 @@ impl EnsembleDriver {
         // driver with more threads must not raise THIS driver's worker count
         // (parallel_for_each_ws spawns one worker per workspace handed in).
         let workers = &mut ws.workers[..self.threads.max(1)];
-        let errors = parking_lot::Mutex::new(Vec::new());
+        let errors = Mutex::new(Vec::new());
         parallel_for_each_ws(members, workers, |i, state, cw| {
             if let Err(e) = self.model.run_ws(state, t_target, dt, cw, |_, _| {}) {
-                errors.lock().push((i, e));
+                errors
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((i, e));
             }
         });
-        let mut errs = errors.into_inner();
+        let mut errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some((_, e)) = errs.drain(..).next() {
             return Err(e.into());
         }
         Ok(())
     }
 
-    /// Forecast phase routed through a [`SnapshotStore`]: full-state member
-    /// snapshots are saved, loaded back, advanced, and written again — the
-    /// disk-file dataflow of Fig. 2, benchmarked in experiment E2. A thin
-    /// allocating wrapper over [`EnsembleDriver::forecast_via_store_ws`],
-    /// kept signature-compatible and pinned bit-identical to the direct
-    /// forecast by the equivalence tests.
-    ///
-    /// # Errors
-    /// Store or model failures.
-    pub fn forecast_via_store(
-        &self,
-        members: &mut [CoupledState],
-        store: &dyn SnapshotStore,
-        t_target: f64,
-        dt: f64,
-    ) -> Result<()> {
-        let mut ws = EnsembleWorkspace::new();
-        self.forecast_via_store_ws(members, store, t_target, dt, &mut ws)
-    }
-
-    /// Workspace-backed [`EnsembleDriver::forecast_via_store`]: saves every
-    /// member's snapshot, then runs the whole ensemble as shard 0 of 1
-    /// through [`EnsembleDriver::forecast_shard_via_store`]. Each worker
+    /// Forecast phase routed through a [`SnapshotStore`] — the disk-file
+    /// dataflow of Fig. 2: saves every member's full-state snapshot, then
+    /// runs the whole ensemble as shard 0 of 1 through
+    /// [`EnsembleDriver::forecast_shard_via_store`]. Each worker
     /// loads, steps, and stores through its own [`StoreWorker`] scratch, so
     /// with `threads <= 1` the exchange is allocation-free in steady state.
     ///
@@ -338,7 +292,7 @@ impl EnsembleDriver {
     ) -> Result<()> {
         ws.ensure_store_workers(self.threads);
         let workers = &mut ws.store_workers[..self.threads.max(1)];
-        let errors = parking_lot::Mutex::new(Vec::new());
+        let errors = Mutex::new(Vec::new());
         parallel_for_each_ws(shard, workers, |i, state, sw| {
             let mut run = || -> Result<()> {
                 let member = first_member + i;
@@ -354,10 +308,13 @@ impl EnsembleDriver {
                 Ok(())
             };
             if let Err(e) = run() {
-                errors.lock().push((i, e));
+                errors
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((i, e));
             }
         });
-        let mut errs = errors.into_inner();
+        let mut errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some((_, e)) = errs.drain(..).next() {
             return Err(e);
         }
@@ -513,64 +470,6 @@ impl EnsembleDriver {
         Ok(())
     }
 
-    /// Standard-EnKF analysis directly on the model fields (Fig. 4(c)
-    /// baseline): state vector `[ψ, t_i]`, observations are the truth's ψ
-    /// values at every `obs_stride`-th fire-mesh node.
-    ///
-    /// # Errors
-    /// Filter failures.
-    pub fn analyze_standard(
-        &self,
-        members: &mut [CoupledState],
-        truth_fire: &FireState,
-        obs_stride: usize,
-        sigma_obs: f64,
-        inflation: f64,
-        rng: &mut GaussianSampler,
-    ) -> Result<()> {
-        let mut ws = EnsembleWorkspace::new();
-        self.analyze_standard_ws(
-            members, truth_fire, obs_stride, sigma_obs, inflation, rng, &mut ws,
-        )
-    }
-
-    /// Workspace-backed [`EnsembleDriver::analyze_standard`] — since the
-    /// observation-pool redesign a thin identical-twin wrapper over
-    /// [`EnsembleDriver::analyze_obs_ws`]: the strided-ψ sampling is a
-    /// [`StridedPsi`] operator and the "real data" is the noise-free truth
-    /// ψ at the observed nodes. The dense buffers come from `ws` (only the
-    /// one-entry pool descriptor is rebuilt per call); bit-identical to
-    /// both the allocating wrapper and the seed's inlined `obs_stride`
-    /// implementation.
-    ///
-    /// # Errors
-    /// Filter failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn analyze_standard_ws(
-        &self,
-        members: &mut [CoupledState],
-        truth_fire: &FireState,
-        obs_stride: usize,
-        sigma_obs: f64,
-        inflation: f64,
-        rng: &mut GaussianSampler,
-        ws: &mut EnsembleWorkspace,
-    ) -> Result<()> {
-        let op = StridedPsi::new(truth_fire.grid(), obs_stride, sigma_obs);
-        // Take the measurement buffer out of the workspace so the pool can
-        // borrow it while the rest of `ws` is threaded through the analysis.
-        let mut data = std::mem::take(&mut ws.data);
-        data.clear();
-        let measured = op.measure_truth_into(truth_fire, &mut data);
-        let result = measured.map_err(EnsembleError::Store).and_then(|()| {
-            let mut pool = ObsSet::new();
-            pool.push(&op, &data).map_err(EnsembleError::Store)?;
-            self.analyze_obs_ws(members, &pool, inflation, rng, ws)
-        });
-        ws.data = data;
-        result
-    }
-
     /// Generic stochastic-EnKF analysis against a heterogeneous observation
     /// pool (Fig. 2's "real data pool"): the pool packs any mix of
     /// operators + measurements into `(y, H(X), R)`, the filter never sees
@@ -619,18 +518,21 @@ impl EnsembleDriver {
         if ws.obs_scratch.len() < workers {
             ws.obs_scratch.resize_with(workers, ObsScratch::new);
         }
-        let errors = parking_lot::Mutex::new(Vec::new());
+        let errors = Mutex::new(Vec::new());
         parallel_for_each_column_ws(
             ws.obs.hx.as_mut_slice(),
             m,
             &mut ws.obs_scratch[..workers],
             |j, col, scratch| {
                 if let Err(e) = pool.pack_member_column(&members[j], col, scratch) {
-                    errors.lock().push((j, e));
+                    errors
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((j, e));
                 }
             },
         );
-        let mut errs = errors.into_inner();
+        let mut errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some((_, e)) = errs.drain(..).next() {
             return Err(EnsembleError::Store(e));
         }
@@ -666,25 +568,9 @@ impl EnsembleDriver {
         Ok(())
     }
 
-    /// Deterministic square-root (ETKF) analysis against an observation
-    /// pool — the sampling-noise-free cross-check variant. Same packing and
-    /// workspace contract as [`EnsembleDriver::analyze_obs_ws`]; no RNG is
-    /// consumed.
-    ///
-    /// # Errors
-    /// Observation-operator and filter failures.
-    pub fn analyze_obs_etkf_ws(
-        &self,
-        members: &mut [CoupledState],
-        pool: &ObsSet<'_>,
-        inflation: f64,
-        ws: &mut EnsembleWorkspace,
-    ) -> Result<()> {
-        self.pack_pool_ws(members, pool, ws)?;
-        self.analyze_packed_etkf_ws(members, inflation, ws)
-    }
-
-    /// [`EnsembleDriver::analyze_obs_etkf_ws`] minus the pool packing (see
+    /// Deterministic square-root (ETKF) analysis of the packed pool in
+    /// `ws.obs` — the sampling-noise-free variant [`ObsFilter::Etkf`]
+    /// selects; no RNG is consumed (see
     /// [`EnsembleDriver::analyze_packed_ws`]).
     fn analyze_packed_etkf_ws(
         &self,
@@ -712,11 +598,10 @@ impl EnsembleDriver {
     /// observation to register against, so the pool must contain at least
     /// one gridded-ψ stream (an operator whose
     /// [`wildfire_obs::ObservationOperator::scatter_psi`] succeeds — e.g.
-    /// [`StridedPsi`]); its measurements are scattered back onto the fire
-    /// mesh and drive registration + amplitude analysis exactly like the
-    /// truth field in [`EnsembleDriver::analyze_morphing_ws`]. Pointwise
-    /// streams (stations) cannot be registered and are ignored by this
-    /// variant — pool them through [`EnsembleDriver::analyze_obs_ws`]
+    /// [`wildfire_obs::StridedPsi`]); its measurements are scattered back
+    /// onto the fire mesh and drive registration + amplitude analysis.
+    /// Pointwise streams (stations) cannot be registered and are ignored by
+    /// this variant — pool them through [`EnsembleDriver::analyze_obs_ws`]
     /// instead or alongside. Requires `config.observed_fields == [0]` (the
     /// ψ block; the ignition-time field has no gridded data stream).
     ///
@@ -743,7 +628,7 @@ impl EnsembleDriver {
             .iter()
             .any(|e| e.op.scatter_psi(e.data, &mut psi_data));
         let result = if found {
-            self.analyze_morphing_fields_ws(members, &psi_data, None, config, rng, ws)
+            self.analyze_morphing_fields_ws(members, &psi_data, config, rng, ws)
         } else {
             Err(EnsembleError::Config(
                 "morphing analysis needs a gridded-psi observation stream in the pool",
@@ -753,63 +638,12 @@ impl EnsembleDriver {
         result
     }
 
-    /// Morphing-EnKF analysis (Fig. 4(d)): members are registered against a
-    /// reference member in parallel, the inner EnKF runs on extended states
-    /// `[r, T]`, and the results are morphed back.
-    ///
-    /// # Errors
-    /// Filter failures.
-    pub fn analyze_morphing(
-        &self,
-        members: &mut [CoupledState],
-        truth_fire: &FireState,
-        config: &MorphingConfig,
-        rng: &mut GaussianSampler,
-    ) -> Result<()> {
-        let mut ws = EnsembleWorkspace::new();
-        self.analyze_morphing_ws(members, truth_fire, config, rng, &mut ws)
-    }
-
-    /// Workspace-backed [`EnsembleDriver::analyze_morphing`]: the inner
-    /// EnKF's packed matrices and dense temporaries come from `ws.morph`,
-    /// and the parallel registration phase draws per-worker scratch
-    /// pyramids from `ws.reg_pool` (the per-member extended states are
-    /// returned values, not scratch, and remain the only per-cycle
-    /// registration allocations). Bit-identical to the allocating wrapper.
-    ///
-    /// # Errors
-    /// Filter failures.
-    pub fn analyze_morphing_ws(
-        &self,
-        members: &mut [CoupledState],
-        truth_fire: &FireState,
-        config: &MorphingConfig,
-        rng: &mut GaussianSampler,
-        ws: &mut EnsembleWorkspace,
-    ) -> Result<()> {
-        let capped_tig = Field2::from_vec(
-            truth_fire.psi.grid(),
-            truth_fire
-                .tig
-                .as_slice()
-                .iter()
-                .map(|&t| t.min(TIG_CAP))
-                .collect(),
-        );
-        self.analyze_morphing_fields_ws(
-            members,
-            &truth_fire.psi,
-            Some(&capped_tig),
-            config,
-            rng,
-            ws,
-        )
-    }
-
-    /// Shared morphing analysis against field-valued data: `psi_data` is
-    /// the observed ψ field; `tig_data` the (capped) ignition-time data
-    /// field, or `None` to stand in the reference member's own — only valid
-    /// when field 1 is unobserved, as the observation-pool path enforces.
+    /// Morphing-EnKF analysis (Fig. 4(d)) against the observed ψ field
+    /// `psi_data`: members are registered against a reference member in
+    /// parallel, the inner EnKF runs on extended states `[r, T]`, and the
+    /// results are morphed back. The reference member's own capped
+    /// ignition times stand in for the data's — only valid when field 1 is
+    /// unobserved, as [`EnsembleDriver::analyze_obs_morphing_ws`] enforces.
     ///
     /// # Errors
     /// Filter failures.
@@ -817,7 +651,6 @@ impl EnsembleDriver {
         &self,
         members: &mut [CoupledState],
         psi_data: &Field2,
-        tig_data: Option<&Field2>,
         config: &MorphingConfig,
         rng: &mut GaussianSampler,
         ws: &mut EnsembleWorkspace,
@@ -845,7 +678,7 @@ impl EnsembleDriver {
             ws.data_fields = vec![Field2::default(), Field2::default()];
         }
         ws.data_fields[0].copy_from(psi_data);
-        ws.data_fields[1].copy_from(tig_data.unwrap_or(&reference[1]));
+        ws.data_fields[1].copy_from(&reference[1]);
 
         // Parallel registrations (the expensive transform phase): the
         // members and, as the last item, the data are stolen from a shared
@@ -1061,83 +894,18 @@ impl EnsembleDriver {
         }
         Ok(report)
     }
-
-    /// One full cycle: forecast to `t_target`, evaluate, analyze with the
-    /// chosen filter, evaluate again.
-    ///
-    /// # Errors
-    /// Model and filter failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cycle(
-        &self,
-        members: &mut [CoupledState],
-        truth: &CoupledState,
-        filter: FilterKind,
-        t_target: f64,
-        dt: f64,
-        morphing_config: &MorphingConfig,
-        rng: &mut GaussianSampler,
-    ) -> Result<CycleReport> {
-        let mut ws = EnsembleWorkspace::new();
-        self.cycle_ws(
-            members,
-            truth,
-            filter,
-            t_target,
-            dt,
-            morphing_config,
-            rng,
-            &mut ws,
-        )
-    }
-
-    /// Workspace-backed [`EnsembleDriver::cycle`]: the forecast runs through
-    /// per-worker [`CoupledWorkspace`]s and the analysis through the packed
-    /// filter scratch, so repeated cycles with one [`EnsembleWorkspace`]
-    /// reuse every dense stepping/analysis buffer. Remaining allocations:
-    /// the two metrics evaluations (per-member component masks), the
-    /// standard path's one-entry pool descriptor (the `obs_stride` wrapper
-    /// builds a [`StridedPsi`] + [`ObsSet`] per call), plus — with
-    /// `threads > 1` — the scoped worker threads. Bit-identical to the
-    /// allocating wrapper.
-    ///
-    /// # Errors
-    /// Model and filter failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cycle_ws(
-        &self,
-        members: &mut [CoupledState],
-        truth: &CoupledState,
-        filter: FilterKind,
-        t_target: f64,
-        dt: f64,
-        morphing_config: &MorphingConfig,
-        rng: &mut GaussianSampler,
-        ws: &mut EnsembleWorkspace,
-    ) -> Result<CycleReport> {
-        self.forecast_ws(members, t_target, dt, ws)?;
-        let forecast = evaluate_coupled_ensemble(members, truth);
-        match filter {
-            FilterKind::Standard => {
-                self.analyze_standard_ws(members, &truth.fire, 7, 2.0, 1.0, rng, ws)?
-            }
-            FilterKind::Morphing => {
-                self.analyze_morphing_ws(members, &truth.fire, morphing_config, rng, ws)?
-            }
-        }
-        let analysis = evaluate_coupled_ensemble(members, truth);
-        Ok(CycleReport { forecast, analysis })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::evaluate_coupled_ensemble;
     use crate::store::MemStore;
     use wildfire_atmos::state::AtmosGrid;
     use wildfire_atmos::AtmosParams;
     use wildfire_enkf::RegistrationConfig;
     use wildfire_fuel::FuelCategory;
+    use wildfire_obs::StridedPsi;
 
     fn driver(threads: usize) -> EnsembleDriver {
         let model = CoupledModel::new(
@@ -1155,6 +923,15 @@ mod tests {
         )
         .unwrap();
         EnsembleDriver::new(model, threads)
+    }
+
+    /// Identical-twin ψ observations: the truth's ψ at every `stride`-th
+    /// fire-mesh node (σ = `sigma`), ready to push into an [`ObsSet`].
+    fn strided_psi(truth: &FireState, stride: usize, sigma: f64) -> (StridedPsi, Vec<f64>) {
+        let op = StridedPsi::new(truth.grid(), stride, sigma);
+        let mut data = Vec::new();
+        op.measure_truth_into(truth, &mut data).unwrap();
+        (op, data)
     }
 
     fn setup(n: usize) -> EnsembleSetup {
@@ -1188,8 +965,10 @@ mod tests {
         let d4 = driver(4);
         let mut serial = d1.initial_ensemble(&setup(5));
         let mut parallel = serial.clone();
-        d1.forecast(&mut serial, 2.0, 0.5).unwrap();
-        d4.forecast(&mut parallel, 2.0, 0.5).unwrap();
+        d1.forecast_ws(&mut serial, 2.0, 0.5, &mut EnsembleWorkspace::new())
+            .unwrap();
+        d4.forecast_ws(&mut parallel, 2.0, 0.5, &mut EnsembleWorkspace::new())
+            .unwrap();
         for (a, b) in serial.iter().zip(parallel.iter()) {
             assert_eq!(
                 a.fire.psi, b.fire.psi,
@@ -1204,9 +983,11 @@ mod tests {
         let d = driver(2);
         let mut direct = d.initial_ensemble(&setup(4));
         let mut routed = direct.clone();
-        d.forecast(&mut direct, 1.5, 0.5).unwrap();
+        d.forecast_ws(&mut direct, 1.5, 0.5, &mut EnsembleWorkspace::new())
+            .unwrap();
         let store = MemStore::new();
-        d.forecast_via_store(&mut routed, &store, 1.5, 0.5).unwrap();
+        d.forecast_via_store_ws(&mut routed, &store, 1.5, 0.5, &mut EnsembleWorkspace::new())
+            .unwrap();
         for (a, b) in direct.iter().zip(routed.iter()) {
             assert_eq!(a.fire.psi, b.fire.psi);
             assert_eq!(a.fire.tig, b.fire.tig);
@@ -1230,9 +1011,18 @@ mod tests {
             .map(|m| m.fire.psi.rmse(&truth.fire.psi).unwrap())
             .sum::<f64>()
             / 8.0;
+        let (op, data) = strided_psi(&truth.fire, 5, 1.0);
+        let mut pool = ObsSet::new();
+        pool.push(&op, &data).unwrap();
         let mut rng = GaussianSampler::new(5);
-        d.analyze_standard(&mut members, &truth.fire, 5, 1.0, 1.0, &mut rng)
-            .unwrap();
+        d.analyze_obs_ws(
+            &mut members,
+            &pool,
+            1.0,
+            &mut rng,
+            &mut EnsembleWorkspace::new(),
+        )
+        .unwrap();
         let after: f64 = members
             .iter()
             .map(|m| m.fire.psi.rmse(&truth.fire.psi).unwrap())
@@ -1276,9 +1066,20 @@ mod tests {
             ..Default::default()
         };
         let before = evaluate_coupled_ensemble(&members, &truth);
+        // A stride-1 gridded ψ stream: the dense thermal map the morphing
+        // filter registers against.
+        let (op, data) = strided_psi(&truth.fire, 1, 1.0);
+        let mut pool = ObsSet::new();
+        pool.push(&op, &data).unwrap();
         let mut rng = GaussianSampler::new(11);
-        d.analyze_morphing(&mut members, &truth.fire, &cfg, &mut rng)
-            .unwrap();
+        d.analyze_obs_morphing_ws(
+            &mut members,
+            &pool,
+            &cfg,
+            &mut rng,
+            &mut EnsembleWorkspace::new(),
+        )
+        .unwrap();
         let after = evaluate_coupled_ensemble(&members, &truth);
         assert!(
             after.mean_position_error < 0.6 * before.mean_position_error,
@@ -1294,6 +1095,9 @@ mod tests {
 
     #[test]
     fn workspace_cycle_matches_allocating_cycle_bitwise() {
+        // Two consecutive cycles through ONE workspace must stay
+        // bit-identical to cycles that each start from a fresh workspace:
+        // the workspace carries capacity, never state.
         let d = driver(3);
         let truth = d.model.ignite(
             &[IgnitionShape::Circle {
@@ -1302,89 +1106,28 @@ mod tests {
             }],
             0.0,
         );
-        let cfg = MorphingConfig::default();
+        let (op, data) = strided_psi(&truth.fire, 7, 2.0);
+        let mut pool = ObsSet::new();
+        pool.push(&op, &data).unwrap();
+        let filter = ObsFilter::Standard { inflation: 1.0 };
 
-        let mut alloc = d.initial_ensemble(&setup(6));
-        let mut with_ws = alloc.clone();
+        let mut fresh = d.initial_ensemble(&setup(6));
+        let mut reused = fresh.clone();
         let mut ws = EnsembleWorkspace::new();
         let mut rng_a = GaussianSampler::new(3);
         let mut rng_b = GaussianSampler::new(3);
-        // Two consecutive cycles through ONE workspace must stay
-        // bit-identical to the allocating path.
         for k in 0..2 {
             let t = 1.0 + k as f64;
-            d.cycle(
-                &mut alloc,
-                &truth,
-                FilterKind::Standard,
-                t,
-                0.5,
-                &cfg,
-                &mut rng_a,
-            )
-            .unwrap();
-            d.cycle_ws(
-                &mut with_ws,
-                &truth,
-                FilterKind::Standard,
-                t,
-                0.5,
-                &cfg,
-                &mut rng_b,
-                &mut ws,
-            )
-            .unwrap();
-            for (a, b) in alloc.iter().zip(with_ws.iter()) {
+            let mut once = EnsembleWorkspace::new();
+            d.cycle_obs_ws(&mut fresh, &pool, filter, t, 0.5, &mut rng_a, &mut once)
+                .unwrap();
+            d.cycle_obs_ws(&mut reused, &pool, filter, t, 0.5, &mut rng_b, &mut ws)
+                .unwrap();
+            for (a, b) in fresh.iter().zip(reused.iter()) {
                 assert_eq!(a.fire.psi, b.fire.psi, "cycle {k}");
                 assert_eq!(a.fire.tig, b.fire.tig, "cycle {k}");
                 assert_eq!(a.atmos.theta, b.atmos.theta, "cycle {k}");
             }
-        }
-    }
-
-    #[test]
-    fn explicit_strided_pool_matches_legacy_obs_stride_path_bitwise() {
-        // The demoted `obs_stride` wrapper and a hand-assembled
-        // StridedPsi + ObsSet must be the same analysis, bit for bit —
-        // the seed behavior is pinned through the new seam.
-        let d = driver(2);
-        let truth = d.model.ignite(
-            &[IgnitionShape::Circle {
-                center: (210.0, 200.0),
-                radius: 25.0,
-            }],
-            0.0,
-        );
-        let mut legacy = d.initial_ensemble(&setup(7));
-        let mut pooled = legacy.clone();
-        let (stride, sigma, inflation) = (5, 1.5, 1.02);
-
-        let mut rng_a = GaussianSampler::new(31);
-        let mut ws_a = EnsembleWorkspace::new();
-        d.analyze_standard_ws(
-            &mut legacy,
-            &truth.fire,
-            stride,
-            sigma,
-            inflation,
-            &mut rng_a,
-            &mut ws_a,
-        )
-        .unwrap();
-
-        let op = wildfire_obs::StridedPsi::new(truth.fire.grid(), stride, sigma);
-        let mut data = Vec::new();
-        op.measure_truth_into(&truth.fire, &mut data).unwrap();
-        let mut pool = wildfire_obs::ObsSet::new();
-        pool.push(&op, &data).unwrap();
-        let mut rng_b = GaussianSampler::new(31);
-        let mut ws_b = EnsembleWorkspace::new();
-        d.analyze_obs_ws(&mut pooled, &pool, inflation, &mut rng_b, &mut ws_b)
-            .unwrap();
-
-        for (a, b) in legacy.iter().zip(pooled.iter()) {
-            assert_eq!(a.fire.psi, b.fire.psi, "ψ must match bitwise");
-            assert_eq!(a.fire.tig, b.fire.tig, "t_i must match bitwise");
         }
     }
 
@@ -1455,10 +1198,8 @@ mod tests {
             }],
             0.0,
         );
-        let psi_op = wildfire_obs::StridedPsi::new(truth.fire.grid(), 7, 1.0);
-        let mut data = Vec::new();
-        psi_op.measure_truth_into(&truth.fire, &mut data).unwrap();
-        let mut pool = wildfire_obs::ObsSet::new();
+        let (psi_op, data) = strided_psi(&truth.fire, 7, 1.0);
+        let mut pool = ObsSet::new();
         pool.push(&psi_op, &data).unwrap();
 
         let members0 = d.initial_ensemble(&setup(6));
@@ -1467,9 +1208,13 @@ mod tests {
             .map(|m| m.fire.psi.rmse(&truth.fire.psi).unwrap())
             .sum::<f64>()
             / 6.0;
+        // A cycle to the members' own time: no forecast step, one ETKF
+        // analysis. The filter draws nothing from the RNG.
         let run = |mut members: Vec<CoupledState>| {
             let mut ws = EnsembleWorkspace::new();
-            d.analyze_obs_etkf_ws(&mut members, &pool, 1.0, &mut ws)
+            let mut rng = GaussianSampler::new(0);
+            let filter = ObsFilter::Etkf { inflation: 1.0 };
+            d.cycle_obs_ws(&mut members, &pool, filter, 0.0, 0.5, &mut rng, &mut ws)
                 .unwrap();
             members
         };
@@ -1484,56 +1229,6 @@ mod tests {
             .sum::<f64>()
             / 6.0;
         assert!(after < before, "ψ RMSE must drop: {before} → {after}");
-    }
-
-    #[test]
-    fn dense_psi_pool_morphing_matches_truth_field_morphing_bitwise() {
-        // A stride-1 gridded ψ stream carries the same information as the
-        // truth field the legacy morphing entry point consumes; with only
-        // field 0 observed the two paths must coincide bit for bit.
-        let d = driver(2);
-        let truth = d.model.ignite(
-            &[IgnitionShape::Circle {
-                center: (230.0, 230.0),
-                radius: 25.0,
-            }],
-            0.0,
-        );
-        let cfg = MorphingConfig {
-            registration: RegistrationConfig {
-                max_shift: 120.0,
-                shift_samples: 9,
-                levels: vec![3],
-                iterations: 15,
-                ..Default::default()
-            },
-            sigma_amplitude: 2.0,
-            sigma_displacement: 4.0,
-            observed_fields: vec![0],
-            ..Default::default()
-        };
-        let mut legacy = d.initial_ensemble(&setup(5));
-        let mut pooled = legacy.clone();
-
-        let mut rng_a = GaussianSampler::new(13);
-        let mut ws_a = EnsembleWorkspace::new();
-        d.analyze_morphing_ws(&mut legacy, &truth.fire, &cfg, &mut rng_a, &mut ws_a)
-            .unwrap();
-
-        let op = wildfire_obs::StridedPsi::new(truth.fire.grid(), 1, 1.0);
-        let mut data = Vec::new();
-        op.measure_truth_into(&truth.fire, &mut data).unwrap();
-        let mut pool = wildfire_obs::ObsSet::new();
-        pool.push(&op, &data).unwrap();
-        let mut rng_b = GaussianSampler::new(13);
-        let mut ws_b = EnsembleWorkspace::new();
-        d.analyze_obs_morphing_ws(&mut pooled, &pool, &cfg, &mut rng_b, &mut ws_b)
-            .unwrap();
-
-        for (a, b) in legacy.iter().zip(pooled.iter()) {
-            assert_eq!(a.fire.psi, b.fire.psi);
-            assert_eq!(a.fire.tig, b.fire.tig);
-        }
     }
 
     #[test]
@@ -1876,9 +1571,18 @@ mod tests {
         let d = driver(1);
         let mut members = d.initial_ensemble(&setup(1));
         let truth = members[0].clone();
+        let (op, data) = strided_psi(&truth.fire, 5, 1.0);
+        let mut pool = ObsSet::new();
+        pool.push(&op, &data).unwrap();
         let mut rng = GaussianSampler::new(1);
         assert!(d
-            .analyze_standard(&mut members, &truth.fire, 5, 1.0, 1.0, &mut rng)
+            .analyze_obs_ws(
+                &mut members,
+                &pool,
+                1.0,
+                &mut rng,
+                &mut EnsembleWorkspace::new()
+            )
             .is_err());
     }
 }

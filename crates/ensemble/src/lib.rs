@@ -28,8 +28,8 @@ pub mod pool;
 pub mod store;
 
 pub use driver::{
-    CycleReport, EnsembleDriver, EnsembleSetup, EnsembleWorkspace, FilterKind, ObsCycleReport,
-    ObsFilter, SourceCycleReport, StoreWorker,
+    EnsembleDriver, EnsembleSetup, EnsembleWorkspace, ObsCycleReport, ObsFilter, SourceCycleReport,
+    StoreWorker,
 };
 pub use store::{DiskStore, MemStore, SnapshotStore};
 

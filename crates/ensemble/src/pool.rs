@@ -5,41 +5,8 @@
 //! the member slice mutably but disjointly, so the compiler proves data-race
 //! freedom (no locks in the hot path).
 
-/// Runs `f(index, item)` over all items, partitioned across `threads`
-/// workers. With `threads <= 1` the loop runs inline (no spawn overhead),
-/// which also gives a deterministic sequential reference for testing.
-pub fn parallel_for_each<T: Send, F>(items: &mut [T], threads: usize, f: F)
-where
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (c, slice) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (k, item) in slice.iter_mut().enumerate() {
-                    f(c * chunk + k, item);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-}
-
 /// Runs `f(index, item, workspace)` over all items with one dedicated
-/// mutable workspace per worker — the allocation-free variant of
-/// [`parallel_for_each`]. Items are partitioned into at most
+/// mutable workspace per worker. Items are partitioned into at most
 /// `workspaces.len()` contiguous chunks, one chunk (and one workspace) per
 /// worker; with a single workspace the loop runs inline. Because each
 /// item's computation is independent of the partitioning, results are
@@ -182,54 +149,11 @@ pub fn parallel_for_each_dynamic_ws<T: Send, W: Send, F>(
     .expect("worker thread panicked");
 }
 
-/// Runs `f(col_index, column)` over the contiguous length-`col_len` columns
-/// of a column-major buffer, partitioned into one contiguous *chunk of
-/// columns* per worker. Unlike fanning `parallel_for_each` over a
-/// materialized `Vec<&mut [f64]>` of column borrows, this splits the flat
-/// buffer directly — no per-call allocation. Each column's computation is
-/// independent of the partitioning, so results are bit-identical for every
-/// thread count.
-///
-/// # Panics
-/// Panics if `data.len()` is not a multiple of `col_len`.
-pub fn parallel_for_each_column<F>(data: &mut [f64], col_len: usize, threads: usize, f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert_eq!(
-        data.len() % col_len,
-        0,
-        "buffer length must be a whole number of columns"
-    );
-    let n_cols = data.len() / col_len;
-    let threads = threads.max(1).min(n_cols);
-    if threads == 1 {
-        for (j, col) in data.chunks_mut(col_len).enumerate() {
-            f(j, col);
-        }
-        return;
-    }
-    let cols_per_chunk = n_cols.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (c, chunk) in data.chunks_mut(cols_per_chunk * col_len).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (k, col) in chunk.chunks_mut(col_len).enumerate() {
-                    f(c * cols_per_chunk + k, col);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-}
-
-/// [`parallel_for_each_column`] with one dedicated mutable workspace per
-/// worker: the flat column-major buffer is split into one contiguous chunk
-/// of columns per workspace, and `f(col_index, column, workspace)` runs on
-/// every column. With a single workspace the loop runs inline. Each
+/// Runs `f(col_index, column, workspace)` over the contiguous
+/// length-`col_len` columns of a column-major buffer with one dedicated
+/// mutable workspace per worker: the flat buffer is split directly into one
+/// contiguous chunk of columns per workspace (no per-call `Vec` of column
+/// borrows). With a single workspace the loop runs inline. Each
 /// column's computation is independent of the partitioning and scratch
 /// reuse, so results are bit-identical for every workspace count — this is
 /// the member-parallel observation-packing shape (one `H(X)` column per
@@ -285,61 +209,10 @@ pub fn parallel_for_each_column_ws<W: Send, F>(
     .expect("worker thread panicked");
 }
 
-/// Maps `f` over indexed inputs in parallel, preserving order of results.
-pub fn parallel_map<T: Send + Sync, R: Send, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (c, slot_chunk) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (k, slot) in slot_chunk.iter_mut().enumerate() {
-                    let i = c * chunk + k;
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    out.into_iter()
-        .map(|o| o.expect("all slots filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn for_each_touches_every_item_once() {
-        let mut items: Vec<usize> = vec![0; 100];
-        parallel_for_each(&mut items, 4, |i, item| *item = i * 2);
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-    }
-
-    #[test]
-    fn for_each_sequential_matches_parallel() {
-        let mut seq: Vec<f64> = (0..57).map(|i| i as f64).collect();
-        let mut par = seq.clone();
-        let f = |i: usize, x: &mut f64| *x = (*x * 1.5 + i as f64).sin();
-        parallel_for_each(&mut seq, 1, f);
-        parallel_for_each(&mut par, 7, f);
-        assert_eq!(seq, par);
-    }
 
     #[test]
     fn for_each_ws_bitwise_identical_across_worker_counts() {
@@ -516,31 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn column_split_bitwise_identical_across_thread_counts() {
-        // The chunked column split must reproduce the sequential per-column
-        // kernel bit-for-bit regardless of the worker count, including
-        // counts that do not divide the column count.
-        let col_len = 13;
-        let n_cols = 29;
-        let init: Vec<f64> = (0..col_len * n_cols)
-            .map(|i| (i as f64) * 0.37 - 50.0)
-            .collect();
-        let run = |threads: usize| -> Vec<u64> {
-            let mut data = init.clone();
-            parallel_for_each_column(&mut data, col_len, threads, |j, col| {
-                for (k, v) in col.iter_mut().enumerate() {
-                    *v = (*v * 1.0001 + (j * col_len + k) as f64).sin();
-                }
-            });
-            data.iter().map(|v| v.to_bits()).collect()
-        };
-        let seq = run(1);
-        for threads in [2, 3, 5, 29, 64] {
-            assert_eq!(seq, run(threads), "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn column_split_ws_bitwise_identical_across_workspace_counts() {
         // The workspace variant must reproduce the sequential per-column
         // kernel bit-for-bit for any workspace count, with worker-local
@@ -583,84 +431,12 @@ mod tests {
     }
 
     #[test]
-    fn column_split_handles_empty_and_rejects_ragged() {
-        let mut empty: Vec<f64> = vec![];
-        parallel_for_each_column(&mut empty, 4, 3, |_, _| {});
+    fn column_split_ws_rejects_ragged() {
         let caught = std::panic::catch_unwind(|| {
             let mut ragged = vec![0.0; 7];
-            parallel_for_each_column(&mut ragged, 4, 2, |_, _| {});
+            let mut wss: Vec<()> = vec![(); 2];
+            parallel_for_each_column_ws(&mut ragged, 4, &mut wss, |_, _, _| {});
         });
         assert!(caught.is_err(), "ragged buffers must be rejected");
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let items: Vec<usize> = (0..43).collect();
-        let out = parallel_map(&items, 5, |i, &x| i + x);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, 2 * i);
-        }
-    }
-
-    #[test]
-    fn handles_empty_and_more_threads_than_items() {
-        let mut empty: Vec<u8> = vec![];
-        parallel_for_each(&mut empty, 8, |_, _| {});
-        let out: Vec<u8> = parallel_map(&Vec::<u8>::new(), 8, |_, &x| x);
-        assert!(out.is_empty());
-        let mut two = vec![1u8, 2];
-        let counter = AtomicUsize::new(0);
-        parallel_for_each(&mut two, 16, |_, _| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_sequential() {
-        // threads = 0 must behave exactly like the single-threaded path,
-        // not spawn nothing or divide by zero.
-        let mut via_zero: Vec<f64> = (0..23).map(|i| i as f64).collect();
-        let mut via_one = via_zero.clone();
-        let f = |i: usize, x: &mut f64| *x = (*x + i as f64).cos();
-        parallel_for_each(&mut via_zero, 0, f);
-        parallel_for_each(&mut via_one, 1, f);
-        assert_eq!(via_zero, via_one);
-
-        let items: Vec<usize> = (0..23).collect();
-        let m0 = parallel_map(&items, 0, |i, &x| i * x);
-        let m1 = parallel_map(&items, 1, |i, &x| i * x);
-        assert_eq!(m0, m1);
-    }
-
-    #[test]
-    fn map_sequential_matches_parallel_bitwise() {
-        // Bit-for-bit determinism of parallel_map vs the sequential path:
-        // floating-point outputs must be identical, not just close, because
-        // each index's computation is independent of the partitioning.
-        let items: Vec<f64> = (0..257).map(|i| (i as f64) * 0.731 - 40.0).collect();
-        let f = |i: usize, x: &f64| (x * 1.000003 + i as f64).sin() * x.exp2();
-        let seq = parallel_map(&items, 1, f);
-        for threads in [2, 3, 7, 16, 300] {
-            let par = parallel_map(&items, threads, f);
-            let seq_bits: Vec<u64> = seq.iter().map(|v| v.to_bits()).collect();
-            let par_bits: Vec<u64> = par.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(seq_bits, par_bits, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn for_each_sequential_matches_parallel_bitwise_across_thread_counts() {
-        let init: Vec<f64> = (0..101).map(|i| (i as f64) * 1.37 - 60.0).collect();
-        let f = |i: usize, x: &mut f64| *x = (*x * 0.9999 + i as f64).tanh();
-        let mut seq = init.clone();
-        parallel_for_each(&mut seq, 1, f);
-        for threads in [2, 5, 8, 64, 200] {
-            let mut par = init.clone();
-            parallel_for_each(&mut par, threads, f);
-            let seq_bits: Vec<u64> = seq.iter().map(|v| v.to_bits()).collect();
-            let par_bits: Vec<u64> = par.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(seq_bits, par_bits, "threads = {threads}");
-        }
     }
 }

@@ -12,10 +12,10 @@
 //! E2). Both backends move exactly the same serialized bytes.
 
 use crate::{EnsembleError, Result};
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 use wildfire_obs::Snapshot;
 
 /// Abstract member-snapshot exchange.
@@ -63,14 +63,14 @@ impl MemStore {
 
 impl SnapshotStore for MemStore {
     fn save(&self, member: usize, snap: &Snapshot) -> Result<()> {
-        let mut files = self.files.lock();
+        let mut files = self.files.lock().unwrap_or_else(PoisonError::into_inner);
         // `serialize_into` clears and reuses an existing entry's buffer.
         snap.serialize_into(files.entry(member).or_default());
         Ok(())
     }
 
     fn load_into(&self, member: usize, snap: &mut Snapshot) -> Result<()> {
-        let files = self.files.lock();
+        let files = self.files.lock().unwrap_or_else(PoisonError::into_inner);
         let bytes = files
             .get(&member)
             .ok_or(EnsembleError::Config("member not in store"))?;
@@ -78,7 +78,13 @@ impl SnapshotStore for MemStore {
     }
 
     fn members(&self) -> Vec<usize> {
-        let mut m: Vec<usize> = self.files.lock().keys().copied().collect();
+        let mut m: Vec<usize> = self
+            .files
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .copied()
+            .collect();
         m.sort_unstable();
         m
     }
@@ -212,7 +218,7 @@ mod tests {
         // Same interface, same bytes: the disk file and the memory entry
         // must be identical, and both must parse back to the original.
         let on_disk = std::fs::read(disk.path(0)).unwrap();
-        assert_eq!(&on_disk, mem.files.lock().get(&0).unwrap());
+        assert_eq!(&on_disk, mem.files.lock().unwrap().get(&0).unwrap());
         let mut a = Snapshot::new();
         let mut b = Snapshot::new();
         disk.load_into(0, &mut a).unwrap();

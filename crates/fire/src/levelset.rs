@@ -678,7 +678,8 @@ mod tests {
         // Reproduction finding (E5): with the monotone Godunov upwinding of
         // §2.2, Heun and Euler coincide to a fraction of a percent at
         // CFL-stable steps — the Euler pathology the paper reports does not
-        // arise in a clean monotone discretization. See EXPERIMENTS.md E5.
+        // arise in a clean monotone discretization (README "Paper claims",
+        // E5).
         let mut heun = grass_solver(61, 2.0);
         heun.integrator = Integrator::Heun;
         let mut euler = heun.clone();
@@ -702,8 +703,8 @@ mod tests {
     #[test]
     fn heun_destabilizes_before_euler_beyond_cfl() {
         // Beyond ~3× the CFL bound the two-stage method overshoots (fire too
-        // fast) while the monotone Euler update stays bounded — measured in
-        // the E5 harness and pinned down here.
+        // fast) while the monotone Euler update stays bounded — measured by
+        // the E5 sweep and pinned down here.
         let mk = |integ: Integrator| {
             let mut s = grass_solver(81, 2.0);
             s.integrator = integ;

@@ -46,7 +46,7 @@ impl FireWorkspace {
 /// distance field and the frozen-node mask of the fast-sweeping solver.
 /// Sized lazily on first use and reused thereafter, so steady-state
 /// reinitialization performs no heap allocation (pinned by the
-/// counting-allocator test in `wildfire-bench`).
+/// counting-allocator test in `tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ReinitWorkspace {
     /// Unsigned distance to the interface, per node.

@@ -1,15 +1,15 @@
 //! # wildfire-math
 //!
 //! Self-contained numerical kernels for the wildfire workspace: a dense
-//! column-major matrix type with factorizations (Cholesky, LU, QR, Jacobi
-//! eigendecomposition, one-sided Jacobi SVD), Gaussian random sampling built
-//! on top of [`rand`]'s uniform generators, descriptive statistics, and
+//! column-major matrix type with the factorizations the filters use
+//! (Cholesky, Jacobi eigendecomposition), Gaussian random sampling built on
+//! top of [`rand`]'s uniform generators, descriptive statistics, and
 //! Gauss–Legendre quadrature.
 //!
 //! The ensemble Kalman filter and the registration/morphing machinery of the
-//! paper need exactly these kernels; the scientific-computing ecosystem for
-//! Rust is thin enough (see DESIGN.md) that implementing them here, with
-//! tests, is both the most portable and the most faithful route.
+//! paper need exactly these kernels; the build is offline and dependency
+//! free, so implementing them here, with tests, is both the most portable
+//! and the most faithful route.
 //!
 //! All floating point work is `f64`. Matrices are column-major, matching the
 //! convention of the ensemble algebra in the paper (states are columns).
@@ -19,22 +19,16 @@
 pub mod cholesky;
 pub mod eigen;
 pub mod interp;
-pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod quadrature;
 pub mod rng;
 pub mod stats;
-pub mod svd;
 pub mod vecops;
 
 pub use cholesky::Cholesky;
 pub use eigen::{EigenWorkspace, SymmetricEigen};
-pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use rng::GaussianSampler;
-pub use svd::Svd;
 
 /// Relative tolerance used by the default convergence checks in this crate.
 pub const DEFAULT_TOL: f64 = 1e-12;
@@ -57,11 +51,6 @@ pub enum MathError {
         pivot: usize,
         /// Value encountered at the failing pivot.
         value: f64,
-    },
-    /// The matrix is singular to working precision.
-    Singular {
-        /// Index of the failing pivot.
-        pivot: usize,
     },
     /// An iterative method failed to converge within its iteration budget.
     NoConvergence {
@@ -91,9 +80,6 @@ impl std::fmt::Display for MathError {
                 f,
                 "matrix not positive definite: pivot {pivot} has value {value}"
             ),
-            MathError::Singular { pivot } => {
-                write!(f, "matrix singular to working precision at pivot {pivot}")
-            }
             MathError::NoConvergence {
                 algorithm,
                 iterations,

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear algebra kernels.
 
 use proptest::prelude::*;
-use wildfire_math::{Cholesky, Lu, Matrix, Qr, Svd, SymmetricEigen};
+use wildfire_math::{Cholesky, Matrix, SymmetricEigen};
 
 /// Strategy: matrix dimensions kept small so SPD construction stays well
 /// conditioned and tests stay fast.
@@ -52,48 +52,6 @@ proptest! {
         let x = Cholesky::new(&a).unwrap().solve(&b);
         for (xi, ti) in x.iter().zip(x_true.iter()) {
             prop_assert!((xi - ti).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn lu_solve_roundtrip(a in spd_matrix(), seed in 0u64..1000) {
-        // SPD implies invertible, so LU must succeed.
-        let n = a.rows();
-        let x_true: Vec<f64> = (0..n).map(|i| ((seed as f64 * 1.3 + i as f64) * 0.7).cos()).collect();
-        let b = a.matvec(&x_true).unwrap();
-        let x = Lu::new(&a).unwrap().solve(&b);
-        for (xi, ti) in x.iter().zip(x_true.iter()) {
-            prop_assert!((xi - ti).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn lu_det_matches_eigen_product_for_spd(a in spd_matrix()) {
-        let det = Lu::new(&a).unwrap().det();
-        let eig = SymmetricEigen::new(&a).unwrap();
-        let prod: f64 = eig.values.iter().product();
-        prop_assert!((det - prod).abs() <= 1e-8 * det.abs().max(1.0));
-    }
-
-    #[test]
-    fn qr_q_orthonormal_and_reconstructs(a in tall_matrix()) {
-        let qr = Qr::new(&a).unwrap();
-        let q = qr.q();
-        let gram = q.tr_matmul(&q).unwrap();
-        prop_assert!((&gram - &Matrix::identity(a.cols())).max_abs() < 1e-9);
-        let rec = q.matmul(&qr.r()).unwrap();
-        prop_assert!((&rec - &a).max_abs() < 1e-9);
-    }
-
-    #[test]
-    fn svd_reconstructs_and_sorted(a in tall_matrix()) {
-        let svd = Svd::new(&a).unwrap();
-        prop_assert!((&svd.reconstruct() - &a).max_abs() < 1e-8);
-        for w in svd.sigma.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-12);
-        }
-        for &s in &svd.sigma {
-            prop_assert!(s >= 0.0);
         }
     }
 

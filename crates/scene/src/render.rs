@@ -303,7 +303,8 @@ pub fn fire_radiative_power(
 
 /// Radiative fraction: [`fire_radiative_power`] divided by the fire's total
 /// heat release rate. Published biomass-burning values fall in roughly
-/// 0.05–0.25; EXPERIMENTS.md E3 records where this implementation lands.
+/// 0.05–0.25; the README's "Paper claims" table (E3) records where this
+/// implementation lands.
 pub fn radiative_fraction(
     mesh: &FireMesh,
     state: &FireState,

@@ -2,8 +2,8 @@
 //!
 //! Scenario-level simulation setup: the single place where coupled-model
 //! configuration (domain, fuel, wind, ignition geometry, coupling mode)
-//! lives. Every example, harness binary, benchmark, and integration test in
-//! the workspace builds its models through this crate instead of hand-rolling
+//! lives. Every example, benchmark workload, and integration test in the
+//! workspace builds its models through this crate instead of hand-rolling
 //! `CoupledModel::new(...)` calls.
 //!
 //! The companion paper (*Real-Time Data Driven Wildland Fire Modeling*,

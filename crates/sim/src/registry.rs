@@ -1,5 +1,5 @@
 //! Named, ready-to-run scenarios. Each entry is a complete [`Scenario`]
-//! that examples, harnesses, benches, and tests share by name instead of
+//! that examples, the benchmark, and tests share by name instead of
 //! re-stating geometry.
 
 use crate::scenario::{DomainSpec, FuelPatch, FuelSpec, Scenario, WindShift, WindSpec};

@@ -65,5 +65,5 @@ fn main() {
         );
     }
     println!("\nThe fronts merge into a single perimeter and the coupled updraft");
-    println!("slows/roughens the downwind front (compare the fig1_coupled harness).");
+    println!("slows the downwind front (E1 in tests/paper_claims.rs measures both).");
 }

@@ -4,17 +4,16 @@
 //! against the in-tree reference — but both could drift together if a
 //! future rewrite changed the physics *and* its reference at once. This
 //! test pins the actual trajectory: burned area and perimeter length of the
-//! fig1 coupled run at fixed times, against values committed with ISSUE 5.
-//! A kernel rewrite that silently changes fire behaviour fails here even if
-//! it keeps its own reference consistent.
+//! fig1 coupled run at fixed times, against values committed with the fused
+//! kernels. A kernel rewrite that silently changes fire behaviour fails
+//! here even if it keeps its own reference consistent.
 //!
 //! The pinned values were produced by this exact code path; the check uses
 //! a tight relative tolerance (1e-9) rather than bit equality so that a
 //! libm/toolchain change shows up as a *reviewable* failure with the drift
 //! magnitude in the message, not as binary noise. Regenerate deliberately
-//! by running this test with `GOLDEN_FIG1_PRINT=1 cargo test -p
-//! wildfire-bench --test golden_fig1 -- --nocapture` and updating the
-//! table.
+//! by running this test with `GOLDEN_FIG1_PRINT=1 cargo test --test
+//! golden_fig1 -- --nocapture` and updating the table.
 
 use wildfire_fire::perimeter::perimeter_length;
 use wildfire_sim::{registry, SimulationBuilder};

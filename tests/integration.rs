@@ -13,7 +13,7 @@ use wildfire::fire::ignition::IgnitionShape;
 use wildfire::math::GaussianSampler;
 use wildfire::obs::image_obs::ImageObservation;
 use wildfire::obs::station::WeatherStation;
-use wildfire::obs::ObservationOperator;
+use wildfire::obs::{ObsSet, ObservationOperator, StridedPsi};
 use wildfire::sim::{perturb, registry, PerturbationSpec, Scenario};
 
 /// The shared test scenario: the registry circle ignition with the (2, 1)
@@ -122,11 +122,12 @@ fn disk_and_memory_stores_agree_through_forecast() {
     let mem = MemStore::new();
     let dir = std::env::temp_dir().join(format!("wf_int_store_{}", std::process::id()));
     let disk = DiskStore::new(&dir).expect("disk store");
+    let mut ws = EnsembleWorkspace::new();
     driver
-        .forecast_via_store(&mut via_mem, &mem, 5.0, 0.5)
+        .forecast_via_store_ws(&mut via_mem, &mem, 5.0, 0.5, &mut ws)
         .expect("mem forecast");
     driver
-        .forecast_via_store(&mut via_disk, &disk, 5.0, 0.5)
+        .forecast_via_store_ws(&mut via_disk, &disk, 5.0, 0.5, &mut ws)
         .expect("disk forecast");
     for (a, b) in via_mem.iter().zip(via_disk.iter()) {
         assert_eq!(a.fire.psi.as_slice(), b.fire.psi.as_slice());
@@ -163,7 +164,10 @@ fn full_assimilation_cycle_improves_displaced_ensemble() {
         .model
         .run(&mut truth, 60.0, 0.5, |_, _| {})
         .expect("truth");
-    driver.forecast(&mut members, 60.0, 0.5).expect("forecast");
+    let mut ws = EnsembleWorkspace::new();
+    driver
+        .forecast_ws(&mut members, 60.0, 0.5, &mut ws)
+        .expect("forecast");
     let before = evaluate_coupled_ensemble(&members, &truth);
     let cfg = MorphingConfig {
         registration: RegistrationConfig {
@@ -178,9 +182,17 @@ fn full_assimilation_cycle_improves_displaced_ensemble() {
         observed_fields: vec![0],
         ..Default::default()
     };
+    // The data: a dense (stride-1) gridded ψ map of the truth.
+    let psi_op = StridedPsi::new(truth.fire.grid(), 1, 1.0);
+    let mut psi_data = Vec::new();
+    psi_op
+        .measure_truth_into(&truth.fire, &mut psi_data)
+        .expect("measure");
+    let mut pool = ObsSet::new();
+    pool.push(&psi_op, &psi_data).expect("pool");
     let mut rng = GaussianSampler::new(77);
     driver
-        .analyze_morphing(&mut members, &truth.fire, &cfg, &mut rng)
+        .analyze_obs_morphing_ws(&mut members, &pool, &cfg, &mut rng, &mut ws)
         .expect("analysis");
     let after = evaluate_coupled_ensemble(&members, &truth);
     assert!(

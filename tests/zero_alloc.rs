@@ -4,7 +4,7 @@
 //! thread-local counter, so concurrently running tests cannot interfere).
 //! Each test warms a workspace with one call — sizing every buffer — and
 //! then asserts that the next call performs zero heap allocations: the
-//! acceptance bar for the real-time stepping paths of ISSUE 2.
+//! acceptance bar for the real-time stepping paths.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,7 +96,7 @@ fn level_set_step_is_allocation_free_after_warmup() {
 
 #[test]
 fn fused_rhs_and_advance_are_allocation_free_after_warmup() {
-    // The ISSUE-5 acceptance bar: the fused row-sweep RHS kernel (direct
+    // The fused-kernel acceptance bar: the fused row-sweep RHS kernel (direct
     // rhs_into calls and the advance_to_ws driver built on it) must stay as
     // steady-state allocation-free as the per-node path it replaced, on
     // both a flat/uniform landscape (register-specialized kernel) and a
@@ -150,8 +150,8 @@ fn fused_rhs_and_advance_are_allocation_free_after_warmup() {
 
 #[test]
 fn reinitialize_into_is_allocation_free_after_warmup() {
-    // reinit.rs rode along on ISSUE 5: the fast-sweeping reinitialization
-    // gained an `_into` path whose distance/frozen scratch lives in a
+    // reinit.rs rode along with the fused kernels: the fast-sweeping
+    // reinitialization gained an `_into` path whose distance/frozen scratch lives in a
     // ReinitWorkspace and whose sweeps iterate by index arithmetic (the old
     // implementation materialized traversal-order vectors per sweep).
     let grid = wildfire_grid::Grid2::new(41, 41, 1.5, 1.5).unwrap();
@@ -194,7 +194,7 @@ fn atmos_step_is_allocation_free_after_warmup() {
 
 #[test]
 fn atmos_step_is_allocation_free_for_both_pressure_solvers() {
-    // The ISSUE-4 acceptance bar: the multigrid path (hierarchy, smoother,
+    // The multigrid acceptance bar: the multigrid path (hierarchy, smoother,
     // transfer tables, coarse-CG scratch) must be as steady-state
     // allocation-free as the CG path it replaces. The 8×8×5 grid coarsens
     // (320 → 80 → 20 cells), so `Multigrid` genuinely runs V-cycles here.
@@ -285,7 +285,7 @@ fn standard_enkf_analysis_is_allocation_free_after_warmup() {
 
 #[test]
 fn etkf_analysis_is_allocation_free_after_warmup() {
-    // The ISSUE-6 satellite bar: the deterministic filter's N×N
+    // The ETKF bar: the deterministic filter's N×N
     // eigendecomposition (the last allocating piece of the analysis) now
     // factors into workspace scratch, so the whole ETKF analysis is
     // steady-state allocation-free. N = 25 matches the paper's ensemble
@@ -316,7 +316,7 @@ fn etkf_analysis_is_allocation_free_after_warmup() {
 
 #[test]
 fn morphing_analysis_registration_is_allocation_free_after_warmup() {
-    // The ISSUE-7 satellite bar: registration — the expensive transform
+    // The registration bar: registration — the expensive transform
     // phase of a morphing-EnKF analysis step, and previously the last hot
     // allocating piece of the assimilation cycle — now draws its reference
     // gradient fields and per-level descent buffers from the
@@ -351,7 +351,7 @@ fn morphing_analysis_registration_is_allocation_free_after_warmup() {
 
 #[test]
 fn warm_started_projection_is_allocation_free_after_warmup() {
-    // The warm-started pressure projection (ISSUE-6 tentpole c) seeds each
+    // The warm-started pressure projection seeds each
     // solve from the previous potential already resident in the workspace —
     // the seed path must add no allocations over the cold path, on both
     // solver backends.
@@ -385,7 +385,7 @@ fn warm_started_projection_is_allocation_free_after_warmup() {
 
 #[test]
 fn obs_set_packing_is_allocation_free_after_warmup() {
-    // The ISSUE-3 acceptance bar for the observation pipeline: packing a
+    // The acceptance bar for the observation pipeline: packing a
     // heterogeneous pool (strided ψ + a station network) into (y, H(X), R)
     // through one ObsWorkspace performs no steady-state heap allocation.
     let model = CoupledModel::new(
@@ -435,7 +435,7 @@ fn obs_set_packing_is_allocation_free_after_warmup() {
 
 #[test]
 fn imagery_packing_is_allocation_free_after_warmup() {
-    // The ISSUE-9 satellite bar: the synthetic-image operator now renders
+    // The imagery bar: the synthetic-image operator now renders
     // through the ObsScratch (wind transfer, ground temperature, flame
     // voxels, reflection sources, and the image itself all live in reusable
     // buffers), so packing a pool that includes a thermal-imagery stream is
