@@ -16,11 +16,13 @@
 //! Numerics: incompressible Boussinesq equations on an Arakawa-C staggered
 //! grid (velocities on faces, scalars at cell centers), first-order upwind
 //! advection, explicit buoyancy, bulk surface drag, Rayleigh damping aloft,
-//! and a pressure projection enforcing a divergence-free velocity field
-//! (geometric multigrid by default, matrix-free conjugate gradients as the
-//! compatible fallback — see [`PoissonSolver`]). Lateral boundaries are periodic; top and bottom are rigid
-//! lids (w = 0), with the damping layer absorbing waves before they reach
-//! the lid. The vertical extent covers "the whole atmosphere" of the
+//! and a pressure projection enforcing a divergence-free velocity field.
+//! The projection's Poisson problem is solved exactly, in one pass, by
+//! separable Fourier/cosine transforms (see [`poisson`]); the multigrid
+//! solver of [`multigrid`] is kept only because the benchmark's pinned API
+//! names it.
+//! Lateral boundaries are periodic; top and bottom are rigid lids (w = 0),
+//! with the damping layer absorbing waves before they reach the lid. The vertical extent covers "the whole atmosphere" of the
 //! simulated domain, as WRF's non-nestable vertical requires (§2.3).
 
 #![forbid(unsafe_code)]
@@ -53,7 +55,9 @@ pub enum AtmosError {
     },
     /// Input fields on an unexpected grid.
     GridMismatch(&'static str),
-    /// The pressure solver failed to converge.
+    /// An iterative pressure solver (the conjugate-gradient oracle or
+    /// multigrid) failed to converge; the projection's exact solve never
+    /// returns it.
     PressureSolveFailed {
         /// Residual norm at the final iteration.
         residual: f64,

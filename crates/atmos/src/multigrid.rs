@@ -1,10 +1,12 @@
-//! Geometric multigrid for the pressure projection.
+//! Geometric multigrid for the pressure Poisson problem.
 //!
-//! Solves the same problem as the conjugate-gradient path in
-//! [`crate::poisson`] — `∇²φ = f` on the cell-centered grid, periodic
-//! laterally, homogeneous Neumann at the rigid lids, constant null space
-//! projected out — but with optimal O(n) complexity: V-cycles of red-black
-//! Gauss-Seidel smoothing over a geometric grid hierarchy.
+//! No projection uses it any more ([`crate::poisson::solve_poisson_into`]
+//! solves exactly); the module stays because the benchmark's pinned API
+//! still names [`solve_poisson_mg_into`] and [`MgHierarchy`]. It solves
+//! the same problem as [`crate::poisson`] — `∇²φ = f` on the cell-centered
+//! grid, periodic laterally, homogeneous Neumann at the rigid lids,
+//! constant null space projected out — with O(n) complexity: V-cycles of
+//! red-black Gauss-Seidel smoothing over a geometric grid hierarchy.
 //!
 //! # Design
 //!
@@ -46,7 +48,7 @@
 //! residual evaluation after every cycle, so the reported residual is never
 //! an estimate.
 
-use crate::poisson::{apply_neg_laplacian, cg_mean_free, cg_mean_free_from, remove_mean};
+use crate::poisson::{apply_neg_laplacian, cg_mean_free, remove_mean};
 use crate::state::AtmosGrid;
 use crate::{AtmosError, Result};
 
@@ -70,20 +72,9 @@ const COARSE_MAX: usize = 64;
 /// cycles).
 const COARSE_TOL: f64 = 1e-2;
 
-/// Smallest grid (in cells) for which [`crate::PoissonSolver::Auto`] picks
-/// multigrid. Measured crossover on fire-like (broadband) right-hand
-/// sides: at 320 cells CG is still faster end-to-end; with the
-/// color-contiguous smoother and the relaxed coarse-level tolerance the
-/// paper's fig1 grid (600 cells) already favors multigrid (~1.17×), and
-/// the gap widens with size (~2.5× at 20×20×10, ~4.9× at 40×40×16,
-/// measured when multigrid landed).
-pub const AUTO_MULTIGRID_MIN: usize = 512;
-
 /// Whether `grid` supports a multigrid hierarchy: it must be large enough
 /// that coarsening pays (more than `COARSE_MAX` cells) and at least one
-/// dimension must be halvable. The explicit
-/// [`crate::PoissonSolver::Multigrid`] selection honors this; `Auto`
-/// additionally requires [`AUTO_MULTIGRID_MIN`] cells.
+/// dimension must be halvable.
 pub fn can_coarsen(grid: &AtmosGrid) -> bool {
     grid.n_cells() > COARSE_MAX && coarsened(grid).is_some()
 }
@@ -594,8 +585,8 @@ impl MgLevel {
 
 /// The preallocated multigrid hierarchy. Built lazily for the first grid it
 /// sees and rebuilt only when the grid shape changes, so repeated solves on
-/// one model perform no heap allocation. Lives inside
-/// [`crate::PoissonWorkspace`].
+/// one model perform no heap allocation. The caller of
+/// [`solve_poisson_mg_into`] holds it.
 #[derive(Debug, Clone, Default)]
 pub struct MgHierarchy {
     levels: Vec<MgLevel>,
@@ -895,25 +886,7 @@ pub fn solve_poisson_mg_into(
     mg: &mut MgHierarchy,
     out: &mut Vec<f64>,
 ) -> Result<usize> {
-    solve_poisson_mg_inner(g, rhs, tol, max_cycles, mg, out, false)
-}
-
-/// Warm-started [`solve_poisson_mg_into`]: the finest-level iterate is
-/// seeded from `out`'s previous contents (mean-projected) instead of zero,
-/// and the solve returns immediately when the seed already meets the
-/// tolerance. Falls back to the cold start when `out` has the wrong length
-/// (first call, or the grid changed). The converged answer satisfies the
-/// same tolerance as the cold solve but is **not** bit-identical to it —
-/// see `AtmosParams::pressure_warm_start`.
-pub fn solve_poisson_mg_warm_into(
-    g: &AtmosGrid,
-    rhs: &[f64],
-    tol: f64,
-    max_cycles: usize,
-    mg: &mut MgHierarchy,
-    out: &mut Vec<f64>,
-) -> Result<usize> {
-    solve_poisson_mg_inner(g, rhs, tol, max_cycles, mg, out, true)
+    solve_poisson_mg_inner(g, rhs, tol, max_cycles, mg, out)
 }
 
 fn solve_poisson_mg_inner(
@@ -923,13 +896,10 @@ fn solve_poisson_mg_inner(
     max_cycles: usize,
     mg: &mut MgHierarchy,
     out: &mut Vec<f64>,
-    warm: bool,
 ) -> Result<usize> {
     let n = g.n_cells();
     assert_eq!(rhs.len(), n, "poisson rhs length mismatch");
     mg.ensure(g);
-    // A warm start needs a seed of the right size; otherwise run cold.
-    let warm = warm && out.len() == n;
     // Same convention as the CG path: solve −∇²φ = −rhs with a mean-free
     // right-hand side.
     let finest = &mut mg.levels[0];
@@ -937,21 +907,12 @@ fn solve_poisson_mg_inner(
     finest.b.extend(rhs.iter().map(|&v| -v));
     remove_mean(&mut finest.b);
     let b_norm = finest.b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if warm {
-        finest.x.copy_from_slice(out);
-        remove_mean(&mut finest.x);
-    } else {
-        finest.x.fill(0.0);
-    }
+    finest.x.fill(0.0);
     // Packed finest levels stay resident for the whole solve: load the
-    // right-hand side once and the iterate (zero, or the warm seed).
+    // right-hand side and the zero iterate once.
     if let Some(p) = &mut finest.packed {
         p.pack_b(&finest.b);
-        if warm {
-            p.pack_x(&finest.x);
-        } else {
-            p.zero_x();
-        }
+        p.zero_x();
     }
     out.clear();
     out.resize(n, 0.0);
@@ -966,12 +927,7 @@ fn solve_poisson_mg_inner(
     // iterations here).
     if mg.levels.len() == 1 {
         let lev = &mut mg.levels[0];
-        let cg = if warm {
-            cg_mean_free_from
-        } else {
-            cg_mean_free
-        };
-        let (converged, rs_final) = cg(
+        let (converged, rs_final) = cg_mean_free(
             g,
             &lev.b,
             tol,
@@ -991,19 +947,6 @@ fn solve_poisson_mg_inner(
     }
     let target = tol * b_norm;
     let mut res_norm = b_norm;
-    if warm {
-        // The previous step's potential may already satisfy the tolerance
-        // for this step's right-hand side; check before paying for a cycle.
-        let finest = &mut mg.levels[0];
-        finest.residual();
-        let r0 = finest.r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if r0 <= target {
-            finest.publish_x();
-            remove_mean(&mut finest.x);
-            out.copy_from_slice(&finest.x);
-            return Ok(0);
-        }
-    }
     for cycle in 1..=max_cycles {
         v_cycle(mg);
         let finest = &mut mg.levels[0];

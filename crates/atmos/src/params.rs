@@ -4,46 +4,22 @@ use crate::state::AtmosGrid;
 
 /// Pressure-projection solver selection.
 ///
-/// The projection solves `∇²φ = ∇·u/dt` every substep, so its cost dominates
-/// coupled stepping. Two matrix-free solvers are available:
-///
-/// * **Conjugate gradients** on `−∇²` — the original (PR-0 seed) solver,
-///   robust on any grid the model accepts.
-/// * **Geometric multigrid** ([`crate::multigrid`]) — V-cycles with
-///   red-black Gauss-Seidel smoothing; asymptotically O(n) and faster than
-///   CG already at the paper's fig-1 grid (10×10×6).
-///
-/// Both are deterministic (fixed sweep order, no threading) and converge to
-/// the same relative-residual tolerance, so the projected fields agree to
-/// solver tolerance but are **not** bitwise identical between solvers.
+/// There is one solver: the exact separable-transform solve of
+/// [`crate::poisson::solve_poisson_into`]. The enum and the
+/// [`AtmosParams::pressure_solver`] field remain so existing callers keep
+/// compiling; the multigrid V-cycles of [`crate::multigrid`] are no longer
+/// used by any projection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoissonSolver {
-    /// Pick per grid: multigrid wherever a coarse level exists and the
-    /// grid is at least fig1-sized
-    /// ([`crate::multigrid::AUTO_MULTIGRID_MIN`] cells, the measured
-    /// crossover on fire-like right-hand sides); conjugate gradients on
-    /// smaller grids and grids too odd to coarsen. This is the default.
+    /// The direct (transform) solve.
     #[default]
-    Auto,
-    /// Always matrix-free conjugate gradients (the seed solver).
-    ConjugateGradient,
-    /// Always geometric multigrid V-cycles (falls back to CG internally
-    /// only when the grid admits no coarse level at all).
-    Multigrid,
+    Direct,
 }
 
 impl PoissonSolver {
-    /// Resolves `Auto` for a concrete grid: `true` when the multigrid path
-    /// will be used.
-    pub fn uses_multigrid(self, grid: &AtmosGrid) -> bool {
-        match self {
-            PoissonSolver::ConjugateGradient => false,
-            PoissonSolver::Multigrid => crate::multigrid::can_coarsen(grid),
-            PoissonSolver::Auto => {
-                crate::multigrid::can_coarsen(grid)
-                    && grid.n_cells() >= crate::multigrid::AUTO_MULTIGRID_MIN
-            }
-        }
+    /// Whether the projection solves on `grid` by multigrid: never.
+    pub fn uses_multigrid(self, _grid: &AtmosGrid) -> bool {
+        false
     }
 }
 
@@ -80,26 +56,14 @@ pub struct AtmosParams {
     pub latent_heat: f64,
     /// Horizontal eddy viscosity/diffusivity, m²/s (also applied to scalars).
     pub eddy_viscosity: f64,
-    /// Pressure solver: maximum iterations (CG iterations or multigrid
-    /// V-cycles, depending on [`AtmosParams::pressure_solver`]).
+    /// Iteration cap of the former iterative pressure solvers; ignored by
+    /// the exact solve.
     pub pressure_max_iter: usize,
-    /// Pressure solver: relative residual tolerance.
+    /// Relative tolerance of the former iterative pressure solvers; ignored
+    /// by the exact solve.
     pub pressure_tol: f64,
-    /// Which pressure-projection solver to run.
+    /// Which pressure-projection solver to run (there is one).
     pub pressure_solver: PoissonSolver,
-    /// Warm-start the pressure projection from the previous step's
-    /// potential instead of zero (default `false`).
-    ///
-    /// Successive projection right-hand sides differ only by one step of
-    /// dynamics, so the previous `φ` is an excellent initial iterate and
-    /// cuts solver iterations substantially at small `dt`. The warm solve
-    /// converges to the same relative tolerance as the cold one but takes a
-    /// different iteration trajectory, so enabling this **breaks the
-    /// `step`/`step_ws` bitwise contract**: the allocating
-    /// [`crate::AtmosModel::step`] builds a fresh workspace each call (no
-    /// seed to reuse), while `step_ws` carries `φ` across steps. It is
-    /// therefore opt-in; the default path stays bit-identical to the seed.
-    pub pressure_warm_start: bool,
 }
 
 impl Default for AtmosParams {
@@ -118,8 +82,7 @@ impl Default for AtmosParams {
             eddy_viscosity: 5.0,
             pressure_max_iter: 500,
             pressure_tol: 1e-8,
-            pressure_solver: PoissonSolver::Auto,
-            pressure_warm_start: false,
+            pressure_solver: PoissonSolver::Direct,
         }
     }
 }

@@ -1,19 +1,22 @@
 //! Reusable scratch buffers for allocation-free atmospheric stepping.
 //!
 //! One [`AtmosModel::step`](crate::AtmosModel::step) allocated eleven
-//! tendency vectors plus the pressure-solver's CG vectors — every substep,
+//! tendency vectors plus the pressure solve's scratch — every substep,
 //! every member. An [`AtmosWorkspace`] owns all of them; buffers are sized
 //! lazily from the grid on first use and reused thereafter, so steady-state
 //! stepping performs no heap allocation. Hold one workspace per thread.
 
-use crate::multigrid::MgHierarchy;
+use crate::poisson::SpectralTables;
 
-/// Pressure-solver scratch for [`crate::poisson::solve_poisson_into`]:
-/// the conjugate-gradient vectors plus the preallocated multigrid grid
-/// hierarchy, so either [`crate::PoissonSolver`] path runs allocation-free
-/// once warmed on a grid.
+/// Pressure-solver scratch: the transform tables of
+/// [`crate::poisson::solve_poisson_into`], built on the first solve for a
+/// grid, plus the vectors of the conjugate-gradient oracle
+/// [`crate::poisson::solve_poisson_cg_into`]. Both run allocation-free once
+/// warmed on a grid.
 #[derive(Debug, Clone, Default)]
 pub struct PoissonWorkspace {
+    /// Transform tables and line scratch of the direct solve.
+    pub(crate) spectral: SpectralTables,
     /// Mean-free negated right-hand side.
     pub(crate) b: Vec<f64>,
     /// Residual vector.
@@ -22,9 +25,6 @@ pub struct PoissonWorkspace {
     pub(crate) p: Vec<f64>,
     /// Operator application `A·p`.
     pub(crate) ap: Vec<f64>,
-    /// Multigrid level hierarchy (levels, transfer tables, coarse-CG
-    /// scratch), built lazily per grid shape.
-    pub(crate) mg: MgHierarchy,
 }
 
 /// Scratch buffers for [`crate::AtmosModel`] stepping.
@@ -54,7 +54,7 @@ pub struct AtmosWorkspace {
     pub(crate) div: Vec<f64>,
     /// Pressure potential φ.
     pub(crate) phi: Vec<f64>,
-    /// CG scratch for the Poisson solve.
+    /// Scratch of the Poisson solve.
     pub(crate) poisson: PoissonWorkspace,
 }
 
@@ -62,23 +62,5 @@ impl AtmosWorkspace {
     /// An empty workspace; buffers are sized on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The pressure potential φ left by the most recent step — the seed the
-    /// warm-started projection (`AtmosParams::pressure_warm_start`) reads on
-    /// the next step. Exposed so checkpointing can capture it: under warm
-    /// start, bitwise restore requires this carry-over alongside the
-    /// prognostic state.
-    pub fn warm_phi(&self) -> &[f64] {
-        &self.phi
-    }
-
-    /// Overwrites the warm-start potential (see
-    /// [`AtmosWorkspace::warm_phi`]), reusing the existing storage. Called
-    /// by restore paths; harmless when warm start is off (the cold solve
-    /// re-targets the buffer itself).
-    pub fn set_warm_phi(&mut self, phi: &[f64]) {
-        self.phi.clear();
-        self.phi.extend_from_slice(phi);
     }
 }

@@ -1,12 +1,15 @@
-//! Property-based tests for the pressure Poisson solvers: the multigrid and
-//! conjugate-gradient paths must agree to solver tolerance on arbitrary
-//! smooth right-hand sides, over arbitrary (including non-square and
-//! semicoarsenable) grids.
+//! Property-based tests for the pressure Poisson solvers over arbitrary
+//! (odd, even, non-square, semicoarsenable) grids with anisotropic
+//! spacing: the direct solve the projection runs must match a 1e-14
+//! conjugate-gradient solve on arbitrary right-hand sides, and the
+//! multigrid and conjugate-gradient paths must agree to solver tolerance
+//! on smooth ones.
 
 use proptest::prelude::*;
+use wildfire_atmos::multigrid::solve_poisson_mg_into;
 use wildfire_atmos::poisson::{solve_poisson_cg_into, solve_poisson_into};
 use wildfire_atmos::state::AtmosGrid;
-use wildfire_atmos::{PoissonSolver, PoissonWorkspace};
+use wildfire_atmos::{MgHierarchy, PoissonSolver, PoissonWorkspace};
 
 /// Arbitrary model-sized grids: a mix of coarsenable, odd, and flat
 /// dimensions with anisotropic spacings.
@@ -56,6 +59,42 @@ fn smooth_rhs(g: &AtmosGrid, coeffs: &[(f64, f64, f64)]) -> Vec<f64> {
 }
 
 proptest! {
+    /// The direct solve matches a 1e-14 CG solve to 1e-10 relative on an
+    /// arbitrary (broadband, not mean-free) right-hand side, and its
+    /// potential is mean-free to 1e-12·‖φ‖.
+    #[test]
+    fn direct_solve_matches_tight_cg(
+        g in grid(),
+        seed in 0u64..u64::MAX,
+    ) {
+        // SplitMix64 values in [−1, 1).
+        let mut state = seed;
+        let rhs: Vec<f64> = (0..g.n_cells())
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect();
+        let mut ws = PoissonWorkspace::default();
+        let mut phi = Vec::new();
+        solve_poisson_into(&g, &rhs, PoissonSolver::Direct, 1e-8, 500, &mut ws, &mut phi).unwrap();
+        let mut phi_cg = Vec::new();
+        solve_poisson_cg_into(&g, &rhs, 1e-14, 100_000, &mut ws, &mut phi_cg).unwrap();
+        let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let diff: Vec<f64> = phi.iter().zip(&phi_cg).map(|(a, b)| a - b).collect();
+        let rel = norm(&diff) / norm(&phi_cg);
+        prop_assert!(
+            rel <= 1e-10,
+            "grid {}x{}x{}: ‖direct − cg‖/‖cg‖ = {rel:.3e}",
+            g.nx, g.ny, g.nz
+        );
+        let mean = phi.iter().sum::<f64>() / phi.len() as f64;
+        prop_assert!(mean.abs() <= 1e-12 * norm(&phi), "mean {mean:e}");
+    }
+
     /// Multigrid and CG agree on random smooth fields to solver tolerance.
     #[test]
     fn multigrid_and_cg_agree_on_smooth_rhs(
@@ -64,10 +103,8 @@ proptest! {
     ) {
         let rhs = smooth_rhs(&g, &coeffs);
         let tol = 1e-10;
-        let mut ws_mg = PoissonWorkspace::default();
         let mut phi_mg = Vec::new();
-        solve_poisson_into(&g, &rhs, PoissonSolver::Multigrid, tol, 500, &mut ws_mg, &mut phi_mg)
-            .unwrap();
+        solve_poisson_mg_into(&g, &rhs, tol, 500, &mut MgHierarchy::new(), &mut phi_mg).unwrap();
         let mut ws_cg = PoissonWorkspace::default();
         let mut phi_cg = Vec::new();
         solve_poisson_cg_into(&g, &rhs, tol, 10_000, &mut ws_cg, &mut phi_cg).unwrap();
@@ -96,10 +133,8 @@ proptest! {
         coeffs in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 1..3),
     ) {
         let rhs = smooth_rhs(&g, &coeffs);
-        let mut ws = PoissonWorkspace::default();
         let mut phi = Vec::new();
-        solve_poisson_into(&g, &rhs, PoissonSolver::Multigrid, 1e-9, 500, &mut ws, &mut phi)
-            .unwrap();
+        solve_poisson_mg_into(&g, &rhs, 1e-9, 500, &mut MgHierarchy::new(), &mut phi).unwrap();
         // Rebuild −∇²φ via a second solve workspace-independent check:
         // compare second differences against the mean-free rhs.
         let n = g.n_cells();

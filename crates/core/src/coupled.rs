@@ -205,7 +205,7 @@ impl CoupledModel {
 
     /// Allocation-free [`CoupledModel::step`]: every temporary — fire Heun
     /// stages, mesh-transfer fields, heat fluxes, atmosphere tendencies and
-    /// CG vectors — comes from `ws`, sized on first use and reused
+    /// the pressure solve's tables — comes from `ws`, sized on first use and reused
     /// thereafter. Bit-identical to the allocating wrapper. This is the one
     /// stepping path: wind onto the fire mesh
     /// ([`CoupledModel::fire_wind_into`]), the fire advance

@@ -1,8 +1,8 @@
 //! Reusable scratch buffers for allocation-free coupled stepping.
 //!
 //! A coupled step touches every layer below it: the fire solver's Heun
-//! temporaries, the atmosphere's tendency and CG vectors, the mesh-transfer
-//! buffers between them, and the heat-flux fields. [`CoupledWorkspace`]
+//! temporaries, the atmosphere's tendencies and pressure-solve tables, the
+//! mesh-transfer buffers between them, and the heat-flux fields. [`CoupledWorkspace`]
 //! bundles all of them so [`crate::CoupledModel::step_ws`] performs no heap
 //! allocation in steady state. Hold one workspace per thread (the ensemble
 //! layer keeps one per worker); the buffers carry capacity, not state.
@@ -17,7 +17,7 @@ use wildfire_grid::{Field2, VectorField2};
 pub struct CoupledWorkspace {
     /// Fire-solver temporaries (Heun stages, crossing detection).
     pub fire: FireWorkspace,
-    /// Atmosphere temporaries (tendencies, Poisson CG vectors).
+    /// Atmosphere temporaries (tendencies, pressure-solve tables).
     pub atmos: AtmosWorkspace,
     /// Wind on the fine fire mesh (prolonged or ambient).
     pub(crate) wind: VectorField2,

@@ -24,6 +24,7 @@
 
 use crate::workspace::AnalysisWorkspace;
 use crate::{EnkfError, Result};
+use std::ops::Range;
 use wildfire_math::{Cholesky, GaussianSampler, Matrix};
 
 /// Configuration of the stochastic EnKF.
@@ -46,6 +47,67 @@ impl Default for EnkfConfig {
             ridge: 1e-10,
         }
     }
+}
+
+/// State rows the in-place analyses update together: a block of anomalies
+/// (`ROW_BLOCK × N`) stays cache-resident while it is combined.
+pub(crate) const ROW_BLOCK: usize = 64;
+
+/// Loads the anomaly block `A_blk = inflation·(X_blk − x̄_blk)` of the state
+/// rows `rows` into `a` (`rows.len() × N`). Shared by both filters' in-place
+/// updates; the arithmetic is that of `Matrix::anomalies_into` followed by
+/// `Matrix::scale_mut` (a product with 1.0 is exact, so inflation 1 changes
+/// no bit).
+pub(crate) fn anomaly_block(
+    ensemble: &Matrix,
+    mean: &[f64],
+    inflation: f64,
+    rows: Range<usize>,
+    a: &mut Matrix,
+) {
+    a.resize_no_zero(rows.len(), ensemble.cols());
+    let mean = &mean[rows.clone()];
+    for k in 0..ensemble.cols() {
+        let x = &ensemble.col(k)[rows.clone()];
+        for ((v, &xi), &m) in a.col_mut(k).iter_mut().zip(x).zip(mean) {
+            *v = (xi - m) * inflation;
+        }
+    }
+}
+
+/// `X ← X + A·W` in place, block by block of [`ROW_BLOCK`] rows, with
+/// `A = inflation·(X − x̄)`; when `inflation ≠ 1` each block of `X` is first
+/// rebuilt as `x̄ + A`. `a` and `u` are block scratch. Bit-identical to
+/// forming the `n × N` matrices `A` and `A·W` and adding (the
+/// `matmul_into`/`axpy_mut` order): each output column accumulates
+/// `W[k, j]·A[:, k]` for ascending `k`, skipping exact zeros.
+pub(crate) fn add_anomaly_update(
+    ensemble: &mut Matrix,
+    mean: &[f64],
+    inflation: f64,
+    w: &Matrix,
+    a: &mut Matrix,
+    u: &mut Vec<f64>,
+) -> Result<()> {
+    let (n, n_ens) = ensemble.dims();
+    for r0 in (0..n).step_by(ROW_BLOCK) {
+        let rows = r0..n.min(r0 + ROW_BLOCK);
+        anomaly_block(ensemble, mean, inflation, rows.clone(), a);
+        u.resize(rows.len(), 0.0);
+        for j in 0..n_ens {
+            let x = &mut ensemble.col_mut(j)[rows.clone()];
+            if inflation != 1.0 {
+                for ((xi, &m), &ai) in x.iter_mut().zip(&mean[rows.clone()]).zip(a.col(j)) {
+                    *xi = m + ai;
+                }
+            }
+            a.matvec_into(w.col(j), u)?;
+            for (xi, &ui) in x.iter_mut().zip(u.iter()) {
+                *xi += ui;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Input checks shared by the stochastic filter and the ETKF, made before
@@ -125,6 +187,10 @@ impl EnsembleKalmanFilter {
     /// and reused thereafter (zero heap allocation in steady state).
     /// Bit-identical to the allocating wrapper.
     ///
+    /// The ensemble-space weights `W` depend only on `HA`, the data and
+    /// `R`, so they are computed first; `X` is then updated in place, one
+    /// block of rows at a time, and no `n × N` temporary exists.
+    ///
     /// # Errors
     /// Same as [`EnsembleKalmanFilter::analyze`].
     pub fn analyze_ws(
@@ -139,21 +205,10 @@ impl EnsembleKalmanFilter {
         if !check_inputs(ensemble, synthetic, data, obs_var)? {
             return Ok(());
         }
-        let (n, n_ens) = ensemble.dims();
+        let n_ens = ensemble.cols();
         let m = synthetic.rows();
 
-        // Anomalies, with optional inflation of the state ensemble.
-        ensemble.anomalies_into(&mut ws.a, &mut ws.mean_x);
-        let a = &mut ws.a;
-        if self.config.inflation != 1.0 {
-            a.scale_mut(self.config.inflation);
-            // Rebuild the inflated ensemble around its mean.
-            for j in 0..n_ens {
-                for i in 0..n {
-                    ensemble[(i, j)] = ws.mean_x[i] + a[(i, j)];
-                }
-            }
-        }
+        ensemble.col_mean_into(&mut ws.mean_x);
         synthetic.anomalies_into(&mut ws.ha, &mut ws.mean_y);
 
         // R̃^{-1/2} with R̃ = R + ridge·mean(R).
@@ -196,10 +251,15 @@ impl EnsembleKalmanFilter {
             Cholesky::solve_in_place_with(&ws.l, w.col_mut(j));
         }
 
-        // X ← X + A·W.
-        ws.a.matmul_into(w, &mut ws.update)?;
-        ensemble.axpy_mut(1.0, &ws.update)?;
-        Ok(())
+        // X ← X + A·W, with the inflated ensemble rebuilt around its mean.
+        add_anomaly_update(
+            ensemble,
+            &ws.mean_x,
+            self.config.inflation,
+            w,
+            &mut ws.a,
+            &mut ws.update,
+        )
     }
 }
 
@@ -345,6 +405,57 @@ mod tests {
             let rel = relative_difference_from_oracle((n, m, n_ens), config, (1e-3, 1e3), seed);
             prop_assert!(rel <= 1e-6, "n={n} m={m} N={n_ens} {config:?}: {rel}");
         }
+
+        /// The in-place block update lands on the bits of the two-matrix
+        /// form, over state sizes across and between block boundaries,
+        /// with and without inflation, and with exact zeros in `W`.
+        #[test]
+        fn in_place_update_matches_two_matrix_oracle_bitwise(
+            n in 1usize..300,
+            n_ens in 2usize..12,
+            inflated in 0usize..2,
+            zero_every in 0usize..4,
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = GaussianSampler::new(seed);
+            let x0 = rng.normal_matrix(n, n_ens, 2.0);
+            let mut w = rng.normal_matrix(n_ens, n_ens, 0.5);
+            if zero_every > 0 {
+                for v in w.as_mut_slice().iter_mut().step_by(zero_every) {
+                    *v = 0.0;
+                }
+            }
+            let inflation = [1.0, rng.uniform(1.0, 1.5)][inflated];
+
+            let mut x = x0.clone();
+            let mut ws = AnalysisWorkspace::new();
+            x.col_mean_into(&mut ws.mean_x);
+            add_anomaly_update(&mut x, &ws.mean_x, inflation, &w, &mut ws.a, &mut ws.update)
+                .unwrap();
+            let mut x_ref = x0;
+            add_anomaly_update_two_matrix(&mut x_ref, inflation, &w);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert!(bits(&x) == bits(&x_ref), "n={n} N={n_ens} inflation {inflation}");
+        }
+    }
+
+    /// The update as it was before it went in place — anomalies `A` and
+    /// the update `A·W` as whole `n × N` matrices: the oracle of
+    /// [`add_anomaly_update`].
+    fn add_anomaly_update_two_matrix(ensemble: &mut Matrix, inflation: f64, w: &Matrix) {
+        let (n, n_ens) = ensemble.dims();
+        let (mut a, mut mean, mut update) = (Matrix::default(), Vec::new(), Matrix::default());
+        ensemble.anomalies_into(&mut a, &mut mean);
+        if inflation != 1.0 {
+            a.scale_mut(inflation);
+            for j in 0..n_ens {
+                for i in 0..n {
+                    ensemble[(i, j)] = mean[i] + a[(i, j)];
+                }
+            }
+        }
+        a.matmul_into(w, &mut update).unwrap();
+        ensemble.axpy_mut(1.0, &update).unwrap();
     }
 
     /// A zero, negative or non-finite observation variance is a typed error

@@ -6,10 +6,48 @@
 //! at small ensemble sizes. Useful as a cross-check baseline in the filter
 //! experiments.
 
-use crate::enkf::check_inputs;
+use crate::enkf::{anomaly_block, check_inputs, ROW_BLOCK};
 use crate::workspace::AnalysisWorkspace;
 use crate::Result;
 use wildfire_math::Matrix;
+
+/// `X ← x̄ + A·w̄ + A·M^{-1/2}` in place, block by block of [`ROW_BLOCK`]
+/// rows, with `A = inflation·(X − x̄)`; `a`, `dx` and `u` are block scratch.
+/// Bit-identical to forming the `n × N` matrices `A` and `A·M^{-1/2}` and
+/// the length-`n` `A·w̄` (the `matvec_into`/`matmul_into` order).
+#[allow(clippy::too_many_arguments)]
+fn transform_in_place(
+    ensemble: &mut Matrix,
+    mean: &[f64],
+    inflation: f64,
+    wbar: &[f64],
+    m_inv_sqrt: &Matrix,
+    a: &mut Matrix,
+    dx: &mut Vec<f64>,
+    u: &mut Vec<f64>,
+) -> Result<()> {
+    let (n, n_ens) = ensemble.dims();
+    for r0 in (0..n).step_by(ROW_BLOCK) {
+        let rows = r0..n.min(r0 + ROW_BLOCK);
+        anomaly_block(ensemble, mean, inflation, rows.clone(), a);
+        dx.resize(rows.len(), 0.0);
+        u.resize(rows.len(), 0.0);
+        a.matvec_into(wbar, dx)?;
+        for j in 0..n_ens {
+            a.matvec_into(m_inv_sqrt.col(j), u)?;
+            let x = &mut ensemble.col_mut(j)[rows.clone()];
+            for (((xi, &m), &d), &ui) in x
+                .iter_mut()
+                .zip(&mean[rows.clone()])
+                .zip(dx.iter())
+                .zip(u.iter())
+            {
+                *xi = m + d + ui;
+            }
+        }
+    }
+    Ok(())
+}
 
 /// The ensemble transform Kalman filter.
 #[derive(Debug, Clone, Default)]
@@ -44,13 +82,17 @@ impl Etkf {
         self.analyze_ws(ensemble, synthetic, data, obs_var, &mut ws)
     }
 
-    /// Workspace-backed [`Etkf::analyze`]: every temporary — the anomaly
-    /// matrices, the scaled observation anomalies, the transformed
-    /// ensemble, and the `N × N` ensemble-space eigendecomposition
-    /// (`SymmetricEigen::factor_into` with Jacobi scratch in `ws`) — comes
+    /// Workspace-backed [`Etkf::analyze`]: every temporary — the
+    /// observation anomalies, the scaled observation anomalies, the `N × N`
+    /// ensemble-space eigendecomposition (`SymmetricEigen::factor_into`
+    /// with Jacobi scratch in `ws`) and a block of state anomalies — comes
     /// from `ws` and is reused across calls, so a steady-state analysis
     /// performs no heap allocation. Bit-identical to the allocating
     /// wrapper.
+    ///
+    /// `M^{-1/2}` and the mean weights `w̄` depend only on `HA`, the data
+    /// and `R`, so they are computed first; `X` is then rewritten in place,
+    /// one block of rows at a time, and no `n × N` temporary exists.
     ///
     /// # Errors
     /// Same classes as the stochastic filter.
@@ -65,7 +107,7 @@ impl Etkf {
         if !check_inputs(ensemble, synthetic, data, obs_var)? {
             return Ok(());
         }
-        let (n, n_ens) = ensemble.dims();
+        let n_ens = ensemble.cols();
         let m = synthetic.rows();
         let inflation = if self.inflation > 0.0 {
             self.inflation
@@ -73,9 +115,7 @@ impl Etkf {
             1.0
         };
 
-        ensemble.anomalies_into(&mut ws.a, &mut ws.mean_x);
-        let a = &mut ws.a;
-        a.scale_mut(inflation);
+        ensemble.col_mean_into(&mut ws.mean_x);
         synthetic.anomalies_into(&mut ws.ha, &mut ws.mean_y);
 
         // S = R^{-1/2} HA / √(N−1)  (m × N), with diagonal R.
@@ -103,7 +143,7 @@ impl Etkf {
             .map_into(|lam| 1.0 / lam.max(1e-14).sqrt(), &mut ws.c, &mut ws.l);
         let m_inv_sqrt = &ws.l;
 
-        // Mean update: x̄ ← x̄ + A·M⁻¹·Sᵀ·R^{-1/2}(d − ȳ)/√(N−1).
+        // Mean weights w̄ = M⁻¹·Sᵀ·R^{-1/2}(d − ȳ)/√(N−1).
         let innov = &mut ws.innov;
         innov.clear();
         innov.resize(m, 0.0);
@@ -118,22 +158,19 @@ impl Etkf {
         wbar.clear();
         wbar.resize(n_ens, 0.0);
         m_inv.matvec_into(&ws.wvec, wbar)?;
-        let dx = &mut ws.xvec;
-        dx.clear();
-        dx.resize(n, 0.0);
-        ws.a.matvec_into(&ws.wvec2, dx)?;
 
-        // Anomaly update: A ← A·M^{-1/2} (symmetric square root keeps the
-        // ensemble mean-free).
-        ws.a.matmul_into(m_inv_sqrt, &mut ws.update)?;
-        let a_new = &ws.update;
-
-        for j in 0..n_ens {
-            for i in 0..n {
-                ensemble[(i, j)] = ws.mean_x[i] + dx[i] + a_new[(i, j)];
-            }
-        }
-        Ok(())
+        // Mean update x̄ + A·w̄ and anomaly update A·M^{-1/2} (the symmetric
+        // square root keeps the ensemble mean-free).
+        transform_in_place(
+            ensemble,
+            &ws.mean_x,
+            inflation,
+            &ws.wvec2,
+            m_inv_sqrt,
+            &mut ws.a,
+            &mut ws.xvec,
+            &mut ws.update,
+        )
     }
 }
 
@@ -141,6 +178,7 @@ impl Etkf {
 mod tests {
     use super::*;
     use crate::EnkfError;
+    use proptest::prelude::*;
     use wildfire_math::{stats, GaussianSampler};
 
     /// `N` is the dimension of the eigendecomposition, so the "large
@@ -218,6 +256,70 @@ mod tests {
         f.analyze_ws(&mut x_ws, &y0, &data, &obs_var, &mut ws)
             .unwrap();
         assert_eq!(x_alloc.as_slice(), x_ws.as_slice());
+    }
+
+    /// The transform as it was before it went in place — `A`, `A·M^{-1/2}`
+    /// as whole `n × N` matrices and `A·w̄` of length `n`: the oracle of
+    /// [`transform_in_place`].
+    fn transform_two_matrix(
+        ensemble: &mut Matrix,
+        inflation: f64,
+        wbar: &[f64],
+        m_inv_sqrt: &Matrix,
+    ) {
+        let (n, n_ens) = ensemble.dims();
+        let (mut a, mut mean, mut a_new) = (Matrix::default(), Vec::new(), Matrix::default());
+        ensemble.anomalies_into(&mut a, &mut mean);
+        a.scale_mut(inflation);
+        let mut dx = vec![0.0; n];
+        a.matvec_into(wbar, &mut dx).unwrap();
+        a.matmul_into(m_inv_sqrt, &mut a_new).unwrap();
+        for j in 0..n_ens {
+            for i in 0..n {
+                ensemble[(i, j)] = mean[i] + dx[i] + a_new[(i, j)];
+            }
+        }
+    }
+
+    proptest! {
+        /// The in-place block transform lands on the bits of the
+        /// two-matrix form, over state sizes across and between block
+        /// boundaries, with and without inflation, and with exact zeros in
+        /// `w̄` and `M^{-1/2}`.
+        #[test]
+        fn in_place_transform_matches_two_matrix_oracle_bitwise(
+            n in 1usize..300,
+            n_ens in 2usize..12,
+            inflated in 0usize..2,
+            zero_every in 0usize..4,
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = GaussianSampler::new(seed);
+            let x0 = rng.normal_matrix(n, n_ens, 2.0);
+            let mut t = rng.normal_matrix(n_ens, n_ens, 0.5);
+            let mut wbar: Vec<f64> = (0..n_ens).map(|_| rng.normal(0.0, 0.5)).collect();
+            if zero_every > 0 {
+                for v in t.as_mut_slice().iter_mut().step_by(zero_every) {
+                    *v = 0.0;
+                }
+                for v in wbar.iter_mut().step_by(zero_every) {
+                    *v = 0.0;
+                }
+            }
+            let inflation = [1.0, rng.uniform(1.0, 1.5)][inflated];
+
+            let mut x = x0.clone();
+            let mut ws = AnalysisWorkspace::new();
+            x.col_mean_into(&mut ws.mean_x);
+            transform_in_place(
+                &mut x, &ws.mean_x, inflation, &wbar, &t, &mut ws.a, &mut ws.xvec, &mut ws.update,
+            )
+            .unwrap();
+            let mut x_ref = x0;
+            transform_two_matrix(&mut x_ref, inflation, &wbar, &t);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert!(bits(&x) == bits(&x_ref), "n={n} N={n_ens} inflation {inflation}");
+        }
     }
 
     #[test]

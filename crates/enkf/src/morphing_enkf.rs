@@ -545,6 +545,86 @@ mod tests {
         assert_eq!(ws.enkf.l.dims(), (6, 6));
     }
 
+    /// Every buffer of an analysis workspace, by name and element count.
+    fn buffer_sizes(ws: &AnalysisWorkspace) -> Vec<(&'static str, usize)> {
+        let m = |name, m: &Matrix| (name, m.as_slice().len());
+        let v = |name, v: &Vec<f64>| (name, v.len());
+        vec![
+            m("a", &ws.a),
+            m("ha", &ws.ha),
+            m("c", &ws.c),
+            m("l", &ws.l),
+            m("delta", &ws.delta),
+            m("w", &ws.w),
+            v("update", &ws.update),
+            v("mean_x", &ws.mean_x),
+            v("mean_y", &ws.mean_y),
+            v("innov", &ws.innov),
+            v("wvec", &ws.wvec),
+            v("wvec2", &ws.wvec2),
+            v("xvec", &ws.xvec),
+            v("eig.values", &ws.eig.values),
+            m("eig.vectors", &ws.eig.vectors),
+        ]
+    }
+
+    /// The analyses update the ensemble in place: after a standard, an
+    /// ETKF and a morphing analysis (each observing fewer rows than the
+    /// state has) no workspace buffer holds a copy of the ensemble.
+    #[test]
+    fn analysis_workspace_holds_no_ensemble_sized_matrix() {
+        let assert_small = |ws: &AnalysisWorkspace, n: usize, n_ens: usize, what: &str| {
+            for (name, len) in buffer_sizes(ws) {
+                assert!(
+                    len < n * n_ens,
+                    "{what}: {name} holds {len} ≥ n·N = {}",
+                    n * n_ens
+                );
+            }
+        };
+        let mut rng = GaussianSampler::new(41);
+        let (n, m, n_ens) = (300, 40, 8);
+        let x0 = rng.normal_matrix(n, n_ens, 1.0);
+        let y = x0.submatrix(0, m, 0, n_ens);
+        let data = vec![0.5; m];
+        let var = vec![0.3; m];
+        let mut ws = AnalysisWorkspace::new();
+        EnsembleKalmanFilter::new(EnkfConfig {
+            inflation: 1.1,
+            ..Default::default()
+        })
+        .analyze_ws(&mut x0.clone(), &y, &data, &var, &mut rng, &mut ws)
+        .unwrap();
+        assert_small(&ws, n, n_ens, "standard");
+        let mut ws = AnalysisWorkspace::new();
+        crate::Etkf::new(1.1)
+            .analyze_ws(&mut x0.clone(), &y, &data, &var, &mut ws)
+            .unwrap();
+        assert_small(&ws, n, n_ens, "etkf");
+
+        // Two fields, the first observed: n = 2·33² + 2·ctrl, m = 33² + 2·ctrl.
+        let filter = MorphingEnkf::new(cfg());
+        let reference = vec![cone(30.0, 30.0), cone(30.0, 30.0)];
+        let extended: Vec<ExtendedState> = (0..4)
+            .map(|i| {
+                let c = 24.0 + 2.0 * i as f64;
+                filter
+                    .to_extended(&[cone(c, 30.0), cone(c, 30.0)], &reference, 0)
+                    .unwrap()
+            })
+            .collect();
+        let data_ext = filter
+            .to_extended(&[cone(40.0, 30.0), cone(40.0, 30.0)], &reference, 0)
+            .unwrap();
+        let mut ws = MorphingWorkspace::new();
+        filter
+            .analyze_extended_ws(&extended, &data_ext, &reference, &mut rng, &mut ws)
+            .unwrap();
+        let (n_state, n_ens) = ws.x.dims();
+        assert!(ws.enkf.delta.rows() < n_state);
+        assert_small(&ws.enkf, n_state, n_ens, "morphing");
+    }
+
     #[test]
     fn rejects_small_ensembles_and_bad_indices() {
         let filter = MorphingEnkf::new(cfg());

@@ -1,14 +1,15 @@
 //! Reusable scratch buffers for allocation-free filter analyses.
 //!
-//! One stochastic-EnKF analysis needs the two anomaly matrices, the
-//! whitened perturbed innovations, the state update (all `n × N` or
-//! `m × N`) and three `N × N` ensemble-space matrices. On the paper's cycle
-//! (analysis every few minutes of simulation time, 25 members, grid-sized
-//! states) that is megabytes of allocator traffic per cycle for buffers
-//! whose shapes never change. [`AnalysisWorkspace`] owns them all: sized on
-//! first use, reused thereafter, so a steady-state analysis performs no
-//! heap allocation. No buffer is `m × m`: both filters solve in ensemble
-//! space.
+//! One stochastic-EnKF analysis needs the observation anomalies and the
+//! whitened perturbed innovations (`m × N`), three `N × N` ensemble-space
+//! matrices, and a block of state anomalies. On the paper's cycle (analysis
+//! every few minutes of simulation time, 25 members, grid-sized states)
+//! that is megabytes of allocator traffic per cycle for buffers whose
+//! shapes never change. [`AnalysisWorkspace`] owns them all: sized on first
+//! use, reused thereafter, so a steady-state analysis performs no heap
+//! allocation. No buffer is `m × m` (both filters solve in ensemble space)
+//! and none is `n × N`: both update the ensemble in place, a block of 64
+//! state rows at a time.
 
 use wildfire_math::{EigenWorkspace, Matrix, SymmetricEigen};
 
@@ -19,7 +20,7 @@ use wildfire_math::{EigenWorkspace, Matrix, SymmetricEigen};
 /// through [`crate::morphing_enkf::MorphingWorkspace`] — the morphing EnKF.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisWorkspace {
-    /// State anomaly matrix `A` (`n × N`).
+    /// One block of state anomalies `A_blk` (at most 64 rows × `N`).
     pub a: Matrix,
     /// Observation anomaly matrix `HA` (`m × N`); the stochastic filter
     /// whitens it in place into `S̃ = R̃^{-1/2}·HA`.
@@ -34,9 +35,9 @@ pub struct AnalysisWorkspace {
     pub delta: Matrix,
     /// Ensemble-space weights `W` (`N × N`) — the ETKF keeps `M⁻¹` here.
     pub w: Matrix,
-    /// State update `A·W` (`n × N`) — the ETKF reuses this slot for its
-    /// transformed anomalies.
-    pub update: Matrix,
+    /// One block column of the update (`A_blk·W` in the stochastic filter,
+    /// `A_blk·M^{-1/2}` in the ETKF).
+    pub update: Vec<f64>,
     /// Ensemble mean of the state.
     pub mean_x: Vec<f64>,
     /// Ensemble mean of the synthetic observations.
@@ -49,7 +50,7 @@ pub struct AnalysisWorkspace {
     /// Second length-`N` ensemble-space scratch (the ETKF mean-update
     /// weights).
     pub wvec2: Vec<f64>,
-    /// Length-`n` state-space scratch.
+    /// One block of the ETKF mean increment `A_blk·w̄`.
     pub xvec: Vec<f64>,
     /// Reusable eigendecomposition of the ETKF ensemble-space matrix
     /// (`N × N`) — the last allocating piece of the deterministic analysis.

@@ -4,8 +4,7 @@
 //! state between the Fig. 2 phases. A [`Snapshot`] (format v2, same magic
 //! and record layout, bumped header version) carries *everything* a bitwise
 //! restore needs: the level-set field and ignition times, the atmosphere's
-//! prognostic fields and clock, the warm-start pressure potential the
-//! projection seeds from, RNG provenance, and a fingerprint of the
+//! prognostic fields and clock, RNG provenance, and a fingerprint of the
 //! producing configuration so a snapshot cannot silently restore into the
 //! wrong model. The headline contract is exact: checkpoint mid-run →
 //! restore → continue must reproduce the uninterrupted run bit for bit.
@@ -353,9 +352,9 @@ pub fn check_model_fingerprint(model: &CoupledModel, snap: &Snapshot) -> Result<
 /// crate owns the on-disk format) as an extension trait over
 /// [`CoupledModel`].
 pub trait CoupledSnapshot {
-    /// Captures `state` (and, when `ws` is given and warm-started pressure
-    /// projection is enabled, the carry-over potential φ) into `snap`,
-    /// reusing its buffers. Allocation-free once `snap` is warm.
+    /// Captures `state` into `snap`, reusing its buffers. Allocation-free
+    /// once `snap` is warm. The workspace carries no state between steps,
+    /// so `ws` contributes nothing; it stays in the signature for callers.
     fn snapshot_into(
         &self,
         state: &CoupledState,
@@ -363,8 +362,8 @@ pub trait CoupledSnapshot {
         snap: &mut Snapshot,
     );
 
-    /// Restores `state` (and the workspace's warm-start potential, when
-    /// `ws` is given) from `snap`, writing into the existing buffers.
+    /// Restores `state` from `snap`, writing into the existing buffers.
+    /// `ws` is left untouched (see [`CoupledSnapshot::snapshot_into`]).
     ///
     /// # Errors
     /// Missing records, size mismatches, or a fingerprint from a different
@@ -381,7 +380,7 @@ impl CoupledSnapshot for CoupledModel {
     fn snapshot_into(
         &self,
         state: &CoupledState,
-        ws: Option<&CoupledWorkspace>,
+        _ws: Option<&CoupledWorkspace>,
         snap: &mut Snapshot,
     ) {
         model_fingerprint_into(self, snap.record_mut(FINGERPRINT));
@@ -394,17 +393,12 @@ impl CoupledSnapshot for CoupledModel {
         snap.put_slice("atmos/theta", &state.atmos.theta);
         snap.put_slice("atmos/qv", &state.atmos.qv);
         snap.put_scalar("atmos/time", state.atmos.time);
-        if self.atmos.params.pressure_warm_start {
-            if let Some(ws) = ws {
-                snap.put_slice("atmos/phi_warm", ws.atmos.warm_phi());
-            }
-        }
     }
 
     fn restore_from(
         &self,
         state: &mut CoupledState,
-        ws: Option<&mut CoupledWorkspace>,
+        _ws: Option<&mut CoupledWorkspace>,
         snap: &Snapshot,
     ) -> Result<()> {
         check_model_fingerprint(self, snap)?;
@@ -441,12 +435,6 @@ impl CoupledSnapshot for CoupledModel {
         }
         state.atmos.grid = ag;
         state.atmos.time = snap.get_scalar("atmos/time")?;
-
-        if self.atmos.params.pressure_warm_start {
-            if let Some(ws) = ws {
-                ws.atmos.set_warm_phi(snap.get("atmos/phi_warm")?);
-            }
-        }
         Ok(())
     }
 }
@@ -460,7 +448,7 @@ mod tests {
     use wildfire_fire::ignition::IgnitionShape;
     use wildfire_fuel::FuelCategory;
 
-    fn model(warm: bool) -> CoupledModel {
+    fn model() -> CoupledModel {
         let grid = AtmosGrid {
             nx: 6,
             ny: 6,
@@ -469,11 +457,7 @@ mod tests {
             dy: 60.0,
             dz: 50.0,
         };
-        let params = AtmosParams {
-            pressure_warm_start: warm,
-            ..AtmosParams::default()
-        };
-        CoupledModel::new(grid, params, FuelCategory::ShortGrass, 4).unwrap()
+        CoupledModel::new(grid, AtmosParams::default(), FuelCategory::ShortGrass, 4).unwrap()
     }
 
     fn ignited(m: &CoupledModel) -> CoupledState {
@@ -562,39 +546,34 @@ mod tests {
 
     #[test]
     fn coupled_snapshot_roundtrip_bitwise() {
-        for warm in [false, true] {
-            let m = model(warm);
-            let mut state = ignited(&m);
-            let mut ws = CoupledWorkspace::new();
-            m.run_ws(&mut state, 2.0, 0.5, &mut ws, |_, _| {}).unwrap();
+        let m = model();
+        let mut state = ignited(&m);
+        let mut ws = CoupledWorkspace::new();
+        m.run_ws(&mut state, 2.0, 0.5, &mut ws, |_, _| {}).unwrap();
 
-            let mut snap = Snapshot::new();
-            m.snapshot_into(&state, Some(&ws), &mut snap);
-            let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let mut snap = Snapshot::new();
+        m.snapshot_into(&state, Some(&ws), &mut snap);
+        let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
 
-            let mut restored = m.ignite(&[], 0.0);
-            let mut ws2 = CoupledWorkspace::new();
-            m.restore_from(&mut restored, Some(&mut ws2), &snap)
-                .unwrap();
-            assert_eq!(state.fire.psi, restored.fire.psi, "warm = {warm}");
-            assert_eq!(state.fire.tig, restored.fire.tig, "warm = {warm}");
-            assert_eq!(state.atmos, restored.atmos, "warm = {warm}");
-            if warm {
-                assert_eq!(ws.atmos.warm_phi(), ws2.atmos.warm_phi());
-            }
+        let mut restored = m.ignite(&[], 0.0);
+        let mut ws2 = CoupledWorkspace::new();
+        m.restore_from(&mut restored, Some(&mut ws2), &snap)
+            .unwrap();
+        assert_eq!(state.fire.psi, restored.fire.psi);
+        assert_eq!(state.fire.tig, restored.fire.tig);
+        assert_eq!(state.atmos, restored.atmos);
 
-            // Continue both and require bitwise agreement.
-            m.run_ws(&mut state, 4.0, 0.5, &mut ws, |_, _| {}).unwrap();
-            m.run_ws(&mut restored, 4.0, 0.5, &mut ws2, |_, _| {})
-                .unwrap();
-            assert_eq!(state.fire.psi, restored.fire.psi, "warm = {warm}");
-            assert_eq!(state.atmos, restored.atmos, "warm = {warm}");
-        }
+        // Continue both and require bitwise agreement.
+        m.run_ws(&mut state, 4.0, 0.5, &mut ws, |_, _| {}).unwrap();
+        m.run_ws(&mut restored, 4.0, 0.5, &mut ws2, |_, _| {})
+            .unwrap();
+        assert_eq!(state.fire.psi, restored.fire.psi);
+        assert_eq!(state.atmos, restored.atmos);
     }
 
     #[test]
     fn restore_rejects_wrong_model() {
-        let m = model(false);
+        let m = model();
         let state = ignited(&m);
         let mut snap = Snapshot::new();
         m.snapshot_into(&state, None, &mut snap);
@@ -624,7 +603,7 @@ mod tests {
         // payload capacities must be reused (checked indirectly — equal
         // capacities, equal contents; the bench crate's counting-allocator
         // suite pins the stronger no-alloc property).
-        let m = model(true);
+        let m = model();
         let mut state = ignited(&m);
         let mut ws = CoupledWorkspace::new();
         m.run_ws(&mut state, 1.0, 0.5, &mut ws, |_, _| {}).unwrap();
@@ -655,7 +634,7 @@ mod tests {
 
     #[test]
     fn unburned_sentinel_survives() {
-        let m = model(false);
+        let m = model();
         let state = ignited(&m);
         assert!(state.fire.tig.as_slice().contains(&UNBURNED));
         let mut snap = Snapshot::new();

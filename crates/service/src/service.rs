@@ -280,9 +280,6 @@ fn serve(
     let sims = perturbed_simulations(&req.scenario, &spec, req.n_members)
         .map_err(|e| format!("member construction: {e}"))?;
     let dt = req.scenario.dt;
-    // The warm-started projection seeds from the φ the previous step left
-    // in the workspace: such members keep their own instead of borrowing.
-    let lend = !req.scenario.pressure_warm_start;
     let mut assim = req.source.map(|source| Assimilation {
         source,
         inbox: ObsInbox::default(),
@@ -317,17 +314,13 @@ fn serve(
             members.len(),
         );
         pool::parallel_for_each_dynamic_ws(&mut members, &mut scratch[..width], |_, m, lane| {
-            if lend {
-                std::mem::swap(&mut m.sim.workspace, lane);
-            }
+            std::mem::swap(&mut m.sim.workspace, lane);
             let (spread, updraft) = (&mut m.max_spread_rate, &mut m.max_updraft);
             m.outcome = m.sim.run_until(target, |_, diag| {
                 *spread = spread.max(diag.max_spread_rate);
                 *updraft = updraft.max(diag.max_updraft);
             });
-            if lend {
-                std::mem::swap(&mut m.sim.workspace, lane);
-            }
+            std::mem::swap(&mut m.sim.workspace, lane);
         });
         for m in &members {
             m.outcome.clone().map_err(|e| format!("advance: {e}"))?;

@@ -44,7 +44,6 @@ impl SimulationBuilder {
                 ignition_time: 0.0,
                 coupled: true,
                 fast_math: false,
-                pressure_warm_start: false,
                 dt: 0.5,
                 streams: Vec::new(),
             },
@@ -149,13 +148,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Toggles warm-started pressure projection (see
-    /// [`Scenario::pressure_warm_start`]). Off by default.
-    pub fn warm_start(mut self, warm: bool) -> Self {
-        self.scenario.pressure_warm_start = warm;
-        self
-    }
-
     /// Sets the reference coupled step (s).
     pub fn dt(mut self, dt: f64) -> Self {
         self.scenario.dt = dt;
@@ -193,7 +185,6 @@ impl SimulationBuilder {
         let atmos_grid = s.domain.atmos_grid();
         let params = AtmosParams {
             ambient_wind: s.wind.ambient,
-            pressure_warm_start: s.pressure_warm_start,
             ..Default::default()
         };
         let mut model = match &s.fuel {
@@ -333,11 +324,10 @@ impl Simulation {
     }
 
     /// Captures the full simulation into `snap`: the coupled state, the
-    /// warm-start pressure carry-over, the reference dt, the wind-shift
-    /// cursor and the (possibly shifted) current ambient wind, plus the
-    /// [`Scenario::fingerprint`] so the checkpoint refuses to restore into
-    /// a simulation built from a different scenario. Allocation-free once
-    /// `snap` is warm.
+    /// reference dt, the wind-shift cursor and the (possibly shifted)
+    /// current ambient wind, plus the [`Scenario::fingerprint`] so the
+    /// checkpoint refuses to restore into a simulation built from a
+    /// different scenario. Allocation-free once `snap` is warm.
     pub fn snapshot_into(&self, snap: &mut Snapshot) {
         self.model
             .snapshot_into(&self.state, Some(&self.workspace), snap);
@@ -351,8 +341,7 @@ impl Simulation {
     /// Restores this simulation from a checkpoint taken by
     /// [`Simulation::snapshot_into`]. After a successful restore,
     /// continuing the run reproduces the uninterrupted original bit for
-    /// bit — including pending wind shifts and (when enabled) the
-    /// warm-started pressure projection.
+    /// bit — including pending wind shifts.
     ///
     /// # Errors
     /// [`SimError::Snapshot`] when records are missing or malformed, or

@@ -67,7 +67,6 @@ fn scenario(
         ignition_time: 0.0,
         coupled,
         fast_math: false,
-        pressure_warm_start: false,
         dt: 0.5,
         streams: Vec::new(),
     }
@@ -148,7 +147,6 @@ pub fn all() -> Vec<Scenario> {
             ignition_time: 0.0,
             coupled: true,
             fast_math: false,
-            pressure_warm_start: false,
             dt: 0.5,
             streams: Vec::new(),
         },

@@ -179,11 +179,6 @@ pub struct Scenario {
     /// bitwise libm `powf`. Off by default; enabling it relaxes trajectories
     /// to within `1e-12` relative error per spread-rate evaluation.
     pub fast_math: bool,
-    /// Opt-in warm-started pressure projection: seed each step's Poisson
-    /// solve from the previous step's potential (see
-    /// `wildfire_atmos::AtmosParams::pressure_warm_start`). Off by default
-    /// because it breaks the `step`/`step_ws` bitwise contract.
-    pub pressure_warm_start: bool,
     /// Reference coupled time step (s); the paper uses 0.5 s.
     pub dt: f64,
     /// Declared observation data streams (Fig. 2's "real data pool"):
@@ -238,13 +233,6 @@ impl Scenario {
         self
     }
 
-    /// Returns the scenario with warm-started pressure projection toggled
-    /// (see the [`Scenario::pressure_warm_start`] field).
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.pressure_warm_start = warm;
-        self
-    }
-
     /// Returns the scenario with a replaced ignition set.
     pub fn with_ignitions(mut self, ignitions: Vec<IgnitionShape>) -> Self {
         self.ignitions = ignitions;
@@ -279,8 +267,8 @@ impl Scenario {
 
     /// A stable 64-bit FNV-1a digest of every scenario field that shapes
     /// the simulated trajectory: name, domain, fuel layout, wind forcing
-    /// and shift schedule, ignition geometry and time, coupling/fast-math/
-    /// warm-start switches, and dt. Floats are hashed by bit pattern, so
+    /// and shift schedule, ignition geometry and time, the coupling and
+    /// fast-math switches, and dt. Floats are hashed by bit pattern, so
     /// two scenarios fingerprint equal iff they run bitwise identically.
     /// Checkpoints embed this so a snapshot refuses to restore into a
     /// simulation built from a different scenario. Declared observation
@@ -345,7 +333,6 @@ impl Scenario {
         h.f64(self.ignition_time);
         h.u64(self.coupled as u64);
         h.u64(self.fast_math as u64);
-        h.u64(self.pressure_warm_start as u64);
         h.f64(self.dt);
         h.0
     }

@@ -10,10 +10,71 @@
 //!   re-taking each coupled step's fire advance by hand, one
 //!   `max_stable_dt_ws` + `step_ws` at a time (`step_ws` rejects a step
 //!   beyond the bound), and requiring the bits the model produced.
+//!
+//! and one of the atmosphere: the projected wind is discretely
+//! divergence-free to round-off on every grid the workloads use.
 
+use wildfire_atmos::state::AtmosGrid;
+use wildfire_atmos::{AtmosModel, AtmosParams, AtmosWorkspace};
 use wildfire_core::FAR_FIELD_CELLS;
 use wildfire_fire::{FireWorkspace, UNBURNED};
-use wildfire_sim::registry;
+use wildfire_grid::Field2;
+use wildfire_sim::{registry, DomainSpec};
+
+/// After every heated step the projection leaves `max|∇·u|·Δx / max|u|`
+/// at round-off (≤ 1e-13), on the fig1_wide, PAPER and SMALL grids and an
+/// odd, anisotropic one.
+#[test]
+fn projected_wind_is_divergence_free_to_round_off() {
+    let wide = AtmosGrid {
+        nx: 40,
+        ny: 40,
+        ..DomainSpec::PAPER.atmos_grid()
+    };
+    let odd = AtmosGrid {
+        nx: 7,
+        ny: 9,
+        nz: 4,
+        dx: 60.0,
+        dy: 45.0,
+        dz: 50.0,
+    };
+    for g in [
+        wide,
+        DomainSpec::PAPER.atmos_grid(),
+        DomainSpec::SMALL.atmos_grid(),
+        odd,
+    ] {
+        let model = AtmosModel::new(g, AtmosParams::default()).unwrap();
+        let h = g.horizontal();
+        // 50 kW/m² over a 2×2 patch near the centre: a vigorous fire.
+        let (ci, cj) = (g.nx / 2, g.ny / 2);
+        let qs = Field2::from_fn(h, |i, j| {
+            if (ci - 1..=ci).contains(&i) && (cj - 1..=cj).contains(&j) {
+                50_000.0
+            } else {
+                0.0
+            }
+        });
+        let ql = Field2::zeros(h);
+        let mut s = model.initial_state();
+        let mut ws = AtmosWorkspace::new();
+        for step in 0..40 {
+            let dt = model.max_stable_dt(&s).min(0.5);
+            model.step_ws(&mut s, &qs, &ql, dt, &mut ws).unwrap();
+            let (mu, mv, mw) = s.max_speed();
+            let rel = s.max_divergence() * g.dx / mu.max(mv).max(mw);
+            assert!(
+                rel <= 1e-13,
+                "{}x{}x{} step {step}: max|div|·Δx/max|u| = {rel:e}",
+                g.nx,
+                g.ny,
+                g.nz
+            );
+        }
+        assert!(s.max_updraft() > 0.0, "{g:?}: the heat drove no updraft");
+    }
+}
 
 #[test]
 fn fire_invariants_hold_on_every_registry_scenario() {

@@ -177,6 +177,8 @@ fn reinitialize_into_is_allocation_free_after_warmup() {
 
 #[test]
 fn atmos_step_is_allocation_free_after_warmup() {
+    // The first step builds the pressure solve's transform tables; every
+    // later step reuses them.
     let model = wildfire_atmos::AtmosModel::new(small_atmos_grid(), Default::default()).unwrap();
     let h = model.grid.horizontal();
     let qs = Field2::from_fn(h, |i, j| if i == 4 && j == 4 { 40_000.0 } else { 0.0 });
@@ -194,35 +196,36 @@ fn atmos_step_is_allocation_free_after_warmup() {
 
 #[test]
 fn atmos_step_is_allocation_free_for_both_pressure_solvers() {
-    // The multigrid acceptance bar: the multigrid path (hierarchy, smoother,
-    // transfer tables, coarse-CG scratch) must be as steady-state
-    // allocation-free as the CG path it replaces. The 8×8×5 grid coarsens
-    // (320 → 80 → 20 cells), so `Multigrid` genuinely runs V-cycles here.
-    for solver in [
-        wildfire_atmos::PoissonSolver::Multigrid,
-        wildfire_atmos::PoissonSolver::ConjugateGradient,
-    ] {
-        let params = wildfire_atmos::AtmosParams {
-            pressure_solver: solver,
-            ..Default::default()
-        };
-        let model = wildfire_atmos::AtmosModel::new(small_atmos_grid(), params).unwrap();
-        let h = model.grid.horizontal();
-        let qs = Field2::from_fn(h, |i, j| if i == 4 && j == 4 { 40_000.0 } else { 0.0 });
-        let ql = Field2::zeros(h);
-        let mut state = model.initial_state();
-        let mut ws = AtmosWorkspace::new();
-        model.step_ws(&mut state, &qs, &ql, 0.5, &mut ws).unwrap();
-        let n = allocations_during(|| {
-            for _ in 0..5 {
-                model.step_ws(&mut state, &qs, &ql, 0.5, &mut ws).unwrap();
-            }
-        });
-        assert_eq!(
-            n, 0,
-            "atmos step_ws with {solver:?} must not allocate in steady state"
-        );
-    }
+    // The projection's direct solve and multigrid (kept while the
+    // benchmark's pinned API names it), each warmed by one solve.
+    // The 8×8×5 grid coarsens (320 → 80 → 20 cells), so multigrid
+    // genuinely runs V-cycles here.
+    use wildfire_atmos::{multigrid::solve_poisson_mg_into, poisson::solve_poisson_into};
+    let g = small_atmos_grid();
+    let rhs: Vec<f64> = (0..g.n_cells())
+        .map(|c| ((c * 37 % 11) as f64 - 5.0) * 1e-3)
+        .collect();
+    let solver = wildfire_atmos::PoissonSolver::default();
+    let mut ws = wildfire_atmos::PoissonWorkspace::default();
+    let mut mg = wildfire_atmos::MgHierarchy::new();
+    let mut phi = Vec::new();
+    solve_poisson_into(&g, &rhs, solver, 1e-8, 500, &mut ws, &mut phi).unwrap();
+    solve_poisson_mg_into(&g, &rhs, 1e-8, 500, &mut mg, &mut phi).unwrap();
+    let direct = allocations_during(|| {
+        for _ in 0..5 {
+            solve_poisson_into(&g, &rhs, solver, 1e-8, 500, &mut ws, &mut phi).unwrap();
+        }
+    });
+    let multigrid = allocations_during(|| {
+        for _ in 0..5 {
+            solve_poisson_mg_into(&g, &rhs, 1e-8, 500, &mut mg, &mut phi).unwrap();
+        }
+    });
+    assert_eq!(
+        (direct, multigrid),
+        (0, 0),
+        "pressure solves must not allocate in steady state"
+    );
 }
 
 #[test]
@@ -347,40 +350,6 @@ fn morphing_analysis_registration_is_allocation_free_after_warmup() {
         }
     });
     assert_eq!(n, 0, "register_into must not allocate in steady state");
-}
-
-#[test]
-fn warm_started_projection_is_allocation_free_after_warmup() {
-    // The warm-started pressure projection seeds each
-    // solve from the previous potential already resident in the workspace —
-    // the seed path must add no allocations over the cold path, on both
-    // solver backends.
-    for solver in [
-        wildfire_atmos::PoissonSolver::Multigrid,
-        wildfire_atmos::PoissonSolver::ConjugateGradient,
-    ] {
-        let params = wildfire_atmos::AtmosParams {
-            pressure_solver: solver,
-            pressure_warm_start: true,
-            ..Default::default()
-        };
-        let model = wildfire_atmos::AtmosModel::new(small_atmos_grid(), params).unwrap();
-        let h = model.grid.horizontal();
-        let qs = Field2::from_fn(h, |i, j| if i == 4 && j == 4 { 40_000.0 } else { 0.0 });
-        let ql = Field2::zeros(h);
-        let mut state = model.initial_state();
-        let mut ws = AtmosWorkspace::new();
-        model.step_ws(&mut state, &qs, &ql, 0.5, &mut ws).unwrap();
-        let n = allocations_during(|| {
-            for _ in 0..5 {
-                model.step_ws(&mut state, &qs, &ql, 0.5, &mut ws).unwrap();
-            }
-        });
-        assert_eq!(
-            n, 0,
-            "warm-started step_ws with {solver:?} must not allocate in steady state"
-        );
-    }
 }
 
 #[test]
