@@ -30,7 +30,8 @@ impl AtmosModel {
         Ok(AtmosModel { grid, params })
     }
 
-    /// The ambient initial state (uniform wind, no perturbations).
+    /// The ambient initial state (uniform [`AtmosParams::ambient_wind`], no
+    /// perturbations).
     pub fn initial_state(&self) -> AtmosState {
         AtmosState::uniform(self.grid, self.params.ambient_wind)
     }
@@ -47,7 +48,8 @@ impl AtmosModel {
     }
 
     /// Advances the state by `dt`, forced by the fire's sensible and latent
-    /// heat fluxes (W/m² on the horizontal cell-center grid, §2.3).
+    /// heat fluxes (W/m² on the horizontal cell-center grid, §2.3) and
+    /// relaxed toward the state's [`AtmosState::ambient_wind`].
     ///
     /// # Errors
     /// [`AtmosError::GridMismatch`] when the flux fields are not on
@@ -88,6 +90,7 @@ impl AtmosModel {
             return Err(AtmosError::CflViolation { dt, dt_max });
         }
         let p = &self.params;
+        let ambient = state.ambient_wind;
 
         // --- 1. Advective + diffusive tendencies (explicit). -------------
         momentum_tendencies_into(state, &mut ws.du_adv, &mut ws.dv_adv, &mut ws.dw_adv);
@@ -164,8 +167,8 @@ impl AtmosModel {
         for j in 0..g.ny {
             for i in 0..g.nx {
                 let c = g.cell(i, j, 0);
-                state.u[c] = p.ambient_wind.0 + (state.u[c] - p.ambient_wind.0) * drag;
-                state.v[c] = p.ambient_wind.1 + (state.v[c] - p.ambient_wind.1) * drag;
+                state.u[c] = ambient.0 + (state.u[c] - ambient.0) * drag;
+                state.v[c] = ambient.1 + (state.v[c] - ambient.1) * drag;
             }
         }
         let damp_start = 2 * g.nz / 3;
@@ -176,8 +179,8 @@ impl AtmosModel {
             for j in 0..g.ny {
                 for i in 0..g.nx {
                     let c = g.cell(i, j, k);
-                    state.u[c] = p.ambient_wind.0 + (state.u[c] - p.ambient_wind.0) * decay;
-                    state.v[c] = p.ambient_wind.1 + (state.v[c] - p.ambient_wind.1) * decay;
+                    state.u[c] = ambient.0 + (state.u[c] - ambient.0) * decay;
+                    state.v[c] = ambient.1 + (state.v[c] - ambient.1) * decay;
                     state.theta[c] *= decay;
                     state.qv[c] *= decay;
                 }
@@ -203,8 +206,8 @@ impl AtmosModel {
             let mean_u: f64 = state.u.iter().sum::<f64>() / n;
             let mean_v: f64 = state.v.iter().sum::<f64>() / n;
             let fac = 1.0 - (-p.nudge_rate * dt).exp();
-            let du = (p.ambient_wind.0 - mean_u) * fac;
-            let dv = (p.ambient_wind.1 - mean_v) * fac;
+            let du = (ambient.0 - mean_u) * fac;
+            let dv = (ambient.1 - mean_v) * fac;
             for u in state.u.iter_mut() {
                 *u += du;
             }

@@ -32,7 +32,9 @@ impl PoissonSolver {
 pub struct AtmosParams {
     /// Reference potential temperature θ₀ (K).
     pub theta0: f64,
-    /// Ambient (geostrophic) wind the flow is nudged toward, m/s.
+    /// Initial ambient (geostrophic) wind, m/s: the wind of
+    /// [`crate::AtmosModel::initial_state`]. Stepping relaxes the flow
+    /// toward the state's own [`crate::AtmosState::ambient_wind`].
     pub ambient_wind: (f64, f64),
     /// Gravitational acceleration, m/s².
     pub gravity: f64,
@@ -48,7 +50,7 @@ pub struct AtmosParams {
     /// Rayleigh damping rate at the model top (1/s); ramps in over the top
     /// third of the domain.
     pub damping_rate: f64,
-    /// Nudging rate of the horizontal-mean wind toward `ambient_wind` (1/s);
+    /// Nudging rate of the horizontal-mean wind toward the ambient wind (1/s);
     /// keeps the periodic domain from drifting.
     pub nudge_rate: f64,
     /// Latent heat of vaporization, J/kg (for converting latent flux to a

@@ -114,10 +114,16 @@ pub struct AtmosState {
     pub qv: Vec<f64>,
     /// Simulation time (s).
     pub time: f64,
+    /// Ambient (geostrophic) wind `(u, v)` in force (m/s): what surface
+    /// drag, damping aloft and mean-wind nudging relax the flow toward.
+    /// Part of the state, so one model can step members whose forcing
+    /// differs in time.
+    pub ambient_wind: (f64, f64),
 }
 
 impl AtmosState {
-    /// Quiescent state with a uniform horizontal wind.
+    /// Quiescent state with a uniform horizontal wind, which is also the
+    /// ambient wind in force.
     pub fn uniform(grid: AtmosGrid, wind: (f64, f64)) -> Self {
         let n = grid.n_cells();
         let nw = grid.nx * grid.ny * (grid.nz + 1);
@@ -129,6 +135,7 @@ impl AtmosState {
             theta: vec![0.0; n],
             qv: vec![0.0; n],
             time: 0.0,
+            ambient_wind: wind,
         }
     }
 

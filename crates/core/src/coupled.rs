@@ -53,6 +53,9 @@ pub struct CoupledModel {
     /// wind and feeds heat back. `false`: fire sees only the ambient wind
     /// and the atmosphere receives no heat (the Fig. 1 baseline).
     pub coupled: bool,
+    /// Scheduled ambient-wind shifts `(at, (u, v))`, sorted by `at`; see
+    /// [`CoupledModel::ambient_wind_at`].
+    wind_shifts: Vec<(f64, (f64, f64))>,
 }
 
 impl CoupledModel {
@@ -94,7 +97,27 @@ impl CoupledModel {
             fire: LevelSetSolver::new(mesh),
             fire_grid,
             coupled: true,
+            wind_shifts: Vec::new(),
         })
+    }
+
+    /// Replaces the ambient-wind shift schedule with `shifts`, each an
+    /// `(at, (u, v))` pair. Shifts at equal times take effect in the given
+    /// order, so the last of them wins.
+    pub fn set_wind_shifts(&mut self, shifts: impl IntoIterator<Item = (f64, (f64, f64))>) {
+        self.wind_shifts.clear();
+        self.wind_shifts.extend(shifts);
+        self.wind_shifts.sort_by(|a, b| a.0.total_cmp(&b.0));
+    }
+
+    /// The ambient wind in force at time `t`: that of the last scheduled
+    /// shift with `at ≤ t`, else the initial
+    /// [`AtmosParams::ambient_wind`].
+    pub fn ambient_wind_at(&self, t: f64) -> (f64, f64) {
+        match self.wind_shifts.partition_point(|s| s.0 <= t) {
+            0 => self.atmos.params.ambient_wind,
+            due => self.wind_shifts[due - 1].1,
+        }
     }
 
     /// The fine grid matching `atmos_grid.horizontal()` at the given
@@ -136,6 +159,7 @@ impl CoupledModel {
     pub fn ignite(&self, shapes: &[IgnitionShape], time: f64) -> CoupledState {
         let mut atmos = self.atmos.initial_state();
         atmos.time = time;
+        atmos.ambient_wind = self.ambient_wind_at(time);
         let mut fire = FireState::ignite(self.fire_grid, shapes, time);
         let cap = FAR_FIELD_CELLS * self.fire_grid.dx.max(self.fire_grid.dy);
         fire.psi.map_inplace(|v| v.min(cap));
@@ -144,11 +168,10 @@ impl CoupledModel {
 
     /// The wind field the fire currently sees (fine mesh). With coupling on
     /// this is the prolonged near-surface atmospheric wind; with coupling
-    /// off it is the uniform ambient wind.
+    /// off it is the state's uniform ambient wind.
     ///
     /// # Errors
-    /// Propagates mesh-transfer failures (cannot happen once construction
-    /// validated alignment).
+    /// As [`CoupledModel::fire_wind_into`].
     pub fn fire_wind(&self, state: &CoupledState) -> Result<VectorField2> {
         let mut wind = VectorField2::default();
         let mut surface = VectorField2::default();
@@ -160,13 +183,16 @@ impl CoupledModel {
     /// wind into `out`, using `surface` as the coarse-grid scratch.
     ///
     /// # Errors
-    /// As [`CoupledModel::fire_wind`].
+    /// [`CoupledError::Config`] when `state` is not on this model's grids.
     pub fn fire_wind_into(
         &self,
         state: &CoupledState,
         surface: &mut VectorField2,
         out: &mut VectorField2,
     ) -> Result<()> {
+        if state.fire.grid() != self.fire_grid || state.atmos.grid != self.atmos.grid {
+            return Err(CoupledError::Config("state is not on this model's grids"));
+        }
         self.fire_wind_box_into(state, surface, out, NodeBox::full(self.fire_grid))
     }
 
@@ -183,7 +209,7 @@ impl CoupledModel {
         // prolongation); skip the memset.
         out.resize_no_zero(self.fire_grid);
         if !self.coupled {
-            out.fill(self.atmos.params.ambient_wind);
+            out.fill(state.atmos.ambient_wind);
             return Ok(());
         }
         self.atmos.surface_wind_into(&state.atmos, surface);
@@ -212,6 +238,11 @@ impl CoupledModel {
     /// ([`LevelSetSolver::advance_to_stats_ws`]), then heat fluxes,
     /// atmosphere and diagnostics.
     ///
+    /// The ambient wind in force at the step's start
+    /// ([`CoupledModel::ambient_wind_at`]) is written into the state first
+    /// and holds for the whole step, so a shift that falls inside a step
+    /// takes effect at the next one.
+    ///
     /// The heat fluxes are evaluated once per step (the fire state does not
     /// change while the atmosphere sub-steps) and shared between the
     /// atmospheric forcing and the step diagnostics, in both the coupled and
@@ -225,6 +256,7 @@ impl CoupledModel {
         dt: f64,
         ws: &mut CoupledWorkspace,
     ) -> Result<StepDiagnostics> {
+        state.atmos.ambient_wind = self.ambient_wind_at(state.time());
         let t_target = state.fire.time + dt;
         // The wind is needed only where the fire advance can read it.
         let reach = self.fire.reach(&state.fire.psi, dt, &mut ws.fire);
@@ -445,6 +477,33 @@ mod tests {
                 assert_eq!(wind.get(ix, iy), (au, av));
             }
         }
+    }
+
+    #[test]
+    fn shift_inside_a_step_applies_at_the_next_step_start() {
+        let mut m = model(false);
+        let initial = m.atmos.params.ambient_wind;
+        // Unsorted on purpose; the two shifts at 0.25 s apply in order.
+        m.set_wind_shifts([(0.25, (1.0, 1.0)), (0.25, (0.0, 2.0)), (0.0, (3.0, 0.5))]);
+        assert_eq!(m.ambient_wind_at(-1.0), initial);
+        assert_eq!(m.ambient_wind_at(0.0), (3.0, 0.5));
+        assert_eq!(m.ambient_wind_at(0.3), (0.0, 2.0));
+        let mut s = m.ignite(&center_ignition(&m), 0.0);
+        let mut ws = CoupledWorkspace::new();
+        m.step_ws(&mut s, 0.5, &mut ws).unwrap();
+        assert_eq!(
+            s.atmos.ambient_wind,
+            (3.0, 0.5),
+            "0.25 s is inside [0, 0.5)"
+        );
+        m.step_ws(&mut s, 0.5, &mut ws).unwrap();
+        assert_eq!(s.atmos.ambient_wind, (0.0, 2.0));
+        let wind = m.fire_wind(&s).unwrap();
+        assert_eq!(
+            wind.get(0, 0),
+            (0.0, 2.0),
+            "the uncoupled fire reads the state"
+        );
     }
 
     #[test]

@@ -537,7 +537,11 @@ pub fn register_into(
             out.control.u.copy_from(&t.u);
             out.control.v.copy_from(&t.v);
         }
-        None => out.control.resize_zeroed(control_grid(fg, 2)),
+        // No descent levels: the scan's translation is the registration.
+        None => {
+            out.control.resize_no_zero(control_grid(fg, 2));
+            out.control.fill((best.0, best.1));
+        }
     }
     Ok(())
 }
@@ -679,6 +683,28 @@ mod tests {
             .map(|(a, b)| (a - b) * (a - b))
             .sum();
         assert!(misfit < 0.05 * raw, "misfit {misfit} vs raw {raw}");
+    }
+
+    #[test]
+    fn scan_translation_survives_without_descent_levels() {
+        let g = Grid2::new(61, 61, 2.0, 2.0).unwrap();
+        let cone = |cx: f64| {
+            Field2::from_world_fn(g, |x, y| {
+                ((x - cx).powi(2) + (y - 60.0).powi(2)).sqrt() - 15.0
+            })
+        };
+        let cfg = RegistrationConfig {
+            max_shift: 80.0,
+            levels: vec![],
+            ..Default::default()
+        };
+        let t = register(&cone(80.0), &cone(60.0), &cfg).unwrap();
+        let (tx, ty) = t.sample(80.0, 60.0);
+        let recovered = (tx * tx + ty * ty).sqrt();
+        assert!(
+            (recovered - 20.0).abs() <= 0.1 * 20.0 + 0.5,
+            "recovered {recovered} m of 20 m"
+        );
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! plus the filter RNG so an interrupted assimilation run resumes bit for
 //! bit.
 
-use crate::pool::{
-    parallel_for_each_column_ws, parallel_for_each_dynamic_ws, parallel_for_each_ws,
-};
+use crate::pool::{parallel_for_each_column_ws, parallel_for_each_ws};
 use crate::store::SnapshotStore;
 use crate::{EnsembleError, Result};
 use std::sync::{Mutex, PoisonError};
@@ -220,7 +218,7 @@ impl EnsembleDriver {
         ws.ensure_workers(self.threads);
         // Slice, don't pass the whole vec: a workspace previously grown by a
         // driver with more threads must not raise THIS driver's worker count
-        // (parallel_for_each_ws spawns one worker per workspace handed in).
+        // (parallel_for_each_ws runs one worker per workspace handed in).
         let workers = &mut ws.workers[..self.threads.max(1)];
         let errors = Mutex::new(Vec::new());
         parallel_for_each_ws(members, workers, |i, state, cw| {
@@ -322,16 +320,12 @@ impl EnsembleDriver {
     }
 
     /// Captures the whole ensemble — every member's full coupled state
-    /// (concatenated, member-major) plus the analysis RNG's provenance —
-    /// into `snap`, reusing its buffers (allocation-free once warm). Record
-    /// names are static (`ens/psi`, `ens/u`, …), so checkpointing N members
-    /// every cycle never formats a per-member string.
-    ///
-    /// Per-worker φ warm-start scratch is *not* captured: it is tied to the
-    /// member→worker mapping (a thread-count artifact), not to ensemble
-    /// state. Resuming is bitwise-exact whenever the pressure projection
-    /// seeds cold (the default); a warm-started projection re-warms within
-    /// the first post-restore step.
+    /// (concatenated, member-major), ambient wind included, plus the
+    /// analysis RNG's provenance — into `snap`, reusing its buffers
+    /// (allocation-free once warm). Record names are static (`ens/psi`,
+    /// `ens/u`, …), so checkpointing N members every cycle never formats a
+    /// per-member string. The workspaces carry no state between steps, so
+    /// resuming from the checkpoint is bitwise exact.
     pub fn snapshot_into(
         &self,
         members: &[CoupledState],
@@ -371,6 +365,10 @@ impl EnsembleDriver {
         }
         let at = snap.record_mut("ens/atmos_time");
         at.extend(members.iter().map(|m| m.atmos.time));
+        let wind = snap.record_mut("ens/ambient_wind");
+        for m in members {
+            wind.extend_from_slice(&[m.atmos.ambient_wind.0, m.atmos.ambient_wind.1]);
+        }
         let (words, spare) = rng.state();
         let r = snap.record_mut("ens/rng");
         r.extend(words.iter().map(|&w| f64::from_bits(w)));
@@ -417,6 +415,7 @@ impl EnsembleDriver {
             ("ens/theta", n * n_c),
             ("ens/qv", n * n_c),
             ("ens/atmos_time", n),
+            ("ens/ambient_wind", 2 * n),
             ("ens/rng", 6),
         ];
         for (name, len) in want {
@@ -434,6 +433,7 @@ impl EnsembleDriver {
         let theta = snap.get("ens/theta").expect("validated");
         let qv = snap.get("ens/qv").expect("validated");
         let at = snap.get("ens/atmos_time").expect("validated");
+        let wind = snap.get("ens/ambient_wind").expect("validated");
         for (i, m) in members.iter_mut().enumerate() {
             m.fire.psi.resize_no_zero(fg);
             m.fire
@@ -458,6 +458,7 @@ impl EnsembleDriver {
             }
             m.atmos.grid = ag;
             m.atmos.time = at[i];
+            m.atmos.ambient_wind = (wind[2 * i], wind[2 * i + 1]);
         }
         let r = snap.get("ens/rng").expect("validated");
         let words = [
@@ -696,7 +697,7 @@ impl EnsembleDriver {
             .chain(std::iter::once(std::mem::take(&mut ws.data_fields)))
             .map(|fields| (fields, None))
             .collect();
-        parallel_for_each_dynamic_ws(
+        parallel_for_each_ws(
             &mut reg_items,
             &mut ws.reg_pool[..workers],
             |_, item, reg| {

@@ -1,17 +1,26 @@
 //! Worker-pool primitives on crossbeam scoped threads.
 //!
-//! Members are partitioned into contiguous chunks, one chunk per worker —
-//! the "subset of processors" assignment of Fig. 2. Scoped threads borrow
-//! the member slice mutably but disjointly, so the compiler proves data-race
-//! freedom (no locks in the hot path).
+//! Members are handed to workers — the "subset of processors" assignment of
+//! Fig. 2 — either claimed one at a time from a shared cursor
+//! ([`parallel_for_each_ws`]) or, for column-major buffers, split into one
+//! contiguous chunk of columns per worker ([`parallel_for_each_column_ws`]).
+//! Every worker owns its scratch, so there are no locks in the hot path.
 
 /// Runs `f(index, item, workspace)` over all items with one dedicated
-/// mutable workspace per worker. Items are partitioned into at most
-/// `workspaces.len()` contiguous chunks, one chunk (and one workspace) per
-/// worker; with a single workspace the loop runs inline. Because each
-/// item's computation is independent of the partitioning, results are
-/// bit-identical for every workspace count — only the scratch buffers are
-/// worker-local.
+/// mutable workspace per worker. Every worker pulls the next unclaimed item
+/// index from a shared atomic cursor until the queue drains, so a cheap or
+/// already-finished item never pins a worker while another grinds through
+/// an expensive one — the load balances dynamically, which is what members
+/// of different grid sizes and step counts need. Each item's computation is
+/// independent of which worker claims it, so results are bit-identical to
+/// the sequential loop for every workspace count; only the scratch buffers
+/// are worker-local.
+///
+/// The calling thread is one of the workers: it runs `workspaces[0]`'s
+/// claim loop itself and one thread fewer is spawned, so a caller that
+/// fans out small batches often (a service tick) does not pay for a
+/// thread it would only sit waiting on. With a single workspace or a
+/// single item the loop runs inline.
 ///
 /// # Panics
 /// Panics if `workspaces` is empty while `items` is not.
@@ -26,65 +35,6 @@ where
     assert!(
         !workspaces.is_empty(),
         "parallel_for_each_ws needs at least one workspace"
-    );
-    let threads = workspaces.len().min(n);
-    if threads == 1 {
-        let w = &mut workspaces[0];
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item, w);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for ((c, slice), w) in items
-            .chunks_mut(chunk)
-            .enumerate()
-            .zip(workspaces.iter_mut())
-        {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (k, item) in slice.iter_mut().enumerate() {
-                    f(c * chunk + k, item, w);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-}
-
-/// Work-stealing variant of [`parallel_for_each_ws`]: instead of carving
-/// the items into static contiguous chunks, every worker pulls the next
-/// unclaimed item index from a shared atomic cursor until the queue drains.
-/// Cheap or already-finished items therefore never pin a worker while
-/// another worker grinds through an expensive one — the load balances
-/// dynamically, which is what a batch of fires with different grid sizes
-/// and step counts needs. Each item's computation is independent of which
-/// worker claims it, so results are bit-identical to the sequential loop
-/// for every workspace count; only the scratch buffers are worker-local.
-///
-/// The calling thread is one of the workers: it runs `workspaces[0]`'s
-/// claim loop itself and one thread fewer is spawned, so a caller that
-/// fans out small batches often (a service tick) does not pay for a
-/// thread it would only sit waiting on. With a single workspace or a
-/// single item the loop runs inline.
-///
-/// # Panics
-/// Panics if `workspaces` is empty while `items` is not.
-pub fn parallel_for_each_dynamic_ws<T: Send, W: Send, F>(
-    items: &mut [T],
-    workspaces: &mut [W],
-    f: F,
-) where
-    F: Fn(usize, &mut T, &mut W) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    assert!(
-        !workspaces.is_empty(),
-        "parallel_for_each_dynamic_ws needs at least one workspace"
     );
     let threads = workspaces.len().min(n);
     if threads == 1 {
@@ -261,7 +211,7 @@ mod tests {
         let run = |n_ws: usize| -> Vec<u64> {
             let mut items = init.clone();
             let mut wss: Vec<Vec<f64>> = vec![Vec::new(); n_ws];
-            parallel_for_each_dynamic_ws(&mut items, &mut wss, |i, x, scratch| {
+            parallel_for_each_ws(&mut items, &mut wss, |i, x, scratch| {
                 scratch.clear();
                 scratch.resize(8, *x);
                 let s: f64 = scratch.iter().sum();
@@ -286,7 +236,7 @@ mod tests {
         let mut wss: Vec<()> = vec![(), ()];
         let done = AtomicUsize::new(0);
         let overlapped = AtomicUsize::new(0);
-        parallel_for_each_dynamic_ws(&mut items, &mut wss, |i, item, _| {
+        parallel_for_each_ws(&mut items, &mut wss, |i, item, _| {
             if i == 0 {
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
                 while done.load(Ordering::SeqCst) < n - 1 {
@@ -326,7 +276,7 @@ mod tests {
         let mut wss: Vec<Vec<std::thread::ThreadId>> = vec![Vec::new(); 3];
         let arrived = AtomicUsize::new(0);
         let met = AtomicUsize::new(0);
-        parallel_for_each_dynamic_ws(&mut items, &mut wss, |i, item, seen| {
+        parallel_for_each_ws(&mut items, &mut wss, |i, item, seen| {
             seen.push(std::thread::current().id());
             if i < 3 {
                 arrived.fetch_add(1, Ordering::SeqCst);
@@ -362,7 +312,7 @@ mod tests {
     fn dynamic_ws_handles_empty_items() {
         let mut empty: Vec<u8> = vec![];
         let mut wss: Vec<()> = vec![];
-        parallel_for_each_dynamic_ws(&mut empty, &mut wss, |_, _, _| {});
+        parallel_for_each_ws(&mut empty, &mut wss, |_, _, _| {});
     }
 
     #[test]
@@ -370,7 +320,7 @@ mod tests {
     fn dynamic_ws_rejects_missing_workspaces() {
         let mut items = vec![1u8];
         let mut wss: Vec<()> = vec![];
-        parallel_for_each_dynamic_ws(&mut items, &mut wss, |_, _, _| {});
+        parallel_for_each_ws(&mut items, &mut wss, |_, _, _| {});
     }
 
     #[test]
@@ -378,7 +328,7 @@ mod tests {
         let mut items: Vec<usize> = vec![0; 37];
         let mut wss: Vec<()> = vec![(); 3];
         let visits = AtomicUsize::new(0);
-        parallel_for_each_dynamic_ws(&mut items, &mut wss, |i, item, _| {
+        parallel_for_each_ws(&mut items, &mut wss, |i, item, _| {
             *item += i;
             visits.fetch_add(1, Ordering::Relaxed);
         });

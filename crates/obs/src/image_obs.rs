@@ -83,7 +83,8 @@ impl ImageObservation {
     /// form; no heap traffic once every shape has been seen.
     ///
     /// # Errors
-    /// Rendering failures.
+    /// [`crate::ObsError::Operator`] when `state` is not on `model`'s grids;
+    /// rendering failures.
     pub fn synthetic_image_into(
         &self,
         model: &CoupledModel,
@@ -92,7 +93,7 @@ impl ImageObservation {
     ) -> Result<()> {
         model
             .fire_wind_into(state, &mut scratch.surface_wind, &mut scratch.wind)
-            .map_err(|_| crate::ObsError::BadStateFile("wind transfer failed".into()))?;
+            .map_err(|_| crate::ObsError::Operator("wind transfer failed"))?;
         render_scene_into(
             model.fire.mesh(),
             &state.fire,
@@ -216,5 +217,31 @@ mod tests {
         let v = ImageObservation::to_observation_vector(&img);
         assert_eq!(v.len(), 64);
         assert_eq!(v[0], img.get(0, 0));
+    }
+
+    #[test]
+    fn state_on_the_wrong_grid_is_an_operator_error() {
+        let m = model();
+        let other = CoupledModel::new(
+            AtmosGrid {
+                nx: 7,
+                ny: 6,
+                nz: 4,
+                dx: 60.0,
+                dy: 60.0,
+                dz: 50.0,
+            },
+            AtmosParams::default(),
+            FuelCategory::ShortGrass,
+            4,
+        )
+        .unwrap();
+        let s = other.ignite(&[], 0.0);
+        let obs = ImageObservation::over_fire_domain(&m, 3000.0, 8);
+        let err = obs.synthetic_image(&m, &s).unwrap_err();
+        assert!(
+            matches!(err, crate::ObsError::Operator("wind transfer failed")),
+            "got: {err}"
+        );
     }
 }

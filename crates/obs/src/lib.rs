@@ -26,11 +26,10 @@
 //! * [`image_obs`] — thermal-image observations: synthetic images rendered
 //!   from the model state (via [`wildfire_scene`]) and noisy "real" images
 //!   generated from a truth run for identical-twin experiments.
-//! * [`statefile`] — the binary disk-file state exchange of Fig. 2 ("the
-//!   ensemble of model states is maintained in disk files"), with a
-//!   versioned header, named f64 arrays, and atomic writes. A thin software
-//!   layer (the [`statefile::StateCodec`] trait) hides the fire code and
-//!   the transfer method from the assimilation components, as §3.1 requires.
+//! * [`snapshot`] — the binary disk-file exchange of Fig. 2 ("the ensemble
+//!   of model states is maintained in disk files"): [`Snapshot`], a
+//!   versioned container of named f64 arrays with atomic writes, and the
+//!   [`CoupledSnapshot`] checkpoint of a full coupled state.
 //! * [`source`] — streaming ingestion: the [`ObsSource`] trait
 //!   (`poll(now)`, non-blocking) delivers whatever reports have become due,
 //!   through a replayed timeline ([`TimelineSource`]), a tailed on-disk
@@ -44,7 +43,6 @@ pub mod obs_set;
 pub mod operator;
 pub mod snapshot;
 pub mod source;
-pub mod statefile;
 pub mod station;
 pub mod timeline;
 

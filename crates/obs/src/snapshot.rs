@@ -1,18 +1,22 @@
-//! Versioned full-state checkpoints.
+//! Versioned named-record files: full-state checkpoints and the
+//! observation log.
 //!
-//! [`StateFile`](crate::statefile::StateFile) (format v1) carries one fire
-//! state between the Fig. 2 phases. A [`Snapshot`] (format v2, same magic
-//! and record layout, bumped header version) carries *everything* a bitwise
-//! restore needs: the level-set field and ignition times, the atmosphere's
-//! prognostic fields and clock, RNG provenance, and a fingerprint of the
+//! A [`Snapshot`] carries *everything* a bitwise restore needs: the
+//! level-set field and ignition times, the atmosphere's prognostic fields,
+//! clock and ambient wind, RNG provenance, and a fingerprint of the
 //! producing configuration so a snapshot cannot silently restore into the
 //! wrong model. The headline contract is exact: checkpoint mid-run →
 //! restore → continue must reproduce the uninterrupted run bit for bit.
+//! The same container carries the append-only observation log of
+//! [`crate::ObsLogWriter`] / [`crate::StateFileTail`] — the disk files of
+//! the paper's Fig. 2 dataflow.
 //!
-//! The API is workspace-shaped like the rest of the codebase: `*_into`
-//! methods reuse the caller's buffers, so steady-state checkpointing
-//! performs no heap allocation once record names and payload capacities
-//! are warm.
+//! Format: magic `WFST`, version `u32`, record count `u32`, then per record
+//! a length-prefixed UTF-8 name, an element count `u64`, and little-endian
+//! `f64` payload. The API is workspace-shaped like the rest of the
+//! codebase: `*_into` methods reuse the caller's buffers, so steady-state
+//! checkpointing performs no heap allocation once record names and payload
+//! capacities are warm.
 
 use crate::{ObsError, Result};
 use std::collections::BTreeMap;
@@ -21,17 +25,17 @@ use std::path::Path;
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace};
 use wildfire_fire::UNBURNED;
 
-/// Snapshot format version (shares the `WFST` magic with
-/// [`crate::statefile::VERSION`] = 1; readers of either version reject the
-/// other from the header alone).
+/// File magic.
+const MAGIC: [u8; 4] = *b"WFST";
+
+/// Snapshot format version (v1, a single fire state, is no longer read).
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A named-record container of `f64` arrays — format v2.
 ///
-/// Unlike [`StateFile`](crate::statefile::StateFile), record payloads are
-/// written through reusing methods ([`Snapshot::put_slice`],
-/// [`Snapshot::record_mut`]) so repeatedly snapshotting into the same
-/// container allocates nothing once warm.
+/// Record payloads are written through reusing methods
+/// ([`Snapshot::put_slice`], [`Snapshot::record_mut`]) so repeatedly
+/// snapshotting into the same container allocates nothing once warm.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     records: BTreeMap<String, Vec<f64>>,
@@ -127,7 +131,7 @@ impl Snapshot {
     /// Serializes into `out` (cleared first; capacity is reused).
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        out.extend_from_slice(&crate::statefile::MAGIC);
+        out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
         for (name, data) in &self.records {
@@ -192,7 +196,7 @@ impl Snapshot {
             Ok(s)
         };
         let magic = take(&mut pos, 4)?;
-        if magic != crate::statefile::MAGIC {
+        if magic != MAGIC {
             return Err(ObsError::BadStateFile("bad magic".into()));
         }
         let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
@@ -227,9 +231,8 @@ impl Snapshot {
     }
 
     /// Writes atomically: serialize to `path.tmp` in the same directory,
-    /// fsync, then rename onto `path` — the same torn-read-free protocol as
-    /// [`StateFile::write`](crate::statefile::StateFile::write) and
-    /// [`ObsLogWriter`](crate::source::ObsLogWriter).
+    /// fsync, then rename onto `path`, so a concurrent reader sees either
+    /// the previous file or this one, never a torn mix.
     ///
     /// # Errors
     /// I/O failures.
@@ -280,7 +283,7 @@ impl Snapshot {
 }
 
 /// Encodes ignition times with `UNBURNED` mapped to the exactly
-/// representable `f64::MAX` sentinel (matching the v1 fire codec), writing
+/// representable `f64::MAX` sentinel, writing
 /// in place into a snapshot record. Public so ensemble-level snapshots can
 /// concatenate member `t_i` fields under the same encoding.
 pub fn encode_tig_into(tig: &[f64], rec: &mut Vec<f64>) {
@@ -393,6 +396,8 @@ impl CoupledSnapshot for CoupledModel {
         snap.put_slice("atmos/theta", &state.atmos.theta);
         snap.put_slice("atmos/qv", &state.atmos.qv);
         snap.put_scalar("atmos/time", state.atmos.time);
+        let (u, v) = state.atmos.ambient_wind;
+        snap.put_slice("atmos/ambient_wind", &[u, v]);
     }
 
     fn restore_from(
@@ -433,8 +438,14 @@ impl CoupledSnapshot for CoupledModel {
             dst.clear();
             dst.extend_from_slice(rec);
         }
+        let &[u, v] = snap.get("atmos/ambient_wind")? else {
+            return Err(ObsError::BadStateFile(
+                "atmos/ambient_wind must hold two values".into(),
+            ));
+        };
         state.atmos.grid = ag;
         state.atmos.time = snap.get_scalar("atmos/time")?;
+        state.atmos.ambient_wind = (u, v);
         Ok(())
     }
 }
@@ -442,7 +453,6 @@ impl CoupledSnapshot for CoupledModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::statefile::StateFile;
     use wildfire_atmos::state::AtmosGrid;
     use wildfire_atmos::AtmosParams;
     use wildfire_fire::ignition::IgnitionShape;
@@ -479,6 +489,7 @@ mod tests {
         let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(snap, back);
         assert_eq!(back.get_u64("rng").unwrap(), 0xDEAD_BEEF_0123_4567);
+        assert!(matches!(back.get("nope"), Err(ObsError::MissingRecord(_))));
     }
 
     #[test]
@@ -495,22 +506,20 @@ mod tests {
 
     #[test]
     fn cross_version_headers_rejected_both_ways() {
-        // v1 reader on v2 bytes.
+        // A v1 header, and a header from a future version, are refused
+        // from the header alone.
         let mut snap = Snapshot::new();
         snap.put_slice("x", &[1.0]);
-        let err = StateFile::from_bytes(&snap.to_bytes()).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported version 2"),
-            "got: {err}"
-        );
-        // v2 reader on v1 bytes.
-        let mut sf = StateFile::new();
-        sf.put("x", vec![1.0]);
-        let err = Snapshot::from_bytes(&sf.to_bytes()).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported snapshot version 1"),
-            "got: {err}"
-        );
+        for version in [1u32, 3] {
+            let mut bytes = snap.to_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = Snapshot::from_bytes(&bytes).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported snapshot version {version}")),
+                "got: {err}"
+            );
+        }
     }
 
     #[test]
@@ -550,6 +559,8 @@ mod tests {
         let mut state = ignited(&m);
         let mut ws = CoupledWorkspace::new();
         m.run_ws(&mut state, 2.0, 0.5, &mut ws, |_, _| {}).unwrap();
+        // The ambient wind is state: a value no fresh state holds survives.
+        state.atmos.ambient_wind = (1.5, -2.25);
 
         let mut snap = Snapshot::new();
         m.snapshot_into(&state, Some(&ws), &mut snap);

@@ -13,12 +13,12 @@
 //!   order, so a source-driven cycle over it is bit-identical to the eager
 //!   walk (pinned by test in `wildfire-ensemble`).
 //! * [`StateFileTail`] — tails an append-only observation log in the
-//!   [`statefile`](crate::statefile) disk format. Writers use
-//!   [`ObsLogWriter`], which rewrites the whole log through the statefile's
-//!   atomic temp-file-then-rename protocol, so a tailer never observes a
-//!   torn log: each poll sees some complete prefix of the appended reports.
-//!   An unchanged file fingerprint (length + mtime) skips the re-read, so
-//!   idle polls do no parsing.
+//!   [`Snapshot`] file format. Writers use [`ObsLogWriter`], which rewrites
+//!   the whole log through the snapshot's atomic temp-file-then-rename
+//!   protocol, so a tailer never observes a torn log: each poll sees some
+//!   complete prefix of the appended reports. An unchanged file
+//!   fingerprint (length + mtime) skips the re-read, so idle polls do no
+//!   parsing.
 //! * [`ChannelSource`] — receives [`ObsReport`]s from other threads over a
 //!   vendored crossbeam channel; polling drains the channel without
 //!   blocking.
@@ -38,9 +38,8 @@
 //! [`ObsInbox`]: consume the due reports, call [`ObsInbox::recycle`], and
 //! subsequent polls reuse the freed allocations.
 
-use crate::statefile::StateFile;
 use crate::timeline::TIME_EPS;
-use crate::{ObsError, ObsTimeline, Result};
+use crate::{ObsError, ObsTimeline, Result, Snapshot};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
@@ -252,11 +251,11 @@ fn log_data_name(i: usize) -> String {
     format!("obs/{i}/data")
 }
 
-/// Appends observation reports to an on-disk log in the
-/// [`statefile`](crate::statefile) format, for a [`StateFileTail`] on the
-/// other side. Every append rewrites the log through the statefile's atomic
-/// temp-file-then-rename write, so concurrent tailers always read a
-/// complete prefix of the appended reports, never a torn file.
+/// Appends observation reports to an on-disk log in the [`Snapshot`]
+/// format, for a [`StateFileTail`] on the other side. Every append rewrites
+/// the log through [`Snapshot::write_buf`]'s atomic temp-file-then-rename
+/// write, so concurrent tailers always read a complete prefix of the
+/// appended reports, never a torn file.
 ///
 /// Log layout: `obs/count` holds the report count `n`; report `i < n` is
 /// `obs/<i>/head` = `[time, stream]` plus `obs/<i>/data` = the measurement
@@ -264,7 +263,9 @@ fn log_data_name(i: usize) -> String {
 #[derive(Debug)]
 pub struct ObsLogWriter {
     path: PathBuf,
-    log: StateFile,
+    log: Snapshot,
+    /// Serialization buffer, reused across appends.
+    buf: Vec<u8>,
     count: usize,
 }
 
@@ -278,13 +279,18 @@ impl ObsLogWriter {
     pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
         let path = path.into();
         let (log, count) = if path.exists() {
-            let log = StateFile::read(&path)?;
-            let count = log.get(LOG_COUNT)?.first().copied().unwrap_or(0.0) as usize;
+            let log = Snapshot::read(&path)?;
+            let count = log.get_scalar(LOG_COUNT)? as usize;
             (log, count)
         } else {
-            (StateFile::new(), 0)
+            (Snapshot::new(), 0)
         };
-        Ok(ObsLogWriter { path, log, count })
+        Ok(ObsLogWriter {
+            path,
+            log,
+            buf: Vec::new(),
+            count,
+        })
     }
 
     /// Reports appended so far (including any from a pre-existing log).
@@ -303,11 +309,11 @@ impl ObsLogWriter {
     /// I/O failures writing the log.
     pub fn append(&mut self, time: f64, stream: usize, data: &[f64]) -> Result<()> {
         self.log
-            .put(log_head_name(self.count), vec![time, stream as f64]);
-        self.log.put(log_data_name(self.count), data.to_vec());
+            .put_slice(&log_head_name(self.count), &[time, stream as f64]);
+        self.log.put_slice(&log_data_name(self.count), data);
         self.count += 1;
-        self.log.put(LOG_COUNT, vec![self.count as f64]);
-        self.log.write(&self.path)
+        self.log.put_scalar(LOG_COUNT, self.count as f64);
+        self.log.write_buf(&self.path, &mut self.buf)
     }
 }
 
@@ -365,7 +371,7 @@ impl StateFileTail {
         if self.stamp == Some(stamp) {
             return Ok(());
         }
-        let log = match StateFile::read(&self.path) {
+        let log = match Snapshot::read(&self.path) {
             Ok(log) => log,
             // The writer may have replaced the file between the metadata
             // probe and the open; a vanished file just means "retry next
@@ -373,7 +379,7 @@ impl StateFileTail {
             Err(ObsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         };
-        let count = log.get(LOG_COUNT)?.first().copied().unwrap_or(0.0) as usize;
+        let count = log.get_scalar(LOG_COUNT)? as usize;
         for i in self.seen..count {
             let head = log.get(&log_head_name(i))?;
             if head.len() != 2 {

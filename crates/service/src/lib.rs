@@ -10,13 +10,14 @@
 //!   [`wildfire_obs::ObsSource`]) and get back a [`RequestHandle`] with a
 //!   per-request event channel.
 //! * [`ForecastService`] runs [`ServiceConfig::threads`] workers on one
-//!   FIFO queue. A worker pops the oldest request, realizes its ensemble
-//!   of perturbed members (the Fig. 4 setup, via [`wildfire_sim::perturb`])
-//!   only then, and runs it to completion: memory is proportional to the
-//!   workers, not to the queue, and requests are started in submission
-//!   order. A lone request fans its members out over every idle worker.
+//!   FIFO queue. A worker pops the oldest request, realizes it only then —
+//!   one coupled model and one state per perturbed member (the Fig. 4
+//!   setup, via [`wildfire_sim::perturb`]) — and runs it to completion:
+//!   memory is proportional to the workers, not to the queue, and requests
+//!   are started in submission order. A lone request fans its members out
+//!   over every idle worker.
 //! * A free run steps straight to each horizon — its products are exactly
-//!   what `Simulation::run_until(horizon)` of its members yields. A
+//!   what running each member alone to the horizon yields. A
 //!   streamed request advances on its own clock and polls its source every
 //!   [`ServiceConfig::tick`] simulated seconds, applying due reports
 //!   through [`wildfire_ensemble::EnsembleDriver::cycle_source_ws`]. Either

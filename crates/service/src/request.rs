@@ -48,12 +48,12 @@ impl AnalysisFilter {
 /// and optionally a live observation stream steering the forecast.
 pub struct ForecastRequest {
     /// The scenario to forecast. Its `dt` is the reference coupled step;
-    /// its wind-shift schedule is honored (members are full
-    /// [`wildfire_sim::Simulation`]s).
+    /// its wind-shift schedule is honored (the request's one model holds
+    /// it).
     pub scenario: Scenario,
     /// Ensemble size (≥ 1). Members are the scenario with per-member
     /// ignition displacement drawn from `seed`/`position_spread`
-    /// ([`wildfire_sim::perturb::perturbed_simulations`]).
+    /// ([`wildfire_sim::perturb::perturbed_states`]).
     pub n_members: usize,
     /// Std of the per-member rigid ignition displacement (m); 0 runs
     /// identical members.
@@ -61,7 +61,7 @@ pub struct ForecastRequest {
     /// Seed for both the member perturbations and the analysis
     /// perturbations; equal seeds give equal forecasts.
     pub seed: u64,
-    /// Simulation times (s) at which a [`ForecastProduct`] is produced.
+    /// Simulated times (s) at which a [`ForecastProduct`] is produced.
     /// Sorted and deduplicated by the worker; must be non-empty.
     pub horizons: Vec<f64>,
     /// Observation operator per stream index: a report with

@@ -9,15 +9,20 @@
 //!   then, and runs it to its terminal event before it pops the next —
 //!   so live memory follows the workers, not the queue, and the first
 //!   request finishes long before the last one starts.
+//! * **A request is one model and N states.** The worker builds the
+//!   scenario's model once and ignites the perturbed members on it; one
+//!   [`EnsembleDriver`] owns that model, whose wind-shift schedule is a
+//!   function of time, so every member follows it.
 //! * **Each request runs through its own events.** A free run goes
 //!   straight to its next horizon in reference steps: its products equal
-//!   [`Simulation::run_until`] of its members exactly, also when the tick
+//!   those of each member run alone to the horizon, also when the tick
 //!   is not a multiple of the scenario dt. A streamed request advances on
 //!   its own clock, one [`ServiceConfig::tick`] at a time, polling its
 //!   [`ObsSource`] after every leg through
-//!   [`EnsembleDriver::cycle_source_ws`] (members are already at the poll
-//!   time, so the cycle's embedded forecasts are no-ops). Nothing a
-//!   request computes depends on what else the service holds.
+//!   [`EnsembleDriver::cycle_source_ws`] on the same states (members are
+//!   already at the poll time, so the cycle's embedded forecasts are
+//!   no-ops). Nothing a request computes depends on what else the service
+//!   holds.
 //! * **Failures stay with their request.** The whole request body runs
 //!   under `catch_unwind`: a step error, a filter error or a panic becomes
 //!   exactly one `Failed` event on that request's channel and the worker
@@ -33,14 +38,14 @@ use crate::{Result, ServiceError};
 use crossbeam::channel::{self, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use wildfire_core::{CoupledState, CoupledWorkspace};
+use std::sync::{Arc, Mutex, PoisonError};
+use wildfire_core::{CoupledError, CoupledState, CoupledWorkspace};
 use wildfire_ensemble::{pool, EnsembleDriver, EnsembleWorkspace};
 use wildfire_fire::perimeter::perimeter_length;
 use wildfire_math::GaussianSampler;
 use wildfire_obs::{ObsInbox, ObsSource, ObservationOperator, TIME_EPS};
-use wildfire_sim::perturb::perturbed_simulations;
-use wildfire_sim::{PerturbationSpec, Simulation};
+use wildfire_sim::perturb::perturbed_states;
+use wildfire_sim::PerturbationSpec;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,8 +176,8 @@ fn lanes(threads: usize, holding: usize, members: usize) -> usize {
 /// One worker: pops requests until the queue is closed and empty.
 fn worker_loop(rx: &Receiver<Box<Pending>>, threads: usize, tick: f64, holding: &AtomicUsize) {
     // The stepping scratch lives with the worker, one lane per possible
-    // fan-out thread, and is lent to a member for the length of a leg: a
-    // member costs model + state, and no request allocates scratch.
+    // fan-out thread, lent to the members for the length of a leg: a
+    // request costs one model plus its states, and allocates no scratch.
     let mut scratch = vec![CoupledWorkspace::new(); threads];
     while let Ok(pending) = rx.recv() {
         let Pending { id, req, tx } = *pending;
@@ -187,7 +192,7 @@ fn worker_loop(rx: &Receiver<Box<Pending>>, threads: usize, tick: f64, holding: 
             Ok(Ok(())) => ForecastEvent::Finished { request: id },
             Ok(Err(error)) => ForecastEvent::Failed { request: id, error },
             Err(payload) => {
-                // The unwind may have dropped a lent lane with its member.
+                // The unwind may have left a lane mid-update.
                 scratch.fill_with(CoupledWorkspace::new);
                 let message = payload
                     .downcast_ref::<&str>()
@@ -204,62 +209,24 @@ fn worker_loop(rx: &Receiver<Box<Pending>>, threads: usize, tick: f64, holding: 
     }
 }
 
-/// One ensemble member of a request in flight.
-struct Member {
-    sim: Simulation,
-    max_spread_rate: f64,
-    max_updraft: f64,
-    /// Outcome of the member's last leg.
-    outcome: wildfire_sim::Result<()>,
-}
-
 /// What only a streamed request needs.
 struct Assimilation {
     source: Box<dyn ObsSource + Send>,
     inbox: ObsInbox,
     operators: Vec<Box<dyn ObservationOperator>>,
     filter: crate::AnalysisFilter,
-    driver: EnsembleDriver,
     rng: GaussianSampler,
     ws: EnsembleWorkspace,
-    /// One spare [`CoupledState`] per member: a poll swaps the real states
-    /// out of the members into this buffer, analyzes, and swaps back.
-    gather: Vec<CoupledState>,
     analyses: usize,
     reports_assimilated: usize,
 }
 
-impl Assimilation {
-    /// Assimilates whatever reports are due at the members' clock `t_now`.
-    fn poll(
-        &mut self,
-        members: &mut [Member],
-        t_now: f64,
-        dt: f64,
-    ) -> std::result::Result<(), String> {
-        let swap = |members: &mut [Member], gather: &mut [CoupledState]| {
-            for (m, g) in members.iter_mut().zip(gather) {
-                std::mem::swap(&mut m.sim.state, g);
-            }
-        };
-        swap(members, &mut self.gather);
-        let outcome = self.driver.cycle_source_ws(
-            &mut self.gather,
-            self.source.as_mut(),
-            &mut self.inbox,
-            &self.operators,
-            self.filter.as_obs_filter(),
-            t_now,
-            dt,
-            &mut self.rng,
-            &mut self.ws,
-        );
-        swap(members, &mut self.gather);
-        let report = outcome.map_err(|e| format!("assimilation: {e}"))?;
-        self.analyses += report.analyses;
-        self.reports_assimilated += report.reports_assimilated;
-        Ok(())
-    }
+/// What one leg of a request leaves behind: the running maxima of the
+/// step diagnostics (spread rate, updraft) and the failure of the
+/// lowest-indexed member, if any.
+struct Leg {
+    maxima: (f64, f64),
+    failure: Option<(usize, CoupledError)>,
 }
 
 /// Runs one request from realization to its last product on the calling
@@ -277,35 +244,30 @@ fn serve(
     horizons.sort_by(f64::total_cmp);
     horizons.dedup_by(|a, b| (*a - *b).abs() <= TIME_EPS);
     let spec = PerturbationSpec::position_only(req.position_spread, req.seed);
-    let sims = perturbed_simulations(&req.scenario, &spec, req.n_members)
-        .map_err(|e| format!("member construction: {e}"))?;
+    let realize = |e: wildfire_sim::SimError| format!("member construction: {e}");
+    let model = req.scenario.model().map_err(realize)?;
+    let mut members =
+        perturbed_states(&req.scenario, &spec, req.n_members, &model).map_err(realize)?;
+    // One model steps every member; its wind schedule is a function of time.
+    let driver = EnsembleDriver::new(model, 1);
     let dt = req.scenario.dt;
     let mut assim = req.source.map(|source| Assimilation {
         source,
         inbox: ObsInbox::default(),
         operators: req.operators,
         filter: req.filter,
-        driver: EnsembleDriver::new(sims[0].model.clone(), 1),
         rng: GaussianSampler::new(req.seed ^ 0x9e37_79b9_7f4a_7c15),
         ws: EnsembleWorkspace::new(),
-        gather: sims.iter().map(|m| m.state.clone()).collect(),
         analyses: 0,
         reports_assimilated: 0,
     });
-    let mut members: Vec<Member> = sims
-        .into_iter()
-        .map(|sim| Member {
-            sim,
-            max_spread_rate: 0.0,
-            max_updraft: 0.0,
-            outcome: Ok(()),
-        })
-        .collect();
+    // Exact maxima: the order members report in cannot change their bits.
+    let mut maxima = (0.0f64, 0.0f64);
 
     let mut next = 0;
     while next < horizons.len() {
         let target = match assim {
-            Some(_) => horizons[next].min(members[0].sim.time() + tick),
+            Some(_) => horizons[next].min(members[0].time() + tick),
             None => horizons[next],
         };
         let width = lanes(
@@ -313,24 +275,49 @@ fn serve(
             holding.load(Ordering::Relaxed),
             members.len(),
         );
-        pool::parallel_for_each_dynamic_ws(&mut members, &mut scratch[..width], |_, m, lane| {
-            std::mem::swap(&mut m.sim.workspace, lane);
-            let (spread, updraft) = (&mut m.max_spread_rate, &mut m.max_updraft);
-            m.outcome = m.sim.run_until(target, |_, diag| {
-                *spread = spread.max(diag.max_spread_rate);
-                *updraft = updraft.max(diag.max_updraft);
-            });
-            std::mem::swap(&mut m.sim.workspace, lane);
+        let leg = Mutex::new(Leg {
+            maxima,
+            failure: None,
         });
-        for m in &members {
-            m.outcome.clone().map_err(|e| format!("advance: {e}"))?;
+        pool::parallel_for_each_ws(&mut members, &mut scratch[..width], |i, state, lane| {
+            let mut seen = (0.0f64, 0.0f64);
+            let outcome = driver.model.run_ws(state, target, dt, lane, |_, d| {
+                seen = (seen.0.max(d.max_spread_rate), seen.1.max(d.max_updraft));
+            });
+            let mut leg = leg.lock().unwrap_or_else(PoisonError::into_inner);
+            leg.maxima = (leg.maxima.0.max(seen.0), leg.maxima.1.max(seen.1));
+            if let Err(e) = outcome {
+                if leg.failure.as_ref().is_none_or(|(j, _)| i < *j) {
+                    leg.failure = Some((i, e));
+                }
+            }
+        });
+        let leg = leg.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, e)) = leg.failure {
+            return Err(format!("advance: {e}"));
         }
-        let t_now = members[0].sim.time();
+        maxima = leg.maxima;
+        let t_now = members[0].time();
         if let Some(a) = assim.as_mut() {
-            a.poll(&mut members, t_now, dt)?;
+            // Members are at `t_now`: the cycle's own forecasts are no-ops.
+            let report = driver
+                .cycle_source_ws(
+                    &mut members,
+                    a.source.as_mut(),
+                    &mut a.inbox,
+                    &a.operators,
+                    a.filter.as_obs_filter(),
+                    t_now,
+                    dt,
+                    &mut a.rng,
+                    &mut a.ws,
+                )
+                .map_err(|e| format!("assimilation: {e}"))?;
+            a.analyses += report.analyses;
+            a.reports_assimilated += report.reports_assimilated;
         }
         while next < horizons.len() && horizons[next] <= t_now + TIME_EPS {
-            let product = product_at(id, &members, assim.as_ref(), horizons[next], t_now);
+            let product = product_at(id, &members, maxima, assim.as_ref(), horizons[next], t_now);
             let _ = tx.send(ForecastEvent::Product(product));
             next += 1;
         }
@@ -338,34 +325,27 @@ fn serve(
     Ok(())
 }
 
-/// Aggregates the request's members into one product.
+/// Aggregates the request's members into one product; `maxima` are the
+/// largest spread rate and updraft any member has seen so far.
 fn product_at(
     request: u64,
-    members: &[Member],
+    members: &[CoupledState],
+    maxima: (f64, f64),
     assim: Option<&Assimilation>,
     horizon: f64,
     time: f64,
 ) -> ForecastProduct {
-    let mut mean_burned = 0.0;
-    let mut mean_perimeter = 0.0;
-    let mut max_spread = 0.0f64;
-    let mut max_updraft = 0.0f64;
-    for m in members {
-        mean_burned += m.sim.state.fire.burned_area();
-        mean_perimeter += perimeter_length(&m.sim.state.fire.psi);
-        max_spread = max_spread.max(m.max_spread_rate);
-        max_updraft = max_updraft.max(m.max_updraft);
-    }
     let n = members.len() as f64;
+    let mean = |f: fn(&CoupledState) -> f64| members.iter().map(f).sum::<f64>() / n;
     ForecastProduct {
         request,
         horizon,
         time,
         members: members.len(),
-        mean_burned_area: mean_burned / n,
-        mean_perimeter_length: mean_perimeter / n,
-        max_spread_rate: max_spread,
-        max_updraft,
+        mean_burned_area: mean(|m| m.fire.burned_area()),
+        mean_perimeter_length: mean(|m| perimeter_length(&m.fire.psi)),
+        max_spread_rate: maxima.0,
+        max_updraft: maxima.1,
         analyses: assim.map_or(0, |a| a.analyses),
         reports_assimilated: assim.map_or(0, |a| a.reports_assimilated),
     }

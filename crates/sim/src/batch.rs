@@ -7,7 +7,7 @@
 //! shared horizon the way the paper's Fig. 2 loop advances ensemble
 //! members — independently, in parallel. Every slot is one work item,
 //! claimed from a shared atomic cursor by the ensemble worker pool
-//! (`wildfire_ensemble::pool::parallel_for_each_dynamic_ws`), so a cheap
+//! (`wildfire_ensemble::pool::parallel_for_each_ws`), so a cheap
 //! or already-finished fire never pins a worker while another grinds
 //! through an expensive one. There is no lockstep and no compatibility
 //! rule: slots may differ in grid, fuels, reference dt and clock. (The
@@ -187,7 +187,7 @@ impl SimBatch {
         // The simulations carry their own workspaces; the pool only needs
         // a worker count (a `Vec` of zero-sized items never allocates).
         let mut workers = vec![(); self.threads];
-        pool::parallel_for_each_dynamic_ws(&mut self.slots, &mut workers, |_, slot, ()| {
+        pool::parallel_for_each_ws(&mut self.slots, &mut workers, |_, slot, ()| {
             let rollup = &mut slot.rollup;
             slot.outcome = slot.sim.run_until(horizon, |_, diag| rollup.absorb(diag));
         });

@@ -1,6 +1,6 @@
 //! [`SimulationBuilder`]: fluent construction of coupled models from
-//! [`Scenario`] parts, and [`Simulation`]: a model + state pair that applies
-//! the scenario's wind-shift schedule while stepping.
+//! [`Scenario`] parts, and [`Simulation`]: a model + state pair stepped at
+//! the scenario's reference dt.
 
 use crate::scenario::{DomainSpec, FuelPatch, FuelSpec, Scenario, WindShift, WindSpec};
 use crate::{Result, SimError};
@@ -71,12 +71,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the fire-mesh refinement ratio.
-    pub fn refinement(mut self, refinement: usize) -> Self {
-        self.scenario.domain.refinement = refinement;
-        self
-    }
-
     /// Sets the initial ambient wind (m/s).
     pub fn ambient_wind(mut self, u: f64, v: f64) -> Self {
         self.scenario.wind.ambient = (u, v);
@@ -129,12 +123,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the ignition time (s).
-    pub fn ignition_time(mut self, time: f64) -> Self {
-        self.scenario.ignition_time = time;
-        self
-    }
-
     /// Toggles two-way coupling.
     pub fn coupled(mut self, coupled: bool) -> Self {
         self.scenario.coupled = coupled;
@@ -172,7 +160,9 @@ impl SimulationBuilder {
         self.scenario
     }
 
-    /// Builds only the coupled model (no ignition).
+    /// Builds only the coupled model (no ignition). The model carries the
+    /// scenario's wind-shift schedule
+    /// ([`CoupledModel::ambient_wind_at`]).
     ///
     /// # Errors
     /// [`SimError::Scenario`] for malformed descriptors,
@@ -210,14 +200,14 @@ impl SimulationBuilder {
             }
         };
         model.coupled = s.coupled;
+        model.set_wind_shifts(s.wind.shifts.iter().map(|w| (w.at, w.to)));
         if s.fast_math {
             model.fire.set_fast_math(true);
         }
         Ok(model)
     }
 
-    /// Builds the full [`Simulation`]: model, ignited state, and the
-    /// wind-shift schedule.
+    /// Builds the full [`Simulation`]: model and ignited state.
     ///
     /// # Errors
     /// As [`SimulationBuilder::build_model`], plus
@@ -229,26 +219,20 @@ impl SimulationBuilder {
         let model = self.build_model()?;
         let s = self.scenario;
         let state = model.ignite(&s.ignitions, s.ignition_time);
-        let mut shifts = s.wind.shifts.clone();
-        shifts.sort_by(|a, b| a.at.total_cmp(&b.at));
         Ok(Simulation {
             model,
             state,
             dt: s.dt,
-            shifts,
-            next_shift: 0,
             scenario: s,
             workspace: CoupledWorkspace::new(),
         })
     }
 }
 
-/// A realized scenario: coupled model + ignited state + forcing schedule.
-///
-/// Stepping through [`Simulation::step`] / [`Simulation::run_until`] applies
-/// the scenario's scheduled wind shifts at the right simulation times;
-/// callers that need the raw components can take `model` and `state` apart
-/// and drive them directly (losing the schedule).
+/// A realized scenario: coupled model + ignited state, stepped at the
+/// scenario's reference dt. The model applies the wind-shift schedule as a
+/// function of the state's time, so taking `model` and `state` apart and
+/// driving them directly loses nothing.
 #[derive(Debug, Clone)]
 pub struct Simulation {
     /// The coupled fire–atmosphere model.
@@ -263,25 +247,12 @@ pub struct Simulation {
     /// the allocation-free [`CoupledModel::step_ws`] path, so long runs
     /// perform no steady-state heap allocation.
     pub workspace: CoupledWorkspace,
-    shifts: Vec<WindShift>,
-    next_shift: usize,
 }
 
 impl Simulation {
     /// Current simulation time (s).
     pub fn time(&self) -> f64 {
         self.state.time()
-    }
-
-    /// Applies every wind shift scheduled at or before `time`; called
-    /// before each step, so the schedule is honored on every stepping
-    /// route (a [`crate::batch::SimBatch`] slot advances through
-    /// [`Simulation::run_until`] like any other simulation).
-    fn apply_due_shifts(&mut self, time: f64) {
-        while self.next_shift < self.shifts.len() && self.shifts[self.next_shift].at <= time {
-            self.model.atmos.params.ambient_wind = self.shifts[self.next_shift].to;
-            self.next_shift += 1;
-        }
     }
 
     /// One coupled step of the scenario's reference dt.
@@ -297,11 +268,9 @@ impl Simulation {
     /// # Errors
     /// Propagates coupled-model step failures.
     pub fn step_by(&mut self, dt: f64) -> Result<StepDiagnostics> {
-        self.apply_due_shifts(self.time());
-        let diag = self
+        Ok(self
             .model
-            .step_ws(&mut self.state, dt, &mut self.workspace)?;
-        Ok(diag)
+            .step_ws(&mut self.state, dt, &mut self.workspace)?)
     }
 
     /// Runs to `t_end`, invoking `on_step` after every step. The final step
@@ -311,37 +280,36 @@ impl Simulation {
     ///
     /// # Errors
     /// Propagates coupled-model step failures.
-    pub fn run_until<F>(&mut self, t_end: f64, mut on_step: F) -> Result<()>
+    pub fn run_until<F>(&mut self, t_end: f64, on_step: F) -> Result<()>
     where
         F: FnMut(&CoupledState, &StepDiagnostics),
     {
-        while self.time() < t_end - 1e-9 {
-            let dt = self.dt.min(t_end - self.time());
-            let diag = self.step_by(dt)?;
-            on_step(&self.state, &diag);
-        }
-        Ok(())
+        Ok(self.model.run_ws(
+            &mut self.state,
+            t_end,
+            self.dt,
+            &mut self.workspace,
+            on_step,
+        )?)
     }
 
-    /// Captures the full simulation into `snap`: the coupled state, the
-    /// reference dt, the wind-shift cursor and the (possibly shifted)
-    /// current ambient wind, plus the [`Scenario::fingerprint`] so the
-    /// checkpoint refuses to restore into a simulation built from a
-    /// different scenario. Allocation-free once `snap` is warm.
+    /// Captures the full simulation into `snap`: the coupled state (ambient
+    /// wind included) and the reference dt, plus the
+    /// [`Scenario::fingerprint`] so the checkpoint refuses to restore into
+    /// a simulation built from a different scenario. Allocation-free once
+    /// `snap` is warm.
     pub fn snapshot_into(&self, snap: &mut Snapshot) {
         self.model
             .snapshot_into(&self.state, Some(&self.workspace), snap);
         snap.put_scalar("sim/dt", self.dt);
-        snap.put_scalar("sim/next_shift", self.next_shift as f64);
-        let (u, v) = self.model.atmos.params.ambient_wind;
-        snap.put_slice("sim/ambient_wind", &[u, v]);
         snap.put_u64("sim/scenario_fp", self.scenario.fingerprint());
     }
 
     /// Restores this simulation from a checkpoint taken by
     /// [`Simulation::snapshot_into`]. After a successful restore,
     /// continuing the run reproduces the uninterrupted original bit for
-    /// bit — including pending wind shifts.
+    /// bit — including pending wind shifts, which the restored time
+    /// decides.
     ///
     /// # Errors
     /// [`SimError::Snapshot`] when records are missing or malformed, or
@@ -355,24 +323,11 @@ impl Simulation {
                 "checkpoint was taken from a different scenario".to_string(),
             ));
         }
-        let next_shift = snap.get_scalar("sim/next_shift").map_err(snap_err)? as usize;
-        if next_shift > self.shifts.len() {
-            return Err(SimError::Snapshot(
-                "wind-shift cursor out of range".to_string(),
-            ));
-        }
-        let wind = snap.get("sim/ambient_wind").map_err(snap_err)?;
-        if wind.len() != 2 {
-            return Err(SimError::Snapshot(
-                "sim/ambient_wind must hold two values".to_string(),
-            ));
-        }
+        let dt = snap.get_scalar("sim/dt").map_err(snap_err)?;
         self.model
             .restore_from(&mut self.state, Some(&mut self.workspace), snap)
             .map_err(snap_err)?;
-        self.dt = snap.get_scalar("sim/dt").map_err(snap_err)?;
-        self.next_shift = next_shift;
-        self.model.atmos.params.ambient_wind = (wind[0], wind[1]);
+        self.dt = dt;
         Ok(())
     }
 }
@@ -418,12 +373,12 @@ mod tests {
             .coupled(false)
             .build()
             .expect("builds");
-        assert_eq!(sim.model.atmos.params.ambient_wind, (5.0, 0.0));
+        assert_eq!(sim.state.atmos.ambient_wind, (5.0, 0.0));
         sim.run_until(0.9, |_, _| {}).expect("run");
         // t=0.5 shift fired, t=1.0 not yet.
-        assert_eq!(sim.model.atmos.params.ambient_wind, (2.0, 2.0));
+        assert_eq!(sim.state.atmos.ambient_wind, (2.0, 2.0));
         sim.run_until(1.6, |_, _| {}).expect("run");
-        assert_eq!(sim.model.atmos.params.ambient_wind, (0.0, 5.0));
+        assert_eq!(sim.state.atmos.ambient_wind, (0.0, 5.0));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * [`scenario`] — the [`Scenario`] descriptor and its component specs
 //!   ([`DomainSpec`], [`FuelSpec`], [`WindSpec`]);
 //! * [`builder`] — [`SimulationBuilder`], a fluent constructor, and
-//!   [`Simulation`], a model + state pair that applies scheduled wind
-//!   shifts while stepping;
+//!   [`Simulation`], a model + state pair stepped at the scenario's dt;
 //! * [`batch`] — [`SimBatch`], batched multi-fire execution: N
 //!   independent simulations work-stolen over the worker pool
 //!   (bit-identical to running each alone);

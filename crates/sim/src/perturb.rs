@@ -22,9 +22,9 @@ pub struct PerturbationSpec {
     pub position_spread: f64,
     /// Std of the per-member perturbation of each ambient-wind component
     /// (m/s); zero leaves the wind deterministic. Wind jitter changes the
-    /// member's *model*, so it is only honored by APIs that build one
-    /// model/simulation per member ([`perturbed_scenarios`],
-    /// [`perturbed_simulations`]); the shared-model paths reject it.
+    /// member's initial wind, which is model data, so only the per-member
+    /// paths ([`perturbed_scenarios`], [`perturbed_simulations`]) honor
+    /// it; the shared-model paths reject it.
     pub wind_spread: f64,
     /// RNG seed; equal seeds give equal member families.
     pub seed: u64,
@@ -62,9 +62,9 @@ pub fn perturbed_scenarios(
         .collect()
 }
 
-/// Builds one full [`Simulation`] (own model + state + wind schedule) per
-/// perturbed member — the path that honors every field of the spec,
-/// including wind jitter.
+/// Builds one full [`Simulation`] (own model + state) per perturbed
+/// member — the path that honors every field of the spec, including wind
+/// jitter.
 ///
 /// # Errors
 /// Propagates model-construction failures.
@@ -81,28 +81,25 @@ pub fn perturbed_simulations(
 
 /// Ignites one state per perturbed member on a shared model — the common
 /// case where all members run the same physics and differ only in initial
-/// condition.
+/// condition. A model built from `base` ([`Scenario::model`]) carries its
+/// wind-shift schedule, so the members follow it as they step.
 ///
 /// # Errors
-/// [`SimError::Scenario`] when the spec or scenario carries forcing that a
-/// shared bare model cannot express — `spec.wind_spread > 0` (per-member
-/// winds) or a non-empty `base.wind.shifts` schedule (shift application
-/// lives in [`Simulation`], which this path bypasses). Use
-/// [`perturbed_simulations`] instead of silently dropping either.
+/// [`SimError::Scenario`] when `base` has no ignition shapes (as
+/// [`Scenario::build`]), or when `spec.wind_spread > 0`: per-member initial
+/// winds need per-member models ([`perturbed_simulations`]).
 pub fn perturbed_states(
     base: &Scenario,
     spec: &PerturbationSpec,
     n_members: usize,
     model: &CoupledModel,
 ) -> Result<Vec<CoupledState>> {
+    if base.ignitions.is_empty() {
+        return Err(SimError::Scenario("scenario has no ignition shapes"));
+    }
     if spec.wind_spread > 0.0 {
         return Err(SimError::Scenario(
             "wind_spread requires per-member models; use perturbed_simulations",
-        ));
-    }
-    if !base.wind.shifts.is_empty() {
-        return Err(SimError::Scenario(
-            "wind-shift schedules need Simulation-driven members; use perturbed_simulations",
         ));
     }
     Ok(perturbed_scenarios(base, spec, n_members)
@@ -223,15 +220,50 @@ mod tests {
     }
 
     #[test]
-    fn shared_model_paths_reject_wind_shift_schedules() {
+    fn shared_model_paths_reject_empty_ignitions() {
+        // As `Scenario::build` does: a member with no fire is no member.
+        let spec = PerturbationSpec::position_only(5.0, 1);
+        let bare = base().with_ignitions(Vec::new());
+        assert!(build_ensemble(&bare, &spec, 3).is_err());
+    }
+
+    #[test]
+    fn shared_model_members_follow_wind_shift_schedules() {
+        // One model, N states, forecast past the 60 s shift: member for
+        // member the bits of N simulations run alone.
         let shifted = registry::by_name(registry::WIND_SHIFT).expect("registry scenario");
         let spec = PerturbationSpec::position_only(5.0, 1);
-        assert!(
-            build_ensemble(&shifted, &spec, 3).is_err(),
-            "a shift schedule cannot ride on a shared bare model"
-        );
-        // The per-member path honors it.
-        let sims = perturbed_simulations(&shifted, &spec, 2).expect("sims");
-        assert!(sims.iter().all(|s| !s.scenario.wind.shifts.is_empty()));
+        let (model, mut states) = build_ensemble(&shifted, &spec, 2).expect("shared model");
+        let driver = wildfire_ensemble::EnsembleDriver::new(model, 2);
+        let mut ws = wildfire_ensemble::EnsembleWorkspace::new();
+        driver
+            .forecast_ws(&mut states, 61.0, shifted.dt, &mut ws)
+            .expect("forecast");
+        let bits = |s: &CoupledState| -> Vec<u64> {
+            let (f, a) = (&s.fire, &s.atmos);
+            [
+                f.psi.as_slice(),
+                f.tig.as_slice(),
+                &a.u,
+                &a.v,
+                &a.w,
+                &a.theta,
+                &a.qv,
+            ]
+            .concat()
+            .iter()
+            .chain(&[f.time, a.time, a.ambient_wind.0, a.ambient_wind.1])
+            .map(|v| v.to_bits())
+            .collect()
+        };
+        let mut sims = perturbed_simulations(&shifted, &spec, 2).expect("sims");
+        for (state, sim) in states.iter().zip(&mut sims) {
+            sim.run_until(61.0, |_, _| {}).expect("run");
+            assert!(
+                bits(state) == bits(&sim.state),
+                "member differs from its simulation"
+            );
+            assert_eq!(state.atmos.ambient_wind, (0.0, 4.0), "the shift applied");
+        }
     }
 }

@@ -296,13 +296,13 @@ mod tests {
         let scn = by_name(WIND_SHIFT).expect("present");
         assert!(!scn.wind.shifts.is_empty());
         let mut sim = scn.build().expect("builds");
-        let before = sim.model.atmos.params.ambient_wind;
+        let before = sim.state.atmos.ambient_wind;
         // Jump the clock past the shift time cheaply: step a few times with
         // a large dt (components sub-step internally to stay stable).
         while sim.time() < 61.0 {
             sim.step_by(10.0).expect("step");
         }
-        let after = sim.model.atmos.params.ambient_wind;
+        let after = sim.state.atmos.ambient_wind;
         assert_ne!(before, after, "ambient wind must shift mid-run");
     }
 

@@ -139,7 +139,9 @@ pub struct WindShift {
 pub struct WindSpec {
     /// Initial ambient wind `(u, v)` (m/s).
     pub ambient: (f64, f64),
-    /// Scheduled mid-run shifts, applied in time order by [`Simulation`].
+    /// Scheduled mid-run shifts. The model built from the scenario holds
+    /// them: a shift applies from the first coupled step that starts at or
+    /// after its time.
     pub shifts: Vec<WindShift>,
 }
 
@@ -197,8 +199,7 @@ impl Scenario {
         SimulationBuilder::from_scenario(self.clone()).build_model()
     }
 
-    /// Realizes model + ignited initial state, wiring the wind-shift
-    /// schedule into the returned [`Simulation`].
+    /// Realizes model + ignited initial state as a [`Simulation`].
     ///
     /// # Errors
     /// [`crate::SimError`] for invalid configurations.
