@@ -43,6 +43,8 @@ pub mod obs_set;
 pub mod operator;
 pub mod snapshot;
 pub mod source;
+#[cfg(test)]
+mod statefile;
 pub mod station;
 pub mod timeline;
 

@@ -1,311 +1,158 @@
-//! Binary disk state exchange (Fig. 2).
+//! Tests of the observation log's on-disk state file: the [`Snapshot`]
+//! file that [`ObsLogWriter`] publishes and [`StateFileTail`] reads back.
+//! They pin the file as a file — its bytes, its atomic replacement, and
+//! what a reader does with a damaged or incomplete one — where the
+//! `source` tests pin the delivery of reports.
 //!
-//! "The ensemble of model states is maintained in disk files. The
-//! observation function takes as input the disk files and delivers
-//! synthetic data also in disk files. The EnKF inputs the synthetic data
-//! and the real data, and modifies the files with the ensemble states."
-//!
-//! Format: magic `WFST`, version `u32`, record count `u32`, then per record
-//! a length-prefixed UTF-8 name, an element count `u64`, and little-endian
-//! `f64` payload. Writes go to a temporary file in the same directory and
-//! are atomically renamed into place, so concurrent readers never observe a
-//! torn state. A versioned, named-record layout lets the observation
-//! function extract "individual subvectors corresponding to the most common
-//! variables" (§3.1) without knowing the producing code.
+//! [`Snapshot`]: crate::Snapshot
+//! [`ObsLogWriter`]: crate::ObsLogWriter
+//! [`StateFileTail`]: crate::StateFileTail
 
-use crate::{ObsError, Result};
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::path::Path;
-use wildfire_fire::FireState;
-use wildfire_grid::{Field2, Grid2};
-
-/// File magic.
-pub const MAGIC: [u8; 4] = *b"WFST";
-/// Current format version.
-pub const VERSION: u32 = 1;
-
-/// An in-memory collection of named `f64` arrays — one model state on its
-/// way to or from disk.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StateFile {
-    records: BTreeMap<String, Vec<f64>>,
-}
-
-impl StateFile {
-    /// Empty state file.
-    pub fn new() -> Self {
-        StateFile::default()
-    }
-
-    /// Inserts or replaces a record ("individual subvectors … are extracted
-    /// or replaced", §3.1).
-    pub fn put(&mut self, name: impl Into<String>, data: Vec<f64>) {
-        self.records.insert(name.into(), data);
-    }
-
-    /// Borrows a record.
-    ///
-    /// # Errors
-    /// [`ObsError::MissingRecord`] when absent.
-    pub fn get(&self, name: &str) -> Result<&[f64]> {
-        self.records
-            .get(name)
-            .map(|v| v.as_slice())
-            .ok_or_else(|| ObsError::MissingRecord(name.to_string()))
-    }
-
-    /// Record names in sorted order.
-    pub fn names(&self) -> Vec<&str> {
-        self.records.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Serializes to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
-        for (name, data) in &self.records {
-            let name_bytes = name.as_bytes();
-            out.extend_from_slice(&(name_bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(name_bytes);
-            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            for v in data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parses from bytes.
-    ///
-    /// # Errors
-    /// [`ObsError::BadStateFile`] on any structural problem.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > bytes.len() {
-                return Err(ObsError::BadStateFile("truncated file".into()));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let magic = take(&mut pos, 4)?;
-        if magic != MAGIC {
-            return Err(ObsError::BadStateFile("bad magic".into()));
-        }
-        let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ObsError::BadStateFile(format!(
-                "unsupported version {version}"
-            )));
-        }
-        let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-        let mut records = BTreeMap::new();
-        for _ in 0..count {
-            let name_len =
-                u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-            let name = std::str::from_utf8(take(&mut pos, name_len)?)
-                .map_err(|_| ObsError::BadStateFile("non-utf8 record name".into()))?
-                .to_string();
-            let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")) as usize;
-            let payload = take(&mut pos, len * 8)?;
-            let mut data = Vec::with_capacity(len);
-            for chunk in payload.chunks_exact(8) {
-                data.push(f64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-            }
-            records.insert(name, data);
-        }
-        if pos != bytes.len() {
-            return Err(ObsError::BadStateFile("trailing bytes".into()));
-        }
-        Ok(StateFile { records })
-    }
-
-    /// Writes atomically: serialize to `path.tmp`, then rename onto `path`.
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn write(&self, path: &Path) -> Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Reads and parses a state file.
-    ///
-    /// # Errors
-    /// I/O and format failures.
-    pub fn read(path: &Path) -> Result<Self> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-/// The software layer of §3.1 that hides the producing model: anything that
-/// can round-trip itself through a [`StateFile`].
-pub trait StateCodec: Sized {
-    /// Encodes into named records.
-    fn encode(&self, file: &mut StateFile);
-    /// Decodes from named records.
-    ///
-    /// # Errors
-    /// Missing or malformed records.
-    fn decode(file: &StateFile) -> Result<Self>;
-}
-
-impl StateCodec for FireState {
-    fn encode(&self, file: &mut StateFile) {
-        let g = self.psi.grid();
-        file.put(
-            "fire/grid",
-            vec![g.nx as f64, g.ny as f64, g.dx, g.dy, g.origin.0, g.origin.1],
-        );
-        file.put("fire/psi", self.psi.as_slice().to_vec());
-        // Encode UNBURNED as a sentinel that is exactly representable.
-        file.put(
-            "fire/tig",
-            self.tig
-                .as_slice()
-                .iter()
-                .map(|&t| if t.is_finite() { t } else { f64::MAX })
-                .collect(),
-        );
-        file.put("fire/time", vec![self.time]);
-    }
-
-    fn decode(file: &StateFile) -> Result<Self> {
-        let gdesc = file.get("fire/grid")?;
-        if gdesc.len() != 6 {
-            return Err(ObsError::BadStateFile(
-                "fire/grid must have 6 entries".into(),
-            ));
-        }
-        let grid = Grid2::with_origin(
-            gdesc[0] as usize,
-            gdesc[1] as usize,
-            gdesc[2],
-            gdesc[3],
-            (gdesc[4], gdesc[5]),
-        )
-        .map_err(|e| ObsError::BadStateFile(e.to_string()))?;
-        let psi = file.get("fire/psi")?;
-        let tig = file.get("fire/tig")?;
-        if psi.len() != grid.len() || tig.len() != grid.len() {
-            return Err(ObsError::BadStateFile("field size mismatch".into()));
-        }
-        let time = *file
-            .get("fire/time")?
-            .first()
-            .ok_or_else(|| ObsError::BadStateFile("empty fire/time".into()))?;
-        Ok(FireState {
-            psi: Field2::from_vec(grid, psi.to_vec()),
-            tig: Field2::from_vec(
-                grid,
-                tig.iter()
-                    .map(|&t| {
-                        if t >= f64::MAX {
-                            wildfire_fire::UNBURNED
-                        } else {
-                            t
-                        }
-                    })
-                    .collect(),
-            ),
-            time,
-        })
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use wildfire_fire::ignition::IgnitionShape;
+    use crate::{ObsError, ObsInbox, ObsLogWriter, ObsSource, Snapshot, StateFileTail};
+    use std::path::PathBuf;
+
+    /// A fresh, empty directory for one test, unique per process.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("wildfire_statefile_{test}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A two-report log on disk: one report carrying the `UNBURNED`
+    /// sentinel's encoding, one with an empty measurement vector.
+    fn two_report_log(path: &std::path::Path) {
+        let mut writer = ObsLogWriter::open(path).unwrap();
+        writer.append(5.0, 0, &[1.0, -2.5, f64::MAX]).unwrap();
+        writer.append(7.5, 3, &[]).unwrap();
+    }
 
     #[test]
     fn bytes_roundtrip() {
-        let mut sf = StateFile::new();
-        sf.put("a", vec![1.0, -2.5, f64::MAX]);
-        sf.put("b/c", vec![]);
-        let back = StateFile::from_bytes(&sf.to_bytes()).unwrap();
-        assert_eq!(sf, back);
-        assert_eq!(back.names(), vec!["a", "b/c"]);
+        let dir = scratch_dir("bytes");
+        let path = dir.join("obs_log.wfst");
+        two_report_log(&path);
+
+        let bytes = std::fs::read(&path).unwrap();
+        let log = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(log.to_bytes(), bytes);
+        assert_eq!(
+            log.names().collect::<Vec<_>>(),
+            vec![
+                "obs/0/data",
+                "obs/0/head",
+                "obs/1/data",
+                "obs/1/head",
+                "obs/count"
+            ]
+        );
+        assert_eq!(log.get("obs/0/data").unwrap(), &[1.0, -2.5, f64::MAX]);
+        assert_eq!(log.get("obs/1/head").unwrap(), &[7.5, 3.0]);
+        assert!(log.get("obs/1/data").unwrap().is_empty());
+        assert_eq!(log.get_scalar("obs/count").unwrap(), 2.0);
+
+        // The tail reads the same values back, the empty report included.
+        let mut tail = StateFileTail::new(&path);
+        let mut inbox = ObsInbox::new();
+        assert_eq!(tail.poll(10.0, &mut inbox).unwrap(), 2);
+        assert_eq!(inbox.due[0].data, vec![1.0, -2.5, f64::MAX]);
+        assert_eq!((inbox.due[1].time, inbox.due[1].stream), (7.5, 3));
+        assert!(inbox.due[1].data.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rejects_corruption() {
-        let mut sf = StateFile::new();
-        sf.put("x", vec![1.0]);
-        let mut bytes = sf.to_bytes();
-        bytes[0] = b'Z';
-        assert!(matches!(
-            StateFile::from_bytes(&bytes),
-            Err(ObsError::BadStateFile(_))
-        ));
-        let bytes2 = sf.to_bytes();
-        assert!(StateFile::from_bytes(&bytes2[..bytes2.len() - 3]).is_err());
-        let mut bytes3 = sf.to_bytes();
-        bytes3.push(0);
-        assert!(StateFile::from_bytes(&bytes3).is_err());
+        let dir = scratch_dir("corrupt");
+        let path = dir.join("obs_log.wfst");
+        two_report_log(&path);
+        let good = std::fs::read(&path).unwrap();
+
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'Z';
+        let truncated = good[..good.len() - 3].to_vec();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        for bytes in [bad_magic, truncated, trailing] {
+            std::fs::write(&path, &bytes).unwrap();
+            let mut tail = StateFileTail::new(&path);
+            let mut inbox = ObsInbox::new();
+            assert!(matches!(
+                tail.poll(10.0, &mut inbox),
+                Err(ObsError::BadStateFile(_))
+            ));
+            assert_eq!(tail.ingested(), 0);
+            assert!(matches!(
+                ObsLogWriter::open(&path),
+                Err(ObsError::BadStateFile(_))
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_record_error() {
-        let sf = StateFile::new();
-        assert!(matches!(sf.get("nope"), Err(ObsError::MissingRecord(_))));
+        let dir = scratch_dir("missing");
+        let path = dir.join("obs_log.wfst");
+
+        // A file without `obs/count` is no log.
+        let mut not_a_log = Snapshot::new();
+        not_a_log.put_slice("obs/0/head", &[1.0, 0.0]);
+        not_a_log.write(&path).unwrap();
+        assert!(matches!(
+            ObsLogWriter::open(&path),
+            Err(ObsError::MissingRecord(_))
+        ));
+        let mut inbox = ObsInbox::new();
+        assert!(matches!(
+            StateFileTail::new(&path).poll(10.0, &mut inbox),
+            Err(ObsError::MissingRecord(_))
+        ));
+
+        // A count that promises a report whose records are absent.
+        let mut short = Snapshot::read(&path).unwrap();
+        short.put_slice("obs/0/data", &[4.0]);
+        short.put_scalar("obs/count", 2.0);
+        short.write(&path).unwrap();
+        assert!(matches!(
+            StateFileTail::new(&path).poll(10.0, &mut inbox),
+            Err(ObsError::MissingRecord(name)) if name == "obs/1/head"
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn disk_roundtrip_atomic() {
-        let dir = std::env::temp_dir().join("wildfire_statefile_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("member_000.wfst");
-        let mut sf = StateFile::new();
-        sf.put("v", (0..1000).map(|i| i as f64 * 0.5).collect());
-        sf.write(&path).unwrap();
-        let back = StateFile::read(&path).unwrap();
-        assert_eq!(sf, back);
-        // No temporary file left behind.
+        let dir = scratch_dir("disk");
+        let path = dir.join("obs_log.wfst");
+        let data: Vec<f64> = (0..1000).map(|i| i as f64 * 0.5).collect();
+
+        let mut writer = ObsLogWriter::open(&path).unwrap();
+        // Nothing is on disk before the first append.
+        assert!(!path.exists());
+        writer.append(1.0, 0, &data).unwrap();
+        writer.append(2.0, 1, &data[..10]).unwrap();
+        // Every append replaces the file by rename: no temporary is left.
         assert!(!path.with_extension("tmp").exists());
-        std::fs::remove_file(&path).ok();
-    }
 
-    #[test]
-    fn fire_state_codec_roundtrip() {
-        let grid = Grid2::new(21, 17, 3.0, 3.0).unwrap();
-        let state = FireState::ignite(
-            grid,
-            &[IgnitionShape::Circle {
-                center: (30.0, 24.0),
-                radius: 9.0,
-            }],
-            12.5,
-        );
-        let mut sf = StateFile::new();
-        state.encode(&mut sf);
-        let back = FireState::decode(&sf).unwrap();
-        assert_eq!(state.psi, back.psi);
-        assert_eq!(state.tig, back.tig);
-        assert_eq!(state.time, back.time);
-        // UNBURNED survives the sentinel encoding.
-        assert_eq!(back.tig.get(0, 0), wildfire_fire::UNBURNED);
-    }
+        // A reopened writer continues the file it finds.
+        let mut reopened = ObsLogWriter::open(&path).unwrap();
+        assert_eq!(reopened.len(), 2);
+        reopened.append(3.0, 0, &data[..1]).unwrap();
+        assert!(!path.with_extension("tmp").exists());
 
-    #[test]
-    fn fire_state_codec_rejects_bad_sizes() {
-        let grid = Grid2::new(4, 4, 1.0, 1.0).unwrap();
-        let state = FireState::unburned(grid);
-        let mut sf = StateFile::new();
-        state.encode(&mut sf);
-        sf.put("fire/psi", vec![0.0; 3]); // wrong length
-        assert!(FireState::decode(&sf).is_err());
+        let log = Snapshot::read(&path).unwrap();
+        assert_eq!(log.get_scalar("obs/count").unwrap(), 3.0);
+        assert_eq!(log.get("obs/0/data").unwrap(), data.as_slice());
+        assert_eq!(log.get("obs/1/data").unwrap(), &data[..10]);
+        assert_eq!(log.get("obs/2/head").unwrap(), &[3.0, 0.0]);
+
+        let mut tail = StateFileTail::new(&path);
+        let mut inbox = ObsInbox::new();
+        assert_eq!(tail.poll(10.0, &mut inbox).unwrap(), 3);
+        assert_eq!(inbox.due[0].data, data);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
