@@ -127,29 +127,6 @@ pub(crate) fn cg_mean_free(
     (false, rs_old)
 }
 
-/// Solves `∇²φ = rhs` exactly (to round-off). `tol` and `max_iter` are
-/// accepted for the signature's sake and ignored, as by
-/// [`solve_poisson_into`].
-///
-/// Returns the potential `φ` with zero mean.
-///
-/// # Errors
-/// None in practice; the `Result` is kept for the signature.
-pub fn solve_poisson(g: &AtmosGrid, rhs: &[f64], tol: f64, max_iter: usize) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    let mut ws = PoissonWorkspace::default();
-    solve_poisson_into(
-        g,
-        rhs,
-        PoissonSolver::default(),
-        tol,
-        max_iter,
-        &mut ws,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
 /// Allocation-free exact solve of `∇²φ = rhs` by the separable transforms
 /// of the module docs, writing the mean-free potential into `out`. The
 /// transform tables and the scratch field live in `ws`, built on the first
@@ -402,6 +379,14 @@ mod tests {
         }
     }
 
+    /// One exact solve with a fresh workspace.
+    fn solve(g: &AtmosGrid, rhs: &[f64]) -> Vec<f64> {
+        let mut phi = Vec::new();
+        let mut ws = PoissonWorkspace::default();
+        solve_poisson_into(g, rhs, PoissonSolver::default(), 0.0, 0, &mut ws, &mut phi).unwrap();
+        phi
+    }
+
     /// Discrete manufactured solution: apply the operator to a known field
     /// and verify the solver returns it (up to the constant).
     #[test]
@@ -471,7 +456,7 @@ mod tests {
         let rhs: Vec<f64> = (0..n)
             .map(|i| ((i * 37 % 11) as f64 - 5.0) * 1e-3)
             .collect();
-        let phi = solve_poisson(&g, &rhs, 1e-8, 2000).unwrap();
+        let phi = solve(&g, &rhs);
         let mean = phi.iter().sum::<f64>() / n as f64;
         assert!(mean.abs() < 1e-10);
     }
@@ -516,7 +501,7 @@ mod tests {
         let rhs: Vec<f64> = (0..n)
             .map(|i| ((i * 29 % 13) as f64 - 6.0) * 1e-3)
             .collect();
-        let reference = solve_poisson(&g, &rhs, 1e-8, 500).unwrap();
+        let reference = solve(&g, &rhs);
         let mut ws = PoissonWorkspace::default();
         let mut phi = Vec::new();
         for (tol, max_iter) in [(1e-8, 500), (0.0, 0), (1.0, 1), (1e-14, usize::MAX)] {
@@ -564,7 +549,7 @@ mod tests {
                 .map(|i| ((i * 37 % 11) as f64 - 5.0) * 1e-3)
                 .collect();
             solve_poisson_into(&g, &rhs, PoissonSolver::Direct, 0.0, 0, &mut ws, &mut phi).unwrap();
-            assert_eq!(phi, solve_poisson(&g, &rhs, 0.0, 0).unwrap(), "{g:?}");
+            assert_eq!(phi, solve(&g, &rhs), "{g:?}");
         }
     }
 

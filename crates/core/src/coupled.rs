@@ -7,8 +7,7 @@ use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::{AtmosModel, AtmosParams, AtmosState};
 use wildfire_fire::heat::heat_fluxes_box_into;
 use wildfire_fire::ignition::IgnitionShape;
-use wildfire_fire::{FireMesh, FireState, FuelMap, LevelSetSolver};
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::{FireMesh, FireState, FuelCategory, LevelSetSolver};
 use wildfire_grid::transfer::{prolong_box_into, refinement_between, restrict_box_into};
 use wildfire_grid::{Grid2, NodeBox, VectorField2};
 
@@ -140,12 +139,6 @@ impl CoupledModel {
             h.origin,
         )
         .map_err(CoupledError::Grid)
-    }
-
-    /// Builds a fuel map on the fire grid of this model (helper for painting
-    /// heterogeneous fuels before [`CoupledModel::with_fire_mesh`]).
-    pub fn uniform_fuel_map(&self, cat: FuelCategory) -> FuelMap {
-        FuelMap::uniform_category(self.fire_grid, cat)
     }
 
     /// Initial coupled state: ambient atmosphere, fire ignited from shapes.

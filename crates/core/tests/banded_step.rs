@@ -12,8 +12,7 @@ use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::{AtmosParams, AtmosWorkspace};
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace, StepDiagnostics};
 use wildfire_fire::heat::{heat_fluxes_into, HeatFluxFields};
-use wildfire_fire::{FireWorkspace, IgnitionShape};
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::{FireWorkspace, FuelCategory, IgnitionShape};
 use wildfire_grid::transfer::{prolong_into, restrict_into};
 use wildfire_grid::{Field2, VectorField2};
 

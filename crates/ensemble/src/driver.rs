@@ -905,7 +905,7 @@ mod tests {
     use wildfire_atmos::state::AtmosGrid;
     use wildfire_atmos::AtmosParams;
     use wildfire_enkf::RegistrationConfig;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::FuelCategory;
     use wildfire_obs::StridedPsi;
 
     fn driver(threads: usize) -> EnsembleDriver {

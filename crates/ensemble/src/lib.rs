@@ -21,9 +21,15 @@
 //!   (standard EnKF on raw fields, morphing EnKF on extended states), with
 //!   the identical-twin experiment setup of Fig. 4 (ensemble ignited at an
 //!   intentionally displaced location).
+//!
+//! `unsafe` is denied crate-wide; [`pool`] alone is allowed it, for the
+//! disjoint per-item `&mut` hand-out of its dynamic scheduler.
+
+#![deny(unsafe_code)]
 
 pub mod driver;
 pub mod metrics;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod store;
 

@@ -10,7 +10,7 @@ use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::AtmosParams;
 use wildfire_core::CoupledState;
 use wildfire_ensemble::{EnsembleDriver, EnsembleSetup, EnsembleWorkspace};
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::FuelCategory;
 use wildfire_math::GaussianSampler;
 use wildfire_obs::Snapshot;
 

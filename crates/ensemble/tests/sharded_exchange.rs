@@ -17,7 +17,7 @@ use wildfire_ensemble::{
     DiskStore, EnsembleDriver, EnsembleSetup, EnsembleWorkspace, ObsFilter, SnapshotStore,
 };
 use wildfire_fire::ignition::IgnitionShape;
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::FuelCategory;
 use wildfire_math::GaussianSampler;
 use wildfire_obs::{CoupledSnapshot, ObsSet, Snapshot, StridedPsi};
 

@@ -1,7 +1,23 @@
-//! Fuel categories, spread-rate coefficients, and heat release.
+//! Fuel characterization for the semi-empirical spread model of §2.1:
+//! per-category spread-rate coefficients (`R0`, `a`, `b`, `d`, `S_max`),
+//! post-frontal mass-loss kinetics (exponential decay with a fuel-dependent
+//! time constant — "rapid mass loss in grass, slow mass loss in larger fuel
+//! particles"), and the partitioning of released heat into sensible and
+//! latent fluxes delivered to the atmosphere.
+//!
+//! The paper takes its coefficients from laboratory experiments via
+//! Rothermel (1972) and Clark/Coen (2004). The numerical values used here
+//! are in the range of the BEHAVE/WRF-SFIRE lineage of those models and are
+//! documented per category; they are plain data, so calibrated values can be
+//! substituted through [`FuelModel::custom`].
 
-use crate::fastmath::PowPlan;
-use crate::{COMBUSTION_WATER_YIELD, LATENT_HEAT_VAPORIZATION};
+/// Latent heat of vaporization of water at fire temperatures, J/kg.
+const LATENT_HEAT_VAPORIZATION: f64 = 2.5e6;
+
+/// Mass of water produced by combustion per unit mass of cellulose-dominated
+/// fuel burned (kg water / kg fuel). Combustion of cellulose releases about
+/// 0.56 kg of water vapor per kg of dry fuel.
+const COMBUSTION_WATER_YIELD: f64 = 0.56;
 
 /// Standard fuel categories.
 ///
@@ -36,7 +52,7 @@ impl FuelCategory {
         FuelCategory::HeavySlash,
     ];
 
-    /// Stable small integer id (used by fuel maps and the disk codec).
+    /// Stable small integer id.
     pub fn id(self) -> u8 {
         match self {
             FuelCategory::ShortGrass => 0,
@@ -104,11 +120,6 @@ pub struct FuelModel {
     pub moisture: f64,
     /// Moisture fraction at which spread stops entirely.
     pub moisture_extinction: f64,
-    /// Opt into the polynomial [`crate::fastmath::fast_pow`] kernel for the
-    /// wind term instead of bitwise libm `powf`. Off by default: enabling it
-    /// relaxes spread rates to the fast-math relative-error bound (≤ 1e-12)
-    /// and therefore diverges bitwise-pinned trajectories.
-    pub fast_math: bool,
 }
 
 impl FuelModel {
@@ -135,7 +146,6 @@ impl FuelModel {
             heat_content: 17.4e6,
             moisture: m,
             moisture_extinction: 0.30,
-            fast_math: false,
         }
     }
 
@@ -164,23 +174,7 @@ impl FuelModel {
             heat_content,
             moisture,
             moisture_extinction: 0.30,
-            fast_math: false,
         }
-    }
-
-    /// Returns the model with the fast-math wind-term kernel toggled (see
-    /// [`FuelModel::fast_math`]).
-    pub fn with_fast_math(mut self, fast_math: bool) -> FuelModel {
-        self.fast_math = fast_math;
-        self
-    }
-
-    /// The `x ↦ x^b` evaluation plan this model's mode selects for the wind
-    /// term. [`FuelModel::spread_rate`] and the flattened
-    /// [`SpreadCoeffs::spread_rate`] evaluate through equal plans, which is
-    /// what keeps them bitwise-identical to each other in *both* modes.
-    pub fn pow_plan(&self) -> PowPlan {
-        PowPlan::new(self.wind_exponent, self.fast_math)
     }
 
     /// Spread rate `S` (m/s) given the wind and terrain-gradient components
@@ -194,7 +188,7 @@ impl FuelModel {
     /// The result is damped by fuel moisture (linear to extinction) and
     /// clipped into `[0, Smax]`, both as the paper prescribes.
     pub fn spread_rate(&self, wind_along_normal: f64, slope_along_normal: f64) -> f64 {
-        let wind_term = self.wind_factor * self.pow_plan().eval(wind_along_normal.max(0.0));
+        let wind_term = self.wind_factor * wind_along_normal.max(0.0).powf(self.wind_exponent);
         let slope_term = self.slope_factor * slope_along_normal;
         let moisture_damping = (1.0 - self.moisture / self.moisture_extinction).clamp(0.0, 1.0);
         let s = (self.r0 + wind_term + slope_term) * moisture_damping;
@@ -253,17 +247,16 @@ impl FuelModel {
     ///
     /// [`SpreadCoeffs::spread_rate`] is bitwise-identical to
     /// [`FuelModel::spread_rate`] for every input — the equivalence is
-    /// pinned by a property test in `tests/proptest_fuel.rs`.
-    pub fn spread_coeffs(&self) -> SpreadCoeffs {
-        let pow = self.pow_plan();
+    /// pinned by a property test below.
+    pub(crate) fn spread_coeffs(&self) -> SpreadCoeffs {
         SpreadCoeffs {
             r0: self.r0,
             wind_factor: self.wind_factor,
-            pow,
+            wind_exponent: self.wind_exponent,
             slope_factor: self.slope_factor,
             max_spread: self.max_spread,
             moisture_damping: (1.0 - self.moisture / self.moisture_extinction).clamp(0.0, 1.0),
-            zero_wind_term: self.wind_factor * pow.eval(0.0),
+            zero_wind_term: self.wind_factor * 0.0_f64.powf(self.wind_exponent),
         }
     }
 }
@@ -273,25 +266,23 @@ impl FuelModel {
 /// and stored in contiguous arrays by the fused level-set kernel, so the hot
 /// loop reads plain `f64` planes instead of chasing the full model struct.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpreadCoeffs {
+pub(crate) struct SpreadCoeffs {
     /// Background (no-wind, no-slope) rate of spread, m/s.
-    pub r0: f64,
+    pub(crate) r0: f64,
     /// Wind coefficient `a` in `a·(v·n)^b`.
-    pub wind_factor: f64,
-    /// Precompiled wind-exponent plan: how `(v·n)^b` is evaluated — libm
-    /// `powf` by default, the polynomial fast-math kernel when the source
-    /// model opted in (see [`FuelModel::fast_math`]).
-    pub pow: PowPlan,
+    pub(crate) wind_factor: f64,
+    /// Wind exponent `b` in `a·(v·n)^b`.
+    pub(crate) wind_exponent: f64,
     /// Slope coefficient `d`, m/s per unit slope.
-    pub slope_factor: f64,
+    pub(crate) slope_factor: f64,
     /// Maximum spread rate cutoff `Smax`, m/s.
-    pub max_spread: f64,
+    pub(crate) max_spread: f64,
     /// Precomputed moisture damping `(1 − m/m_ext)` clipped to `[0, 1]`.
-    pub moisture_damping: f64,
+    pub(crate) moisture_damping: f64,
     /// Precomputed `a · 0^b` — the wind term at zero head wind (0 for
     /// `b > 0`, `a` for `b = 0`), so the no-head-wind branch skips `powf`
     /// while staying bitwise-identical to evaluating it.
-    pub zero_wind_term: f64,
+    pub(crate) zero_wind_term: f64,
 }
 
 impl SpreadCoeffs {
@@ -300,7 +291,7 @@ impl SpreadCoeffs {
     /// without recomputing the moisture damping, and skipping `powf` when
     /// the along-normal wind is not a head wind.
     #[inline]
-    pub fn spread_rate(&self, wind_along_normal: f64, slope_along_normal: f64) -> f64 {
+    pub(crate) fn spread_rate(&self, wind_along_normal: f64, slope_along_normal: f64) -> f64 {
         let s =
             (self.r0 + self.wind_term(wind_along_normal) + self.slope_factor * slope_along_normal)
                 * self.moisture_damping;
@@ -313,7 +304,7 @@ impl SpreadCoeffs {
     /// (nonnegative) base rate, so the flat-terrain kernel skips the two
     /// multiplies and the add outright.
     #[inline]
-    pub fn spread_rate_flat(&self, wind_along_normal: f64) -> f64 {
+    pub(crate) fn spread_rate_flat(&self, wind_along_normal: f64) -> f64 {
         let s = (self.r0 + self.wind_term(wind_along_normal)) * self.moisture_damping;
         s.clamp(0.0, self.max_spread)
     }
@@ -324,21 +315,17 @@ impl SpreadCoeffs {
     fn wind_term(&self, wind_along_normal: f64) -> f64 {
         let wa = wind_along_normal.max(0.0);
         if wa > 0.0 {
-            self.wind_factor * self.pow.eval(wa)
+            self.wind_factor * wa.powf(self.wind_exponent)
         } else {
             self.zero_wind_term
         }
-    }
-
-    /// The wind exponent `b` of this entry's plan.
-    pub fn wind_exponent(&self) -> f64 {
-        self.pow.exponent()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn categories_roundtrip_ids() {
@@ -456,5 +443,37 @@ mod tests {
         assert!(f.category.is_none());
         assert!(f.spread_rate(3.0, 0.0) > 0.0);
         assert!((f.total_heat_per_area() - 18.0e6).abs() < 1.0);
+    }
+
+    proptest! {
+        /// The flattened [`SpreadCoeffs`] evaluate the spread law
+        /// bitwise-identically to the full model, for built-in categories
+        /// and custom parameter sets (including the `powf`-skipping
+        /// no-head-wind branch and degenerate wind exponents).
+        #[test]
+        fn spread_coeffs_match_model_bitwise(
+            cat in prop::sample::select(FuelCategory::ALL.to_vec()),
+            r0 in 0.0f64..0.1,
+            a in 0.0f64..0.5,
+            b in 0.0f64..3.0,
+            d in -0.3f64..0.3,
+            smax in 0.1f64..8.0,
+            moisture in 0.0f64..0.4,
+            wind in -100.0f64..100.0,
+            slope in -5.0f64..5.0,
+        ) {
+            let custom = FuelModel::custom(r0, a, b, d, smax, 30.0, 1.0, 17.4e6, moisture);
+            for f in [FuelModel::for_category(cat), custom] {
+                let c = f.spread_coeffs();
+                for w in [wind, 0.0, -wind] {
+                    let reference = f.spread_rate(w, slope);
+                    let flattened = c.spread_rate(w, slope);
+                    prop_assert!(
+                        reference.to_bits() == flattened.to_bits(),
+                        "model {reference} vs coeffs {flattened} at wind {w}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -142,7 +142,7 @@ mod tests {
     use super::*;
     use crate::ignition::IgnitionShape;
     use crate::state::FireState;
-    use wildfire_fuel::FuelCategory;
+    use crate::FuelCategory;
     use wildfire_grid::Grid2;
 
     fn setup() -> (FireMesh, FireState) {

@@ -7,7 +7,7 @@
 //! 1. **The reference RHS** — [`crate::LevelSetSolver::rhs_reference_into`],
 //!    the paper-faithful per-node loop: boundary-aware `diff_x`/`diff_y`
 //!    stencils, a match on the gradient scheme, the fuel palette chased
-//!    through the full [`wildfire_fuel::FuelModel`]. The semantic oracle.
+//!    through the full [`crate::FuelModel`]. The semantic oracle.
 //! 2. **The fused whole-field RHS** — [`rhs_fused_into`] over every node
 //!    (what the public `rhs_into` runs). The static inputs are flattened
 //!    once per solver into [`KernelPlanes`]; interior rows are swept over
@@ -53,7 +53,7 @@
 //! crate's approximation; nothing in this crate depends on it, and the
 //! banded sweep is exact for whatever ψ it is given.
 
-use wildfire_fuel::SpreadCoeffs;
+use crate::fuel::SpreadCoeffs;
 use wildfire_grid::{Field2, Grid2, NodeBox, VectorField2};
 
 use crate::mesh::FireMesh;
@@ -64,8 +64,8 @@ use crate::LevelSetSolver;
 /// per-node palette index plane, and the terrain gradient components
 /// (central differences, exactly as [`Field2::gradient`] computes them).
 ///
-/// Built once by [`LevelSetSolver::new`]; owners that mutate the mesh
-/// afterwards must call [`LevelSetSolver::refresh_kernel_planes`].
+/// Built once by [`LevelSetSolver::new`]; the solver gives no mutable
+/// access to its mesh, so the planes cannot go stale.
 #[derive(Debug, Clone)]
 pub(crate) struct KernelPlanes {
     grid: Grid2,
@@ -133,28 +133,6 @@ impl KernelPlanes {
     /// `[0, max_spread]`) — the a-priori bound on `s_max`.
     pub(crate) fn max_spread(&self) -> f64 {
         self.coeffs.iter().fold(0.0, |m, c| m.max(c.max_spread))
-    }
-
-    /// Canary against stale planes, run under `debug_assert!` on every
-    /// fused dispatch: true when the flattened fuel-index plane *and* the
-    /// cached terrain-gradient planes still match the mesh. (Palette
-    /// coefficient mutation is the one staleness this cannot see; the
-    /// documented `refresh_kernel_planes` contract covers it.)
-    pub(crate) fn matches_mesh(&self, mesh: &FireMesh) -> bool {
-        if self.grid != mesh.grid || self.index != mesh.fuel.indices() {
-            return false;
-        }
-        for iy in 0..self.grid.ny {
-            for ix in 0..self.grid.nx {
-                let (gx, gy) = mesh.terrain.gradient(ix, iy);
-                let id = self.grid.idx(ix, iy);
-                if self.tzx[id].to_bits() != gx.to_bits() || self.tzy[id].to_bits() != gy.to_bits()
-                {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -439,27 +417,6 @@ fn rhs_fused_dispatch<const GODUNOV: bool, const UNIFORM: bool, const FLAT: bool
         let index = &planes.index[base..base + nx];
         let coeffs = planes.coeffs.as_slice();
         let out_row = out.row_mut(iy);
-        if UNIFORM && !uniform_coeffs.pow.is_bitwise() {
-            // Fast-math palettes batch the wind power per row block (the
-            // vectorizable `PowPlan::eval_slice` form) — bitwise-identical
-            // to the scalar loop below, just evaluated lanes at a time.
-            interior_row_batched::<GODUNOV, FLAT>(
-                &uniform_coeffs,
-                row,
-                below,
-                above,
-                wu,
-                wv,
-                tzx,
-                tzy,
-                inv_dx,
-                inv_dy,
-                lo..hi,
-                out_row,
-                &mut s_max,
-            );
-            continue;
-        }
         for i in lo..hi {
             let here = row[i];
             // Same expressions as `diff_x`/`diff_y` at an interior node.
@@ -496,100 +453,6 @@ fn rhs_fused_dispatch<const GODUNOV: bool, const UNIFORM: bool, const FLAT: bool
         }
     }
     s_max
-}
-
-/// Batched interior row for fast-math uniform-palette sweeps: stages a
-/// block of nodes' head-wind operands and evaluates the wind power as one
-/// [`wildfire_fuel::PowPlan::eval_slice`] call — the vectorizable form of
-/// the polynomial kernel — instead of one scalar call per node.
-///
-/// Bitwise-identical to the scalar interior loop in
-/// [`rhs_fused_dispatch`]: every lane runs the same per-node arithmetic in
-/// the same order (`eval_slice` is pinned bitwise to element-wise `eval`),
-/// zero-gradient nodes write the same `0.0`, and no-head-wind nodes take
-/// the same precomputed zero-wind term — those lanes carry a `1.0`
-/// sentinel through the batched power so the block never leaves the
-/// all-positive vector path.
-#[allow(clippy::too_many_arguments)]
-fn interior_row_batched<const GODUNOV: bool, const FLAT: bool>(
-    c: &SpreadCoeffs,
-    row: &[f64],
-    below: &[f64],
-    above: &[f64],
-    wu: &[f64],
-    wv: &[f64],
-    tzx: &[f64],
-    tzy: &[f64],
-    inv_dx: f64,
-    inv_dy: f64,
-    cols: std::ops::Range<usize>,
-    out_row: &mut [f64],
-    s_max: &mut f64,
-) {
-    const BLOCK: usize = 32;
-    let mut norm_b = [0.0_f64; BLOCK];
-    let mut wa_b = [0.0_f64; BLOCK];
-    let mut pow_b = [0.0_f64; BLOCK];
-    let mut slope_b = [0.0_f64; BLOCK];
-    let mut start = cols.start;
-    while start < cols.end {
-        let len = BLOCK.min(cols.end - start);
-        for k in 0..len {
-            let i = start + k;
-            let here = row[i];
-            let left = (here - row[i - 1]) * inv_dx;
-            let right = (row[i + 1] - here) * inv_dx;
-            let down = (here - below[i]) * inv_dy;
-            let up = (above[i] - here) * inv_dy;
-            let (gx, gy) = if GODUNOV {
-                (godunov_select(left, right), godunov_select(down, up))
-            } else {
-                (0.5 * (left + right), 0.5 * (down + up))
-            };
-            let norm = (gx * gx + gy * gy).sqrt();
-            norm_b[k] = norm;
-            if norm == 0.0 {
-                wa_b[k] = 0.0;
-                pow_b[k] = 1.0;
-                slope_b[k] = 0.0;
-                continue;
-            }
-            let n = (gx / norm, gy / norm);
-            let wa = (wu[i] * n.0 + wv[i] * n.1).max(0.0);
-            wa_b[k] = wa;
-            pow_b[k] = if wa > 0.0 { wa } else { 1.0 };
-            slope_b[k] = if FLAT {
-                0.0
-            } else {
-                tzx[i] * n.0 + tzy[i] * n.1
-            };
-        }
-        c.pow.eval_slice(&mut pow_b[..len]);
-        for k in 0..len {
-            let norm = norm_b[k];
-            if norm == 0.0 {
-                out_row[start + k] = 0.0;
-                continue;
-            }
-            // Same term order as `spread_rate` / `spread_rate_flat`:
-            // (r0 + wind) [+ slope], damped, clamped.
-            let wind_term = if wa_b[k] > 0.0 {
-                c.wind_factor * pow_b[k]
-            } else {
-                c.zero_wind_term
-            };
-            let base_rate = c.r0 + wind_term;
-            let s = if FLAT {
-                base_rate
-            } else {
-                base_rate + c.slope_factor * slope_b[k]
-            };
-            let s = (s * c.moisture_damping).clamp(0.0, c.max_spread);
-            *s_max = s_max.max(s);
-            out_row[start + k] = -s * norm;
-        }
-        start += len;
-    }
 }
 
 /// `out = a + alpha·b` on the spans — one fused pass with the same per-node
@@ -697,7 +560,7 @@ pub(crate) fn euler_update_and_mark(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wildfire_fuel::FuelCategory;
+    use crate::FuelCategory;
     use wildfire_grid::Grid2;
 
     #[test]

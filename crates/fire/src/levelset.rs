@@ -90,14 +90,13 @@ pub struct AdvanceStats {
 ///
 /// Construction flattens the mesh's static inputs (fuel coefficients,
 /// terrain gradient) into the planes the fused RHS kernel streams. The
-/// mesh is private so a mutation can never get out of sync with those
-/// planes: read it through [`LevelSetSolver::mesh`], mutate it through
-/// [`LevelSetSolver::mesh_mut_with_refresh`] (which re-flattens the planes
-/// on the way out).
+/// mesh is private and there is no mutable access to it, so the planes can
+/// never go stale: read it through [`LevelSetSolver::mesh`]; a different
+/// landscape is a new solver.
 #[derive(Debug, Clone)]
 pub struct LevelSetSolver {
-    /// Static domain description (grid, fuels, terrain). Kept private —
-    /// the fused kernel's planes must be rebuilt whenever this changes.
+    /// Static domain description (grid, fuels, terrain). Kept private and
+    /// immutable — the fused kernel's planes are flattened from it once.
     mesh: FireMesh,
     /// Time integration scheme.
     pub integrator: Integrator,
@@ -132,34 +131,6 @@ impl LevelSetSolver {
     /// Read access to the static domain description (grid, fuels, terrain).
     pub fn mesh(&self) -> &FireMesh {
         &self.mesh
-    }
-
-    /// Mutates the mesh in place and re-flattens the fused kernel's static
-    /// planes on the way out — the only mutable mesh access, so repainting
-    /// fuels or editing terrain can never leave the kernel streaming a
-    /// stale landscape. Returns whatever the closure returns.
-    pub fn mesh_mut_with_refresh<R>(&mut self, f: impl FnOnce(&mut FireMesh) -> R) -> R {
-        let out = f(&mut self.mesh);
-        self.refresh_kernel_planes();
-        out
-    }
-
-    /// Re-flattens the mesh into the fused kernel's static planes. Called
-    /// by [`LevelSetSolver::mesh_mut_with_refresh`] after every mesh
-    /// mutation; public for callers that assemble a solver from parts.
-    pub fn refresh_kernel_planes(&mut self) {
-        self.planes = KernelPlanes::build(&self.mesh);
-    }
-
-    /// Switches the solver between bitwise `powf` and the polynomial
-    /// fast-math `pow` kernel for the wind term, rebuilding the kernel
-    /// planes so the fused sweep picks up the new [`wildfire_fuel::PowPlan`]s.
-    ///
-    /// Off (bitwise) is the default and keeps the golden-trajectory pins;
-    /// fast-math relaxes spread rates to within `1e-12` relative error.
-    pub fn set_fast_math(&mut self, fast_math: bool) {
-        self.mesh.fuel.set_fast_math(fast_math);
-        self.refresh_kernel_planes();
     }
 
     /// Upwinded partial derivatives of ψ at a node — the paper's Godunov
@@ -232,10 +203,6 @@ impl LevelSetSolver {
     /// visited nodes. Quiet nodes never contribute to it, so any set of
     /// spans that covers the non-quiet nodes returns the whole-field value.
     fn rhs_on(&self, psi: &Field2, wind: &VectorField2, out: &mut Field2, span: RowSpan) -> f64 {
-        debug_assert!(
-            self.planes.matches_mesh(&self.mesh),
-            "kernel planes are stale: call refresh_kernel_planes() after mutating the mesh"
-        );
         match self.gradient {
             GradientScheme::Godunov => {
                 kernel::rhs_fused_into::<true>(&self.planes, psi, wind, out, span)
@@ -257,7 +224,7 @@ impl LevelSetSolver {
 
     /// The paper-faithful scalar RHS: one node at a time through the
     /// boundary-aware `diff_x`/`diff_y` stencils and the full
-    /// [`wildfire_fuel::FuelModel::spread_rate`] law, exactly as §2.2
+    /// [`crate::FuelModel::spread_rate`] law, exactly as §2.2
     /// transcribes. Kept verbatim as the semantic reference the fused
     /// kernel is pinned against — `tests/proptest_levelset_fused.rs`
     /// asserts bitwise equality of the two on random fields, winds,
@@ -529,8 +496,8 @@ impl LevelSetSolver {
 mod tests {
     use super::*;
     use crate::ignition::IgnitionShape;
+    use crate::FuelCategory;
     use crate::UNBURNED;
-    use wildfire_fuel::FuelCategory;
     use wildfire_grid::Grid2;
 
     fn grass_solver(n: usize, dx: f64) -> LevelSetSolver {
@@ -829,34 +796,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{gradient:?} RHS node");
             }
         }
-    }
-
-    #[test]
-    fn refresh_kernel_planes_tracks_mesh_mutation() {
-        use wildfire_fuel::FuelModel;
-        let mut solver = grass_solver(21, 2.0);
-        let state = circle_state(&solver, 6.0);
-        let wind = VectorField2::from_fn(solver.mesh.grid, |_, _| (4.0, 0.0));
-        // Repaint half the domain with a slower fuel through the guarded
-        // accessor — the planes re-flatten automatically on the way out.
-        solver.mesh_mut_with_refresh(|mesh| {
-            let heavy = mesh
-                .fuel
-                .add_fuel(FuelModel::for_category(FuelCategory::HeavySlash));
-            mesh.fuel.paint_rect(0.0, 0.0, 40.0, 18.0, heavy).unwrap();
-        });
-        let mut fused = Field2::default();
-        let mut reference = Field2::default();
-        let s_fused = solver.rhs_into(&state.psi, &wind, &mut fused);
-        let s_ref = solver.rhs_reference_into(&state.psi, &wind, &mut reference);
-        assert_eq!(s_fused.to_bits(), s_ref.to_bits());
-        assert_eq!(fused, reference);
-        // The repaint must actually show up in the kernel output: compare
-        // against a stale-planes evaluation via a fresh uniform solver.
-        let uniform = grass_solver(21, 2.0);
-        let mut uniform_rhs = Field2::default();
-        uniform.rhs_into(&state.psi, &wind, &mut uniform_rhs);
-        assert_ne!(fused, uniform_rhs, "repainted fuel must change the RHS");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The surface-fire component of the coupled model (§2.1–2.2 of the paper):
 //!
 //! * a semi-empirical spread-rate law `S = R0 + a(v⃗·n⃗)^b + d ∇z·n⃗`, clipped
-//!   to `[0, S_max]`, with coefficients from [`wildfire_fuel`];
+//!   to `[0, S_max]`, with per-category coefficients, mass-loss kinetics
+//!   and heat partitioning in [`fuel`];
 //! * front propagation by a level-set method, `∂ψ/∂t + S‖∇ψ‖ = 0`, solved
 //!   with Godunov upwinding exactly as the paper specifies and integrated
 //!   with Heun's two-stage Runge–Kutta method (the explicit Euler method is
@@ -38,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod fuel;
 pub mod heat;
 pub mod ignition;
 pub(crate) mod kernel;
@@ -48,6 +50,7 @@ pub mod reinit;
 pub mod state;
 pub mod workspace;
 
+pub use fuel::{FuelCategory, FuelModel, HeatFluxes};
 pub use ignition::IgnitionShape;
 pub use levelset::{AdvanceStats, GradientScheme, Integrator, LevelSetSolver};
 pub use mesh::{FireMesh, FuelMap};

@@ -1,7 +1,6 @@
 //! The fire mesh: grid + fuel map + terrain.
 
-use crate::{FireError, Result};
-use wildfire_fuel::{FuelCategory, FuelModel};
+use crate::{FireError, FuelCategory, FuelModel, Result};
 use wildfire_grid::{Field2, Grid2};
 
 /// Per-node fuel assignment: a small palette of [`FuelModel`]s plus one
@@ -31,12 +30,14 @@ impl FuelMap {
 
     /// Adds a fuel model to the palette, returning its index.
     ///
-    /// # Panics
-    /// Panics if the palette would exceed 256 entries.
-    pub fn add_fuel(&mut self, fuel: FuelModel) -> u8 {
-        assert!(self.palette.len() < 256, "fuel palette full");
+    /// # Errors
+    /// [`FireError::BadFuelIndex`] with the index the entry would get when
+    /// the palette already holds 256 entries (indices are `u8`).
+    pub fn add_fuel(&mut self, fuel: FuelModel) -> Result<u8> {
+        let idx = self.palette.len();
+        let idx = u8::try_from(idx).map_err(|_| FireError::BadFuelIndex(idx))?;
         self.palette.push(fuel);
-        (self.palette.len() - 1) as u8
+        Ok(idx)
     }
 
     /// Paints the rectangle of nodes `[x0, x1] × [y0, y1]` (world
@@ -73,18 +74,6 @@ impl FuelMap {
     /// The palette of fuel models.
     pub fn palette(&self) -> &[FuelModel] {
         &self.palette
-    }
-
-    /// Switches every palette entry between bitwise `powf` and the
-    /// polynomial fast-math `pow` kernel (see [`wildfire_fuel::fast_pow`]).
-    ///
-    /// Callers holding derived spread coefficients (kernel planes) must
-    /// rebuild them afterwards; [`crate::LevelSetSolver::set_fast_math`]
-    /// does both.
-    pub fn set_fast_math(&mut self, fast_math: bool) {
-        for fuel in &mut self.palette {
-            fuel.fast_math = fast_math;
-        }
     }
 
     /// The per-node palette indices, row-major in `x` (one `u8` per grid
@@ -160,7 +149,9 @@ mod tests {
     fn paint_rect_changes_region_only() {
         let g = Grid2::new(10, 10, 1.0, 1.0).unwrap();
         let mut map = FuelMap::uniform_category(g, FuelCategory::ShortGrass);
-        let heavy = map.add_fuel(FuelModel::for_category(FuelCategory::HeavySlash));
+        let heavy = map
+            .add_fuel(FuelModel::for_category(FuelCategory::HeavySlash))
+            .unwrap();
         map.paint_rect(5.0, 5.0, 9.0, 9.0, heavy).unwrap();
         assert_eq!(map.at(7, 7).category, Some(FuelCategory::HeavySlash));
         assert_eq!(map.at(2, 2).category, Some(FuelCategory::ShortGrass));
@@ -177,6 +168,21 @@ mod tests {
     }
 
     #[test]
+    fn add_fuel_rejects_a_full_palette() {
+        let g = Grid2::new(4, 4, 1.0, 1.0).unwrap();
+        let mut map = FuelMap::uniform_category(g, FuelCategory::Brush);
+        for expected in 1..=255u8 {
+            let idx = map.add_fuel(FuelModel::for_category(FuelCategory::ShortGrass));
+            assert_eq!(idx, Ok(expected));
+        }
+        assert_eq!(
+            map.add_fuel(FuelModel::for_category(FuelCategory::ShortGrass)),
+            Err(FireError::BadFuelIndex(256))
+        );
+        assert_eq!(map.palette().len(), 256);
+    }
+
+    #[test]
     fn mesh_assembly_checks_grids() {
         let g = Grid2::new(4, 4, 1.0, 1.0).unwrap();
         let g2 = Grid2::new(5, 4, 1.0, 1.0).unwrap();
@@ -189,7 +195,8 @@ mod tests {
     fn max_spread_bound_over_palette() {
         let g = Grid2::new(4, 4, 1.0, 1.0).unwrap();
         let mut map = FuelMap::uniform_category(g, FuelCategory::HeavySlash);
-        map.add_fuel(FuelModel::for_category(FuelCategory::TallGrass));
+        map.add_fuel(FuelModel::for_category(FuelCategory::TallGrass))
+            .unwrap();
         let mesh = FireMesh::new(g, map, Field2::zeros(g)).unwrap();
         let grass_smax = FuelModel::for_category(FuelCategory::TallGrass).max_spread;
         assert_eq!(mesh.max_spread_bound(), grass_smax);

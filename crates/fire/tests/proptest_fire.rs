@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use wildfire_fire::ignition::{signed_distance_union, IgnitionShape};
-use wildfire_fire::{FireMesh, FireState, LevelSetSolver, UNBURNED};
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::{FireMesh, FireState, FuelCategory, LevelSetSolver, UNBURNED};
 use wildfire_grid::{Grid2, VectorField2};
 
 fn arb_circle() -> impl Strategy<Value = IgnitionShape> {

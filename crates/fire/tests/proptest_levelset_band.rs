@@ -16,8 +16,7 @@
 
 use proptest::prelude::*;
 use wildfire_fire::levelset::{GradientScheme, Integrator};
-use wildfire_fire::{FireMesh, FireState, FireWorkspace, LevelSetSolver, UNBURNED};
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::{FireMesh, FireState, FireWorkspace, FuelCategory, LevelSetSolver, UNBURNED};
 use wildfire_grid::{Field2, Grid2, VectorField2};
 
 const STEPS: usize = 52;

@@ -300,11 +300,6 @@ impl Field2 {
         &mut self.data
     }
 
-    /// Consumes the field, returning its storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Applies `f` to every value in place.
     pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
         for v in &mut self.data {

@@ -137,11 +137,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its column-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of column `j` as a contiguous slice.
     #[inline]
     pub fn col(&self, j: usize) -> &[f64] {

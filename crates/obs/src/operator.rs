@@ -354,11 +354,6 @@ impl ImagePixels {
         }
     }
 
-    /// The wrapped camera/scene binding.
-    pub fn image_observation(&self) -> &ImageObservation {
-        &self.image
-    }
-
     /// Synthesizes a noisy identical-twin "real" image from a truth state
     /// and appends its pixels to `out`.
     ///
@@ -412,7 +407,7 @@ mod tests {
     use wildfire_atmos::state::AtmosGrid;
     use wildfire_atmos::AtmosParams;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::FuelCategory;
 
     fn model() -> CoupledModel {
         CoupledModel::new(

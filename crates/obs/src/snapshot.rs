@@ -456,7 +456,7 @@ mod tests {
     use wildfire_atmos::state::AtmosGrid;
     use wildfire_atmos::AtmosParams;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::FuelCategory;
 
     fn model() -> CoupledModel {
         let grid = AtmosGrid {

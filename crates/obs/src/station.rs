@@ -259,7 +259,7 @@ mod tests {
     use wildfire_atmos::AtmosParams;
     use wildfire_core::CoupledModel;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::FuelCategory;
 
     fn model() -> CoupledModel {
         CoupledModel::new(

@@ -341,7 +341,7 @@ mod tests {
                 dz: 50.0,
             },
             wildfire_atmos::AtmosParams::default(),
-            wildfire_fuel::FuelCategory::ShortGrass,
+            wildfire_fire::FuelCategory::ShortGrass,
             4,
         )
         .unwrap();

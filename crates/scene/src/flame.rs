@@ -12,7 +12,6 @@
 
 use wildfire_fire::heat::{heat_fluxes_into, HeatFluxFields};
 use wildfire_fire::{FireMesh, FireState};
-use wildfire_fuel::PowPlan;
 use wildfire_grid::{Field3, Grid3, VectorField2};
 
 /// Parameters of the flame geometry model.
@@ -53,32 +52,14 @@ impl Default for FlameModel {
 }
 
 impl FlameModel {
-    /// The power plan for `I^byram_exp`, precomputed once per volume build
-    /// so the per-node evaluation goes through the vectorizable polynomial
-    /// kernel ([`wildfire_fuel::fast_pow`]) instead of a libm `powf` call.
-    ///
-    /// The flame volume is §3.2 visualization geometry, not part of the
-    /// bitwise-pinned dynamics, so the kernel's ≤1e-12 relative error is
-    /// far below every consumer's tolerance.
-    pub fn byram_plan(&self) -> PowPlan {
-        PowPlan::fast(self.byram_exp)
-    }
-
     /// Flame length (m) for a local heat flux (W/m²), through Byram's
     /// correlation with `I = flux · flame_depth`.
     pub fn flame_length(&self, flux_w_m2: f64) -> f64 {
-        self.flame_length_plan(self.byram_plan(), flux_w_m2)
-    }
-
-    /// [`FlameModel::flame_length`] with the Byram power plan hoisted out:
-    /// callers evaluating many nodes build the plan once via
-    /// [`FlameModel::byram_plan`] and pass it here.
-    pub fn flame_length_plan(&self, plan: PowPlan, flux_w_m2: f64) -> f64 {
         if flux_w_m2 <= 0.0 {
             return 0.0;
         }
         let intensity_kw_m = flux_w_m2 * self.flame_depth / 1000.0;
-        (self.byram_coeff * plan.eval(intensity_kw_m)).min(self.max_height)
+        (self.byram_coeff * intensity_kw_m.powf(self.byram_exp)).min(self.max_height)
     }
 
     /// Flame tilt from vertical (radians) for a wind speed (m/s):
@@ -146,16 +127,13 @@ impl FlameVolume {
         self.emission.resize_zeroed(g3);
         let emission = &mut self.emission;
         heat_fluxes_into(mesh, state, t, fluxes);
-        // One plan for the whole volume: the Byram exponent is a model
-        // constant, so the pow kernel's range checks hoist out of the loop.
-        let byram = model.byram_plan();
         for iy in 0..g2.ny {
             for ix in 0..g2.nx {
                 let q = fluxes.sensible.get(ix, iy);
                 if q <= 0.0 {
                     continue;
                 }
-                let length = model.flame_length_plan(byram, q);
+                let length = model.flame_length(q);
                 if length <= 0.0 {
                     continue;
                 }
@@ -210,7 +188,7 @@ impl FlameVolume {
 mod tests {
     use super::*;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::FuelCategory;
     use wildfire_grid::Grid2;
 
     fn setup() -> (FireMesh, FireState) {
@@ -236,23 +214,6 @@ mod tests {
         assert!(l1 > 0.0);
         assert!(l2 > l1);
         assert!(m.flame_length(1e12) <= m.max_height);
-    }
-
-    /// The hoisted pow-kernel path stays within the kernel's 1e-12
-    /// relative-error contract of the libm reference across the flux range.
-    #[test]
-    fn byram_plan_matches_libm_reference() {
-        let m = FlameModel::default();
-        for e in 0..80 {
-            let flux = 10.0_f64 * 1.5_f64.powi(e);
-            let i_kw = flux * m.flame_depth / 1000.0;
-            let reference = (m.byram_coeff * i_kw.powf(m.byram_exp)).min(m.max_height);
-            let hoisted = m.flame_length_plan(m.byram_plan(), flux);
-            assert!(
-                (hoisted - reference).abs() <= 1e-12 * reference.abs(),
-                "flux {flux}: {hoisted} vs {reference}"
-            );
-        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl GroundThermalModel {
 mod tests {
     use super::*;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::FuelCategory;
     use wildfire_grid::Grid2;
 
     #[test]

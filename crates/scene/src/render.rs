@@ -324,7 +324,7 @@ pub fn radiative_fraction(
 mod tests {
     use super::*;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::FuelCategory;
     use wildfire_grid::Grid2;
 
     fn setup() -> (FireMesh, FireState, VectorField2, Camera) {

@@ -6,8 +6,7 @@ use crate::scenario::{DomainSpec, FuelPatch, FuelSpec, Scenario, WindShift, Wind
 use crate::{Result, SimError};
 use wildfire_atmos::AtmosParams;
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace, StepDiagnostics};
-use wildfire_fire::{FireMesh, FuelMap, IgnitionShape};
-use wildfire_fuel::{FuelCategory, FuelModel};
+use wildfire_fire::{FireMesh, FuelCategory, FuelMap, FuelModel, IgnitionShape};
 use wildfire_obs::{CoupledSnapshot, Snapshot};
 
 /// Fluent builder over a [`Scenario`]. Starts from a neutral default
@@ -43,7 +42,6 @@ impl SimulationBuilder {
                 }],
                 ignition_time: 0.0,
                 coupled: true,
-                fast_math: false,
                 dt: 0.5,
                 streams: Vec::new(),
             },
@@ -129,13 +127,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Toggles fast-math spread-rate evaluation (see
-    /// [`Scenario::fast_math`]). Off by default.
-    pub fn fast_math(mut self, fast_math: bool) -> Self {
-        self.scenario.fast_math = fast_math;
-        self
-    }
-
     /// Sets the reference coupled step (s).
     pub fn dt(mut self, dt: f64) -> Self {
         self.scenario.dt = dt;
@@ -185,7 +176,9 @@ impl SimulationBuilder {
                 let fire_grid = CoupledModel::fire_grid_for(&atmos_grid, s.domain.refinement)?;
                 let mut map = FuelMap::uniform_category(fire_grid, *base);
                 for p in patches {
-                    let idx = map.add_fuel(FuelModel::for_category(p.fuel));
+                    let idx = map
+                        .add_fuel(FuelModel::for_category(p.fuel))
+                        .map_err(|_| SimError::Scenario("more than 255 fuel patches"))?;
                     let (x0, y0, x1, y1) = p.rect;
                     map.paint_rect(x0, y0, x1, y1, idx)
                         .map_err(|_| SimError::Scenario("fuel patch painting failed"))?;
@@ -201,9 +194,6 @@ impl SimulationBuilder {
         };
         model.coupled = s.coupled;
         model.set_wind_shifts(s.wind.shifts.iter().map(|w| (w.at, w.to)));
-        if s.fast_math {
-            model.fire.set_fast_math(true);
-        }
         Ok(model)
     }
 
@@ -335,8 +325,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wildfire_fire::IgnitionShape;
-    use wildfire_fuel::FuelCategory;
+    use wildfire_fire::{FuelCategory, IgnitionShape};
 
     #[test]
     fn default_builder_builds_and_burns() {
@@ -396,6 +385,16 @@ mod tests {
             inside.max_spread, outside.max_spread,
             "patch must change the fuel"
         );
+    }
+
+    #[test]
+    fn too_many_fuel_patches_is_a_scenario_error() {
+        let mut b = SimulationBuilder::new().domain(DomainSpec::SMALL);
+        for i in 0..300 {
+            let x = i as f64;
+            b = b.fuel_patch((x, 0.0, x + 1.0, 1.0), FuelCategory::Brush);
+        }
+        assert!(matches!(b.build_model(), Err(SimError::Scenario(_))));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! re-stating geometry.
 
 use crate::scenario::{DomainSpec, FuelPatch, FuelSpec, Scenario, WindShift, WindSpec};
-use wildfire_fire::IgnitionShape;
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::{FuelCategory, IgnitionShape};
 use wildfire_obs::{ObsStreamKind, ObsStreamSpec};
 
 /// Fig. 1 fireline of the paper: two line ignitions and one circle that
@@ -66,7 +65,6 @@ fn scenario(
         ignitions,
         ignition_time: 0.0,
         coupled,
-        fast_math: false,
         dt: 0.5,
         streams: Vec::new(),
     }
@@ -146,7 +144,6 @@ pub fn all() -> Vec<Scenario> {
             }],
             ignition_time: 0.0,
             coupled: true,
-            fast_math: false,
             dt: 0.5,
             streams: Vec::new(),
         },

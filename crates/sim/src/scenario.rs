@@ -6,8 +6,7 @@ use crate::builder::{Simulation, SimulationBuilder};
 use crate::Result;
 use wildfire_atmos::state::AtmosGrid;
 use wildfire_core::{CoupledModel, CoupledState};
-use wildfire_fire::IgnitionShape;
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::{FuelCategory, IgnitionShape};
 use wildfire_obs::{ObsStreamSpec, ObsTimeline};
 
 /// Discretization of the coupled domain: the atmosphere grid plus the fire
@@ -176,11 +175,6 @@ pub struct Scenario {
     pub ignition_time: f64,
     /// Two-way fire–atmosphere coupling switch.
     pub coupled: bool,
-    /// Opt-in fast-math mode: evaluate the spread-law wind power through
-    /// the polynomial `pow` kernel (`wildfire_fuel::fast_pow`) instead of
-    /// bitwise libm `powf`. Off by default; enabling it relaxes trajectories
-    /// to within `1e-12` relative error per spread-rate evaluation.
-    pub fast_math: bool,
     /// Reference coupled time step (s); the paper uses 0.5 s.
     pub dt: f64,
     /// Declared observation data streams (Fig. 2's "real data pool"):
@@ -227,13 +221,6 @@ impl Scenario {
         self
     }
 
-    /// Returns the scenario with fast-math pow evaluation toggled (see the
-    /// [`Scenario::fast_math`] field).
-    pub fn with_fast_math(mut self, fast_math: bool) -> Self {
-        self.fast_math = fast_math;
-        self
-    }
-
     /// Returns the scenario with a replaced ignition set.
     pub fn with_ignitions(mut self, ignitions: Vec<IgnitionShape>) -> Self {
         self.ignitions = ignitions;
@@ -268,8 +255,8 @@ impl Scenario {
 
     /// A stable 64-bit FNV-1a digest of every scenario field that shapes
     /// the simulated trajectory: name, domain, fuel layout, wind forcing
-    /// and shift schedule, ignition geometry and time, the coupling and
-    /// fast-math switches, and dt. Floats are hashed by bit pattern, so
+    /// and shift schedule, ignition geometry and time, the coupling
+    /// switch, and dt. Floats are hashed by bit pattern, so
     /// two scenarios fingerprint equal iff they run bitwise identically.
     /// Checkpoints embed this so a snapshot refuses to restore into a
     /// simulation built from a different scenario. Declared observation
@@ -333,7 +320,6 @@ impl Scenario {
         }
         h.f64(self.ignition_time);
         h.u64(self.coupled as u64);
-        h.u64(self.fast_math as u64);
         h.f64(self.dt);
         h.0
     }

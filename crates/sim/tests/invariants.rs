@@ -107,8 +107,10 @@ fn fire_invariants_hold_on_every_registry_scenario() {
             let (_, hi) = fire.psi.min_max();
             assert!(hi <= cap, "{name} t = {t}: ψ = {hi} above the cap {cap}");
 
-            // The wind the fire saw: `Simulation::step` applies a due wind
-            // shift to the model before it steps, so the model is current.
+            // The wind the fire saw: the coupled step first writes
+            // `ambient_wind_at(t)` into the state, which `before` already
+            // carries (the one registry shift is at t = 60 s, where this
+            // loop stops).
             let wind = sim.model.fire_wind(&before).expect("fire wind");
             let mut by_hand = before.fire.clone();
             let mut rate = 0.0_f64;

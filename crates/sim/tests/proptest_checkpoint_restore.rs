@@ -2,12 +2,13 @@
 //! checkpoint mid-run → serialize → restore into a freshly built
 //! simulation → continue must equal the uninterrupted run exactly, over
 //! random scenarios (ignition geometry, wind + shift schedules, coupling,
-//! fast-math, dt) and random checkpoint times.
+//! dt) and random checkpoint times.
 //!
 //! The restore always goes through the full byte round-trip
 //! (`Snapshot::to_bytes` → `from_bytes`), so the property also covers the
 //! serialization layer: an encoding that loses even one bit of ψ, ignition
-//! time, atmosphere, or schedule cursor fails here.
+//! time, or atmosphere (including the ambient wind a shift has set) fails
+//! here.
 
 use proptest::prelude::*;
 use wildfire_fire::IgnitionShape;
@@ -20,7 +21,6 @@ struct CkptSpec {
     offset: (f64, f64),
     wind: (f64, f64),
     coupled: bool,
-    fast_math: bool,
     half_dt: bool,
     shift: Option<(f64, f64)>,
     /// Coupled steps to run before the checkpoint (the shift at t = 1.0
@@ -34,7 +34,7 @@ fn ckpt_spec() -> impl Strategy<Value = CkptSpec> {
     (
         (-50.0f64..50.0, -50.0f64..50.0),
         (-5.0f64..5.0, -5.0f64..5.0),
-        0u32..8,
+        0u32..4,
         (0u32..2, (-4.0f64..4.0, -4.0f64..4.0)),
         (1usize..5, 1usize..4),
     )
@@ -43,8 +43,7 @@ fn ckpt_spec() -> impl Strategy<Value = CkptSpec> {
                 offset,
                 wind,
                 coupled: flags & 1 != 0,
-                fast_math: flags & 2 != 0,
-                half_dt: flags & 4 != 0,
+                half_dt: flags & 2 != 0,
                 shift: (has_shift == 1).then_some(shift_to),
                 steps_before,
                 steps_after,
@@ -76,7 +75,6 @@ fn scenario_for(spec: &CkptSpec) -> Scenario {
             radius: 25.0,
         })
         .coupled(spec.coupled)
-        .fast_math(spec.fast_math)
         .dt(if spec.half_dt { 0.25 } else { 0.5 });
     if let Some(to) = spec.shift {
         b = b.wind_shift(1.0, to);

@@ -18,7 +18,7 @@
 //! |---|---|
 //! | [`math`] | dense linear algebra, RNG, statistics, quadrature |
 //! | [`grid`] | structured 2-D/3-D fields, interpolation, mesh transfer |
-//! | [`fuel`] | fuel categories, mass-loss kinetics, heat partitioning |
+//! | [`fuel`] | fuel categories, mass-loss kinetics, heat partitioning (a module of `fire`) |
 //! | [`fire`] | spread model + level-set front propagation (§2.1–2.2) |
 //! | [`atmos`] | Boussinesq atmospheric dynamics, WRF substitute (§2.3) |
 //! | [`core`] | the two-way coupled fire–atmosphere model (§2) |
@@ -36,7 +36,7 @@ pub use wildfire_core as core;
 pub use wildfire_enkf as enkf;
 pub use wildfire_ensemble as ensemble;
 pub use wildfire_fire as fire;
-pub use wildfire_fuel as fuel;
+pub use wildfire_fire::fuel;
 pub use wildfire_grid as grid;
 pub use wildfire_math as math;
 pub use wildfire_obs as obs;

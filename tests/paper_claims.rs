@@ -27,8 +27,7 @@ use wildfire_ensemble::metrics::{evaluate_coupled_ensemble, EnsembleMetrics};
 use wildfire_fire::ignition::IgnitionShape;
 use wildfire_fire::levelset::GradientScheme;
 use wildfire_fire::perimeter::burning_components;
-use wildfire_fire::{FireMesh, FireState, FireWorkspace, Integrator, LevelSetSolver};
-use wildfire_fuel::FuelCategory;
+use wildfire_fire::{FireMesh, FireState, FireWorkspace, FuelCategory, Integrator, LevelSetSolver};
 use wildfire_grid::{Field2, Grid2, VectorField2};
 use wildfire_math::GaussianSampler;
 use wildfire_obs::image_obs::ImageObservation;

@@ -73,7 +73,7 @@ fn small_atmos_grid() -> wildfire_atmos::state::AtmosGrid {
 #[test]
 fn level_set_step_is_allocation_free_after_warmup() {
     let grid = wildfire_grid::Grid2::new(41, 41, 2.0, 2.0).unwrap();
-    let mesh = wildfire_fire::FireMesh::flat(grid, wildfire_fuel::FuelCategory::ShortGrass);
+    let mesh = wildfire_fire::FireMesh::flat(grid, wildfire_fire::FuelCategory::ShortGrass);
     let solver = wildfire_fire::LevelSetSolver::new(mesh);
     let mut state = wildfire_fire::FireState::ignite(
         grid,
@@ -103,10 +103,12 @@ fn fused_rhs_and_advance_are_allocation_free_after_warmup() {
     // painted, terraced one (per-node palette + slope planes).
     let grid = wildfire_grid::Grid2::new(41, 41, 2.0, 2.0).unwrap();
     let mut fuel =
-        wildfire_fire::FuelMap::uniform_category(grid, wildfire_fuel::FuelCategory::TallGrass);
-    let brush = fuel.add_fuel(wildfire_fuel::FuelModel::for_category(
-        wildfire_fuel::FuelCategory::Brush,
-    ));
+        wildfire_fire::FuelMap::uniform_category(grid, wildfire_fire::FuelCategory::TallGrass);
+    let brush = fuel
+        .add_fuel(wildfire_fire::FuelModel::for_category(
+            wildfire_fire::FuelCategory::Brush,
+        ))
+        .unwrap();
     fuel.paint_rect(0.0, 0.0, 40.0, 80.0, brush).unwrap();
     let terraced = wildfire_fire::FireMesh::new(
         grid,
@@ -114,7 +116,7 @@ fn fused_rhs_and_advance_are_allocation_free_after_warmup() {
         Field2::from_world_fn(grid, |x, y| 0.02 * x - 0.01 * y),
     )
     .unwrap();
-    let flat = wildfire_fire::FireMesh::flat(grid, wildfire_fuel::FuelCategory::ShortGrass);
+    let flat = wildfire_fire::FireMesh::flat(grid, wildfire_fire::FuelCategory::ShortGrass);
     for mesh in [flat, terraced] {
         let solver = wildfire_fire::LevelSetSolver::new(mesh);
         let mut state = wildfire_fire::FireState::ignite(
@@ -234,7 +236,7 @@ fn coupled_step_is_allocation_free_after_warmup() {
         let mut model = CoupledModel::new(
             small_atmos_grid(),
             Default::default(),
-            wildfire_fuel::FuelCategory::ShortGrass,
+            wildfire_fire::FuelCategory::ShortGrass,
             5,
         )
         .unwrap();
@@ -360,7 +362,7 @@ fn obs_set_packing_is_allocation_free_after_warmup() {
     let model = CoupledModel::new(
         small_atmos_grid(),
         Default::default(),
-        wildfire_fuel::FuelCategory::ShortGrass,
+        wildfire_fire::FuelCategory::ShortGrass,
         5,
     )
     .unwrap();
@@ -412,7 +414,7 @@ fn imagery_packing_is_allocation_free_after_warmup() {
     let model = CoupledModel::new(
         small_atmos_grid(),
         Default::default(),
-        wildfire_fuel::FuelCategory::ShortGrass,
+        wildfire_fire::FuelCategory::ShortGrass,
         5,
     )
     .unwrap();
@@ -455,7 +457,7 @@ fn workspace_buffers_are_reused_not_reallocated_across_sizes() {
     let big = wildfire_grid::Grid2::new(61, 61, 2.0, 2.0).unwrap();
     let small = wildfire_grid::Grid2::new(31, 31, 2.0, 2.0).unwrap();
     let mk = |g| {
-        let mesh = wildfire_fire::FireMesh::flat(g, wildfire_fuel::FuelCategory::ShortGrass);
+        let mesh = wildfire_fire::FireMesh::flat(g, wildfire_fire::FuelCategory::ShortGrass);
         wildfire_fire::LevelSetSolver::new(mesh)
     };
     let ignite = |g: wildfire_grid::Grid2| {
