@@ -9,7 +9,7 @@
 //! environment variables; without those variables the child test is a
 //! no-op, so the normal suite run is unaffected.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::AtmosParams;
 use wildfire_core::{CoupledModel, CoupledState};
@@ -126,14 +126,24 @@ fn two_process_sharded_cycle_matches_single_process() {
             .env("WF_SHARD_DIR", &dir)
             .env("WF_SHARD_FIRST", first.to_string())
             .env("WF_SHARD_LEN", len.to_string())
+            // Piped, not inherited: two workers writing their test-harness
+            // lines to the suite's stdout at once interleave them.
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("spawn shard worker")
     };
     let half = N_MEMBERS / 2;
-    let mut workers = [spawn(0, half), spawn(half, N_MEMBERS - half)];
-    for w in &mut workers {
-        let status = w.wait().expect("wait for shard worker");
-        assert!(status.success(), "shard worker failed: {status}");
+    let workers = [spawn(0, half), spawn(half, N_MEMBERS - half)];
+    for w in workers {
+        let out = w.wait_with_output().expect("wait for shard worker");
+        assert!(
+            out.status.success(),
+            "shard worker failed: {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     // … gather the forecast states and analyze in the parent. The members
