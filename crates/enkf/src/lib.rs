@@ -13,8 +13,8 @@
 //!   with `u ≈ u0∘(I + T)` by multilevel optimization of
 //!   `‖u − u0∘(I+T)‖² + c₁‖T‖² + c₂‖∇T‖²` (the paper's registration
 //!   functional), seeded by a global translation search.
-//! * [`morph`] — the morphing algebra: residuals, warps, inverse mappings,
-//!   and the intermediate states `u_λ = (u0 + λr)∘(I + λT)`.
+//! * [`morph`] — the morphing algebra: residuals through the inverse
+//!   mapping, and the intermediate states `u_λ = (u0 + λr)∘(I + λT)`.
 //! * [`morphing_enkf`] — the morphing EnKF: ensemble members are
 //!   transformed into extended states `[r, T]`, the EnKF runs on those, and
 //!   the results are morphed back — providing position as well as amplitude
@@ -60,6 +60,12 @@ pub enum EnkfError {
     },
     /// Grid mismatch between fields.
     Grid(wildfire_grid::GridError),
+    /// A field to be registered holds a NaN or an infinity: no misfit
+    /// against it is ordered, so the registration would be meaningless.
+    NonFiniteField {
+        /// Which field (the registered one or the reference).
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for EnkfError {
@@ -73,6 +79,7 @@ impl std::fmt::Display for EnkfError {
                 "observation error variance of row {row} is not positive and finite"
             ),
             EnkfError::Grid(e) => write!(f, "grid: {e}"),
+            EnkfError::NonFiniteField { what } => write!(f, "non-finite value in the {what}"),
         }
     }
 }

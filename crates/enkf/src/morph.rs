@@ -12,30 +12,11 @@
 //! interpolation error of the discrete composition). Linear combinations in
 //! `(r, T)` space are therefore *morphs* rather than pointwise averages —
 //! they move fires instead of fading them in and out, which is the whole
-//! point of the morphing EnKF.
+//! point of the morphing EnKF. The reconstruction `u = (u0 + r)∘(I + T)` of
+//! a state from its extended form `[r, T]` is the λ = 1 morph.
 
-use crate::registration::DisplacementField;
-use wildfire_grid::Field2;
-
-/// Computes `u∘(I + T)`: the field warped by the displacement.
-pub fn warp(u: &Field2, t: &DisplacementField) -> Field2 {
-    let g = u.grid();
-    Field2::from_fn(g, |ix, iy| {
-        let (x, y) = g.world(ix, iy);
-        let (px, py) = t.displace(x, y);
-        u.sample_bilinear(px, py)
-    })
-}
-
-/// Computes `u∘(I + T)^{-1}`: the field pulled back by the inverse mapping.
-pub fn warp_inverse(u: &Field2, t: &DisplacementField) -> Field2 {
-    let g = u.grid();
-    Field2::from_fn(g, |ix, iy| {
-        let (x, y) = g.world(ix, iy);
-        let (qx, qy) = t.inverse_displace(x, y);
-        u.sample_bilinear(qx, qy)
-    })
-}
+use crate::registration::{DisplacementField, Stencil};
+use wildfire_grid::{Field2, Grid2};
 
 /// The morphing residual `r = u∘(I + T)^{-1} − u0`.
 ///
@@ -47,38 +28,106 @@ pub fn warp_inverse(u: &Field2, t: &DisplacementField) -> Field2 {
 /// domain — exactly the Fig. 4 regime) fill the residual with artifacts that
 /// corrupt the EnKF update.
 pub fn residual(u: &Field2, u0: &Field2, t: &DisplacementField) -> Field2 {
-    let g = u.grid();
-    Field2::from_fn(g, |ix, iy| {
-        let (x, y) = g.world(ix, iy);
-        let (qx, qy) = t.inverse_displace(x, y);
-        if g.contains(qx, qy) {
-            u.sample_bilinear(qx, qy) - u0.get(ix, iy)
-        } else {
-            0.0
+    let mut r = Field2::zeros(u.grid());
+    residuals_into(
+        std::slice::from_ref(u),
+        std::slice::from_ref(u0),
+        t,
+        std::slice::from_mut(&mut r),
+    );
+    r
+}
+
+/// [`residual`] of every field of a state against its reference field at
+/// once, into `out` (re-targeted to the fields' grid). All fields share
+/// `fields[0]`'s grid, so a node's inverse map `(I + T)^{-1}` — the costly
+/// part, a fixed-point iteration — is computed once and located once for
+/// all of them.
+pub(crate) fn residuals_into(
+    fields: &[Field2],
+    reference: &[Field2],
+    t: &DisplacementField,
+    out: &mut [Field2],
+) {
+    let g = fields[0].grid();
+    for r in out.iter_mut() {
+        r.resize_no_zero(g);
+    }
+    for iy in 0..g.ny {
+        for ix in 0..g.nx {
+            let (x, y) = g.world(ix, iy);
+            let (qx, qy) = t.inverse_displace(x, y);
+            let k = g.idx(ix, iy);
+            if g.contains(qx, qy) {
+                let st = Stencil::at(g, qx, qy);
+                for ((r, u), u0) in out.iter_mut().zip(fields).zip(reference) {
+                    r.as_mut_slice()[k] = st.apply(u.as_slice()) - u0.get(ix, iy);
+                }
+            } else {
+                for r in out.iter_mut() {
+                    r.as_mut_slice()[k] = 0.0;
+                }
+            }
         }
-    })
+    }
 }
 
 /// The intermediate field `u_λ = (u0 + λr)∘(I + λT)` (equation (1) of the
 /// paper, with the λ scaling applied to both the amplitude residual and the
 /// displacement).
+///
+/// # Panics
+/// Panics when `r` and `u0` live on different grids.
 pub fn morph(u0: &Field2, r: &Field2, t: &DisplacementField, lambda: f64) -> Field2 {
-    let g = u0.grid();
-    // amplitude part: u0 + λr
-    let mut amp = u0.clone();
-    amp.axpy(lambda, r).expect("same grid by construction");
-    // scaled displacement: λT
-    Field2::from_fn(g, |ix, iy| {
-        let (x, y) = g.world(ix, iy);
-        let (tx, ty) = t.sample(x, y);
-        amp.sample_bilinear(x + lambda * tx, y + lambda * ty)
-    })
+    assert_eq!(
+        u0.grid(),
+        r.grid(),
+        "morph: residual and reference grids differ"
+    );
+    let mut out = Field2::zeros(u0.grid());
+    let c = &t.control;
+    let control = (c.grid(), c.u.as_slice(), c.v.as_slice());
+    morph_into(
+        std::slice::from_ref(u0),
+        |_| r.as_slice(),
+        lambda,
+        control,
+        &mut [&mut out],
+    );
+    out
 }
 
-/// Reconstruction `u = (u0 + r)∘(I + T)` — the λ = 1 morph, used to convert
-/// an extended state `[r, T]` back into a physical field.
-pub fn reconstruct(u0: &Field2, r: &Field2, t: &DisplacementField) -> Field2 {
-    morph(u0, r, t, 1.0)
+/// [`morph`] of every field of a state at once: `out[f] = (u0[f] +
+/// λ·r(f))∘(I + λT)` for fields sharing `u0[0]`'s grid, `r(f)` holding one
+/// residual value per node and `T` given by its control grid and the control
+/// values of its two components. A node's displaced
+/// point is located once for all fields, and the amplitude `u0 + λr` is
+/// formed at the four nodes of its stencil — the same sums as forming the
+/// whole amplitude field first, without that field.
+pub(crate) fn morph_into<'a>(
+    u0: &[Field2],
+    r: impl Fn(usize) -> &'a [f64],
+    lambda: f64,
+    (cg, tu, tv): (Grid2, &[f64], &[f64]),
+    out: &mut [&mut Field2],
+) {
+    let g = u0[0].grid();
+    for o in out.iter_mut() {
+        o.resize_no_zero(g);
+    }
+    for iy in 0..g.ny {
+        for ix in 0..g.nx {
+            let (x, y) = g.world(ix, iy);
+            let ts = Stencil::at(cg, x, y);
+            let (tx, ty) = (ts.apply(tu), ts.apply(tv));
+            let st = Stencil::at(g, x + lambda * tx, y + lambda * ty);
+            let k = g.idx(ix, iy);
+            for (f, (o, u0)) in out.iter_mut().zip(u0).enumerate() {
+                let (u0, r) = (u0.as_slice(), r(f));
+                o.as_mut_slice()[k] = st.eval(|i| u0[i] + lambda * r[i]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -104,49 +153,6 @@ mod tests {
             }
         }
         d
-    }
-
-    #[test]
-    fn warp_by_zero_is_identity() {
-        let u = bump(20.0, 20.0);
-        let t = DisplacementField::zero(grid(), 3);
-        let w = warp(&u, &t);
-        assert!(u.rmse(&w).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn warp_shifts_field_opposite_to_displacement() {
-        // (u∘(I+T))(x) = u(x + s): the feature at c appears at c − s.
-        let u = bump(25.0, 20.0);
-        let t = constant_shift(5.0, 0.0);
-        let w = warp(&u, &t);
-        // Maximum of w should be at x = 20.
-        let mut best = (0, 0, f64::MIN);
-        for iy in 0..41 {
-            for ix in 0..41 {
-                if w.get(ix, iy) > best.2 {
-                    best = (ix, iy, w.get(ix, iy));
-                }
-            }
-        }
-        assert_eq!(best.0, 20);
-        assert_eq!(best.1, 20);
-    }
-
-    #[test]
-    fn warp_inverse_undoes_warp() {
-        let u = bump(20.0, 20.0);
-        let t = constant_shift(4.0, -3.0);
-        let w = warp(&u, &t);
-        let back = warp_inverse(&w, &t);
-        // Interior agreement (boundary clamping differs).
-        let mut max_err = 0.0_f64;
-        for iy in 8..33 {
-            for ix in 8..33 {
-                max_err = max_err.max((back.get(ix, iy) - u.get(ix, iy)).abs());
-            }
-        }
-        assert!(max_err < 0.02, "roundtrip error {max_err}");
     }
 
     #[test]

@@ -16,23 +16,27 @@
 //! cross-covariances, as usual in the EnKF).
 
 use crate::enkf::{EnkfConfig, EnsembleKalmanFilter};
-use crate::morph::{reconstruct, residual};
+use crate::morph::{morph_into, residuals_into};
 use crate::registration::{
-    register_ws, DisplacementField, RegistrationConfig, RegistrationWorkspace,
+    register_into, DisplacementField, RegistrationConfig, RegistrationWorkspace,
 };
 use crate::workspace::AnalysisWorkspace;
 use crate::{EnkfError, Result};
-use wildfire_grid::Field2;
+use wildfire_grid::{Field2, Grid2};
 use wildfire_math::{GaussianSampler, Matrix};
 
-/// Scratch buffers for one morphing-EnKF analysis: the packed extended
-/// ensemble and observation matrices plus the inner EnKF's
-/// [`AnalysisWorkspace`]. Sized on first use, reused thereafter; the
-/// returned analysis fields are the only steady-state allocations left.
+/// Scratch buffers for one morphing-EnKF analysis: the observation matrices
+/// and the inner EnKF's [`AnalysisWorkspace`], plus the packed extended
+/// ensemble of the owned-result
+/// [`MorphingEnkf::analyze_extended_ws`] ([`analyze_packed_ws`] updates the
+/// caller's matrix instead). Sized on first use, reused thereafter.
 #[derive(Debug, Clone, Default)]
 pub struct MorphingWorkspace {
-    /// Packed extended ensemble `X` (`n_state × N`).
+    /// Packed extended ensemble `X` (`n_state × N`) of
+    /// [`MorphingEnkf::analyze_extended_ws`].
     pub(crate) x: Matrix,
+    /// Packed data extended state of [`MorphingEnkf::analyze_extended_ws`].
+    pub(crate) data: Vec<f64>,
     /// Packed observed blocks `Y` (`m × N`).
     pub(crate) y: Matrix,
     /// Observation vector.
@@ -81,12 +85,179 @@ impl Default for MorphingConfig {
 }
 
 /// Extended representation `[r, T]` of one member.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExtendedState {
     /// Amplitude residuals, one per state field.
     pub residuals: Vec<Field2>,
     /// Registration displacement of this member against the reference.
     pub t: DisplacementField,
+}
+
+impl ExtendedState {
+    /// Writes the state as one ensemble column `[r_0, …, r_{F−1}, T_u, T_v]`
+    /// (each block row-major) — the layout [`analyze_packed_ws`] and
+    /// [`from_packed_into`] read.
+    ///
+    /// # Panics
+    /// Panics when `col` is not exactly that long.
+    pub fn pack_into(&self, col: &mut [f64]) {
+        let mut off = 0;
+        for r in &self.residuals {
+            let len = r.as_slice().len();
+            col[off..off + len].copy_from_slice(r.as_slice());
+            off += len;
+        }
+        let ctrl_len = self.t.control.u.as_slice().len();
+        assert_eq!(
+            col.len(),
+            off + 2 * ctrl_len,
+            "packed extended state length"
+        );
+        col[off..off + ctrl_len].copy_from_slice(self.t.control.u.as_slice());
+        col[off + ctrl_len..].copy_from_slice(self.t.control.v.as_slice());
+    }
+}
+
+/// Length of a packed extended state of fields on `field_grid`: the
+/// residual of every field plus both components of the displacement on
+/// [`RegistrationConfig::output_grid`].
+pub fn packed_len(config: &MorphingConfig, n_fields: usize, field_grid: Grid2) -> usize {
+    n_fields * field_grid.len() + 2 * config.registration.output_grid(field_grid).len()
+}
+
+/// [`MorphingEnkf::to_extended`] into a reused state: the registration
+/// scratch comes from `reg` and the residuals and displacement overwrite
+/// `out`, so warm buffers make the transform allocation-free. Field
+/// `reg_index` drives the registration; every residual is taken at the one
+/// inverse map of the member's displacement.
+///
+/// # Errors
+/// [`EnkfError::DimensionMismatch`] for mismatched field counts or an
+/// out-of-range `reg_index`; [`EnkfError::Grid`] when the fields do not all
+/// share one grid; registration failures ([`register_into`]).
+pub fn to_extended_into(
+    config: &MorphingConfig,
+    fields: &[Field2],
+    reference: &[Field2],
+    reg_index: usize,
+    reg: &mut RegistrationWorkspace,
+    out: &mut ExtendedState,
+) -> Result<()> {
+    if fields.len() != reference.len() || fields.is_empty() {
+        return Err(EnkfError::DimensionMismatch {
+            what: "member and reference field counts differ",
+        });
+    }
+    if reg_index >= fields.len() {
+        return Err(EnkfError::DimensionMismatch {
+            what: "registration field index out of range",
+        });
+    }
+    let g = reference[reg_index].grid();
+    if fields.iter().chain(reference).any(|f| f.grid() != g) {
+        return Err(EnkfError::Grid(wildfire_grid::GridError::GridMismatch(
+            "morphing state fields",
+        )));
+    }
+    register_into(
+        &fields[reg_index],
+        &reference[reg_index],
+        &config.registration,
+        reg,
+        &mut out.t,
+    )?;
+    out.residuals.resize_with(fields.len(), Field2::default);
+    residuals_into(fields, reference, &out.t, &mut out.residuals);
+    Ok(())
+}
+
+/// The inner EnKF of a morphing analysis, in place on a packed extended
+/// ensemble: column `j` of `x` is member `j`'s extended state and `data`
+/// the data's, both in the [`ExtendedState::pack_into`] layout for the
+/// fields of `reference`. The observation is the observed fields' residual
+/// blocks plus the whole displacement block. Observation matrices and EnKF
+/// temporaries come from `ws`.
+///
+/// # Errors
+/// [`EnkfError::EnsembleTooSmall`]; [`EnkfError::DimensionMismatch`] for a
+/// column length that does not fit `reference`'s fields or an out-of-range
+/// observed field; numerical failures from the inner EnKF.
+pub fn analyze_packed_ws(
+    config: &MorphingConfig,
+    x: &mut Matrix,
+    data: &[f64],
+    reference: &[Field2],
+    rng: &mut GaussianSampler,
+    ws: &mut MorphingWorkspace,
+) -> Result<()> {
+    let (n_state, n_ens) = x.dims();
+    if n_ens < 2 {
+        return Err(EnkfError::EnsembleTooSmall);
+    }
+    let n_fields = reference.len();
+    let field_len = reference[0].as_slice().len();
+    let t_start = n_fields * field_len;
+    if data.len() != n_state || n_state < t_start || !(n_state - t_start).is_multiple_of(2) {
+        return Err(EnkfError::DimensionMismatch {
+            what: "packed extended state length",
+        });
+    }
+    if config.observed_fields.iter().any(|&f| f >= n_fields) {
+        return Err(EnkfError::DimensionMismatch {
+            what: "observed field index out of range",
+        });
+    }
+    let t_len = n_state - t_start;
+
+    // --- Observation: observed residual blocks + displacement block. -----
+    let m_obs = config.observed_fields.len() * field_len + t_len;
+    let y = &mut ws.y;
+    y.resize_zeroed(m_obs, n_ens);
+    let d = &mut ws.d;
+    d.clear();
+    d.resize(m_obs, 0.0);
+    let obs_var = &mut ws.obs_var;
+    obs_var.clear();
+    obs_var.resize(m_obs, 0.0);
+    let mut off = 0;
+    for &f in &config.observed_fields {
+        let start = f * field_len;
+        for j in 0..n_ens {
+            y.col_mut(j)[off..off + field_len].copy_from_slice(&x.col(j)[start..start + field_len]);
+        }
+        d[off..off + field_len].copy_from_slice(&data[start..start + field_len]);
+        obs_var[off..off + field_len].fill(config.sigma_amplitude * config.sigma_amplitude);
+        off += field_len;
+    }
+    for j in 0..n_ens {
+        y.col_mut(j)[off..].copy_from_slice(&x.col(j)[t_start..]);
+    }
+    d[off..].copy_from_slice(&data[t_start..]);
+    obs_var[off..].fill(config.sigma_displacement * config.sigma_displacement);
+
+    // --- Inner EnKF on the extended ensemble. -----------------------------
+    EnsembleKalmanFilter::new(config.enkf).analyze_ws(x, y, d, obs_var, rng, &mut ws.enkf)
+}
+
+/// Morphs one packed extended state back into physical fields:
+/// `out[f] = (u0_f + r_f)∘(I + T)` with `u0_f = reference[f]` and the
+/// displacement on the control grid `ctrl` (outputs re-targeted to the
+/// reference grid). Reads the column in place; needs no scratch.
+///
+/// # Panics
+/// Panics when `col` does not have the [`ExtendedState::pack_into`] layout
+/// for `reference` and `ctrl`.
+pub fn from_packed_into(reference: &[Field2], ctrl: Grid2, col: &[f64], out: &mut [&mut Field2]) {
+    let field_len = reference[0].as_slice().len();
+    let t_start = reference.len() * field_len;
+    assert_eq!(
+        col.len(),
+        t_start + 2 * ctrl.len(),
+        "packed extended state length"
+    );
+    let (tu, tv) = col[t_start..].split_at(ctrl.len());
+    let residual = |f: usize| &col[f * field_len..(f + 1) * field_len];
+    morph_into(reference, residual, 1.0, (ctrl, tu, tv), out);
 }
 
 /// The morphing EnKF.
@@ -106,7 +277,7 @@ impl MorphingEnkf {
     /// field `reg_index` to drive the registration.
     ///
     /// # Errors
-    /// Registration/grid failures.
+    /// As [`to_extended_into`].
     pub fn to_extended(
         &self,
         fields: &[Field2],
@@ -122,11 +293,10 @@ impl MorphingEnkf {
     }
 
     /// [`MorphingEnkf::to_extended`] with caller-provided registration
-    /// scratch (one workspace per worker when registrations fan out in
-    /// parallel). Bit-identical to the allocating wrapper.
+    /// scratch; an owned-result wrapper of [`to_extended_into`].
     ///
     /// # Errors
-    /// Registration/grid failures.
+    /// As [`to_extended_into`].
     pub fn to_extended_ws(
         &self,
         fields: &[Field2],
@@ -134,32 +304,28 @@ impl MorphingEnkf {
         reg_index: usize,
         reg: &mut RegistrationWorkspace,
     ) -> Result<ExtendedState> {
-        if fields.len() != reference.len() || fields.is_empty() {
-            return Err(EnkfError::DimensionMismatch {
-                what: "member and reference field counts differ",
-            });
-        }
-        let t = register_ws(
-            &fields[reg_index],
-            &reference[reg_index],
-            &self.config.registration,
-            reg,
-        )?;
-        let residuals = fields
-            .iter()
-            .zip(reference.iter())
-            .map(|(u, u0)| residual(u, u0, &t))
-            .collect();
-        Ok(ExtendedState { residuals, t })
+        let mut out = ExtendedState::default();
+        to_extended_into(&self.config, fields, reference, reg_index, reg, &mut out)?;
+        Ok(out)
     }
 
     /// Reconstructs the physical fields from an extended state.
     pub fn from_extended(&self, ext: &ExtendedState, reference: &[Field2]) -> Vec<Field2> {
-        ext.residuals
+        let mut out: Vec<Field2> = reference
             .iter()
-            .zip(reference.iter())
-            .map(|(r, u0)| reconstruct(u0, r, &ext.t))
-            .collect()
+            .map(|u0| Field2::zeros(u0.grid()))
+            .collect();
+        let mut outs: Vec<&mut Field2> = out.iter_mut().collect();
+        let c = &ext.t.control;
+        let control = (c.grid(), c.u.as_slice(), c.v.as_slice());
+        morph_into(
+            reference,
+            |f| ext.residuals[f].as_slice(),
+            1.0,
+            control,
+            &mut outs,
+        );
+        out
     }
 
     /// One morphing-EnKF analysis.
@@ -176,7 +342,8 @@ impl MorphingEnkf {
     /// Returns the analysis ensemble (same layout).
     ///
     /// # Errors
-    /// Dimension mismatches and numerical failures from the inner EnKF.
+    /// Dimension mismatches, registration failures and numerical failures
+    /// from the inner EnKF.
     pub fn analyze(
         &self,
         members: &[Vec<Field2>],
@@ -217,9 +384,7 @@ impl MorphingEnkf {
         self.analyze_extended(&extended, &data_ext, reference, rng)
     }
 
-    /// The analysis core operating on precomputed extended states — exposed
-    /// so the parallel ensemble driver can fan the (expensive) registrations
-    /// out across worker threads and feed the results here.
+    /// The analysis core operating on precomputed extended states.
     ///
     /// # Errors
     /// Dimension mismatches and numerical failures from the inner EnKF.
@@ -234,10 +399,9 @@ impl MorphingEnkf {
         self.analyze_extended_ws(extended, data_ext, reference, rng, &mut ws)
     }
 
-    /// Workspace-backed [`MorphingEnkf::analyze_extended`]: the packed
-    /// ensemble/observation matrices and the inner EnKF temporaries come
-    /// from `ws` and are reused across analyses. Bit-identical to the
-    /// allocating wrapper.
+    /// Workspace-backed [`MorphingEnkf::analyze_extended`]: packs the
+    /// states into `ws`, runs [`analyze_packed_ws`] and morphs every column
+    /// back with [`from_packed_into`] into freshly allocated fields.
     ///
     /// # Errors
     /// Dimension mismatches and numerical failures from the inner EnKF.
@@ -253,95 +417,32 @@ impl MorphingEnkf {
         if n_ens < 2 {
             return Err(EnkfError::EnsembleTooSmall);
         }
-        let n_fields = reference.len();
-
-        // --- Pack extended states into the ensemble matrix. --------------
-        let field_len = reference[0].as_slice().len();
-        let ctrl_len = data_ext.t.control.u.as_slice().len();
-        let n_state = n_fields * field_len + 2 * ctrl_len;
-        let x = &mut ws.x;
-        x.resize_zeroed(n_state, n_ens);
+        let ctrl = data_ext.t.control.grid();
+        let n_state = reference.len() * reference[0].as_slice().len() + 2 * ctrl.len();
+        let mut x = std::mem::take(&mut ws.x);
+        x.resize_no_zero(n_state, n_ens);
         for (j, ext) in extended.iter().enumerate() {
-            let col = x.col_mut(j);
-            let mut off = 0;
-            for r in &ext.residuals {
-                col[off..off + field_len].copy_from_slice(r.as_slice());
-                off += field_len;
-            }
-            col[off..off + ctrl_len].copy_from_slice(ext.t.control.u.as_slice());
-            off += ctrl_len;
-            col[off..off + ctrl_len].copy_from_slice(ext.t.control.v.as_slice());
+            ext.pack_into(x.col_mut(j));
         }
-
-        // --- Observation: observed residual blocks + displacement block. --
-        let m_obs = self.config.observed_fields.len() * field_len + 2 * ctrl_len;
-        let y = &mut ws.y;
-        y.resize_zeroed(m_obs, n_ens);
-        let d = &mut ws.d;
-        d.clear();
-        d.resize(m_obs, 0.0);
-        let obs_var = &mut ws.obs_var;
-        obs_var.clear();
-        obs_var.resize(m_obs, 0.0);
-        {
-            let mut off = 0;
-            for &f in &self.config.observed_fields {
-                let start = f * field_len;
-                for j in 0..n_ens {
-                    let col = x.col(j);
-                    y.col_mut(j)[off..off + field_len]
-                        .copy_from_slice(&col[start..start + field_len]);
-                }
-                d[off..off + field_len].copy_from_slice(data_ext.residuals[f].as_slice());
-                let var = self.config.sigma_amplitude * self.config.sigma_amplitude;
-                for v in &mut obs_var[off..off + field_len] {
-                    *v = var;
-                }
-                off += field_len;
-            }
-            let t_start = n_fields * field_len;
-            for j in 0..n_ens {
-                let col = x.col(j);
-                y.col_mut(j)[off..off + 2 * ctrl_len]
-                    .copy_from_slice(&col[t_start..t_start + 2 * ctrl_len]);
-            }
-            d[off..off + ctrl_len].copy_from_slice(data_ext.t.control.u.as_slice());
-            d[off + ctrl_len..off + 2 * ctrl_len].copy_from_slice(data_ext.t.control.v.as_slice());
-            let var = self.config.sigma_displacement * self.config.sigma_displacement;
-            for v in &mut obs_var[off..off + 2 * ctrl_len] {
-                *v = var;
-            }
-        }
-
-        // --- Inner EnKF on the extended ensemble. -------------------------
-        let filter = EnsembleKalmanFilter::new(self.config.enkf);
-        filter.analyze_ws(x, y, d, obs_var, rng, &mut ws.enkf)?;
-
-        // --- Unpack and morph back. ---------------------------------------
-        let grid = reference[0].grid();
-        let ctrl_grid = data_ext.t.control.grid();
-        let mut out = Vec::with_capacity(n_ens);
-        for j in 0..n_ens {
-            let col = x.col(j);
-            let mut off = 0;
-            let mut residuals = Vec::with_capacity(n_fields);
-            for f in 0..n_fields {
-                let r = Field2::from_vec(reference[f].grid(), col[off..off + field_len].to_vec());
-                residuals.push(r);
-                off += field_len;
-            }
-            let tu = Field2::from_vec(ctrl_grid, col[off..off + ctrl_len].to_vec());
-            off += ctrl_len;
-            let tv = Field2::from_vec(ctrl_grid, col[off..off + ctrl_len].to_vec());
-            let t = DisplacementField {
-                control: wildfire_grid::VectorField2::new(tu, tv)?,
-            };
-            let ext = ExtendedState { residuals, t };
-            let fields = self.from_extended(&ext, reference);
-            debug_assert_eq!(fields[0].grid(), grid);
-            out.push(fields);
-        }
-        Ok(out)
+        let mut data = std::mem::take(&mut ws.data);
+        data.resize(n_state, 0.0);
+        data_ext.pack_into(&mut data);
+        let result = analyze_packed_ws(&self.config, &mut x, &data, reference, rng, ws).map(|()| {
+            (0..n_ens)
+                .map(|j| {
+                    let mut fields: Vec<Field2> = reference
+                        .iter()
+                        .map(|u0| Field2::zeros(u0.grid()))
+                        .collect();
+                    let mut outs: Vec<&mut Field2> = fields.iter_mut().collect();
+                    from_packed_into(reference, ctrl, x.col(j), &mut outs);
+                    fields
+                })
+                .collect()
+        });
+        ws.x = x;
+        ws.data = data;
+        result
     }
 }
 

@@ -13,6 +13,47 @@
 //! next), seeded by an exhaustive global-translation search — which is what
 //! makes the method robust to the large position errors (entire fire in the
 //! wrong place) that defeat the plain EnKF.
+//!
+//! # Cost and the bitwise contract
+//!
+//! A registration is a translation scan of full-field misfits followed by
+//! a few dozen objective evaluations per level, each a sweep over every
+//! field node. The sweeps are written so that every floating-
+//! point operation of the plain per-node formulation happens with the same
+//! operands in the same order — the result is bit-identical to sampling
+//! through [`Grid2::locate`] and [`Field2::sample_bilinear`] node by node:
+//!
+//! * **Per-level lookup tables.** A field node's control-grid cell and
+//!   weights do not change within a level, so each level computes them once,
+//!   as `(ci, fx)` per field column and `(cj, fy)` per field row, with the
+//!   expressions of [`Grid2::locate`].
+//! * **Gradient scattered from registers.** While a row stays in one
+//!   control cell, the cell's four corners × two components of gradient are
+//!   running sums in locals, loaded from the gradient fields when the row
+//!   enters the cell and stored when it leaves it: every corner receives the
+//!   same additions in the same order as a per-node read-modify-write.
+//! * **One lookup, three samples.** `u0` and `∂u0/∂x,y` share a grid, so one
+//!   bilinear stencil (four flat indices, two offsets) serves all three.
+//! * **Truncation for `floor`.** The lookups clamp the grid coordinate into
+//!   `[0, n−1]` first (or it is NaN); there, `c as usize` equals
+//!   `c.floor() as usize`, and the cast is not a libm call on targets
+//!   without SSE4.1.
+//! * **Bounded translation scan.** A scan candidate stops once its running
+//!   misfit reaches the best one so far. For a grid with positive spacings
+//!   the partial sums of squares never decrease under round-to-nearest, so
+//!   a stopped candidate could not have won, and the winner — which never
+//!   stops — keeps its exact value.
+//! * **Gradients only where a step is accepted.** Every level ends in a
+//!   failed line search, so most trial points are rejected. A trial point's
+//!   objective is evaluated without the gradient and, by the same
+//!   monotonicity, stops at the first row where `J` so far — the partial
+//!   misfit plus the regularizers — reaches the current `J`. The gradient
+//!   is evaluated only at an accepted point, where it is the one the full
+//!   evaluation would have produced.
+//!
+//! Input holding a NaN or an infinity is refused up front
+//! ([`crate::EnkfError::NonFiniteField`]): no misfit of it compares below
+//! another, so the scan would return the zero shift as if it had won.
 
 use crate::Result;
 use wildfire_grid::{Field2, Grid2, VectorField2};
@@ -51,9 +92,18 @@ impl Default for RegistrationConfig {
     }
 }
 
+impl RegistrationConfig {
+    /// The control grid of the displacement a registration of fields on
+    /// `field_grid` returns: the finest level's, or `2 × 2` without
+    /// descent levels.
+    pub fn output_grid(&self, field_grid: Grid2) -> Grid2 {
+        control_grid(field_grid, self.levels.last().copied().unwrap_or(2))
+    }
+}
+
 /// A displacement mapping `T`, stored on its control grid and interpolated
 /// bilinearly — the `T` of the extended state `[r, T]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DisplacementField {
     /// Control-grid displacement components (world units, m).
     pub control: VectorField2,
@@ -67,18 +117,15 @@ impl DisplacementField {
         }
     }
 
-    /// Displacement at a world point (bilinear in the control values).
+    /// Displacement at a world point (bilinear in the control values; one
+    /// lookup serves both components).
     #[inline]
     pub fn sample(&self, x: f64, y: f64) -> (f64, f64) {
-        self.control.sample_bilinear(x, y)
-    }
-
-    /// Materializes `T` on an arbitrary grid (e.g. the full fire mesh).
-    pub fn to_grid(&self, grid: Grid2) -> VectorField2 {
-        VectorField2::from_fn(grid, |ix, iy| {
-            let (x, y) = grid.world(ix, iy);
-            self.sample(x, y)
-        })
+        let st = Stencil::at(self.control.grid(), x, y);
+        (
+            st.apply(self.control.u.as_slice()),
+            st.apply(self.control.v.as_slice()),
+        )
     }
 
     /// Applies `(I + T)` to a world point.
@@ -115,9 +162,9 @@ impl DisplacementField {
 /// Reusable scratch for [`register_ws`]/[`register_into`]: the reference
 /// gradient fields plus one set of control-grid buffers per refinement
 /// level (the scratch *pyramid* — each level's displacement, trial
-/// displacement, and gradient pairs live in their own preallocated slot,
-/// so multilevel descent re-runs without touching the heap). Sized on
-/// first use, reused thereafter.
+/// displacement, gradient pair and lookup tables live in their own
+/// preallocated slot, so multilevel descent re-runs without touching the
+/// heap). Sized on first use, reused thereafter.
 #[derive(Debug, Clone, Default)]
 pub struct RegistrationWorkspace {
     /// `∂u0/∂x` on the field grid (chain-rule term of the data gradient).
@@ -126,7 +173,7 @@ pub struct RegistrationWorkspace {
     u0_gy: Field2,
     /// Per-column x-lookups of the translation scan (one entry per field
     /// column, refilled for every candidate shift).
-    shift_cols: Vec<(usize, usize, f64)>,
+    shift_cols: Vec<Axis>,
     /// Per-level control-grid scratch, coarsest first.
     levels: Vec<LevelScratch>,
 }
@@ -143,16 +190,17 @@ impl RegistrationWorkspace {
 struct LevelScratch {
     /// Current control displacement `T` of this level.
     t: VectorField2,
-    /// Backtracking trial displacement.
+    /// Backtracking trial displacement (its objective is evaluated without
+    /// a gradient, which is taken only at accepted points).
     t_try: VectorField2,
     /// Gradient of the objective at `t`.
     gx: Field2,
     /// y-component gradient at `t`.
     gy: Field2,
-    /// Gradient at `t_try`.
-    gx_try: Field2,
-    /// y-component gradient at `t_try`.
-    gy_try: Field2,
+    /// Control-grid x-lookup of every field column (the `(ci, fx)` table).
+    cols: Vec<Axis>,
+    /// Control-grid y-lookup of every field row (the `(cj, fy)` table).
+    rows: Vec<Axis>,
 }
 
 /// Control grid of `n × n` nodes covering exactly the domain of `field_grid`.
@@ -169,47 +217,99 @@ fn control_grid(field_grid: Grid2, n: usize) -> Grid2 {
     .expect("control grid dims are positive")
 }
 
+/// One axis lookup: the cell index, its upper neighbour and the offset.
+type Axis = (usize, usize, f64);
+
 /// One axis of [`Grid2::locate`] — the cell index clamped into `[0, n−2]`
 /// and the fractional offset within it — plus the upper neighbour
 /// `min(i0 + 1, n − 1)` that [`Field2::sample_bilinear`] pairs it with.
 /// Same operations in the same order as those two, so a sample assembled
 /// from two axis lookups and [`blend`] is bit-identical to theirs.
 #[inline]
-fn locate_axis(p: f64, origin: f64, h: f64, n: usize) -> (usize, usize, f64) {
+fn locate_axis(p: f64, origin: f64, h: f64, n: usize) -> Axis {
     let c = ((p - origin) / h).clamp(0.0, (n - 1) as f64);
-    let i0 = (c.floor() as usize).min(n.saturating_sub(2));
+    // `c` is in [0, n−1] or NaN: truncation is `floor` there.
+    let i0 = (c as usize).min(n.saturating_sub(2));
     (i0, (i0 + 1).min(n - 1), c - i0 as f64)
 }
 
+/// A bilinear stencil on one grid: the four flat node indices and the two
+/// offsets. Built once per sample point, it serves every field on that
+/// grid with the three lerps of [`Field2::sample_bilinear`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stencil {
+    i00: usize,
+    i10: usize,
+    i01: usize,
+    i11: usize,
+    fx: f64,
+    fy: f64,
+}
+
+impl Stencil {
+    /// The stencil of two axis lookups on a grid with `nx` columns.
+    #[inline]
+    fn new(nx: usize, (ix, ix1, fx): Axis, (iy, iy1, fy): Axis) -> Self {
+        let (r0, r1) = (iy * nx, iy1 * nx);
+        Stencil {
+            i00: r0 + ix,
+            i10: r0 + ix1,
+            i01: r1 + ix,
+            i11: r1 + ix1,
+            fx,
+            fy,
+        }
+    }
+
+    /// The stencil of the world point `(x, y)` on `g`.
+    #[inline]
+    pub(crate) fn at(g: Grid2, x: f64, y: f64) -> Self {
+        Stencil::new(
+            g.nx,
+            locate_axis(x, g.origin.0, g.dx, g.nx),
+            locate_axis(y, g.origin.1, g.dy, g.ny),
+        )
+    }
+
+    /// The bilinear sample of the row-major field values `data`.
+    #[inline]
+    pub(crate) fn apply(&self, data: &[f64]) -> f64 {
+        self.eval(|i| data[i])
+    }
+
+    /// The bilinear sample of the node values `value(i)` (flat index `i`).
+    #[inline]
+    pub(crate) fn eval(&self, value: impl Fn(usize) -> f64) -> f64 {
+        let (fx, fy) = (self.fx, self.fy);
+        let v0 = value(self.i00) * (1.0 - fx) + value(self.i10) * fx;
+        let v1 = value(self.i01) * (1.0 - fx) + value(self.i11) * fx;
+        v0 * (1.0 - fy) + v1 * fy
+    }
+}
+
 /// The three lerps of [`Field2::sample_bilinear`] on axis lookups made by
-/// [`locate_axis`] against `field`'s grid. Splitting the lookup from the
-/// blend lets several fields be sampled at one point, and a whole row or
-/// column of points share one axis, without redoing the lookup.
+/// [`locate_axis`] against `field`'s grid.
 #[inline]
-fn blend(
-    field: &Field2,
-    (ix, ix1, fx): (usize, usize, f64),
-    (iy, iy1, fy): (usize, usize, f64),
-) -> f64 {
-    let v00 = field.get(ix, iy);
-    let v10 = field.get(ix1, iy);
-    let v01 = field.get(ix, iy1);
-    let v11 = field.get(ix1, iy1);
-    let v0 = v00 * (1.0 - fx) + v10 * fx;
-    let v1 = v01 * (1.0 - fx) + v11 * fx;
-    v0 * (1.0 - fy) + v1 * fy
+fn blend(field: &Field2, col: Axis, row: Axis) -> f64 {
+    Stencil::new(field.grid().nx, col, row).apply(field.as_slice())
 }
 
 /// Data misfit `Σ (u(x) − u0(x + T(x)))² dA` for a constant shift. A
 /// constant shift keeps the sample points on a lattice, so the lookup is
 /// separable: the x-part once per column (into `cols`), the y-part once per
 /// row.
+///
+/// The sum stops after the first row at which it reaches `bound`, and the
+/// partial value (≥ `bound`) is returned: with positive grid spacings the
+/// partial sums never decrease, so the full misfit would not be below
+/// `bound` either. Below `bound` the full misfit is returned exactly.
 fn shift_misfit(
     u: &Field2,
     u0: &Field2,
     sx: f64,
     sy: f64,
-    cols: &mut Vec<(usize, usize, f64)>,
+    cols: &mut Vec<Axis>,
+    bound: f64,
 ) -> f64 {
     let g = u.grid();
     let g0 = u0.grid();
@@ -218,84 +318,139 @@ fn shift_misfit(
     let mut s = 0.0;
     for iy in 0..g.ny {
         let row = locate_axis(g.world(0, iy).1 + sy, g0.origin.1, g0.dy, g0.ny);
-        for (ix, &col) in cols.iter().enumerate() {
-            let d = u.get(ix, iy) - blend(u0, col, row);
+        for (&v, &col) in u.row(iy).iter().zip(cols.iter()) {
+            let d = v - blend(u0, col, row);
             s += d * d;
+        }
+        if s * g.dx * g.dy >= bound {
+            break;
         }
     }
     s * g.dx * g.dy
 }
 
-/// Full objective and its gradient with respect to the control values.
-///
-/// Returns `J`; the gradient fields `dJ/dTx`, `dJ/dTy` are written into
-/// `grad_x`/`grad_y` (re-targeted to the control grid and zeroed first,
-/// so warm buffers make the call allocation-free).
-#[allow(clippy::too_many_arguments)]
-fn objective_and_gradient_into(
-    u: &Field2,
-    u0: &Field2,
-    u0_gx: &Field2,
-    u0_gy: &Field2,
-    t: &VectorField2,
+/// What one level's objective evaluations share: the fields, the
+/// reference gradient fields, the level's control-grid lookups of the
+/// field columns and rows, and the regularizer weights.
+struct Problem<'a> {
+    u: &'a Field2,
+    u0: &'a Field2,
+    u0_gx: &'a Field2,
+    u0_gy: &'a Field2,
+    cols: &'a [Axis],
+    rows: &'a [Axis],
     c_t: f64,
     c_grad: f64,
-    grad_x: &mut Field2,
-    grad_y: &mut Field2,
-) -> f64 {
-    let g = u.grid();
-    let g0 = u0.grid();
-    let cg = t.grid();
-    let mut j_data = 0.0;
-    grad_x.resize_zeroed(cg);
-    grad_y.resize_zeroed(cg);
-    let cell_area = g.dx * g.dy;
+}
 
-    for iy in 0..g.ny {
-        for ix in 0..g.nx {
-            let (x, y) = g.world(ix, iy);
+/// The objective `J` at the control displacement `t` and, when `grad` is
+/// given, its gradient `dJ/dTx`, `dJ/dTy` (written into the two fields,
+/// re-targeted to the control grid and zeroed first, so warm buffers make
+/// the call allocation-free).
+///
+/// Without a gradient the data sweep stops after the first row at which
+/// `J` so far — the partial misfit plus the regularizers — reaches `bound`,
+/// and returns that value (≥ `bound`): the partial misfit never decreases
+/// (see the module docs), so the full `J` would not be below `bound`
+/// either. Below `bound`, and always with a gradient, `J` is exact, and the
+/// same value with and without one.
+fn objective(
+    p: &Problem<'_>,
+    t: &VectorField2,
+    bound: f64,
+    grad: Option<(&mut Field2, &mut Field2)>,
+) -> f64 {
+    let (u, g0, cg) = (p.u, p.u0.grid(), t.grid());
+    let g = u.grid();
+    let cell_area = g.dx * g.dy;
+    let (tu, tv) = (t.u.as_slice(), t.v.as_slice());
+    let (d0, dgx, dgy) = (p.u0.as_slice(), p.u0_gx.as_slice(), p.u0_gy.as_slice());
+    let j_reg = regularizers(t, p.c_t, p.c_grad, None);
+    let mut grad = grad.map(|(gx, gy)| {
+        gx.resize_zeroed(cg);
+        gy.resize_zeroed(cg);
+        (gx, gy)
+    });
+    let mut j_data = 0.0;
+
+    for (iy, &(cj, cj1, fy)) in p.rows.iter().enumerate() {
+        let y = g.world(0, iy).1;
+        let (r0, r1) = (cj * cg.nx, cj1 * cg.nx);
+        // The control cell the row is in (its corners 00, 10, 01, 11 as
+        // flat indices) and that cell's gradient sums, x and y component.
+        let mut corners: Option<[usize; 4]> = None;
+        let (mut sx, mut sy) = ([0.0_f64; 4], [0.0_f64; 4]);
+        for ((ix, &(ci, ci1, fx)), &uv) in p.cols.iter().enumerate().zip(u.row(iy)) {
+            let x = g.world(ix, 0).0;
             // Bilinear control weights of this field node.
-            let (ci, cj, fx, fy) = cg.locate(x, y);
-            let w00 = (1.0 - fx) * (1.0 - fy);
-            let w10 = fx * (1.0 - fy);
-            let w01 = (1.0 - fx) * fy;
-            let w11 = fx * fy;
-            let ci1 = (ci + 1).min(cg.nx - 1);
-            let cj1 = (cj + 1).min(cg.ny - 1);
-            let tx = w00 * t.u.get(ci, cj)
-                + w10 * t.u.get(ci1, cj)
-                + w01 * t.u.get(ci, cj1)
-                + w11 * t.u.get(ci1, cj1);
-            let ty = w00 * t.v.get(ci, cj)
-                + w10 * t.v.get(ci1, cj)
-                + w01 * t.v.get(ci, cj1)
-                + w11 * t.v.get(ci1, cj1);
+            let w = [
+                (1.0 - fx) * (1.0 - fy),
+                fx * (1.0 - fy),
+                (1.0 - fx) * fy,
+                fx * fy,
+            ];
+            let k = [r0 + ci, r0 + ci1, r1 + ci, r1 + ci1];
+            let tx = w[0] * tu[k[0]] + w[1] * tu[k[1]] + w[2] * tu[k[2]] + w[3] * tu[k[3]];
+            let ty = w[0] * tv[k[0]] + w[1] * tv[k[1]] + w[2] * tv[k[2]] + w[3] * tv[k[3]];
             // `u0` and its two gradient fields live on one grid and are
-            // sampled at the same warped point: one lookup serves all three.
-            let col = locate_axis(x + tx, g0.origin.0, g0.dx, g0.nx);
-            let row = locate_axis(y + ty, g0.origin.1, g0.dy, g0.ny);
-            let e = blend(u0, col, row) - u.get(ix, iy);
+            // sampled at the same warped point: one stencil serves all three.
+            let st = Stencil::at(g0, x + tx, y + ty);
+            let e = st.apply(d0) - uv;
             j_data += e * e;
+            let Some((gx, gy)) = grad.as_mut() else {
+                continue;
+            };
+            if corners != Some(k) {
+                if let Some(kc) = corners {
+                    store_corners(gx, gy, kc, &sx, &sy);
+                }
+                for c in 0..4 {
+                    sx[c] = gx.as_slice()[k[c]];
+                    sy[c] = gy.as_slice()[k[c]];
+                }
+                corners = Some(k);
+            }
             // Chain rule: dJ/dtx at this node = 2·e·∂u0/∂x(warped); scatter
             // to control nodes with the bilinear weights.
-            let gx = blend(u0_gx, col, row);
-            let gy = blend(u0_gy, col, row);
-            let cx = 2.0 * e * gx * cell_area;
-            let cy = 2.0 * e * gy * cell_area;
-            for &(i, j, w) in &[
-                (ci, cj, w00),
-                (ci1, cj, w10),
-                (ci, cj1, w01),
-                (ci1, cj1, w11),
-            ] {
-                grad_x.set(i, j, grad_x.get(i, j) + w * cx);
-                grad_y.set(i, j, grad_y.get(i, j) + w * cy);
+            let cx = 2.0 * e * st.apply(dgx) * cell_area;
+            let cy = 2.0 * e * st.apply(dgy) * cell_area;
+            for c in 0..4 {
+                sx[c] += w[c] * cx;
+                sy[c] += w[c] * cy;
             }
+        }
+        match (grad.as_mut(), corners) {
+            (Some((gx, gy)), Some(kc)) => store_corners(gx, gy, kc, &sx, &sy),
+            (None, _) if j_data * cell_area + j_reg >= bound => return j_data * cell_area + j_reg,
+            _ => {}
         }
     }
     j_data *= cell_area;
+    // The regularizers' gradient goes in after the data term's, the order
+    // the gradient's bits depend on (their value is `j_reg` again).
+    if let Some((gx, gy)) = grad {
+        regularizers(t, p.c_t, p.c_grad, Some((gx, gy)));
+    }
+    j_data + j_reg
+}
 
-    // Regularizers on the control grid.
+/// Stores a control cell's running gradient sums into its four corners.
+fn store_corners(gx: &mut Field2, gy: &mut Field2, k: [usize; 4], sx: &[f64; 4], sy: &[f64; 4]) {
+    for c in 0..4 {
+        gx.as_mut_slice()[k[c]] = sx[c];
+        gy.as_mut_slice()[k[c]] = sy[c];
+    }
+}
+
+/// The regularizers `c₁‖T‖² + c₂‖∇T‖²` on the control grid; with `grad`,
+/// their gradient is added to the two fields.
+fn regularizers(
+    t: &VectorField2,
+    c_t: f64,
+    c_grad: f64,
+    mut grad: Option<(&mut Field2, &mut Field2)>,
+) -> f64 {
+    let cg = t.grid();
     let ctrl_area = cg.dx * cg.dy;
     let mut j_reg = 0.0;
     for jy in 0..cg.ny {
@@ -303,39 +458,38 @@ fn objective_and_gradient_into(
             let tu = t.u.get(jx, jy);
             let tv = t.v.get(jx, jy);
             j_reg += c_t * (tu * tu + tv * tv) * ctrl_area;
-            grad_x.set(jx, jy, grad_x.get(jx, jy) + 2.0 * c_t * tu * ctrl_area);
-            grad_y.set(jx, jy, grad_y.get(jx, jy) + 2.0 * c_t * tv * ctrl_area);
+            if let Some((gx, gy)) = grad.as_mut() {
+                gx.set(jx, jy, gx.get(jx, jy) + 2.0 * c_t * tu * ctrl_area);
+                gy.set(jx, jy, gy.get(jx, jy) + 2.0 * c_t * tv * ctrl_area);
+            }
         }
     }
     // ‖∇T‖² over control edges (forward differences).
     for jy in 0..cg.ny {
         for jx in 0..cg.nx {
-            if jx + 1 < cg.nx {
-                for comp in 0..2 {
-                    let f = if comp == 0 { &t.u } else { &t.v };
-                    let d = (f.get(jx + 1, jy) - f.get(jx, jy)) / cg.dx;
-                    j_reg += c_grad * d * d * ctrl_area;
-                    let gcoef = 2.0 * c_grad * d / cg.dx * ctrl_area;
-                    let gf: &mut Field2 = if comp == 0 { grad_x } else { grad_y };
-                    gf.set(jx + 1, jy, gf.get(jx + 1, jy) + gcoef);
-                    gf.set(jx, jy, gf.get(jx, jy) - gcoef);
+            let edges = [
+                (jx + 1 < cg.nx, jx + 1, jy, cg.dx),
+                (jy + 1 < cg.ny, jx, jy + 1, cg.dy),
+            ];
+            for (inside, nx, ny, h) in edges {
+                if !inside {
+                    continue;
                 }
-            }
-            if jy + 1 < cg.ny {
                 for comp in 0..2 {
                     let f = if comp == 0 { &t.u } else { &t.v };
-                    let d = (f.get(jx, jy + 1) - f.get(jx, jy)) / cg.dy;
+                    let d = (f.get(nx, ny) - f.get(jx, jy)) / h;
                     j_reg += c_grad * d * d * ctrl_area;
-                    let gcoef = 2.0 * c_grad * d / cg.dy * ctrl_area;
-                    let gf: &mut Field2 = if comp == 0 { grad_x } else { grad_y };
-                    gf.set(jx, jy + 1, gf.get(jx, jy + 1) + gcoef);
-                    gf.set(jx, jy, gf.get(jx, jy) - gcoef);
+                    if let Some((gx, gy)) = grad.as_mut() {
+                        let gcoef = 2.0 * c_grad * d / h * ctrl_area;
+                        let gf: &mut Field2 = if comp == 0 { gx } else { gy };
+                        gf.set(nx, ny, gf.get(nx, ny) + gcoef);
+                        gf.set(jx, jy, gf.get(jx, jy) - gcoef);
+                    }
                 }
             }
         }
     }
-
-    j_data + j_reg
+    j_reg
 }
 
 /// Central-difference gradient fields of `u0` (for the chain rule),
@@ -361,7 +515,7 @@ fn gradient_fields_into(u0: &Field2, gx: &mut Field2, gy: &mut Field2) {
 /// backtracking).
 ///
 /// # Errors
-/// [`crate::EnkfError::Grid`] when the grids differ.
+/// As [`register_into`].
 pub fn register(u: &Field2, u0: &Field2, cfg: &RegistrationConfig) -> Result<DisplacementField> {
     register_ws(u, u0, cfg, &mut RegistrationWorkspace::new())
 }
@@ -371,7 +525,7 @@ pub fn register(u: &Field2, u0: &Field2, cfg: &RegistrationConfig) -> Result<Dis
 /// the allocating wrapper; only the returned displacement is allocated.
 ///
 /// # Errors
-/// [`crate::EnkfError::Grid`] when the grids differ.
+/// As [`register_into`].
 pub fn register_ws(
     u: &Field2,
     u0: &Field2,
@@ -389,7 +543,9 @@ pub fn register_ws(
 /// acceptance bar for the morphing analysis' registration phase.
 ///
 /// # Errors
-/// [`crate::EnkfError::Grid`] when the grids differ.
+/// [`crate::EnkfError::Grid`] when the grids differ;
+/// [`crate::EnkfError::NonFiniteField`] when either field holds a NaN or an
+/// infinity.
 pub fn register_into(
     u: &Field2,
     u0: &Field2,
@@ -402,6 +558,16 @@ pub fn register_into(
             wildfire_grid::GridError::GridMismatch("registration fields"),
         ));
     }
+    if !u.all_finite() {
+        return Err(crate::EnkfError::NonFiniteField {
+            what: "registered field",
+        });
+    }
+    if !u0.all_finite() {
+        return Err(crate::EnkfError::NonFiniteField {
+            what: "registration reference",
+        });
+    }
     let fg = u.grid();
 
     let RegistrationWorkspace {
@@ -412,7 +578,11 @@ pub fn register_into(
     } = ws;
 
     // Phase 1: global translation scan (coarse lattice, then refined).
-    let mut best = (0.0_f64, 0.0_f64, shift_misfit(u, u0, 0.0, 0.0, shift_cols));
+    let mut best = (
+        0.0_f64,
+        0.0_f64,
+        shift_misfit(u, u0, 0.0, 0.0, shift_cols, f64::INFINITY),
+    );
     let samples = cfg.shift_samples.max(3) | 1; // force odd
     let mut radius = cfg.max_shift;
     let mut center = (0.0_f64, 0.0_f64);
@@ -424,7 +594,7 @@ pub fn register_into(
             for sx in 0..samples {
                 let ox = center.0 - radius + 2.0 * radius * sx as f64 / (samples - 1) as f64;
                 let oy = center.1 - radius + 2.0 * radius * sy as f64 / (samples - 1) as f64;
-                let j = shift_misfit(u, u0, ox, oy, shift_cols);
+                let j = shift_misfit(u, u0, ox, oy, shift_cols, best.2);
                 if j < best.2 {
                     best = (ox, oy, j);
                 }
@@ -446,6 +616,12 @@ pub fn register_into(
         // level's scratch is mutated.
         let (done, rest) = levels.split_at_mut(li);
         let lvl = &mut rest[0];
+        lvl.cols.clear();
+        lvl.cols
+            .extend((0..fg.nx).map(|ix| locate_axis(fg.world(ix, 0).0, cg.origin.0, cg.dx, cg.nx)));
+        lvl.rows.clear();
+        lvl.rows
+            .extend((0..fg.ny).map(|iy| locate_axis(fg.world(0, iy).1, cg.origin.1, cg.dy, cg.ny)));
         lvl.t.resize_no_zero(cg);
         match last {
             None => lvl.t.fill((best.0, best.1)),
@@ -459,18 +635,18 @@ pub fn register_into(
                 }
             }
         }
-        let mut step = cfg.initial_step;
-        let mut j_cur = objective_and_gradient_into(
+        let p = Problem {
             u,
             u0,
             u0_gx,
             u0_gy,
-            &lvl.t,
-            cfg.c_t,
-            cfg.c_grad,
-            &mut lvl.gx,
-            &mut lvl.gy,
-        );
+            cols: &lvl.cols,
+            rows: &lvl.rows,
+            c_t: cfg.c_t,
+            c_grad: cfg.c_grad,
+        };
+        let mut step = cfg.initial_step;
+        let mut j_cur = objective(&p, &lvl.t, f64::INFINITY, Some((&mut lvl.gx, &mut lvl.gy)));
         for _ in 0..cfg.iterations {
             // Normalize the step by the gradient's max magnitude so `step`
             // is in meters of control displacement.
@@ -499,22 +675,11 @@ pub fn register_into(
                 lvl.t_try.v.axpy(-scale, &lvl.gy).expect("same grid");
                 lvl.t_try.u.map_inplace(|v| v.clamp(-bound, bound));
                 lvl.t_try.v.map_inplace(|v| v.clamp(-bound, bound));
-                let j_try = objective_and_gradient_into(
-                    u,
-                    u0,
-                    u0_gx,
-                    u0_gy,
-                    &lvl.t_try,
-                    cfg.c_t,
-                    cfg.c_grad,
-                    &mut lvl.gx_try,
-                    &mut lvl.gy_try,
-                );
-                if j_try < j_cur {
+                // Most trials are rejected (every level ends in a failed
+                // line search); only an accepted one needs its gradient.
+                if objective(&p, &lvl.t_try, j_cur, None) < j_cur {
                     std::mem::swap(&mut lvl.t, &mut lvl.t_try);
-                    j_cur = j_try;
-                    std::mem::swap(&mut lvl.gx, &mut lvl.gx_try);
-                    std::mem::swap(&mut lvl.gy, &mut lvl.gy_try);
+                    j_cur = objective(&p, &lvl.t, f64::INFINITY, Some((&mut lvl.gx, &mut lvl.gy)));
                     step *= 1.5;
                     accepted = true;
                     break;
@@ -618,7 +783,7 @@ mod tests {
             let naive = naive * g.dx * g.dy;
             // A stale, wrongly sized column scratch must not matter.
             let mut cols = vec![(7, 8, 0.5); 3];
-            prop_assert_eq!(shift_misfit(&u, &u0, sx, sy, &mut cols).to_bits(), naive.to_bits());
+            prop_assert_eq!(shift_misfit(&u, &u0, sx, sy, &mut cols, f64::INFINITY).to_bits(), naive.to_bits());
         }
     }
 
@@ -751,20 +916,6 @@ mod tests {
         let (qx, qy) = d.inverse_displace(px, py);
         assert!((qx - 17.0).abs() < 1e-6);
         assert!((qy - 23.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn to_grid_matches_sample() {
-        let g = test_grid();
-        let mut d = DisplacementField::zero(g, 3);
-        d.control.set(1, 1, (3.0, -2.0));
-        let full = d.to_grid(g);
-        for &(x, y) in &[(5.0, 5.0), (20.0, 20.0), (33.3, 11.1)] {
-            let (sx, sy) = d.sample(x, y);
-            let (fx, fy) = full.sample_bilinear(x, y);
-            assert!((sx - fx).abs() < 1e-9);
-            assert!((sy - fy).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -16,9 +16,11 @@ use crate::store::SnapshotStore;
 use crate::{EnsembleError, Result};
 use std::sync::{Mutex, PoisonError};
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace};
-use wildfire_enkf::morphing_enkf::ExtendedState;
+use wildfire_enkf::morphing_enkf::{
+    analyze_packed_ws, from_packed_into, packed_len, to_extended_into, ExtendedState,
+};
 use wildfire_enkf::{
-    AnalysisWorkspace, EnkfConfig, EnsembleKalmanFilter, Etkf, MorphingConfig, MorphingEnkf,
+    AnalysisWorkspace, EnkfConfig, EnkfError, EnsembleKalmanFilter, Etkf, MorphingConfig,
     MorphingWorkspace, RegistrationWorkspace,
 };
 use wildfire_fire::ignition::IgnitionShape;
@@ -46,7 +48,9 @@ pub const TIG_CAP: f64 = 1.0e4;
 pub struct EnsembleWorkspace {
     /// Per-worker coupled-model workspaces (index = worker).
     pub workers: Vec<CoupledWorkspace>,
-    /// Packed state ensemble `X` (`2·grid × N`).
+    /// Packed ensemble `X`: the member states (`2·grid × N`) for the
+    /// standard and ETKF analyses, their extended states for the morphing
+    /// analysis.
     pub(crate) x: Matrix,
     /// Observation-pool packing buffers: `(y, H(X), R)`.
     pub obs: ObsWorkspace,
@@ -54,16 +58,21 @@ pub struct EnsembleWorkspace {
     pub analysis: AnalysisWorkspace,
     /// Morphing-EnKF scratch (morphing path).
     pub morph: MorphingWorkspace,
-    /// Per-worker registration scratch pyramids for the parallel
-    /// member-registration phase of the morphing analyses.
-    pub reg_pool: Vec<RegistrationWorkspace>,
+    /// Per-worker scratch of the morphing analyses' parallel transform
+    /// and morph-back phases (index = worker).
+    pub(crate) morph_workers: Vec<MorphWorker>,
+    /// Per-item outcome of the transform phase (members, then the data).
+    pub(crate) morph_errors: Vec<Option<EnkfError>>,
+    /// Reference fields `[ψ, capped t_i]` of the morphing analyses (a copy:
+    /// the morph-back overwrites the member they come from).
+    pub(crate) reference: Vec<Field2>,
+    /// Packed extended state of the data for the morphing analyses.
+    pub(crate) data_ext: Vec<f64>,
     /// Per-worker operator-evaluation scratch for the member-parallel
     /// observation packing (index = worker).
     pub obs_scratch: Vec<ObsScratch>,
     /// Gridded-ψ data field scratch for the morphing observation path.
     pub(crate) psi_data: Field2,
-    /// Data field slots `[ψ, capped t_i]` for the morphing analyses.
-    pub(crate) data_fields: Vec<Field2>,
     /// Per-worker scratch for the store-routed forecast (index = worker):
     /// each worker owns its stepping workspace *and* its snapshot/exchange
     /// buffers, so shard forecasts stay lock-free and allocation-free in
@@ -80,6 +89,27 @@ pub struct StoreWorker {
     /// Snapshot exchange buffer (record names + payload capacities are
     /// reused across members and calls).
     pub snap: Snapshot,
+}
+
+/// One morphing worker's scratch: the registration pyramid, the field
+/// slots `[ψ, capped t_i]` of the item it transforms, and that item's
+/// extended state.
+#[derive(Debug, Default)]
+pub(crate) struct MorphWorker {
+    reg: RegistrationWorkspace,
+    fields: Vec<Field2>,
+    ext: ExtendedState,
+}
+
+/// Writes a fire state's filter fields `[ψ, t_i capped at TIG_CAP]` into
+/// two slots.
+fn fire_fields_into(fire: &FireState, out: &mut Vec<Field2>) {
+    out.resize_with(2, Field2::default);
+    out[0].copy_from(&fire.psi);
+    out[1].resize_no_zero(fire.tig.grid());
+    for (o, &t) in out[1].as_mut_slice().iter_mut().zip(fire.tig.as_slice()) {
+        *o = t.min(TIG_CAP);
+    }
 }
 
 impl EnsembleWorkspace {
@@ -623,35 +653,34 @@ impl EnsembleDriver {
                  only field 0 can be observed",
             ));
         }
-        let mut psi_data = std::mem::take(&mut ws.psi_data);
         let found = pool
             .entries()
             .iter()
-            .any(|e| e.op.scatter_psi(e.data, &mut psi_data));
-        let result = if found {
-            self.analyze_morphing_fields_ws(members, &psi_data, config, rng, ws)
-        } else {
-            Err(EnsembleError::Config(
+            .any(|e| e.op.scatter_psi(e.data, &mut ws.psi_data));
+        if !found {
+            return Err(EnsembleError::Config(
                 "morphing analysis needs a gridded-psi observation stream in the pool",
-            ))
-        };
-        ws.psi_data = psi_data;
-        result
+            ));
+        }
+        self.analyze_morphing_fields_ws(members, config, rng, ws)
     }
 
-    /// Morphing-EnKF analysis (Fig. 4(d)) against the observed ψ field
-    /// `psi_data`: members are registered against a reference member in
-    /// parallel, the inner EnKF runs on extended states `[r, T]`, and the
-    /// results are morphed back. The reference member's own capped
-    /// ignition times stand in for the data's — only valid when field 1 is
-    /// unobserved, as [`EnsembleDriver::analyze_obs_morphing_ws`] enforces.
+    /// Morphing-EnKF analysis (Fig. 4(d)) against the observed ψ field in
+    /// `ws.psi_data`: members and the data are registered against a
+    /// reference member in parallel and packed as extended states `[r, T]`
+    /// into `ws.x`, the inner EnKF updates them in place, and every column
+    /// is morphed straight back into its member's ψ and `t_i`, again in
+    /// parallel. The reference member's own capped ignition times stand in
+    /// for the data's — only valid when field 1 is unobserved, as
+    /// [`EnsembleDriver::analyze_obs_morphing_ws`] enforces. No member is
+    /// touched unless the whole analysis succeeds, and a warm workspace
+    /// makes the analysis allocation-free on one thread.
     ///
     /// # Errors
-    /// Filter failures.
+    /// Registration and filter failures.
     fn analyze_morphing_fields_ws(
         &self,
         members: &mut [CoupledState],
-        psi_data: &Field2,
         config: &MorphingConfig,
         rng: &mut GaussianSampler,
         ws: &mut EnsembleWorkspace,
@@ -660,88 +689,96 @@ impl EnsembleDriver {
         if n_ens < 2 {
             return Err(EnsembleError::Config("need at least 2 members"));
         }
-        let filter = MorphingEnkf::new(config.clone());
         let time = members[0].time();
-
-        // Field layout per member: [ψ, capped t_i].
-        let to_fields = |f: &FireState| -> Vec<Field2> {
-            let g = f.psi.grid();
-            let capped = Field2::from_vec(
-                g,
-                f.tig.as_slice().iter().map(|&t| t.min(TIG_CAP)).collect(),
-            );
-            vec![f.psi.clone(), capped]
-        };
-        let reference = to_fields(&members[0].fire);
-        // Assemble the data fields in the reusable workspace slots (values
-        // identical to cloning, no per-analysis grid-sized allocation).
-        if ws.data_fields.len() != 2 {
-            ws.data_fields = vec![Field2::default(), Field2::default()];
+        fire_fields_into(&members[0].fire, &mut ws.reference);
+        let grid = ws.reference[0].grid();
+        let n_state = packed_len(config, 2, grid);
+        ws.x.resize_no_zero(n_state, n_ens);
+        ws.data_ext.resize(n_state, 0.0);
+        ws.morph_errors.clear();
+        ws.morph_errors.resize(n_ens + 1, None);
+        let workers = self.threads.max(1).min(n_ens + 1);
+        if ws.morph_workers.len() < workers {
+            ws.morph_workers.resize_with(workers, MorphWorker::default);
         }
-        ws.data_fields[0].copy_from(psi_data);
-        ws.data_fields[1].copy_from(&reference[1]);
 
-        // Parallel registrations (the expensive transform phase): the
-        // members and, as the last item, the data are stolen from a shared
-        // cursor by workers that each reuse a pooled registration scratch
-        // pyramid, so the steady-state per-cycle allocations are the
-        // returned extended states themselves.
-        let workers = self.threads.max(1);
-        if ws.reg_pool.len() < workers {
-            ws.reg_pool.resize_with(workers, RegistrationWorkspace::new);
-        }
-        type ExtResult = std::result::Result<ExtendedState, wildfire_enkf::EnkfError>;
-        let mut reg_items: Vec<(Vec<Field2>, Option<ExtResult>)> = members
-            .iter()
-            .map(|m| to_fields(&m.fire))
-            .chain(std::iter::once(std::mem::take(&mut ws.data_fields)))
-            .map(|fields| (fields, None))
-            .collect();
+        // Parallel transform (the expensive phase): the members and, as the
+        // last item, the data are claimed from a shared cursor; each worker
+        // registers into its own scratch and packs the result into its
+        // column (the data into `data_ext`) under a short lock.
+        let EnsembleWorkspace {
+            x,
+            data_ext,
+            reference,
+            psi_data,
+            morph_workers,
+            morph_errors,
+            ..
+        } = &mut *ws;
+        let (reference, psi_data, states) = (&*reference, &*psi_data, &*members);
+        let packed = Mutex::new((x, data_ext));
         parallel_for_each_ws(
-            &mut reg_items,
-            &mut ws.reg_pool[..workers],
-            |_, item, reg| {
-                item.1 = Some(filter.to_extended_ws(&item.0, &reference, 0, reg));
+            morph_errors,
+            &mut morph_workers[..workers],
+            |i, error, w| {
+                match states.get(i) {
+                    Some(m) => fire_fields_into(&m.fire, &mut w.fields),
+                    None => {
+                        w.fields.resize_with(2, Field2::default);
+                        w.fields[0].copy_from(psi_data);
+                        w.fields[1].copy_from(&reference[1]);
+                    }
+                }
+                match to_extended_into(config, &w.fields, reference, 0, &mut w.reg, &mut w.ext) {
+                    Ok(()) => {
+                        let mut packed = packed
+                            .lock()
+                            .expect("no worker panics while holding the packing lock");
+                        let (x, data_ext) = &mut *packed;
+                        if i < x.cols() {
+                            w.ext.pack_into(x.col_mut(i));
+                        } else {
+                            w.ext.pack_into(data_ext);
+                        }
+                    }
+                    Err(e) => *error = Some(e),
+                }
             },
         );
-        let (data_fields, data_ext) = reg_items.pop().expect("the data item is last");
-        ws.data_fields = data_fields;
-        let mut ext_states = Vec::with_capacity(n_ens);
-        for (_, e) in reg_items {
-            ext_states.push(e.expect("registered").map_err(EnsembleError::Filter)?);
+        if let Some(e) = ws.morph_errors.iter().flatten().next() {
+            return Err(EnsembleError::Filter(e.clone()));
         }
-        let data_ext = data_ext
-            .expect("registered")
-            .map_err(EnsembleError::Filter)?;
 
-        let analyzed = filter
-            .analyze_extended_ws(&ext_states, &data_ext, &reference, rng, &mut ws.morph)
-            .map_err(EnsembleError::Filter)?;
+        analyze_packed_ws(
+            config,
+            &mut ws.x,
+            &ws.data_ext,
+            &ws.reference,
+            rng,
+            &mut ws.morph,
+        )
+        .map_err(EnsembleError::Filter)?;
 
-        for (m, fields) in members.iter_mut().zip(analyzed) {
-            let g = fields[0].grid();
-            let tig = Field2::from_vec(
-                g,
-                fields[1]
-                    .as_slice()
-                    .iter()
-                    .map(|&t| {
-                        if t >= TIG_CAP * 0.99 {
-                            wildfire_fire::UNBURNED
-                        } else {
-                            t
-                        }
-                    })
-                    .collect(),
+        // Morph back straight into the members, one column per member, read
+        // in place: the workers need no scratch (a `Vec<()>` never allocates).
+        let ctrl = config.registration.output_grid(grid);
+        let (x, reference) = (&ws.x, &ws.reference);
+        parallel_for_each_ws(members, &mut vec![(); workers.min(n_ens)], |j, m, _| {
+            let fire = &mut m.fire;
+            from_packed_into(
+                reference,
+                ctrl,
+                x.col(j),
+                &mut [&mut fire.psi, &mut fire.tig],
             );
-            let mut fire = FireState {
-                psi: fields.into_iter().next().expect("two fields"),
-                tig,
-                time,
-            };
+            for t in fire.tig.as_mut_slice() {
+                if *t >= TIG_CAP * 0.99 {
+                    *t = wildfire_fire::UNBURNED;
+                }
+            }
+            fire.time = time;
             fire.sanitize(TIG_CAP * 0.99, time);
-            m.fire = fire;
-        }
+        });
         Ok(())
     }
 
@@ -1254,6 +1291,50 @@ mod tests {
             &mut ws,
         );
         assert!(matches!(err, Err(EnsembleError::Config(_))));
+    }
+
+    #[test]
+    fn morphing_rejects_non_finite_member_and_leaves_members_unchanged() {
+        // One NaN ψ node in one member: the registration refuses it by name
+        // before any analysis runs, and no member is written.
+        let d = driver(2);
+        let mut members = d.initial_ensemble(&setup(4));
+        let truth = d.model.ignite(
+            &[IgnitionShape::Circle {
+                center: (200.0, 200.0),
+                radius: 25.0,
+            }],
+            0.0,
+        );
+        members[2].fire.psi.set(7, 9, f64::NAN);
+        let bits = |ms: &[CoupledState]| -> Vec<u64> {
+            ms.iter()
+                .flat_map(|m| m.fire.psi.as_slice().iter().chain(m.fire.tig.as_slice()))
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let before = bits(&members);
+        let (op, data) = strided_psi(&truth.fire, 1, 1.0);
+        let mut pool = ObsSet::new();
+        pool.push(&op, &data).unwrap();
+        let mut rng = GaussianSampler::new(3);
+        let err = d.analyze_obs_morphing_ws(
+            &mut members,
+            &pool,
+            &MorphingConfig::default(),
+            &mut rng,
+            &mut EnsembleWorkspace::new(),
+        );
+        assert!(
+            matches!(
+                err,
+                Err(EnsembleError::Filter(EnkfError::NonFiniteField {
+                    what: "registered field"
+                }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(bits(&members), before, "a failed analysis must not write");
     }
 
     #[test]

@@ -51,23 +51,6 @@ impl FuelCategory {
         FuelCategory::TimberLitter,
         FuelCategory::HeavySlash,
     ];
-
-    /// Stable small integer id.
-    pub fn id(self) -> u8 {
-        match self {
-            FuelCategory::ShortGrass => 0,
-            FuelCategory::TallGrass => 1,
-            FuelCategory::Brush => 2,
-            FuelCategory::Chaparral => 3,
-            FuelCategory::TimberLitter => 4,
-            FuelCategory::HeavySlash => 5,
-        }
-    }
-
-    /// Inverse of [`FuelCategory::id`].
-    pub fn from_id(id: u8) -> Option<FuelCategory> {
-        FuelCategory::ALL.get(id as usize).copied()
-    }
 }
 
 /// Sensible and latent heat fluxes delivered by the fire to the atmosphere,
@@ -326,14 +309,6 @@ impl SpreadCoeffs {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn categories_roundtrip_ids() {
-        for cat in FuelCategory::ALL {
-            assert_eq!(FuelCategory::from_id(cat.id()), Some(cat));
-        }
-        assert_eq!(FuelCategory::from_id(99), None);
-    }
 
     #[test]
     fn grass_faster_than_timber() {

@@ -99,8 +99,10 @@ impl Grid2 {
         let (gx, gy) = self.to_grid_coords(x, y);
         let cx = gx.clamp(0.0, (self.nx - 1) as f64);
         let cy = gy.clamp(0.0, (self.ny - 1) as f64);
-        let ix = (cx.floor() as usize).min(self.nx.saturating_sub(2));
-        let iy = (cy.floor() as usize).min(self.ny.saturating_sub(2));
+        // `cx`, `cy` are in [0, n−1] or NaN: truncation is `floor` there
+        // (and a cast, not a libm call, on targets without SSE4.1).
+        let ix = (cx as usize).min(self.nx.saturating_sub(2));
+        let iy = (cy as usize).min(self.ny.saturating_sub(2));
         (ix, iy, cx - ix as f64, cy - iy as f64)
     }
 

@@ -179,10 +179,13 @@ impl Matrix {
     /// Re-shapes to `rows × cols` and zeroes every entry, reusing the
     /// existing storage when the capacity suffices. The workspace layer
     /// uses this so repeated analyses with a fixed shape never allocate.
+    /// Growth reserves exactly the new size: a workspace matrix that
+    /// alternates between two shapes holds the larger, not twice it.
     pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
+        self.data.reserve_exact(rows * cols);
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -198,6 +201,7 @@ impl Matrix {
         self.cols = cols;
         if self.data.len() != rows * cols {
             self.data.clear();
+            self.data.reserve_exact(rows * cols);
             self.data.resize(rows * cols, 0.0);
         }
     }

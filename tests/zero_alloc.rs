@@ -355,6 +355,66 @@ fn morphing_analysis_registration_is_allocation_free_after_warmup() {
 }
 
 #[test]
+fn morphing_cycle_is_allocation_free_after_warmup() {
+    // The ψ-cycle bar: a whole morphing analysis through the driver — field
+    // slots, registrations, extended states packed into the shared
+    // ensemble matrix, the inner EnKF, and the morph straight back into the
+    // members' ψ and t_i — draws every buffer from the EnsembleWorkspace.
+    // A warm call on one thread must not touch the heap, although the
+    // members it analyses changed in the call before.
+    let model = CoupledModel::new(
+        small_atmos_grid(),
+        Default::default(),
+        wildfire_fire::FuelCategory::ShortGrass,
+        5,
+    )
+    .unwrap();
+    let ignite = |cx: f64, cy: f64| {
+        model.ignite(
+            &[IgnitionShape::Circle {
+                center: (cx, cy),
+                radius: 30.0,
+            }],
+            0.0,
+        )
+    };
+    let mut members: Vec<_> = (0..5)
+        .map(|k| ignite(150.0 + 12.0 * k as f64, 200.0 - 8.0 * k as f64))
+        .collect();
+    let truth = ignite(230.0, 230.0);
+    let psi_op = wildfire_obs::StridedPsi::new(model.fire_grid, 1, 1.0);
+    let mut psi_data = Vec::new();
+    psi_op
+        .measure_truth_into(&truth.fire, &mut psi_data)
+        .unwrap();
+    let mut pool = wildfire_obs::ObsSet::new();
+    pool.push(&psi_op, &psi_data).unwrap();
+    let config = wildfire_enkf::MorphingConfig {
+        registration: RegistrationConfig {
+            max_shift: 120.0,
+            levels: vec![3, 5],
+            iterations: 10,
+            ..Default::default()
+        },
+        sigma_amplitude: 2.0,
+        sigma_displacement: 4.0,
+        ..Default::default()
+    };
+    let driver = wildfire_ensemble::driver::EnsembleDriver::new(model.clone(), 1);
+    let mut ws = wildfire_ensemble::driver::EnsembleWorkspace::new();
+    let mut rng = GaussianSampler::new(7);
+    driver
+        .analyze_obs_morphing_ws(&mut members, &pool, &config, &mut rng, &mut ws)
+        .unwrap();
+    let n = allocations_during(|| {
+        driver
+            .analyze_obs_morphing_ws(&mut members, &pool, &config, &mut rng, &mut ws)
+            .unwrap();
+    });
+    assert_eq!(n, 0, "a warm morphing analysis must not allocate");
+}
+
+#[test]
 fn obs_set_packing_is_allocation_free_after_warmup() {
     // The acceptance bar for the observation pipeline: packing a
     // heterogeneous pool (strided ψ + a station network) into (y, H(X), R)
