@@ -20,18 +20,11 @@ fn upwind(vel: f64, vm: f64, vc: f64, vp: f64, h: f64) -> f64 {
     }
 }
 
-/// Computes the advective tendency `−(u⃗·∇)q` for a cell-centered scalar.
+/// Writes the advective tendency `−(u⃗·∇)q` of a cell-centered scalar into
+/// `out`, resizing it (reusing its storage).
 ///
 /// The advecting velocity at the cell center is the average of the adjacent
 /// face velocities.
-pub fn scalar_tendency(state: &AtmosState, q: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    scalar_tendency_into(state, q, &mut out);
-    out
-}
-
-/// Allocation-free [`scalar_tendency`]: resizes `out` (reusing its storage)
-/// and overwrites it.
 pub fn scalar_tendency_into(state: &AtmosState, q: &[f64], out: &mut Vec<f64>) {
     let g = &state.grid;
     out.clear();
@@ -62,16 +55,9 @@ pub fn scalar_tendency_into(state: &AtmosState, q: &[f64], out: &mut Vec<f64>) {
     }
 }
 
-/// Horizontal Laplacian diffusion tendency `ν ∇²_h q` for a cell-centered
-/// scalar (periodic lateral boundaries).
-pub fn diffusion_tendency(g: &AtmosGrid, q: &[f64], nu: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    diffusion_tendency_into(g, q, nu, &mut out);
-    out
-}
-
-/// Allocation-free [`diffusion_tendency`]: resizes `out` (reusing its
-/// storage) and overwrites it.
+/// Writes the horizontal Laplacian diffusion tendency `ν ∇²_h q` of a
+/// cell-centered scalar (periodic lateral boundaries) into `out`, resizing
+/// it (reusing its storage).
 pub fn diffusion_tendency_into(g: &AtmosGrid, q: &[f64], nu: f64, out: &mut Vec<f64>) {
     out.clear();
     out.resize(g.n_cells(), 0.0);
@@ -94,16 +80,9 @@ pub fn diffusion_tendency_into(g: &AtmosGrid, q: &[f64], nu: f64, out: &mut Vec<
     }
 }
 
-/// Advective tendencies for the three staggered velocity components,
-/// `−(u⃗·∇)u`, `−(u⃗·∇)v`, `−(u⃗·∇)w`, each evaluated at its own face set.
-pub fn momentum_tendencies(state: &AtmosState) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let (mut du, mut dv, mut dw) = (Vec::new(), Vec::new(), Vec::new());
-    momentum_tendencies_into(state, &mut du, &mut dv, &mut dw);
-    (du, dv, dw)
-}
-
-/// Allocation-free [`momentum_tendencies`]: resizes the three output buffers
-/// (reusing their storage) and overwrites them.
+/// Writes the advective tendencies of the three staggered velocity
+/// components, `−(u⃗·∇)u`, `−(u⃗·∇)v`, `−(u⃗·∇)w`, each at its own face
+/// set, into `du`, `dv` and `dw`, resizing them (reusing their storage).
 pub fn momentum_tendencies_into(
     state: &AtmosState,
     du: &mut Vec<f64>,
@@ -274,6 +253,18 @@ mod tests {
     use super::*;
     use crate::state::AtmosState;
 
+    fn scalar_tendency(state: &AtmosState, q: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        scalar_tendency_into(state, q, &mut out);
+        out
+    }
+
+    fn momentum_tendencies(state: &AtmosState) -> [Vec<f64>; 3] {
+        let [mut du, mut dv, mut dw] = [vec![], vec![], vec![]];
+        momentum_tendencies_into(state, &mut du, &mut dv, &mut dw);
+        [du, dv, dw]
+    }
+
     fn grid() -> AtmosGrid {
         AtmosGrid {
             nx: 8,
@@ -296,7 +287,7 @@ mod tests {
     #[test]
     fn uniform_flow_has_no_momentum_tendency() {
         let s = AtmosState::uniform(grid(), (5.0, -3.0));
-        let (du, dv, dw) = momentum_tendencies(&s);
+        let [du, dv, dw] = momentum_tendencies(&s);
         assert!(du.iter().all(|&x| x.abs() < 1e-12));
         assert!(dv.iter().all(|&x| x.abs() < 1e-12));
         assert!(dw.iter().all(|&x| x.abs() < 1e-12));
@@ -339,15 +330,17 @@ mod tests {
         let g = grid();
         let mut q = vec![0.0; g.n_cells()];
         q[g.cell(4, 4, 2)] = 1.0;
-        let t = diffusion_tendency(&g, &q, 5.0);
+        let mut t = Vec::new();
+        diffusion_tendency_into(&g, &q, 5.0, &mut t);
         assert!(t[g.cell(4, 4, 2)] < 0.0);
         assert!(t[g.cell(5, 4, 2)] > 0.0);
         assert!(t[g.cell(4, 5, 2)] > 0.0);
         // Diffusion conserves the integral.
         let total: f64 = t.iter().sum();
         assert!(total.abs() < 1e-12);
-        // Zero viscosity short-circuits.
-        assert!(diffusion_tendency(&g, &q, 0.0).iter().all(|&x| x == 0.0));
+        // Zero viscosity short-circuits to an all-zero tendency.
+        diffusion_tendency_into(&g, &q, 0.0, &mut t);
+        assert_eq!(t, vec![0.0; g.n_cells()]);
     }
 
     #[test]
@@ -356,7 +349,7 @@ mod tests {
         let mut s = AtmosState::uniform(g, (3.0, 1.0));
         // Put some interior vertical motion.
         s.w[g.wface(2, 2, 2)] = 1.0;
-        let (_, _, dw) = momentum_tendencies(&s);
+        let [_, _, dw] = momentum_tendencies(&s);
         for j in 0..g.ny {
             for i in 0..g.nx {
                 assert_eq!(dw[g.wface(i, j, 0)], 0.0);

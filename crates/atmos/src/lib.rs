@@ -18,17 +18,19 @@
 //! advection, explicit buoyancy, bulk surface drag, Rayleigh damping aloft,
 //! and a pressure projection enforcing a divergence-free velocity field.
 //! The projection's Poisson problem is solved exactly, in one pass, by
-//! separable Fourier/cosine transforms (see [`poisson`]); the multigrid
-//! solver of [`multigrid`] is kept only because the benchmark's pinned API
-//! names it.
+//! separable Fourier/cosine transforms (see [`poisson`]); it is the only
+//! pressure solver. Each step runs allocation-free through
+//! [`AtmosModel::step_ws`] and an [`AtmosWorkspace`].
 //! Lateral boundaries are periodic; top and bottom are rigid lids (w = 0),
-//! with the damping layer absorbing waves before they reach the lid. The vertical extent covers "the whole atmosphere" of the
-//! simulated domain, as WRF's non-nestable vertical requires (§2.3).
+//! with the damping layer absorbing waves before they reach the lid. The
+//! vertical extent covers "the whole atmosphere" of the simulated domain,
+//! as WRF's non-nestable vertical requires (§2.3).
 
 #![forbid(unsafe_code)]
 
 pub mod advect;
 pub mod model;
+#[doc(hidden)]
 pub mod multigrid;
 pub mod params;
 pub mod poisson;
@@ -36,7 +38,8 @@ pub mod state;
 pub mod workspace;
 
 pub use model::AtmosModel;
-pub use multigrid::{MgHierarchy, PackedSmoother};
+#[doc(hidden)]
+pub use multigrid::MgHierarchy;
 pub use params::{AtmosParams, PoissonSolver};
 pub use state::AtmosState;
 pub use workspace::{AtmosWorkspace, PoissonWorkspace};
@@ -46,7 +49,7 @@ pub use workspace::{AtmosWorkspace, PoissonWorkspace};
 pub enum AtmosError {
     /// Grid dimensions too small for the staggered discretization.
     GridTooSmall,
-    /// Requested time step violates the advective CFL bound.
+    /// Requested time step exceeds the advective CFL bound, or is NaN.
     CflViolation {
         /// Requested step, s.
         dt: f64,
@@ -55,13 +58,6 @@ pub enum AtmosError {
     },
     /// Input fields on an unexpected grid.
     GridMismatch(&'static str),
-    /// An iterative pressure solver (the conjugate-gradient oracle or
-    /// multigrid) failed to converge; the projection's exact solve never
-    /// returns it.
-    PressureSolveFailed {
-        /// Residual norm at the final iteration.
-        residual: f64,
-    },
 }
 
 impl std::fmt::Display for AtmosError {
@@ -72,12 +68,6 @@ impl std::fmt::Display for AtmosError {
                 write!(f, "time step {dt} s exceeds advective CFL bound {dt_max} s")
             }
             AtmosError::GridMismatch(what) => write!(f, "grid mismatch: {what}"),
-            AtmosError::PressureSolveFailed { residual } => {
-                write!(
-                    f,
-                    "pressure projection failed to converge (residual {residual})"
-                )
-            }
         }
     }
 }

@@ -49,29 +49,15 @@ impl AtmosModel {
 
     /// Advances the state by `dt`, forced by the fire's sensible and latent
     /// heat fluxes (W/m² on the horizontal cell-center grid, §2.3) and
-    /// relaxed toward the state's [`AtmosState::ambient_wind`].
+    /// relaxed toward the state's [`AtmosState::ambient_wind`]. All
+    /// tendency buffers and the pressure solve's tables come from `ws`,
+    /// which is sized on first use and reused thereafter.
     ///
     /// # Errors
     /// [`AtmosError::GridMismatch`] when the flux fields are not on
     /// [`AtmosGrid::horizontal`]; [`AtmosError::CflViolation`] when `dt`
-    /// exceeds the advective bound; pressure-solver failures propagate.
-    pub fn step(
-        &self,
-        state: &mut AtmosState,
-        sensible: &Field2,
-        latent: &Field2,
-        dt: f64,
-    ) -> Result<()> {
-        let mut ws = AtmosWorkspace::new();
-        self.step_ws(state, sensible, latent, dt, &mut ws)
-    }
-
-    /// Allocation-free [`AtmosModel::step`]: all tendency buffers and the
-    /// pressure solve's tables come from `ws`, which is sized on first use and reused thereafter.
-    /// Bit-identical to the allocating wrapper.
-    ///
-    /// # Errors
-    /// Same as [`AtmosModel::step`].
+    /// exceeds the advective bound or is NaN. Either leaves `state`
+    /// untouched.
     pub fn step_ws(
         &self,
         state: &mut AtmosState,
@@ -86,7 +72,7 @@ impl AtmosModel {
             return Err(AtmosError::GridMismatch("fire heat flux fields"));
         }
         let dt_max = self.max_stable_dt(state);
-        if dt > dt_max {
+        if dt.is_nan() || dt > dt_max {
             return Err(AtmosError::CflViolation { dt, dt_max });
         }
         let p = &self.params;
@@ -262,17 +248,9 @@ impl AtmosModel {
         Ok(())
     }
 
-    /// Extracts the near-surface horizontal wind (lowest model level,
-    /// interpolated to cell centers) as a vector field on
-    /// [`AtmosGrid::horizontal`] — the wind the fire model consumes.
-    pub fn surface_wind(&self, state: &AtmosState) -> VectorField2 {
-        let mut out = VectorField2::default();
-        self.surface_wind_into(state, &mut out);
-        out
-    }
-
-    /// Allocation-free [`AtmosModel::surface_wind`]: re-targets `out` to the
-    /// horizontal grid and overwrites it.
+    /// Writes the near-surface horizontal wind (lowest model level,
+    /// interpolated to cell centers) into `out`, re-targeted to
+    /// [`AtmosGrid::horizontal`]: the wind the fire model consumes.
     pub fn surface_wind_into(&self, state: &AtmosState, out: &mut VectorField2) {
         let h = self.grid.horizontal();
         // Every node is overwritten below; skip the memset.
@@ -311,6 +289,17 @@ mod tests {
         s.max_divergence() * s.grid.dx / mu.max(mv).max(mw)
     }
 
+    /// One step on a fresh workspace.
+    fn step(
+        model: &AtmosModel,
+        s: &mut AtmosState,
+        qs: &Field2,
+        ql: &Field2,
+        dt: f64,
+    ) -> Result<()> {
+        model.step_ws(s, qs, ql, dt, &mut AtmosWorkspace::new())
+    }
+
     fn zero_flux(model: &AtmosModel) -> (Field2, Field2) {
         let h = model.grid.horizontal();
         (Field2::zeros(h), Field2::zeros(h))
@@ -338,7 +327,7 @@ mod tests {
         let mut s = model.initial_state();
         let (qs, ql) = zero_flux(&model);
         for _ in 0..5 {
-            model.step(&mut s, &qs, &ql, 0.5).unwrap();
+            step(&model, &mut s, &qs, &ql, 0.5).unwrap();
         }
         let (mu, mv, mw) = s.max_speed();
         assert!(mu < 1e-10 && mv < 1e-10 && mw < 1e-10);
@@ -352,7 +341,7 @@ mod tests {
         let mut s = model.initial_state();
         let (qs, ql) = zero_flux(&model);
         for _ in 0..10 {
-            model.step(&mut s, &qs, &ql, 0.5).unwrap();
+            step(&model, &mut s, &qs, &ql, 0.5).unwrap();
         }
         // Mean u stays at ambient; no spurious w develops.
         let n = s.u.len() as f64;
@@ -378,7 +367,7 @@ mod tests {
         let ql = Field2::zeros(h);
         for _ in 0..40 {
             let dt = model.max_stable_dt(&s).min(0.5);
-            model.step(&mut s, &qs, &ql, dt).unwrap();
+            step(&model, &mut s, &qs, &ql, dt).unwrap();
         }
         assert!(
             s.max_updraft() > 0.5,
@@ -426,7 +415,7 @@ mod tests {
         let dt = 0.5;
         let e0 = s.thermal_energy(model.params.rho, model.params.cp);
         let m0 = s.vapor_mass(model.params.rho);
-        model.step(&mut s, &qs, &ql, dt).unwrap();
+        step(&model, &mut s, &qs, &ql, dt).unwrap();
         let de = s.thermal_energy(model.params.rho, model.params.cp) - e0;
         let dm = s.vapor_mass(model.params.rho) - m0;
         let area = (model.grid.nx as f64 * model.grid.dx) * (model.grid.ny as f64 * model.grid.dy);
@@ -449,7 +438,7 @@ mod tests {
         let h = model.grid.horizontal();
         let qs = Field2::filled(h, 20_000.0);
         let ql = Field2::zeros(h);
-        model.step(&mut s, &qs, &ql, 0.5).unwrap();
+        step(&model, &mut s, &qs, &ql, 0.5).unwrap();
         let g = model.grid;
         // θ′ decreases monotonically with height in each column after one
         // step of pure insertion (advection of zero field does nothing).
@@ -466,25 +455,24 @@ mod tests {
         assert!(s.theta[g.cell(0, 0, 0)] > 0.0);
     }
 
+    /// The workspace is scratch only: a fresh one per step (what the
+    /// deleted allocating `step` did) lands on the same bits as one warm
+    /// workspace reused across steps.
     #[test]
     fn workspace_step_matches_allocating_step_bitwise() {
         let model = small_model();
         let h = model.grid.horizontal();
         let qs = Field2::from_fn(h, |i, j| if i == 4 && j == 5 { 30_000.0 } else { 0.0 });
         let ql = Field2::from_fn(h, |i, j| if i == 5 && j == 4 { 6_000.0 } else { 0.0 });
-        let mut alloc = model.initial_state();
-        let mut with_ws = model.initial_state();
+        let mut fresh = model.initial_state();
+        let mut warm = model.initial_state();
         let mut ws = AtmosWorkspace::new();
         for _ in 0..8 {
-            let dt = model.max_stable_dt(&alloc).min(0.5);
-            model.step(&mut alloc, &qs, &ql, dt).unwrap();
-            model.step_ws(&mut with_ws, &qs, &ql, dt, &mut ws).unwrap();
+            let dt = model.max_stable_dt(&fresh).min(0.5);
+            step(&model, &mut fresh, &qs, &ql, dt).unwrap();
+            model.step_ws(&mut warm, &qs, &ql, dt, &mut ws).unwrap();
         }
-        assert_eq!(alloc.u, with_ws.u);
-        assert_eq!(alloc.v, with_ws.v);
-        assert_eq!(alloc.w, with_ws.w);
-        assert_eq!(alloc.theta, with_ws.theta);
-        assert_eq!(alloc.qv, with_ws.qv);
+        assert_eq!(fresh, warm);
     }
 
     #[test]
@@ -524,9 +512,27 @@ mod tests {
         let (qs, ql) = zero_flux(&model);
         // 60 m cells, 30 m/s wind → bound = 0.8·2 s = 1.6 s.
         assert!(matches!(
-            model.step(&mut s, &qs, &ql, 5.0),
+            step(&model, &mut s, &qs, &ql, 5.0),
             Err(AtmosError::CflViolation { .. })
         ));
+    }
+
+    /// A NaN step fails the CFL check (`NaN > dt_max` alone is false) and
+    /// leaves every field, and the clock, as they were.
+    #[test]
+    fn nan_step_rejected_before_any_field_changes() {
+        let model = small_model();
+        let h = model.grid.horizontal();
+        let qs = Field2::from_fn(h, |i, j| if i == 4 && j == 5 { 30_000.0 } else { 0.0 });
+        let ql = Field2::zeros(h);
+        let mut s = model.initial_state();
+        step(&model, &mut s, &qs, &ql, 0.5).unwrap();
+        let before = s.clone();
+        assert!(matches!(
+            step(&model, &mut s, &qs, &ql, f64::NAN),
+            Err(AtmosError::CflViolation { .. })
+        ));
+        assert_eq!(s, before);
     }
 
     #[test]
@@ -535,7 +541,7 @@ mod tests {
         let mut s = model.initial_state();
         let wrong = Field2::zeros(wildfire_grid::Grid2::new(3, 3, 1.0, 1.0).unwrap());
         assert!(matches!(
-            model.step(&mut s, &wrong.clone(), &wrong, 0.5),
+            step(&model, &mut s, &wrong.clone(), &wrong, 0.5),
             Err(AtmosError::GridMismatch(_))
         ));
     }
@@ -545,7 +551,8 @@ mod tests {
         let mut model = small_model();
         model.params.ambient_wind = (2.0, -1.0);
         let s = model.initial_state();
-        let wind = model.surface_wind(&s);
+        let mut wind = VectorField2::default();
+        model.surface_wind_into(&s, &mut wind);
         assert_eq!(wind.grid(), model.grid.horizontal());
         let (u, v) = wind.get(3, 3);
         assert!((u - 2.0).abs() < 1e-12);

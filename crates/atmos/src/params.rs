@@ -2,13 +2,10 @@
 
 use crate::state::AtmosGrid;
 
-/// Pressure-projection solver selection.
+/// Pressure-projection solver selection: one variant, the exact solve of
+/// [`crate::poisson::solve_poisson_into`].
 ///
-/// There is one solver: the exact separable-transform solve of
-/// [`crate::poisson::solve_poisson_into`]. The enum and the
-/// [`AtmosParams::pressure_solver`] field remain so existing callers keep
-/// compiling; the multigrid V-cycles of [`crate::multigrid`] are no longer
-/// used by any projection.
+/// Kept only for `benchmark/src/api.rs`; deleted by ROADMAP 1a.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoissonSolver {
     /// The direct (transform) solve.
@@ -18,6 +15,8 @@ pub enum PoissonSolver {
 
 impl PoissonSolver {
     /// Whether the projection solves on `grid` by multigrid: never.
+    ///
+    /// Kept only for `benchmark/src/api.rs`; deleted by ROADMAP 1a.
     pub fn uses_multigrid(self, _grid: &AtmosGrid) -> bool {
         false
     }
@@ -59,12 +58,15 @@ pub struct AtmosParams {
     /// Horizontal eddy viscosity/diffusivity, m²/s (also applied to scalars).
     pub eddy_viscosity: f64,
     /// Iteration cap of the former iterative pressure solvers; ignored by
-    /// the exact solve.
+    /// the exact solve. Kept only for `benchmark/src/api.rs`; deleted by
+    /// ROADMAP 1a.
     pub pressure_max_iter: usize,
     /// Relative tolerance of the former iterative pressure solvers; ignored
-    /// by the exact solve.
+    /// by the exact solve. Kept only for `benchmark/src/api.rs`; deleted by
+    /// ROADMAP 1a.
     pub pressure_tol: f64,
-    /// Which pressure-projection solver to run (there is one).
+    /// Which pressure-projection solver to run (there is one). Kept only
+    /// for `benchmark/src/api.rs`; deleted by ROADMAP 1a.
     pub pressure_solver: PoissonSolver,
 }
 

@@ -17,115 +17,14 @@
 //! no tolerance. The transform tables are built from closed-form cos/sin
 //! on the first solve for a grid and cached in [`PoissonWorkspace`].
 //!
-//! Matrix-free conjugate gradients survive as the coarse-level solve of
-//! [`crate::multigrid`] and, through [`solve_poisson_cg_into`], as the
-//! oracle the direct solve is tested against.
+//! It is the only pressure solver. Its unit tests check it against a
+//! matrix-free conjugate-gradient solve, which exists only there.
 
 use crate::params::PoissonSolver;
 use crate::state::AtmosGrid;
 use crate::workspace::PoissonWorkspace;
 use crate::{AtmosError, Result};
 use std::f64::consts::PI;
-
-/// Matrix-free application of `−∇²` with the model's boundary conditions.
-///
-/// The lateral wrap-around is handled with branch-friendly index selects
-/// rather than `%` — the integer divisions were the single hottest
-/// instruction of the seed solver's inner loop.
-pub(crate) fn apply_neg_laplacian(g: &AtmosGrid, x: &[f64], out: &mut [f64]) {
-    let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-    let nxy = nx * ny;
-    let inv_dx2 = 1.0 / (g.dx * g.dx);
-    let inv_dy2 = 1.0 / (g.dy * g.dy);
-    let inv_dz2 = 1.0 / (g.dz * g.dz);
-    for k in 0..nz {
-        let zup = k + 1 < nz;
-        let zdn = k > 0;
-        for j in 0..ny {
-            let row = nx * (j + ny * k);
-            let row_jp = nx * (if j + 1 == ny { 0 } else { j + 1 } + ny * k);
-            let row_jm = nx * (if j == 0 { ny - 1 } else { j - 1 } + ny * k);
-            for i in 0..nx {
-                let c = row + i;
-                let xc = x[c];
-                let ip = x[row + if i + 1 == nx { 0 } else { i + 1 }];
-                let im = x[row + if i == 0 { nx - 1 } else { i - 1 }];
-                let jp = x[row_jp + i];
-                let jm = x[row_jm + i];
-                // Neumann lids: mirror ghost (gradient through lid = 0).
-                let kp = if zup { x[c + nxy] } else { xc };
-                let km = if zdn { x[c - nxy] } else { xc };
-                out[c] = -((ip - 2.0 * xc + im) * inv_dx2
-                    + (jp - 2.0 * xc + jm) * inv_dy2
-                    + (kp - 2.0 * xc + km) * inv_dz2);
-            }
-        }
-    }
-}
-
-/// Projects the constant (null-space) component out of `v`.
-pub(crate) fn remove_mean(v: &mut [f64]) {
-    let mean = v.iter().sum::<f64>() / v.len() as f64;
-    for x in v.iter_mut() {
-        *x -= mean;
-    }
-}
-
-/// Core conjugate-gradient iteration on `−∇² x = b` for a mean-free `b`,
-/// starting from the zero iterate in `x` (the caller zeroes it). All
-/// buffers must have length `g.n_cells()`. Returns `(converged, rs_final)`
-/// where `rs_final` is the squared residual norm at exit; the iterate is
-/// **not** mean-projected on exit — callers do that.
-///
-/// Shared by the conjugate-gradient oracle and the multigrid coarse-level
-/// solve.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cg_mean_free(
-    g: &AtmosGrid,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    x: &mut [f64],
-    r: &mut [f64],
-    p: &mut [f64],
-    ap: &mut [f64],
-) -> (bool, f64) {
-    r.copy_from_slice(b);
-    p.copy_from_slice(r);
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if b_norm == 0.0 {
-        return (true, 0.0);
-    }
-    let mut rs_old: f64 = r.iter().map(|v| v * v).sum();
-    let target = (tol * b_norm) * (tol * b_norm);
-    if rs_old <= target {
-        return (true, rs_old);
-    }
-
-    for _ in 0..max_iter {
-        apply_neg_laplacian(g, p, ap);
-        let p_ap: f64 = p.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
-        if p_ap <= 0.0 {
-            // Can only happen within the (projected-out) null space.
-            break;
-        }
-        let alpha = rs_old / p_ap;
-        for ((xi, &pi), (ri, &api)) in x.iter_mut().zip(p.iter()).zip(r.iter_mut().zip(ap.iter())) {
-            *xi += alpha * pi;
-            *ri -= alpha * api;
-        }
-        let rs_new: f64 = r.iter().map(|v| v * v).sum();
-        if rs_new <= target {
-            return (true, rs_new);
-        }
-        let beta = rs_new / rs_old;
-        for (pi, &ri) in p.iter_mut().zip(r.iter()) {
-            *pi = ri + beta * *pi;
-        }
-        rs_old = rs_new;
-    }
-    (false, rs_old)
-}
 
 /// Allocation-free exact solve of `∇²φ = rhs` by the separable transforms
 /// of the module docs, writing the mean-free potential into `out`. The
@@ -138,7 +37,7 @@ pub(crate) fn cg_mean_free(
 /// signature because `AtmosParams` still carries them.
 ///
 /// # Errors
-/// None in practice; the `Result` is kept for the signature.
+/// [`AtmosError::GridMismatch`] when `rhs` does not hold one value per cell.
 pub fn solve_poisson_into(
     g: &AtmosGrid,
     rhs: &[f64],
@@ -150,7 +49,9 @@ pub fn solve_poisson_into(
 ) -> Result<()> {
     let _ = (solver, tol, max_iter);
     let n = g.n_cells();
-    assert_eq!(rhs.len(), n, "poisson rhs length mismatch");
+    if rhs.len() != n {
+        return Err(AtmosError::GridMismatch("poisson rhs"));
+    }
     let t = &mut ws.spectral;
     t.ensure(g);
     if out.len() != n {
@@ -318,55 +219,88 @@ impl AxisBasis {
     }
 }
 
-/// Conjugate-gradient solve of `∇²φ = rhs` to relative tolerance `tol`: the
-/// oracle [`solve_poisson_into`] is tested against. The CG vectors come
-/// from `ws` and the solution is written into `out` (both reuse their
-/// storage across calls).
-///
-/// # Errors
-/// [`AtmosError::PressureSolveFailed`] if CG does not reach the tolerance
-/// within `max_iter` iterations.
-pub fn solve_poisson_cg_into(
-    g: &AtmosGrid,
-    rhs: &[f64],
-    tol: f64,
-    max_iter: usize,
-    ws: &mut PoissonWorkspace,
-    out: &mut Vec<f64>,
-) -> Result<()> {
-    let n = g.n_cells();
-    assert_eq!(rhs.len(), n, "poisson rhs length mismatch");
-    // −∇²φ = −rhs, mean-free.
-    let b = &mut ws.b;
-    b.clear();
-    b.extend(rhs.iter().map(|&x| -x));
-    remove_mean(b);
-
-    let b_norm = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    // The zero iterate is load-bearing (CG starts from φ = 0).
-    out.clear();
-    out.resize(n, 0.0);
-    ws.r.resize(n, 0.0);
-    ws.p.resize(n, 0.0);
-    ws.ap.resize(n, 0.0);
-    if b_norm == 0.0 {
-        return Ok(());
-    }
-    let (converged, rs_final) = cg_mean_free(
-        g, &ws.b, tol, max_iter, out, &mut ws.r, &mut ws.p, &mut ws.ap,
-    );
-    let residual = rs_final.sqrt() / b_norm;
-    // Slightly short of the tolerance is close enough for a projection.
-    if converged || residual <= tol * 10.0 {
-        remove_mean(out);
-        return Ok(());
-    }
-    Err(AtmosError::PressureSolveFailed { residual })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Matrix-free `−∇²` with the model's boundary conditions: periodic
+    /// laterally, mirror ghosts (zero gradient through the lid) at the lids.
+    fn apply_neg_laplacian(g: &AtmosGrid, x: &[f64], out: &mut [f64]) {
+        let nxy = g.nx * g.ny;
+        for k in 0..g.nz {
+            for j in 0..g.ny {
+                for i in 0..g.nx {
+                    let c = g.cell(i, j, k);
+                    let xc = x[c];
+                    let ip = x[g.cell((i + 1) % g.nx, j, k)];
+                    let im = x[g.cell((i + g.nx - 1) % g.nx, j, k)];
+                    let jp = x[g.cell(i, (j + 1) % g.ny, k)];
+                    let jm = x[g.cell(i, (j + g.ny - 1) % g.ny, k)];
+                    let kp = if k + 1 < g.nz { x[c + nxy] } else { xc };
+                    let km = if k > 0 { x[c - nxy] } else { xc };
+                    out[c] = -((ip - 2.0 * xc + im) / (g.dx * g.dx)
+                        + (jp - 2.0 * xc + jm) / (g.dy * g.dy)
+                        + (kp - 2.0 * xc + km) / (g.dz * g.dz));
+                }
+            }
+        }
+    }
+
+    /// Projects the constant (null-space) component out of `v`.
+    fn remove_mean(v: &mut [f64]) {
+        let mean = v.iter().sum::<f64>() / v.len() as f64;
+        for x in v.iter_mut() {
+            *x -= mean;
+        }
+    }
+
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    /// The oracle: conjugate gradients on `−∇²φ = −rhs` (made mean-free)
+    /// from `φ = 0`, to relative residual `tol`, accepting `10·tol` once
+    /// `max_iter` iterations are spent. Returns the mean-free potential;
+    /// panics when CG misses even the relaxed tolerance.
+    fn solve_poisson_cg(g: &AtmosGrid, rhs: &[f64], tol: f64, max_iter: usize) -> Vec<f64> {
+        let n = g.n_cells();
+        let mut b: Vec<f64> = rhs.iter().map(|&v| -v).collect();
+        remove_mean(&mut b);
+        let mut x = vec![0.0; n];
+        let b_norm = dot(&b, &b).sqrt();
+        if b_norm == 0.0 {
+            return x;
+        }
+        let (mut r, mut p, mut ap) = (b.clone(), b, vec![0.0; n]);
+        let mut rs = dot(&r, &r);
+        let target = (tol * b_norm) * (tol * b_norm);
+        for _ in 0..max_iter {
+            if rs <= target {
+                break;
+            }
+            apply_neg_laplacian(g, &p, &mut ap);
+            let p_ap = dot(&p, &ap);
+            if p_ap <= 0.0 {
+                // Only within the (projected-out) null space.
+                break;
+            }
+            let alpha = rs / p_ap;
+            for ((xi, &pi), (ri, &api)) in x.iter_mut().zip(&p).zip(r.iter_mut().zip(&ap)) {
+                *xi += alpha * pi;
+                *ri -= alpha * api;
+            }
+            let rs_new = dot(&r, &r);
+            for (pi, &ri) in p.iter_mut().zip(&r) {
+                *pi = ri + rs_new / rs * *pi;
+            }
+            rs = rs_new;
+        }
+        let residual = rs.sqrt() / b_norm;
+        assert!(residual <= 10.0 * tol, "CG oracle stalled at {residual:e}");
+        remove_mean(&mut x);
+        x
+    }
 
     fn grid() -> AtmosGrid {
         AtmosGrid {
@@ -410,14 +344,11 @@ mod tests {
         let rhs: Vec<f64> = rhs_neg.iter().map(|&v| -v).collect();
         // The direct solve and the CG oracle must both recover the field.
         for direct in [true, false] {
-            let mut ws = PoissonWorkspace::default();
-            let mut phi = Vec::new();
-            if direct {
-                solve_poisson_into(&g, &rhs, PoissonSolver::Direct, 0.0, 0, &mut ws, &mut phi)
+            let phi = if direct {
+                solve(&g, &rhs)
             } else {
-                solve_poisson_cg_into(&g, &rhs, 1e-10, 2000, &mut ws, &mut phi)
-            }
-            .unwrap();
+                solve_poisson_cg(&g, &rhs, 1e-10, 2000)
+            };
             let err = phi
                 .iter()
                 .zip(phi_true.iter())
@@ -445,8 +376,9 @@ mod tests {
         )
         .unwrap();
         assert!(phi.iter().all(|&x| x == 0.0));
-        solve_poisson_cg_into(&g, &zero, 1e-10, 100, &mut ws, &mut phi).unwrap();
-        assert!(phi.iter().all(|&x| x == 0.0));
+        assert!(solve_poisson_cg(&g, &zero, 1e-10, 100)
+            .iter()
+            .all(|&x| x == 0.0));
     }
 
     #[test]
@@ -553,6 +485,28 @@ mod tests {
         }
     }
 
+    /// A right-hand side of the wrong length is a typed error, not a panic,
+    /// and leaves `out` untouched.
+    #[test]
+    fn wrong_length_rhs_is_a_grid_mismatch() {
+        let g = grid();
+        let mut ws = PoissonWorkspace::default();
+        let mut phi = vec![1.0; 3];
+        for len in [0, g.n_cells() - 1, g.n_cells() + 1] {
+            let rhs = vec![0.5; len];
+            let err =
+                solve_poisson_into(&g, &rhs, PoissonSolver::Direct, 0.0, 0, &mut ws, &mut phi);
+            assert_eq!(
+                err,
+                Err(AtmosError::GridMismatch("poisson rhs")),
+                "len {len}"
+            );
+            assert_eq!(phi, [1.0; 3]);
+        }
+    }
+
+    /// The pinned multigrid names are shims: no grid routes to multigrid,
+    /// and `solve_poisson_mg_into` is the direct solve, reporting 0 cycles.
     #[test]
     fn no_grid_routes_the_projection_to_multigrid() {
         for (nx, ny, nz) in [(5, 4, 3), (8, 8, 5), (10, 10, 6), (40, 40, 6)] {
@@ -565,6 +519,71 @@ mod tests {
                 dz: 50.0,
             };
             assert!(!PoissonSolver::default().uses_multigrid(&g), "{g:?}");
+            let rhs: Vec<f64> = (0..g.n_cells())
+                .map(|i| ((i * 37 % 11) as f64 - 5.0) * 1e-3)
+                .collect();
+            let mut phi = Vec::new();
+            let mut mg = crate::MgHierarchy::new();
+            let cycles =
+                crate::multigrid::solve_poisson_mg_into(&g, &rhs, 1e-8, 500, &mut mg, &mut phi);
+            assert_eq!(cycles, Ok(0));
+            assert_eq!(phi, solve(&g, &rhs), "{g:?}");
+        }
+    }
+
+    /// Arbitrary model-sized grids: a mix of even, odd, non-square and flat
+    /// dimensions with anisotropic spacings.
+    fn any_grid() -> impl Strategy<Value = AtmosGrid> {
+        (
+            4usize..20,
+            4usize..20,
+            3usize..10,
+            20.0f64..80.0,
+            20.0f64..80.0,
+            20.0f64..80.0,
+        )
+            .prop_map(|(nx, ny, nz, dx, dy, dz)| AtmosGrid {
+                nx,
+                ny,
+                nz,
+                dx,
+                dy,
+                dz,
+            })
+    }
+
+    proptest! {
+        /// The direct solve matches a 1e-14 CG solve to 1e-10 relative on an
+        /// arbitrary (broadband, not mean-free) right-hand side, and its
+        /// potential is mean-free to 1e-12·‖φ‖.
+        #[test]
+        fn direct_solve_matches_tight_cg(
+            g in any_grid(),
+            seed in 0u64..u64::MAX,
+        ) {
+            // SplitMix64 values in [−1, 1).
+            let mut state = seed;
+            let rhs: Vec<f64> = (0..g.n_cells())
+                .map(|_| {
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+                })
+                .collect();
+            let phi = solve(&g, &rhs);
+            let phi_cg = solve_poisson_cg(&g, &rhs, 1e-14, 100_000);
+            let norm = |v: &[f64]| dot(v, v).sqrt();
+            let diff: Vec<f64> = phi.iter().zip(&phi_cg).map(|(a, b)| a - b).collect();
+            let rel = norm(&diff) / norm(&phi_cg);
+            prop_assert!(
+                rel <= 1e-10,
+                "grid {}x{}x{}: ‖direct − cg‖/‖cg‖ = {rel:.3e}",
+                g.nx, g.ny, g.nz
+            );
+            let mean = phi.iter().sum::<f64>() / phi.len() as f64;
+            prop_assert!(mean.abs() <= 1e-12 * norm(&phi), "mean {mean:e}");
         }
     }
 }

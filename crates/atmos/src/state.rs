@@ -26,9 +26,8 @@ pub struct AtmosGrid {
     pub dz: f64,
 }
 
-/// A degenerate 1×1×1 unit grid — a placeholder for lazily-built workspace
-/// structures (e.g. the multigrid hierarchy) that are re-targeted to a real
-/// grid before first use.
+/// A degenerate 1×1×1 unit grid — a placeholder for lazily-built
+/// structures that are re-targeted to a real grid before first use.
 impl Default for AtmosGrid {
     fn default() -> Self {
         AtmosGrid {

@@ -1,30 +1,21 @@
 //! Reusable scratch buffers for allocation-free atmospheric stepping.
 //!
-//! One [`AtmosModel::step`](crate::AtmosModel::step) allocated eleven
-//! tendency vectors plus the pressure solve's scratch — every substep,
-//! every member. An [`AtmosWorkspace`] owns all of them; buffers are sized
-//! lazily from the grid on first use and reused thereafter, so steady-state
-//! stepping performs no heap allocation. Hold one workspace per thread.
+//! A step of [`AtmosModel::step_ws`](crate::AtmosModel::step_ws) needs
+//! eleven tendency and projection vectors plus the pressure solve's
+//! transform tables. An [`AtmosWorkspace`] owns all of them; buffers are
+//! sized lazily from the grid on first use and reused thereafter, so
+//! steady-state stepping performs no heap allocation. Hold one workspace
+//! per thread.
 
 use crate::poisson::SpectralTables;
 
 /// Pressure-solver scratch: the transform tables of
 /// [`crate::poisson::solve_poisson_into`], built on the first solve for a
-/// grid, plus the vectors of the conjugate-gradient oracle
-/// [`crate::poisson::solve_poisson_cg_into`]. Both run allocation-free once
-/// warmed on a grid.
+/// grid, so later solves on that grid run allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct PoissonWorkspace {
     /// Transform tables and line scratch of the direct solve.
     pub(crate) spectral: SpectralTables,
-    /// Mean-free negated right-hand side.
-    pub(crate) b: Vec<f64>,
-    /// Residual vector.
-    pub(crate) r: Vec<f64>,
-    /// Search direction.
-    pub(crate) p: Vec<f64>,
-    /// Operator application `A·p`.
-    pub(crate) ap: Vec<f64>,
 }
 
 /// Scratch buffers for [`crate::AtmosModel`] stepping.

@@ -197,36 +197,25 @@ fn atmos_step_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn atmos_step_is_allocation_free_for_both_pressure_solvers() {
-    // The projection's direct solve and multigrid (kept while the
-    // benchmark's pinned API names it), each warmed by one solve.
-    // The 8×8×5 grid coarsens (320 → 80 → 20 cells), so multigrid
-    // genuinely runs V-cycles here.
-    use wildfire_atmos::{multigrid::solve_poisson_mg_into, poisson::solve_poisson_into};
+fn atmos_step_is_allocation_free_for_pressure_solvers() {
+    // The projection's direct solve, warmed by one solve.
+    use wildfire_atmos::poisson::solve_poisson_into;
     let g = small_atmos_grid();
     let rhs: Vec<f64> = (0..g.n_cells())
         .map(|c| ((c * 37 % 11) as f64 - 5.0) * 1e-3)
         .collect();
     let solver = wildfire_atmos::PoissonSolver::default();
     let mut ws = wildfire_atmos::PoissonWorkspace::default();
-    let mut mg = wildfire_atmos::MgHierarchy::new();
     let mut phi = Vec::new();
     solve_poisson_into(&g, &rhs, solver, 1e-8, 500, &mut ws, &mut phi).unwrap();
-    solve_poisson_mg_into(&g, &rhs, 1e-8, 500, &mut mg, &mut phi).unwrap();
     let direct = allocations_during(|| {
         for _ in 0..5 {
             solve_poisson_into(&g, &rhs, solver, 1e-8, 500, &mut ws, &mut phi).unwrap();
         }
     });
-    let multigrid = allocations_during(|| {
-        for _ in 0..5 {
-            solve_poisson_mg_into(&g, &rhs, 1e-8, 500, &mut mg, &mut phi).unwrap();
-        }
-    });
     assert_eq!(
-        (direct, multigrid),
-        (0, 0),
-        "pressure solves must not allocate in steady state"
+        direct, 0,
+        "the pressure solve must not allocate in steady state"
     );
 }
 
