@@ -11,19 +11,20 @@
 //! plus the filter RNG so an interrupted assimilation run resumes bit for
 //! bit.
 
-use crate::pool::{parallel_for_each_column_ws, parallel_for_each_ws};
+use crate::pool::{
+    parallel_for_each_column_ws, parallel_for_each_ws, try_for_each_ws, LowestError,
+};
 use crate::store::SnapshotStore;
 use crate::{EnsembleError, Result};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace};
 use wildfire_enkf::morphing_enkf::{
     analyze_packed_ws, from_packed_into, packed_len, to_extended_into, ExtendedState,
 };
 use wildfire_enkf::{
-    AnalysisWorkspace, EnkfConfig, EnkfError, EnsembleKalmanFilter, Etkf, MorphingConfig,
-    MorphingWorkspace, RegistrationWorkspace,
+    AnalysisWorkspace, EnkfConfig, EnsembleKalmanFilter, Etkf, MorphingConfig, MorphingWorkspace,
+    RegistrationWorkspace,
 };
-use wildfire_fire::ignition::IgnitionShape;
 use wildfire_fire::FireState;
 use wildfire_grid::Field2;
 use wildfire_math::{GaussianSampler, Matrix};
@@ -61,8 +62,6 @@ pub struct EnsembleWorkspace {
     /// Per-worker scratch of the morphing analyses' parallel transform
     /// and morph-back phases (index = worker).
     pub(crate) morph_workers: Vec<MorphWorker>,
-    /// Per-item outcome of the transform phase (members, then the data).
-    pub(crate) morph_errors: Vec<Option<EnkfError>>,
     /// Reference fields `[ψ, capped t_i]` of the morphing analyses (a copy:
     /// the morph-back overwrites the member they come from).
     pub(crate) reference: Vec<Field2>,
@@ -135,24 +134,6 @@ impl EnsembleWorkspace {
     }
 }
 
-/// Initial-ensemble specification: the identical-twin setup of Fig. 4
-/// ("the initial ensemble was created by a random perturbation of the
-/// comparison solution, with the fire ignited at an intentionally incorrect
-/// location").
-#[derive(Debug, Clone)]
-pub struct EnsembleSetup {
-    /// Number of members (the paper uses 25).
-    pub n_members: usize,
-    /// Nominal (possibly wrong) ignition center (m).
-    pub center: (f64, f64),
-    /// Ignition radius (m).
-    pub radius: f64,
-    /// Std of the random per-member displacement of the ignition center (m).
-    pub position_spread: f64,
-    /// RNG seed for the perturbation draws.
-    pub seed: u64,
-}
-
 /// Which analysis algorithm an observation-pool cycle runs.
 #[derive(Debug, Clone, Copy)]
 pub enum ObsFilter<'a> {
@@ -209,25 +190,6 @@ impl EnsembleDriver {
         EnsembleDriver { model, threads }
     }
 
-    /// Builds the initial ensemble per `setup`: every member ignited at the
-    /// nominal center plus a Gaussian displacement. Draws go through the
-    /// canonical [`wildfire_fire::ignition::displaced`] primitive, so this
-    /// is bit-identical to `wildfire_sim::perturb` for equal seeds.
-    pub fn initial_ensemble(&self, setup: &EnsembleSetup) -> Vec<CoupledState> {
-        let mut rng = GaussianSampler::new(setup.seed);
-        let nominal = [IgnitionShape::Circle {
-            center: setup.center,
-            radius: setup.radius,
-        }];
-        (0..setup.n_members)
-            .map(|_| {
-                let shapes =
-                    wildfire_fire::ignition::displaced(&nominal, setup.position_spread, &mut rng);
-                self.model.ignite(&shapes, 0.0)
-            })
-            .collect()
-    }
-
     /// Advances all members to `t_target` in parallel (the forecast phase
     /// of Fig. 2): each worker thread steps its members through its own
     /// [`CoupledWorkspace`] from `ws`, so the parallel path stays lock-free
@@ -237,7 +199,8 @@ impl EnsembleDriver {
     /// spawns the scoped worker threads each call.
     ///
     /// # Errors
-    /// The first member failure, if any.
+    /// The failure of the lowest-indexed failing member; every other
+    /// member still completes.
     pub fn forecast_ws(
         &self,
         members: &mut [CoupledState],
@@ -250,20 +213,10 @@ impl EnsembleDriver {
         // driver with more threads must not raise THIS driver's worker count
         // (parallel_for_each_ws runs one worker per workspace handed in).
         let workers = &mut ws.workers[..self.threads.max(1)];
-        let errors = Mutex::new(Vec::new());
-        parallel_for_each_ws(members, workers, |i, state, cw| {
-            if let Err(e) = self.model.run_ws(state, t_target, dt, cw, |_, _| {}) {
-                errors
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((i, e));
-            }
-        });
-        let mut errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, e)) = errs.drain(..).next() {
-            return Err(e.into());
-        }
-        Ok(())
+        try_for_each_ws(members, workers, |_, state, cw| {
+            self.model.run_ws(state, t_target, dt, cw, |_, _| {})
+        })
+        .map_err(EnsembleError::from)
     }
 
     /// Forecast phase routed through a [`SnapshotStore`] — the disk-file
@@ -308,7 +261,8 @@ impl EnsembleDriver {
     ///
     /// # Errors
     /// Store failures, snapshots from a mismatching model configuration,
-    /// or model failures.
+    /// or model failures: the lowest-indexed failing member's, as in
+    /// [`EnsembleDriver::forecast_ws`].
     pub fn forecast_shard_via_store(
         &self,
         shard: &mut [CoupledState],
@@ -320,33 +274,18 @@ impl EnsembleDriver {
     ) -> Result<()> {
         ws.ensure_store_workers(self.threads);
         let workers = &mut ws.store_workers[..self.threads.max(1)];
-        let errors = Mutex::new(Vec::new());
-        parallel_for_each_ws(shard, workers, |i, state, sw| {
-            let mut run = || -> Result<()> {
-                let member = first_member + i;
-                store.load_into(member, &mut sw.snap)?;
-                self.model
-                    .restore_from(state, Some(&mut sw.coupled), &sw.snap)
-                    .map_err(EnsembleError::Store)?;
-                self.model
-                    .run_ws(state, t_target, dt, &mut sw.coupled, |_, _| {})?;
-                self.model
-                    .snapshot_into(state, Some(&sw.coupled), &mut sw.snap);
-                store.save(member, &sw.snap)?;
-                Ok(())
-            };
-            if let Err(e) = run() {
-                errors
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((i, e));
-            }
-        });
-        let mut errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, e)) = errs.drain(..).next() {
-            return Err(e);
-        }
-        Ok(())
+        try_for_each_ws(shard, workers, |i, state, sw| {
+            let member = first_member + i;
+            store.load_into(member, &mut sw.snap)?;
+            self.model
+                .restore_from(state, Some(&mut sw.coupled), &sw.snap)
+                .map_err(EnsembleError::Store)?;
+            self.model
+                .run_ws(state, t_target, dt, &mut sw.coupled, |_, _| {})?;
+            self.model
+                .snapshot_into(state, Some(&sw.coupled), &mut sw.snap);
+            store.save(member, &sw.snap)
+        })
     }
 
     /// Captures the whole ensemble — every member's full coupled state
@@ -533,7 +472,8 @@ impl EnsembleDriver {
     /// `pack_into` for every thread count (pinned by test).
     ///
     /// # Errors
-    /// Operator failures (first one wins, as in the forecast fan-out).
+    /// Operator failures (the lowest-indexed member's, as in the forecast
+    /// fan-out).
     fn pack_pool_ws(
         &self,
         members: &[CoupledState],
@@ -549,25 +489,18 @@ impl EnsembleDriver {
         if ws.obs_scratch.len() < workers {
             ws.obs_scratch.resize_with(workers, ObsScratch::new);
         }
-        let errors = Mutex::new(Vec::new());
+        let lowest = LowestError::new();
         parallel_for_each_column_ws(
             ws.obs.hx.as_mut_slice(),
             m,
             &mut ws.obs_scratch[..workers],
             |j, col, scratch| {
                 if let Err(e) = pool.pack_member_column(&members[j], col, scratch) {
-                    errors
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((j, e));
+                    lowest.record(j, e);
                 }
             },
         );
-        let mut errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, e)) = errs.drain(..).next() {
-            return Err(EnsembleError::Store(e));
-        }
-        Ok(())
+        lowest.into_result().map_err(EnsembleError::Store)
     }
 
     /// [`EnsembleDriver::analyze_obs_ws`] minus the pool packing: assumes
@@ -695,8 +628,6 @@ impl EnsembleDriver {
         let n_state = packed_len(config, 2, grid);
         ws.x.resize_no_zero(n_state, n_ens);
         ws.data_ext.resize(n_state, 0.0);
-        ws.morph_errors.clear();
-        ws.morph_errors.resize(n_ens + 1, None);
         let workers = self.threads.max(1).min(n_ens + 1);
         if ws.morph_workers.len() < workers {
             ws.morph_workers.resize_with(workers, MorphWorker::default);
@@ -705,22 +636,22 @@ impl EnsembleDriver {
         // Parallel transform (the expensive phase): the members and, as the
         // last item, the data are claimed from a shared cursor; each worker
         // registers into its own scratch and packs the result into its
-        // column (the data into `data_ext`) under a short lock.
+        // column (the data into `data_ext`) under a short lock. The items
+        // are only indices (a `Vec<()>` never allocates).
         let EnsembleWorkspace {
             x,
             data_ext,
             reference,
             psi_data,
             morph_workers,
-            morph_errors,
             ..
         } = &mut *ws;
         let (reference, psi_data, states) = (&*reference, &*psi_data, &*members);
         let packed = Mutex::new((x, data_ext));
-        parallel_for_each_ws(
-            morph_errors,
+        try_for_each_ws(
+            &mut vec![(); n_ens + 1],
             &mut morph_workers[..workers],
-            |i, error, w| {
+            |i, (), w| {
                 match states.get(i) {
                     Some(m) => fire_fields_into(&m.fire, &mut w.fields),
                     None => {
@@ -729,25 +660,20 @@ impl EnsembleDriver {
                         w.fields[1].copy_from(&reference[1]);
                     }
                 }
-                match to_extended_into(config, &w.fields, reference, 0, &mut w.reg, &mut w.ext) {
-                    Ok(()) => {
-                        let mut packed = packed
-                            .lock()
-                            .expect("no worker panics while holding the packing lock");
-                        let (x, data_ext) = &mut *packed;
-                        if i < x.cols() {
-                            w.ext.pack_into(x.col_mut(i));
-                        } else {
-                            w.ext.pack_into(data_ext);
-                        }
-                    }
-                    Err(e) => *error = Some(e),
+                to_extended_into(config, &w.fields, reference, 0, &mut w.reg, &mut w.ext)?;
+                let mut packed = packed
+                    .lock()
+                    .expect("no worker panics while holding the packing lock");
+                let (x, data_ext) = &mut *packed;
+                if i < x.cols() {
+                    w.ext.pack_into(x.col_mut(i));
+                } else {
+                    w.ext.pack_into(data_ext);
                 }
+                Ok(())
             },
-        );
-        if let Some(e) = ws.morph_errors.iter().flatten().next() {
-            return Err(EnsembleError::Filter(e.clone()));
-        }
+        )
+        .map_err(EnsembleError::Filter)?;
 
         analyze_packed_ws(
             config,
@@ -941,8 +867,8 @@ mod tests {
     use crate::store::MemStore;
     use wildfire_atmos::state::AtmosGrid;
     use wildfire_atmos::AtmosParams;
-    use wildfire_enkf::RegistrationConfig;
-    use wildfire_fire::FuelCategory;
+    use wildfire_enkf::{EnkfError, RegistrationConfig};
+    use wildfire_fire::{FuelCategory, IgnitionShape};
     use wildfire_obs::StridedPsi;
 
     fn driver(threads: usize) -> EnsembleDriver {
@@ -972,20 +898,39 @@ mod tests {
         (op, data)
     }
 
-    fn setup(n: usize) -> EnsembleSetup {
-        EnsembleSetup {
-            n_members: n,
-            center: (180.0, 180.0),
+    /// `n` members of a 25 m circle ignited around `center`, each moved
+    /// by a Gaussian displacement of std `spread` (m) drawn as
+    /// `wildfire_sim::perturb` draws it: the identical-twin setup of Fig. 4.
+    fn displaced(
+        d: &EnsembleDriver,
+        n: usize,
+        center: (f64, f64),
+        spread: f64,
+        seed: u64,
+    ) -> Vec<CoupledState> {
+        let mut rng = GaussianSampler::new(seed);
+        let nominal = [IgnitionShape::Circle {
+            center,
             radius: 25.0,
-            position_spread: 15.0,
-            seed: 99,
-        }
+        }];
+        (0..n)
+            .map(|_| {
+                let shapes = wildfire_fire::ignition::displaced(&nominal, spread, &mut rng);
+                d.model.ignite(&shapes, 0.0)
+            })
+            .collect()
+    }
+
+    /// The tests' ensemble: `n` members around (180, 180), σ = 15 m.
+    fn ensemble(d: &EnsembleDriver, n: usize) -> Vec<CoupledState> {
+        displaced(d, n, (180.0, 180.0), 15.0, 99)
     }
 
     #[test]
-    fn initial_ensemble_is_perturbed() {
+    fn test_ensemble_is_perturbed() {
+        // The analysis tests below rely on members that differ.
         let d = driver(1);
-        let members = d.initial_ensemble(&setup(6));
+        let members = ensemble(&d, 6);
         assert_eq!(members.len(), 6);
         // Not all members identical.
         let a0 = members[0].fire.burned_area();
@@ -1001,7 +946,7 @@ mod tests {
     fn parallel_forecast_matches_serial() {
         let d1 = driver(1);
         let d4 = driver(4);
-        let mut serial = d1.initial_ensemble(&setup(5));
+        let mut serial = ensemble(&d1, 5);
         let mut parallel = serial.clone();
         d1.forecast_ws(&mut serial, 2.0, 0.5, &mut EnsembleWorkspace::new())
             .unwrap();
@@ -1017,9 +962,63 @@ mod tests {
     }
 
     #[test]
+    fn shard_forecast_reports_the_lowest_failing_member() {
+        // Two members fail with different variants: one is missing from
+        // the store, one was saved by another model. Whichever worker
+        // reaches its failure first, the lowest index's error comes back.
+        let other = CoupledModel::new(
+            AtmosGrid {
+                nx: 5,
+                ny: 5,
+                nz: 4,
+                dx: 60.0,
+                dy: 60.0,
+                dz: 50.0,
+            },
+            AtmosParams::default(),
+            FuelCategory::ShortGrass,
+            4,
+        )
+        .unwrap();
+        for (missing, foreign) in [(1, 3), (3, 1)] {
+            for threads in 1..=4 {
+                for _ in 0..3 {
+                    let d = driver(threads);
+                    let mut members = ensemble(&d, 5);
+                    let store = MemStore::new();
+                    let mut snap = Snapshot::new();
+                    for (i, m) in members.iter().enumerate().filter(|(i, _)| *i != missing) {
+                        let model = if i == foreign { &other } else { &d.model };
+                        model.snapshot_into(m, None, &mut snap);
+                        store.save(i, &snap).unwrap();
+                    }
+                    let err = d
+                        .forecast_shard_via_store(
+                            &mut members,
+                            0,
+                            &store,
+                            1.0,
+                            0.5,
+                            &mut EnsembleWorkspace::new(),
+                        )
+                        .unwrap_err();
+                    let lowest_is_missing = missing < foreign;
+                    assert!(
+                        matches!(
+                            (&err, lowest_is_missing),
+                            (EnsembleError::Config(_), true) | (EnsembleError::Store(_), false)
+                        ),
+                        "threads {threads}, missing {missing}, foreign {foreign}: {err:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn store_routed_forecast_matches_direct() {
         let d = driver(2);
-        let mut direct = d.initial_ensemble(&setup(4));
+        let mut direct = ensemble(&d, 4);
         let mut routed = direct.clone();
         d.forecast_ws(&mut direct, 1.5, 0.5, &mut EnsembleWorkspace::new())
             .unwrap();
@@ -1036,7 +1035,7 @@ mod tests {
     #[test]
     fn standard_analysis_pulls_psi_toward_truth() {
         let d = driver(2);
-        let mut members = d.initial_ensemble(&setup(8));
+        let mut members = ensemble(&d, 8);
         let truth = d.model.ignite(
             &[IgnitionShape::Circle {
                 center: (200.0, 200.0),
@@ -1076,13 +1075,7 @@ mod tests {
     fn morphing_analysis_moves_displaced_ensemble() {
         let d = driver(2);
         // Ensemble at the wrong location (Fig. 4 setup).
-        let mut members = d.initial_ensemble(&EnsembleSetup {
-            n_members: 6,
-            center: (140.0, 140.0),
-            radius: 25.0,
-            position_spread: 10.0,
-            seed: 7,
-        });
+        let mut members = displaced(&d, 6, (140.0, 140.0), 10.0, 7);
         let truth = d.model.ignite(
             &[IgnitionShape::Circle {
                 center: (240.0, 240.0),
@@ -1149,7 +1142,7 @@ mod tests {
         pool.push(&op, &data).unwrap();
         let filter = ObsFilter::Standard { inflation: 1.0 };
 
-        let mut fresh = d.initial_ensemble(&setup(6));
+        let mut fresh = ensemble(&d, 6);
         let mut reused = fresh.clone();
         let mut ws = EnsembleWorkspace::new();
         let mut rng_a = GaussianSampler::new(3);
@@ -1180,7 +1173,7 @@ mod tests {
             }],
             0.0,
         );
-        let mut members = d.initial_ensemble(&setup(8));
+        let mut members = ensemble(&d, 8);
 
         let psi_op = wildfire_obs::StridedPsi::new(truth.fire.grid(), 5, 1.0);
         let mut psi_data = Vec::new();
@@ -1240,7 +1233,7 @@ mod tests {
         let mut pool = ObsSet::new();
         pool.push(&psi_op, &data).unwrap();
 
-        let members0 = d.initial_ensemble(&setup(6));
+        let members0 = ensemble(&d, 6);
         let before: f64 = members0
             .iter()
             .map(|m| m.fire.psi.rmse(&truth.fire.psi).unwrap())
@@ -1272,7 +1265,7 @@ mod tests {
     #[test]
     fn morphing_pool_without_gridded_stream_rejected() {
         let d = driver(1);
-        let mut members = d.initial_ensemble(&setup(4));
+        let mut members = ensemble(&d, 4);
         let st_op = wildfire_obs::StationTemperatures::new(
             vec![wildfire_obs::WeatherStation::new("S", 200.0, 200.0)],
             300.0,
@@ -1298,7 +1291,7 @@ mod tests {
         // One NaN ψ node in one member: the registration refuses it by name
         // before any analysis runs, and no member is written.
         let d = driver(2);
-        let mut members = d.initial_ensemble(&setup(4));
+        let mut members = ensemble(&d, 4);
         let truth = d.model.ignite(
             &[IgnitionShape::Circle {
                 center: (200.0, 200.0),
@@ -1343,7 +1336,7 @@ mod tests {
         // ObsSet::pack_into bit for bit for every worker count, scratch
         // reuse and chunking invisible in the packed (y, H(X), R).
         let d = driver(1);
-        let members = d.initial_ensemble(&setup(7));
+        let members = ensemble(&d, 7);
         let truth = d.model.ignite(
             &[IgnitionShape::Circle {
                 center: (200.0, 200.0),
@@ -1428,7 +1421,7 @@ mod tests {
             }],
             0.0,
         );
-        let members0 = d.initial_ensemble(&setup(5));
+        let members0 = ensemble(&d, 5);
         let filter = ObsFilter::Standard { inflation: 1.01 };
 
         // Eager: expand, walk analysis times, synthesize + cycle.
@@ -1499,7 +1492,7 @@ mod tests {
     fn source_cycle_forecasts_to_target_when_source_runs_dry() {
         use wildfire_obs::{ChannelSource, ObsInbox};
         let d = driver(1);
-        let mut members = d.initial_ensemble(&setup(4));
+        let mut members = ensemble(&d, 4);
         let (tx, mut source) = ChannelSource::channel();
         drop(tx); // No reports will ever arrive.
         let mut inbox = ObsInbox::new();
@@ -1532,12 +1525,12 @@ mod tests {
         // their forecasts must reproduce the single-process forecast bit
         // for bit — the in-process half of the sharded-exchange contract.
         let d = driver(2);
-        let mut direct = d.initial_ensemble(&setup(5));
+        let mut direct = ensemble(&d, 5);
         let mut ws = EnsembleWorkspace::new();
         d.forecast_ws(&mut direct, 2.0, 0.5, &mut ws).unwrap();
 
         let store = MemStore::new();
-        let members0 = d.initial_ensemble(&setup(5));
+        let members0 = ensemble(&d, 5);
         let mut snap = Snapshot::new();
         for (i, m) in members0.iter().enumerate() {
             d.model.snapshot_into(m, None, &mut snap);
@@ -1586,7 +1579,7 @@ mod tests {
         pool.push(&op, &data).unwrap();
         let filter = ObsFilter::Standard { inflation: 1.01 };
 
-        let mut members = d.initial_ensemble(&setup(5));
+        let mut members = ensemble(&d, 5);
         let mut rng = GaussianSampler::new(21);
         let mut ws = EnsembleWorkspace::new();
         d.cycle_obs_ws(&mut members, &pool, filter, 1.0, 0.5, &mut rng, &mut ws)
@@ -1616,7 +1609,7 @@ mod tests {
     #[test]
     fn ensemble_restore_rejects_mismatches() {
         let d = driver(1);
-        let members = d.initial_ensemble(&setup(3));
+        let members = ensemble(&d, 3);
         let rng = GaussianSampler::new(1);
         let mut snap = Snapshot::new();
         d.snapshot_into(&members, &rng, &mut snap);
@@ -1651,7 +1644,7 @@ mod tests {
     #[test]
     fn too_few_members_rejected() {
         let d = driver(1);
-        let mut members = d.initial_ensemble(&setup(1));
+        let mut members = ensemble(&d, 1);
         let truth = members[0].clone();
         let (op, data) = strided_psi(&truth.fire, 5, 1.0);
         let mut pool = ObsSet::new();

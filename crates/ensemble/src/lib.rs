@@ -18,8 +18,9 @@
 //!   the ensemble can live in different worker processes that meet only at
 //!   the store;
 //! * [`driver`] — assimilation cycles tying it together for both filters
-//!   (standard EnKF on raw fields, morphing EnKF on extended states), with
-//!   the identical-twin experiment setup of Fig. 4 (ensemble ignited at an
+//!   (standard EnKF on raw fields, morphing EnKF on extended states) over
+//!   N states of one model; `wildfire_sim::perturb` builds those states
+//!   (the identical-twin setup of Fig. 4: an ensemble ignited at an
 //!   intentionally displaced location).
 //!
 //! `unsafe` is denied crate-wide; [`pool`] alone is allowed it, for the
@@ -34,8 +35,7 @@ pub mod pool;
 pub mod store;
 
 pub use driver::{
-    EnsembleDriver, EnsembleSetup, EnsembleWorkspace, ObsCycleReport, ObsFilter, SourceCycleReport,
-    StoreWorker,
+    EnsembleDriver, EnsembleWorkspace, ObsCycleReport, ObsFilter, SourceCycleReport, StoreWorker,
 };
 pub use store::{DiskStore, MemStore, SnapshotStore};
 

@@ -2,9 +2,12 @@
 //!
 //! Members are handed to workers — the "subset of processors" assignment of
 //! Fig. 2 — either claimed one at a time from a shared cursor
-//! ([`parallel_for_each_ws`]) or, for column-major buffers, split into one
-//! contiguous chunk of columns per worker ([`parallel_for_each_column_ws`]).
-//! Every worker owns its scratch, so there are no locks in the hot path.
+//! ([`parallel_for_each_ws`], and [`try_for_each_ws`] when an item can
+//! fail) or, for column-major buffers, split into one contiguous chunk of
+//! columns per worker ([`parallel_for_each_column_ws`]). Every worker owns
+//! its scratch, so there are no locks in the hot path.
+
+use std::sync::{Mutex, PoisonError};
 
 /// Runs `f(index, item, workspace)` over all items with one dedicated
 /// mutable workspace per worker. Every worker pulls the next unclaimed item
@@ -97,6 +100,58 @@ where
         claim_loop(base, n, cursor, f, own);
     })
     .expect("worker thread panicked");
+}
+
+/// [`parallel_for_each_ws`] for a fallible `f`: every item still runs, and
+/// the result is the error of the lowest-indexed failing item, so which
+/// failure is reported never depends on which worker claimed what first.
+/// Adds no allocation to the fan-out.
+///
+/// # Errors
+/// The error `f` returned for the lowest failing index.
+///
+/// # Panics
+/// As [`parallel_for_each_ws`].
+pub fn try_for_each_ws<T: Send, W: Send, E: Send, F>(
+    items: &mut [T],
+    workspaces: &mut [W],
+    f: F,
+) -> Result<(), E>
+where
+    F: Fn(usize, &mut T, &mut W) -> Result<(), E> + Sync,
+{
+    let lowest = LowestError::new();
+    parallel_for_each_ws(items, workspaces, |i, item, w| {
+        if let Err(e) = f(i, item, w) {
+            lowest.record(i, e);
+        }
+    });
+    lowest.into_result()
+}
+
+/// The error of the lowest-indexed failing item, recorded from any number
+/// of workers.
+pub(crate) struct LowestError<E>(Mutex<Option<(usize, E)>>);
+
+impl<E> LowestError<E> {
+    pub(crate) fn new() -> Self {
+        LowestError(Mutex::new(None))
+    }
+
+    /// Keeps `e` if no item below `i` has failed.
+    pub(crate) fn record(&self, i: usize, e: E) {
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+            *slot = Some((i, e));
+        }
+    }
+
+    pub(crate) fn into_result(self) -> Result<(), E> {
+        match self.0.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Runs `f(col_index, column, workspace)` over the contiguous
@@ -336,6 +391,38 @@ mod tests {
         for (i, v) in items.iter().enumerate() {
             assert_eq!(*v, i);
         }
+    }
+
+    #[test]
+    fn try_for_each_ws_reports_the_lowest_failing_index() {
+        // Items fail at chosen indices, and the lowest of them is by far
+        // the slowest, so with two or more workers the others fail first;
+        // the reported failure must still be the lowest index, every time,
+        // and every item must still run.
+        for failing in [vec![5], vec![3, 17], vec![0, 1, 29], vec![11, 12, 30, 31]] {
+            for workers in 1..=4 {
+                for _ in 0..20 {
+                    let mut items = vec![0usize; 32];
+                    let mut wss = vec![(); workers];
+                    let out = try_for_each_ws(&mut items, &mut wss, |i, item, ()| {
+                        let spin: u64 = if i == failing[0] { 200_000 } else { 10 };
+                        std::hint::black_box((0..spin).fold(0, |a, k| a ^ k));
+                        *item = 1;
+                        if failing.contains(&i) {
+                            return Err(i);
+                        }
+                        Ok(())
+                    });
+                    assert_eq!(out, Err(failing[0]), "workers = {workers}");
+                    assert!(items.iter().all(|&v| v == 1), "every item runs");
+                }
+            }
+        }
+        let mut none = vec![0u8; 7];
+        assert_eq!(
+            try_for_each_ws(&mut none, &mut [(), ()], |_, _, _| Ok::<(), ()>(())),
+            Ok(())
+        );
     }
 
     #[test]

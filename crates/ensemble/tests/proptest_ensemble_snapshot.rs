@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::AtmosParams;
 use wildfire_core::CoupledState;
-use wildfire_ensemble::{EnsembleDriver, EnsembleSetup, EnsembleWorkspace};
+use wildfire_ensemble::{EnsembleDriver, EnsembleWorkspace};
+use wildfire_fire::ignition::{displaced, IgnitionShape};
 use wildfire_fire::FuelCategory;
 use wildfire_math::GaussianSampler;
 use wildfire_obs::Snapshot;
@@ -56,13 +57,19 @@ fn driver() -> EnsembleDriver {
 }
 
 fn random_ensemble(d: &EnsembleDriver, spec: &EnsSpec) -> Vec<CoupledState> {
-    let mut members = d.initial_ensemble(&EnsembleSetup {
-        n_members: spec.n_members,
+    // A 25 m circle at (180, 180), displaced per member as
+    // `wildfire_sim::perturb` draws it.
+    let nominal = [IgnitionShape::Circle {
         center: (180.0, 180.0),
         radius: 25.0,
-        position_spread: spec.spread,
-        seed: spec.seed,
-    });
+    }];
+    let mut rng = GaussianSampler::new(spec.seed);
+    let mut members: Vec<CoupledState> = (0..spec.n_members)
+        .map(|_| {
+            d.model
+                .ignite(&displaced(&nominal, spec.spread, &mut rng), 0.0)
+        })
+        .collect();
     if spec.steps > 0 {
         let mut ws = EnsembleWorkspace::new();
         d.forecast_ws(&mut members, spec.steps as f64 * 0.5, 0.5, &mut ws)

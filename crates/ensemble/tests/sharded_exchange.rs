@@ -13,10 +13,8 @@ use std::process::{Command, Stdio};
 use wildfire_atmos::state::AtmosGrid;
 use wildfire_atmos::AtmosParams;
 use wildfire_core::{CoupledModel, CoupledState};
-use wildfire_ensemble::{
-    DiskStore, EnsembleDriver, EnsembleSetup, EnsembleWorkspace, ObsFilter, SnapshotStore,
-};
-use wildfire_fire::ignition::IgnitionShape;
+use wildfire_ensemble::{DiskStore, EnsembleDriver, EnsembleWorkspace, ObsFilter, SnapshotStore};
+use wildfire_fire::ignition::{displaced, IgnitionShape};
 use wildfire_fire::FuelCategory;
 use wildfire_math::GaussianSampler;
 use wildfire_obs::{CoupledSnapshot, ObsSet, Snapshot, StridedPsi};
@@ -45,14 +43,17 @@ fn driver() -> EnsembleDriver {
     EnsembleDriver::new(model, 2)
 }
 
+/// A 25 m circle at (180, 180), displaced per member (σ = 15 m, seed 99)
+/// as `wildfire_sim::perturb` draws it.
 fn initial_members(d: &EnsembleDriver) -> Vec<CoupledState> {
-    d.initial_ensemble(&EnsembleSetup {
-        n_members: N_MEMBERS,
+    let nominal = [IgnitionShape::Circle {
         center: (180.0, 180.0),
         radius: 25.0,
-        position_spread: 15.0,
-        seed: 99,
-    })
+    }];
+    let mut rng = GaussianSampler::new(99);
+    (0..N_MEMBERS)
+        .map(|_| d.model.ignite(&displaced(&nominal, 15.0, &mut rng), 0.0))
+        .collect()
 }
 
 /// Worker-process entry point: forecasts the shard named by `WF_SHARD_*`

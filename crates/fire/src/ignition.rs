@@ -86,9 +86,9 @@ impl IgnitionShape {
 /// One random rigid displacement of an ignition set: draws Δx then Δy from
 /// `rng` as `N(0, spread²)` and translates every shape by it.
 ///
-/// This is the canonical draw order for ensemble initialization — both
-/// `wildfire_sim::perturb` and `EnsembleDriver::initial_ensemble` call it,
-/// so equal seeds produce bit-identical member families through either API.
+/// This is the draw order of ensemble initialization: one call per member
+/// in `wildfire_sim::perturb`, so equal seeds give bit-identical member
+/// families.
 pub fn displaced(
     shapes: &[IgnitionShape],
     spread: f64,

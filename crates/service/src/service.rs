@@ -38,8 +38,8 @@ use crate::{Result, ServiceError};
 use crossbeam::channel::{self, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use wildfire_core::{CoupledError, CoupledState, CoupledWorkspace};
+use std::sync::Arc;
+use wildfire_core::{CoupledState, CoupledWorkspace};
 use wildfire_ensemble::{pool, EnsembleDriver, EnsembleWorkspace};
 use wildfire_fire::perimeter::perimeter_length;
 use wildfire_math::GaussianSampler;
@@ -173,12 +173,16 @@ fn lanes(threads: usize, holding: usize, members: usize) -> usize {
     (1 + threads.saturating_sub(holding.max(1))).clamp(1, members.max(1))
 }
 
+/// One fan-out thread's share of a leg: its stepping scratch and the
+/// running maxima (spread rate, updraft) of the members it stepped.
+type Lane = (CoupledWorkspace, (f64, f64));
+
 /// One worker: pops requests until the queue is closed and empty.
 fn worker_loop(rx: &Receiver<Box<Pending>>, threads: usize, tick: f64, holding: &AtomicUsize) {
-    // The stepping scratch lives with the worker, one lane per possible
-    // fan-out thread, lent to the members for the length of a leg: a
-    // request costs one model plus its states, and allocates no scratch.
-    let mut scratch = vec![CoupledWorkspace::new(); threads];
+    // The lanes live with the worker, one per possible fan-out thread,
+    // lent to the members for the length of a leg: a request costs one
+    // model plus its states, and allocates no scratch.
+    let mut scratch: Vec<Lane> = vec![Lane::default(); threads];
     while let Ok(pending) = rx.recv() {
         let Pending { id, req, tx } = *pending;
         // `holding` only sizes the fan-out (a heuristic, no data is
@@ -193,7 +197,7 @@ fn worker_loop(rx: &Receiver<Box<Pending>>, threads: usize, tick: f64, holding: 
             Ok(Err(error)) => ForecastEvent::Failed { request: id, error },
             Err(payload) => {
                 // The unwind may have left a lane mid-update.
-                scratch.fill_with(CoupledWorkspace::new);
+                scratch.fill_with(Lane::default);
                 let message = payload
                     .downcast_ref::<&str>()
                     .copied()
@@ -221,14 +225,6 @@ struct Assimilation {
     reports_assimilated: usize,
 }
 
-/// What one leg of a request leaves behind: the running maxima of the
-/// step diagnostics (spread rate, updraft) and the failure of the
-/// lowest-indexed member, if any.
-struct Leg {
-    maxima: (f64, f64),
-    failure: Option<(usize, CoupledError)>,
-}
-
 /// Runs one request from realization to its last product on the calling
 /// worker, whose `scratch` holds one lane per service worker. `Err` is the
 /// `Failed` text.
@@ -236,7 +232,7 @@ fn serve(
     id: u64,
     req: ForecastRequest,
     tx: &Sender<ForecastEvent>,
-    scratch: &mut [CoupledWorkspace],
+    scratch: &mut [Lane],
     tick: f64,
     holding: &AtomicUsize,
 ) -> std::result::Result<(), String> {
@@ -261,7 +257,7 @@ fn serve(
         analyses: 0,
         reports_assimilated: 0,
     });
-    // Exact maxima: the order members report in cannot change their bits.
+    // Largest spread rate and updraft any member has seen so far.
     let mut maxima = (0.0f64, 0.0f64);
 
     let mut next = 0;
@@ -275,28 +271,19 @@ fn serve(
             holding.load(Ordering::Relaxed),
             members.len(),
         );
-        let leg = Mutex::new(Leg {
-            maxima,
-            failure: None,
-        });
-        pool::parallel_for_each_ws(&mut members, &mut scratch[..width], |i, state, lane| {
-            let mut seen = (0.0f64, 0.0f64);
-            let outcome = driver.model.run_ws(state, target, dt, lane, |_, d| {
-                seen = (seen.0.max(d.max_spread_rate), seen.1.max(d.max_updraft));
-            });
-            let mut leg = leg.lock().unwrap_or_else(PoisonError::into_inner);
-            leg.maxima = (leg.maxima.0.max(seen.0), leg.maxima.1.max(seen.1));
-            if let Err(e) = outcome {
-                if leg.failure.as_ref().is_none_or(|(j, _)| i < *j) {
-                    leg.failure = Some((i, e));
-                }
-            }
-        });
-        let leg = leg.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, e)) = leg.failure {
-            return Err(format!("advance: {e}"));
-        }
-        maxima = leg.maxima;
+        // Each lane folds the maxima of the members it steps; the request
+        // merges the lanes once per leg (`max` is exact in any order).
+        let leg = &mut scratch[..width];
+        leg.iter_mut().for_each(|(_, seen)| *seen = maxima);
+        pool::try_for_each_ws(&mut members, leg, |_, state, (lane, seen)| {
+            driver.model.run_ws(state, target, dt, lane, |_, d| {
+                *seen = (seen.0.max(d.max_spread_rate), seen.1.max(d.max_updraft));
+            })
+        })
+        .map_err(|e| format!("advance: {e}"))?;
+        maxima = leg
+            .iter()
+            .fold(maxima, |m, (_, s)| (m.0.max(s.0), m.1.max(s.1)));
         let t_now = members[0].time();
         if let Some(a) = assim.as_mut() {
             // Members are at `t_now`: the cycle's own forecasts are no-ops.
@@ -353,7 +340,40 @@ fn product_at(
 
 #[cfg(test)]
 mod tests {
-    use super::lanes;
+    use super::*;
+    use crate::ForecastRequest;
+    use wildfire_sim::{DomainSpec, SimulationBuilder};
+
+    #[test]
+    fn non_finite_spread_fails_the_request() {
+        // Such a spread ignites no member; the request must fail, not
+        // deliver products of fireless members.
+        let scenario = SimulationBuilder::new()
+            .domain(DomainSpec {
+                nx: 5,
+                ny: 5,
+                nz: 4,
+                dx: 60.0,
+                dy: 60.0,
+                dz: 50.0,
+                refinement: 3,
+            })
+            .into_scenario();
+        let service = ForecastService::start(ServiceConfig {
+            threads: 1,
+            tick: 2.0,
+        });
+        for spread in [f64::NAN, f64::INFINITY] {
+            let mut req = ForecastRequest::free_run(scenario.clone(), vec![2.0]);
+            req.n_members = 3;
+            req.position_spread = spread;
+            let outcome = service.submit(req).expect("queued").wait();
+            assert!(
+                matches!(&outcome, Err(ServiceError::Failed(m)) if m.starts_with("member construction")),
+                "spread {spread}: {outcome:?}"
+            );
+        }
+    }
 
     #[test]
     fn lane_width_is_own_thread_plus_idle_workers() {

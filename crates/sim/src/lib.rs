@@ -15,15 +15,15 @@
 //!   ([`DomainSpec`], [`FuelSpec`], [`WindSpec`]);
 //! * [`builder`] — [`SimulationBuilder`], a fluent constructor, and
 //!   [`Simulation`], a model + state pair stepped at the scenario's dt;
-//! * [`batch`] — [`SimBatch`], batched multi-fire execution: N
-//!   independent simulations work-stolen over the worker pool
-//!   (bit-identical to running each alone);
+//! * [`batch`] — `SimBatch`, a hidden shim kept only for the benchmark's
+//!   pinned API (deleted by ROADMAP 1a);
 //! * [`registry`] — named, ready-to-run scenarios (the paper's Fig. 1
 //!   fireline, circle ignition, multi-ignition merge, mid-run wind shift,
 //!   heterogeneous fuel map, uncoupled baseline, the Fig. 2 data-driven
 //!   loop, …);
-//! * [`perturb`] — ensemble-perturbation hooks turning one scenario into a
-//!   member family (displaced ignitions, jittered winds).
+//! * [`perturb`] — the one ensemble bootstrap: N displaced-ignition states
+//!   of one model ([`perturb::perturbed_states`],
+//!   [`perturb::build_ensemble`]).
 //!
 //! Scenarios also declare their **observation data streams**
 //! ([`Scenario::streams`], [`wildfire_obs::ObsStreamSpec`]): what
@@ -41,7 +41,7 @@ pub mod scenario;
 
 pub use batch::{SimBatch, SlotProducts};
 pub use builder::{Simulation, SimulationBuilder};
-pub use perturb::{perturbed_scenarios, PerturbationSpec};
+pub use perturb::PerturbationSpec;
 pub use scenario::{DomainSpec, FuelPatch, FuelSpec, Scenario, WindShift, WindSpec};
 
 /// Errors from scenario construction.

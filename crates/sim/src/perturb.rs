@@ -1,8 +1,9 @@
 //! Ensemble-perturbation hooks: turn one [`Scenario`] into a family of
-//! member scenarios by randomly displacing ignitions and jittering winds —
-//! the identical-twin setup of the paper's Fig. 4 ("the initial ensemble was
-//! created by a random perturbation of the comparison solution, with the
-//! fire ignited at an intentionally incorrect location").
+//! members by randomly displacing its ignitions — the identical-twin setup
+//! of the paper's Fig. 4 ("the initial ensemble was created by a random
+//! perturbation of the comparison solution, with the fire ignited at an
+//! intentionally incorrect location"). The members are N states of one
+//! model ([`perturbed_states`], [`build_ensemble`]).
 
 use crate::builder::Simulation;
 use crate::scenario::Scenario;
@@ -11,21 +12,13 @@ use wildfire_core::{CoupledModel, CoupledState};
 use wildfire_fire::ignition::displaced;
 use wildfire_math::GaussianSampler;
 
-/// How member scenarios are perturbed relative to the base scenario.
+/// How members are perturbed relative to the base scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbationSpec {
-    /// Std of the per-member rigid translation of all ignition shapes (m).
-    /// The draws come from [`wildfire_fire::ignition::displaced`] (Δx then
-    /// Δy per member), the same primitive behind
-    /// `EnsembleDriver::initial_ensemble`, so circle scenarios produce
-    /// bit-identical ensembles for equal seeds through either API.
+    /// Std of the per-member rigid translation of all ignition shapes (m);
+    /// finite and non-negative. The draws come from
+    /// [`wildfire_fire::ignition::displaced`] (Δx then Δy per member).
     pub position_spread: f64,
-    /// Std of the per-member perturbation of each ambient-wind component
-    /// (m/s); zero leaves the wind deterministic. Wind jitter changes the
-    /// member's initial wind, which is model data, so only the per-member
-    /// paths ([`perturbed_scenarios`], [`perturbed_simulations`]) honor
-    /// it; the shared-model paths reject it.
-    pub wind_spread: f64,
     /// RNG seed; equal seeds give equal member families.
     pub seed: u64,
 }
@@ -35,59 +28,65 @@ impl PerturbationSpec {
     pub fn position_only(position_spread: f64, seed: u64) -> Self {
         PerturbationSpec {
             position_spread,
-            wind_spread: 0.0,
             seed,
         }
     }
 }
 
 /// Generates `n_members` perturbed copies of `base`.
-pub fn perturbed_scenarios(
+///
+/// # Errors
+/// [`SimError::Scenario`] for a non-finite or negative spread: a NaN or
+/// infinite ignition offset ignites nothing, and the forecast would run on
+/// fireless members without a word.
+fn perturbed_scenarios(
     base: &Scenario,
     spec: &PerturbationSpec,
     n_members: usize,
-) -> Vec<Scenario> {
+) -> Result<Vec<Scenario>> {
+    let spread = spec.position_spread;
+    if !(spread.is_finite() && spread >= 0.0) {
+        return Err(SimError::Scenario(
+            "position_spread must be finite and non-negative",
+        ));
+    }
     let mut rng = GaussianSampler::new(spec.seed);
-    (0..n_members)
+    Ok((0..n_members)
         .map(|i| {
             let mut member = base.clone();
-            member.ignitions = displaced(&base.ignitions, spec.position_spread, &mut rng);
-            if spec.wind_spread > 0.0 {
-                member.wind.ambient.0 += rng.normal(0.0, spec.wind_spread);
-                member.wind.ambient.1 += rng.normal(0.0, spec.wind_spread);
-            }
+            member.ignitions = displaced(&base.ignitions, spread, &mut rng);
             member.name = format!("{}#{i}", base.name);
             member
         })
-        .collect()
+        .collect())
 }
 
 /// Builds one full [`Simulation`] (own model + state) per perturbed
-/// member — the path that honors every field of the spec, including wind
-/// jitter.
+/// member, with the same draws as [`perturbed_states`].
 ///
 /// # Errors
-/// Propagates model-construction failures.
+/// [`SimError::Scenario`] for a non-finite or negative
+/// `spec.position_spread`; model-construction failures.
 pub fn perturbed_simulations(
     base: &Scenario,
     spec: &PerturbationSpec,
     n_members: usize,
 ) -> Result<Vec<Simulation>> {
-    perturbed_scenarios(base, spec, n_members)
+    perturbed_scenarios(base, spec, n_members)?
         .iter()
         .map(Scenario::build)
         .collect()
 }
 
-/// Ignites one state per perturbed member on a shared model — the common
-/// case where all members run the same physics and differ only in initial
-/// condition. A model built from `base` ([`Scenario::model`]) carries its
-/// wind-shift schedule, so the members follow it as they step.
+/// Ignites one state per perturbed member on a shared model — all members
+/// run the same physics and differ only in initial condition. A model
+/// built from `base` ([`Scenario::model`]) carries its wind-shift
+/// schedule, so the members follow it as they step.
 ///
 /// # Errors
 /// [`SimError::Scenario`] when `base` has no ignition shapes (as
-/// [`Scenario::build`]), or when `spec.wind_spread > 0`: per-member initial
-/// winds need per-member models ([`perturbed_simulations`]).
+/// [`Scenario::build`]), or for a non-finite or negative
+/// `spec.position_spread`.
 pub fn perturbed_states(
     base: &Scenario,
     spec: &PerturbationSpec,
@@ -97,12 +96,7 @@ pub fn perturbed_states(
     if base.ignitions.is_empty() {
         return Err(SimError::Scenario("scenario has no ignition shapes"));
     }
-    if spec.wind_spread > 0.0 {
-        return Err(SimError::Scenario(
-            "wind_spread requires per-member models; use perturbed_simulations",
-        ));
-    }
-    Ok(perturbed_scenarios(base, spec, n_members)
+    Ok(perturbed_scenarios(base, spec, n_members)?
         .iter()
         .map(|s| s.ignite(model))
         .collect())
@@ -112,8 +106,7 @@ pub fn perturbed_states(
 /// the one-call ensemble bootstrap.
 ///
 /// # Errors
-/// Propagates model-construction failures; rejects `wind_spread > 0` as
-/// [`perturbed_states`] does.
+/// Model-construction failures, and those of [`perturbed_states`].
 pub fn build_ensemble(
     base: &Scenario,
     spec: &PerturbationSpec,
@@ -137,15 +130,15 @@ mod tests {
     #[test]
     fn equal_seeds_give_identical_families() {
         let spec = PerturbationSpec::position_only(12.0, 42);
-        let a = perturbed_scenarios(&base(), &spec, 5);
-        let b = perturbed_scenarios(&base(), &spec, 5);
+        let a = perturbed_scenarios(&base(), &spec, 5).unwrap();
+        let b = perturbed_scenarios(&base(), &spec, 5).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = perturbed_scenarios(&base(), &PerturbationSpec::position_only(12.0, 1), 4);
-        let b = perturbed_scenarios(&base(), &PerturbationSpec::position_only(12.0, 2), 4);
+        let a = perturbed_scenarios(&base(), &PerturbationSpec::position_only(12.0, 1), 4).unwrap();
+        let b = perturbed_scenarios(&base(), &PerturbationSpec::position_only(12.0, 2), 4).unwrap();
         assert_ne!(a, b);
     }
 
@@ -153,7 +146,7 @@ mod tests {
     fn members_are_rigid_translations() {
         let spec = PerturbationSpec::position_only(20.0, 7);
         let scn = base();
-        let members = perturbed_scenarios(&scn, &spec, 8);
+        let members = perturbed_scenarios(&scn, &spec, 8).unwrap();
         let IgnitionShape::Circle {
             center: c0,
             radius: r0,
@@ -186,37 +179,36 @@ mod tests {
     }
 
     #[test]
-    fn wind_spread_jitters_wind_in_scenarios_and_simulations() {
-        let spec = PerturbationSpec {
-            position_spread: 0.0,
-            wind_spread: 1.0,
-            seed: 9,
-        };
-        let members = perturbed_scenarios(&base(), &spec, 4);
-        let base_wind = base().wind.ambient;
-        assert!(
-            members.iter().any(|m| m.wind.ambient != base_wind),
-            "wind jitter must change some member's wind"
-        );
-        // And the per-member simulations carry it into their models.
-        let sims = perturbed_simulations(&base(), &spec, 4).expect("sims");
-        assert!(
-            sims.iter()
-                .any(|s| s.model.atmos.params.ambient_wind != base_wind),
-            "wind jitter must reach the member models"
-        );
-    }
-
-    #[test]
-    fn shared_model_paths_reject_wind_spread() {
-        let spec = PerturbationSpec {
-            position_spread: 5.0,
-            wind_spread: 0.5,
-            seed: 1,
-        };
-        assert!(build_ensemble(&base(), &spec, 3).is_err());
+    fn non_finite_or_negative_spread_is_refused() {
+        // A NaN or infinite spread would ignite nothing and forecast
+        // fireless members in silence.
         let model = base().model().expect("model");
-        assert!(perturbed_states(&base(), &spec, 3, &model).is_err());
+        for spread in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let spec = PerturbationSpec::position_only(spread, 1);
+            assert!(
+                matches!(
+                    perturbed_states(&base(), &spec, 3, &model),
+                    Err(SimError::Scenario(_))
+                ),
+                "states, spread {spread}"
+            );
+            assert!(
+                matches!(
+                    perturbed_simulations(&base(), &spec, 3),
+                    Err(SimError::Scenario(_))
+                ),
+                "simulations, spread {spread}"
+            );
+            assert!(
+                build_ensemble(&base(), &spec, 3).is_err(),
+                "spread {spread}"
+            );
+        }
+        let zero = PerturbationSpec::position_only(0.0, 1);
+        assert_eq!(
+            perturbed_states(&base(), &zero, 2, &model).unwrap().len(),
+            2
+        );
     }
 
     #[test]

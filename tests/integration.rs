@@ -328,31 +328,6 @@ fn station_and_image_observations_coexist() {
 }
 
 #[test]
-fn sim_perturbation_matches_driver_initial_ensemble_bitwise() {
-    // Both ensemble-bootstrap APIs promise the same draw order through
-    // fire::ignition::displaced; equal seeds must give byte-identical
-    // member states.
-    let believed = test_scenario().with_ignitions(vec![IgnitionShape::Circle {
-        center: (200.0, 210.0),
-        radius: 25.0,
-    }]);
-    let spec = PerturbationSpec::position_only(12.0, 4242);
-    let (model, via_sim) = perturb::build_ensemble(&believed, &spec, 6).expect("ensemble");
-    let driver = EnsembleDriver::new(model, 1);
-    let via_driver = driver.initial_ensemble(&wildfire::ensemble::EnsembleSetup {
-        n_members: 6,
-        center: (200.0, 210.0),
-        radius: 25.0,
-        position_spread: 12.0,
-        seed: 4242,
-    });
-    for (a, b) in via_sim.iter().zip(via_driver.iter()) {
-        assert_eq!(a.fire.psi.as_slice(), b.fire.psi.as_slice());
-        assert_eq!(a.fire.tig.as_slice(), b.fire.tig.as_slice());
-    }
-}
-
-#[test]
 fn every_registry_scenario_survives_a_short_coupled_burn() {
     // Scenario-diversity smoke: each named scenario builds through the
     // public umbrella API and stays physical over a short burn.
