@@ -183,10 +183,17 @@ impl CoupledModel {
         surface: &mut VectorField2,
         out: &mut VectorField2,
     ) -> Result<()> {
+        self.check_grids(state)?;
+        self.fire_wind_box_into(state, surface, out, NodeBox::full(self.fire_grid))
+    }
+
+    /// [`CoupledError::Config`] unless `state` is on this model's fire and
+    /// atmosphere grids.
+    fn check_grids(&self, state: &CoupledState) -> Result<()> {
         if state.fire.grid() != self.fire_grid || state.atmos.grid != self.atmos.grid {
             return Err(CoupledError::Config("state is not on this model's grids"));
         }
-        self.fire_wind_box_into(state, surface, out, NodeBox::full(self.fire_grid))
+        Ok(())
     }
 
     /// [`CoupledModel::fire_wind_into`] with the prolongation confined to
@@ -242,13 +249,15 @@ impl CoupledModel {
     /// the uncoupled configuration.
     ///
     /// # Errors
-    /// Same as [`CoupledModel::step`].
+    /// [`CoupledError::Config`] when `state` is not on this model's grids;
+    /// otherwise as [`CoupledModel::step`].
     pub fn step_ws(
         &self,
         state: &mut CoupledState,
         dt: f64,
         ws: &mut CoupledWorkspace,
     ) -> Result<StepDiagnostics> {
+        self.check_grids(state)?;
         state.atmos.ambient_wind = self.ambient_wind_at(state.time());
         let t_target = state.fire.time + dt;
         // The wind is needed only where the fire advance can read it.

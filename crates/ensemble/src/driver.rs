@@ -871,11 +871,12 @@ mod tests {
     use wildfire_fire::{FuelCategory, IgnitionShape};
     use wildfire_obs::StridedPsi;
 
-    fn driver(threads: usize) -> EnsembleDriver {
-        let model = CoupledModel::new(
+    /// A short-grass model on an `n`×`n`×4 atmosphere, refinement 4.
+    fn model(n: usize) -> CoupledModel {
+        CoupledModel::new(
             AtmosGrid {
-                nx: 6,
-                ny: 6,
+                nx: n,
+                ny: n,
                 nz: 4,
                 dx: 60.0,
                 dy: 60.0,
@@ -885,8 +886,11 @@ mod tests {
             FuelCategory::ShortGrass,
             4,
         )
-        .unwrap();
-        EnsembleDriver::new(model, threads)
+        .unwrap()
+    }
+
+    fn driver(threads: usize) -> EnsembleDriver {
+        EnsembleDriver::new(model(6), threads)
     }
 
     /// Identical-twin ψ observations: the truth's ψ at every `stride`-th
@@ -966,20 +970,7 @@ mod tests {
         // Two members fail with different variants: one is missing from
         // the store, one was saved by another model. Whichever worker
         // reaches its failure first, the lowest index's error comes back.
-        let other = CoupledModel::new(
-            AtmosGrid {
-                nx: 5,
-                ny: 5,
-                nz: 4,
-                dx: 60.0,
-                dy: 60.0,
-                dz: 50.0,
-            },
-            AtmosParams::default(),
-            FuelCategory::ShortGrass,
-            4,
-        )
-        .unwrap();
+        let other = model(5);
         for (missing, foreign) in [(1, 3), (3, 1)] {
             for threads in 1..=4 {
                 for _ in 0..3 {
@@ -1012,6 +1003,33 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn forecast_refuses_a_member_on_another_atmosphere_grid() {
+        // The member's fire mesh is the model's; only its atmosphere comes
+        // from a 5×5×4 model. That is a configuration error for the
+        // ensemble, not a panic in the atmosphere's indexing.
+        let other = model(5);
+        let nominal = [IgnitionShape::Circle {
+            center: (150.0, 150.0),
+            radius: 25.0,
+        }];
+        for threads in [1, 2] {
+            let d = driver(threads);
+            let mut members = ensemble(&d, 3);
+            members[1].atmos = other.ignite(&nominal, 0.0).atmos;
+            let err = d
+                .forecast_ws(&mut members, 1.0, 0.5, &mut EnsembleWorkspace::new())
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EnsembleError::Model(wildfire_core::CoupledError::Config(_))
+                ),
+                "threads {threads}: {err:?}"
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //!
 //! This crate maps that architecture onto a single node:
 //!
-//! * [`pool`] — crossbeam scoped worker threads standing in for the
+//! * [`pool`] — scoped `std` worker threads standing in for the
 //!   processor subsets; members are partitioned across workers for the
 //!   forecast and observation phases;
 //! * [`store`] — the state exchange: a [`store::SnapshotStore`] abstraction

@@ -1,4 +1,4 @@
-//! Worker-pool primitives on crossbeam scoped threads.
+//! Worker-pool primitives on [`std::thread::scope`].
 //!
 //! Members are handed to workers — the "subset of processors" assignment of
 //! Fig. 2 — either claimed one at a time from a shared cursor
@@ -26,7 +26,9 @@ use std::sync::{Mutex, PoisonError};
 /// single item the loop runs inline.
 ///
 /// # Panics
-/// Panics if `workspaces` is empty while `items` is not.
+/// Panics if `workspaces` is empty while `items` is not. A panic in `f`
+/// is re-raised on the caller once every worker has joined, so no worker
+/// outlives the call and a caller's `catch_unwind` sees the panic.
 pub fn parallel_for_each_ws<T: Send, W: Send, F>(items: &mut [T], workspaces: &mut [W], f: F)
 where
     F: Fn(usize, &mut T, &mut W) + Sync,
@@ -92,14 +94,13 @@ where
     let (own, spawned) = workspaces[..threads]
         .split_first_mut()
         .expect("threads >= 2 past the inline path");
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let (f, cursor) = (&f, &cursor);
         for w in spawned {
-            scope.spawn(move |_| claim_loop(base, n, cursor, f, w));
+            scope.spawn(move || claim_loop(base, n, cursor, f, w));
         }
         claim_loop(base, n, cursor, f, own);
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// [`parallel_for_each_ws`] for a fallible `f`: every item still runs, and
@@ -166,7 +167,8 @@ impl<E> LowestError<E> {
 ///
 /// # Panics
 /// Panics if `data.len()` is not a multiple of `col_len`, or if
-/// `workspaces` is empty while `data` is not.
+/// `workspaces` is empty while `data` is not. A panic in `f` is re-raised
+/// on the caller once every worker has joined.
 pub fn parallel_for_each_column_ws<W: Send, F>(
     data: &mut [f64],
     col_len: usize,
@@ -197,21 +199,20 @@ pub fn parallel_for_each_column_ws<W: Send, F>(
         return;
     }
     let cols_per_chunk = n_cols.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for ((c, chunk), w) in data
             .chunks_mut(cols_per_chunk * col_len)
             .enumerate()
             .zip(workspaces.iter_mut())
         {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (k, col) in chunk.chunks_mut(col_len).enumerate() {
                     f(c * cols_per_chunk + k, col, w);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 #[cfg(test)]

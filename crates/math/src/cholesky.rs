@@ -2,9 +2,7 @@
 //!
 //! The EnKF analysis step factors one `N × N` SPD ensemble-space system per
 //! assimilation cycle (`N` = number of members) and solves it for `N`
-//! right-hand sides, and multivariate Gaussian sampling needs a matrix
-//! square root of the observation error covariance — both use this
-//! factorization.
+//! right-hand sides.
 
 use crate::matrix::Matrix;
 use crate::{MathError, Result};
@@ -141,25 +139,6 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Applies `L` to a vector: returns `L v` (used to color white noise when
-    /// sampling from `N(0, A)`).
-    ///
-    /// # Panics
-    /// Panics if `v.len()` differs from the factor dimension.
-    pub fn l_times(&self, v: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(v.len(), n, "l_times length mismatch");
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for k in 0..=i {
-                s += self.l[(i, k)] * v[k];
-            }
-            *o = s;
-        }
-        out
-    }
-
     /// Log-determinant of `A` (twice the log-determinant of `L`).
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
@@ -243,17 +222,5 @@ mod tests {
         let a = Matrix::from_diagonal(&[2.0, 3.0, 4.0]);
         let ch = Cholesky::new(&a).unwrap();
         assert!((ch.log_det() - 24.0_f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn l_times_matches_matvec() {
-        let a = spd_example();
-        let ch = Cholesky::new(&a).unwrap();
-        let v = vec![0.3, -0.7, 1.1, 0.0];
-        let direct = ch.l().matvec(&v).unwrap();
-        let fast = ch.l_times(&v);
-        for (d, f) in direct.iter().zip(fast.iter()) {
-            assert!((d - f).abs() < 1e-14);
-        }
     }
 }

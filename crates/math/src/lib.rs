@@ -2,9 +2,9 @@
 //!
 //! Self-contained numerical kernels for the wildfire workspace: a dense
 //! column-major matrix type with the factorizations the filters use
-//! (Cholesky, Jacobi eigendecomposition), Gaussian random sampling built on
-//! top of [`rand`]'s uniform generators, descriptive statistics, and
-//! Gauss–Legendre quadrature.
+//! (Cholesky, Jacobi eigendecomposition), seeded uniform and Gaussian
+//! sampling on an in-crate xoshiro256++ generator, descriptive statistics,
+//! and Gauss–Legendre quadrature.
 //!
 //! The ensemble Kalman filter and the registration/morphing machinery of the
 //! paper need exactly these kernels; the build is offline and dependency

@@ -1,21 +1,18 @@
-//! Gaussian and multivariate-Gaussian sampling.
+//! Seeded uniform and Gaussian sampling.
 //!
-//! The offline dependency set provides only `rand`'s uniform generators, so
-//! normal variates are produced here with the Marsaglia polar method and
-//! colored into arbitrary covariances through a Cholesky factor. All
-//! ensemble perturbations in the workspace flow through [`GaussianSampler`],
-//! which keeps experiments reproducible from a single `u64` seed.
+//! The generator is xoshiro256++ seeded through SplitMix64, the seeding the
+//! xoshiro authors recommend; normal variates come from the Marsaglia polar
+//! method. All ensemble perturbations in the workspace flow through
+//! [`GaussianSampler`], which keeps experiments reproducible from a single
+//! `u64` seed.
 
-use crate::cholesky::Cholesky;
 use crate::matrix::Matrix;
-use crate::Result;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Deterministic Gaussian sampler seeded from a `u64`.
 #[derive(Debug)]
 pub struct GaussianSampler {
-    rng: StdRng,
+    /// The four xoshiro256++ words; never all zero.
+    s: [u64; 4],
     /// Cached second variate from the Marsaglia polar transform.
     spare: Option<f64>,
 }
@@ -23,10 +20,32 @@ pub struct GaussianSampler {
 impl GaussianSampler {
     /// Creates a sampler from a seed; equal seeds yield equal streams.
     pub fn new(seed: u64) -> Self {
+        let mut x = seed;
+        let mut splitmix = || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
         GaussianSampler {
-            rng: StdRng::seed_from_u64(seed),
+            s: [splitmix(), splitmix(), splitmix(), splitmix()],
             spare: None,
         }
+    }
+
+    /// The next 64 uniformly random bits (one xoshiro256++ step).
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// One standard normal variate `N(0, 1)`.
@@ -36,8 +55,8 @@ impl GaussianSampler {
         }
         // Marsaglia polar method: rejection-sample a point in the unit disk.
         loop {
-            let u: f64 = self.rng.gen_range(-1.0..1.0);
-            let v: f64 = self.rng.gen_range(-1.0..1.0);
+            let u = self.uniform(-1.0, 1.0);
+            let v = self.uniform(-1.0, 1.0);
             let s = u * u + v * v;
             if s > 0.0 && s < 1.0 {
                 let f = (-2.0 * s.ln() / s).sqrt();
@@ -52,14 +71,15 @@ impl GaussianSampler {
         mean + std * self.standard_normal()
     }
 
-    /// One uniform variate in `[lo, hi)`.
+    /// One uniform variate in `[lo, hi)`, from the top 53 bits of the next
+    /// generator word.
+    ///
+    /// # Panics
+    /// Panics when the range is empty (`lo >= hi`, or either is NaN).
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        self.rng.gen_range(lo..hi)
-    }
-
-    /// A vector of `n` iid standard normals.
-    pub fn standard_normal_vec(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.standard_normal()).collect()
+        assert!(lo < hi, "cannot sample empty range");
+        let u = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        lo + u * (hi - lo)
     }
 
     /// An `rows × cols` matrix of iid `N(0, std²)` entries.
@@ -73,48 +93,25 @@ impl GaussianSampler {
         m
     }
 
-    /// Samples from the multivariate normal `N(mean, cov)`.
-    ///
-    /// # Errors
-    /// Propagates Cholesky failure when `cov` is not SPD;
-    /// [`crate::MathError::DimensionMismatch`] if `mean` and `cov` disagree.
-    pub fn multivariate_normal(&mut self, mean: &[f64], cov: &Matrix) -> Result<Vec<f64>> {
-        if cov.rows() != mean.len() || !cov.is_square() {
-            return Err(crate::MathError::DimensionMismatch {
-                op: "multivariate_normal",
-                lhs: (mean.len(), 1),
-                rhs: cov.dims(),
-            });
-        }
-        let chol = Cholesky::new(cov)?;
-        let z = self.standard_normal_vec(mean.len());
-        let mut x = chol.l_times(&z);
-        for (xi, &mi) in x.iter_mut().zip(mean.iter()) {
-            *xi += mi;
-        }
-        Ok(x)
-    }
-
-    /// Reseeds the sampler (used to fork independent per-member streams).
-    pub fn fork(&mut self) -> GaussianSampler {
-        GaussianSampler::new(self.rng.gen())
-    }
-
     /// Captures the sampler's full provenance: the four generator words
     /// plus the cached Marsaglia spare variate. Restoring via
     /// [`GaussianSampler::from_state`] resumes the identical stream —
     /// including the half-drawn pair the polar method may be holding.
     pub fn state(&self) -> ([u64; 4], Option<f64>) {
-        (self.rng.state(), self.spare)
+        (self.s, self.spare)
     }
 
     /// Rebuilds a sampler from a captured state (see
-    /// [`GaussianSampler::state`]).
+    /// [`GaussianSampler::state`]). The all-zero word set is a fixed point
+    /// of xoshiro256++ that no seeded sampler reaches; it falls back to the
+    /// words of seed 0.
     pub fn from_state(words: [u64; 4], spare: Option<f64>) -> Self {
-        GaussianSampler {
-            rng: StdRng::from_state(words),
-            spare,
-        }
+        let s = if words == [0; 4] {
+            GaussianSampler::new(0).s
+        } else {
+            words
+        };
+        GaussianSampler { s, spare }
     }
 }
 
@@ -144,7 +141,7 @@ mod tests {
     #[test]
     fn sample_moments_match_standard_normal() {
         let mut s = GaussianSampler::new(7);
-        let xs = s.standard_normal_vec(200_000);
+        let xs: Vec<f64> = (0..200_000).map(|_| s.standard_normal()).collect();
         let mean = stats::mean(&xs);
         let var = stats::variance(&xs);
         assert!(mean.abs() < 0.02, "mean {mean}");
@@ -157,39 +154,6 @@ mod tests {
         let xs: Vec<f64> = (0..100_000).map(|_| s.normal(5.0, 2.0)).collect();
         assert!((stats::mean(&xs) - 5.0).abs() < 0.05);
         assert!((stats::variance(&xs).sqrt() - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn multivariate_normal_covariance() {
-        let cov = Matrix::from_rows(&[&[2.0, 0.6], &[0.6, 1.0]]);
-        let mean = [1.0, -1.0];
-        let mut s = GaussianSampler::new(11);
-        let n = 100_000;
-        let mut sum = [0.0; 2];
-        let mut sum_xx = [[0.0; 2]; 2];
-        for _ in 0..n {
-            let x = s.multivariate_normal(&mean, &cov).unwrap();
-            for i in 0..2 {
-                sum[i] += x[i];
-                for j in 0..2 {
-                    sum_xx[i][j] += (x[i] - mean[i]) * (x[j] - mean[j]);
-                }
-            }
-        }
-        for i in 0..2 {
-            assert!((sum[i] / n as f64 - mean[i]).abs() < 0.03);
-            for j in 0..2 {
-                let c = sum_xx[i][j] / n as f64;
-                assert!((c - cov[(i, j)]).abs() < 0.05, "cov[{i}{j}] = {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn multivariate_rejects_mismatched_dims() {
-        let mut s = GaussianSampler::new(3);
-        let cov = Matrix::identity(3);
-        assert!(s.multivariate_normal(&[0.0; 2], &cov).is_err());
     }
 
     #[test]
@@ -215,6 +179,10 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(a.standard_normal().to_bits(), b.standard_normal().to_bits());
         }
+        // The all-zero words (a fixed point of the generator) fall back to
+        // seed 0.
+        let zero = GaussianSampler::from_state([0; 4], None);
+        assert_eq!(zero.state(), GaussianSampler::new(0).state());
     }
 
     /// FNV-1a over a stream of 64-bit words.
@@ -295,14 +263,5 @@ mod tests {
             assert_eq!(u, uniform, "seed {seed}: uniform stream");
             assert_eq!(s.state(), (words, None), "seed {seed}: final state");
         }
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = GaussianSampler::new(10);
-        let mut f = a.fork();
-        let xa: Vec<f64> = (0..5).map(|_| a.standard_normal()).collect();
-        let xf: Vec<f64> = (0..5).map(|_| f.standard_normal()).collect();
-        assert_ne!(xa, xf);
     }
 }

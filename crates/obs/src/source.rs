@@ -20,7 +20,7 @@
 //!   fingerprint (length + mtime) skips the re-read, so idle polls do no
 //!   parsing.
 //! * [`ChannelSource`] — receives [`ObsReport`]s from other threads over a
-//!   vendored crossbeam channel; polling drains the channel without
+//!   [`std::sync::mpsc`] channel; polling drains the channel without
 //!   blocking.
 //!
 //! The file and channel sources pass every arrival through a shared pending
@@ -41,6 +41,7 @@
 use crate::timeline::TIME_EPS;
 use crate::{ObsError, ObsTimeline, Result, Snapshot};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::time::SystemTime;
 
 /// One observation report: stream `stream` measured `data` at simulation
@@ -410,9 +411,8 @@ impl ObsSource for StateFileTail {
     }
 }
 
-/// An [`ObsSource`] fed from other threads over a vendored crossbeam
-/// channel: producers send [`ObsReport`]s through the
-/// [`Sender`](crossbeam::channel::Sender) half
+/// An [`ObsSource`] fed from other threads over a [`std::sync::mpsc`]
+/// channel: producers send [`ObsReport`]s through the [`Sender`] half
 /// ([`channel`](Self::channel) returns both halves); each poll drains
 /// whatever has arrived without blocking, restores time order, and delivers
 /// what is due. Late or duplicate reports follow the module-level drop
@@ -421,7 +421,7 @@ impl ObsSource for StateFileTail {
 /// dry, observable via [`is_disconnected`](Self::is_disconnected).
 #[derive(Debug)]
 pub struct ChannelSource {
-    rx: crossbeam::channel::Receiver<ObsReport>,
+    rx: Receiver<ObsReport>,
     queue: PendingQueue,
     disconnected: bool,
 }
@@ -429,8 +429,8 @@ pub struct ChannelSource {
 impl ChannelSource {
     /// An unbounded feed: returns the sender half for producer threads and
     /// the source for the consumer.
-    pub fn channel() -> (crossbeam::channel::Sender<ObsReport>, Self) {
-        let (tx, rx) = crossbeam::channel::unbounded();
+    pub fn channel() -> (Sender<ObsReport>, Self) {
+        let (tx, rx) = mpsc::channel();
         (
             tx,
             ChannelSource {
@@ -455,8 +455,8 @@ impl ObsSource for ChannelSource {
                 Ok(report) => {
                     self.queue.insert(report, inbox);
                 }
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     self.disconnected = true;
                     break;
                 }

@@ -31,9 +31,10 @@
 //!   already submitted still delivers all of its products — then joins
 //!   the workers.
 //!
-//! No async runtime: the workers are plain [`std::thread`]s, a lone
-//! request's fan-out uses crossbeam scoped threads, and every channel is
-//! the vendored `crossbeam::channel` MPMC queue.
+//! No async runtime and no dependency outside the workspace: the workers
+//! are plain [`std::thread`]s sharing one [`std::sync::mpsc`] queue behind
+//! a mutex, a lone request's fan-out uses scoped threads, and every
+//! per-request channel is a [`std::sync::mpsc`] channel.
 
 #![forbid(unsafe_code)]
 

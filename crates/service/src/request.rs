@@ -4,7 +4,7 @@
 //! client-side handle ([`RequestHandle`]).
 
 use crate::{Result, ServiceError};
-use crossbeam::channel::Receiver;
+use std::sync::mpsc::Receiver;
 use wildfire_ensemble::ObsFilter;
 use wildfire_obs::{ObsSource, ObservationOperator};
 use wildfire_sim::Scenario;

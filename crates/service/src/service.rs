@@ -35,10 +35,10 @@
 
 use crate::request::{ForecastEvent, ForecastProduct, ForecastRequest, RequestHandle};
 use crate::{Result, ServiceError};
-use crossbeam::channel::{self, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use wildfire_core::{CoupledState, CoupledWorkspace};
 use wildfire_ensemble::{pool, EnsembleDriver, EnsembleWorkspace};
 use wildfire_fire::perimeter::perimeter_length;
@@ -82,7 +82,7 @@ struct Pending {
 /// gracefully).
 pub struct ForecastService {
     /// The queue's only sender; `None` once shut down.
-    tx: Option<Sender<Box<Pending>>>,
+    tx: Option<Sender<Pending>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     next_id: AtomicU64,
 }
@@ -92,11 +92,12 @@ impl ForecastService {
     pub fn start(cfg: ServiceConfig) -> Self {
         let threads = cfg.threads.max(1);
         let tick = if cfg.tick > 0.0 { cfg.tick } else { 2.0 };
-        let (tx, rx) = channel::unbounded::<Box<Pending>>();
+        let (tx, rx) = mpsc::channel::<Pending>();
+        let rx = Arc::new(Mutex::new(rx));
         let holding = Arc::new(AtomicUsize::new(0));
         let workers = (0..threads)
             .map(|k| {
-                let (rx, holding) = (rx.clone(), Arc::clone(&holding));
+                let (rx, holding) = (Arc::clone(&rx), Arc::clone(&holding));
                 std::thread::Builder::new()
                     .name(format!("wildfire-forecast-worker-{k}"))
                     .spawn(move || worker_loop(&rx, threads, tick, &holding))
@@ -135,9 +136,9 @@ impl ForecastService {
         }
         let queue = self.tx.as_ref().ok_or(ServiceError::Stopped)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         queue
-            .send(Box::new(Pending { id, req, tx }))
+            .send(Pending { id, req, tx })
             .map_err(|_| ServiceError::Stopped)?;
         Ok(RequestHandle { id, rx })
     }
@@ -178,13 +179,19 @@ fn lanes(threads: usize, holding: usize, members: usize) -> usize {
 type Lane = (CoupledWorkspace, (f64, f64));
 
 /// One worker: pops requests until the queue is closed and empty.
-fn worker_loop(rx: &Receiver<Box<Pending>>, threads: usize, tick: f64, holding: &AtomicUsize) {
+fn worker_loop(rx: &Mutex<Receiver<Pending>>, threads: usize, tick: f64, holding: &AtomicUsize) {
     // The lanes live with the worker, one per possible fan-out thread,
     // lent to the members for the length of a leg: a request costs one
     // model plus its states, and allocates no scratch.
     let mut scratch: Vec<Lane> = vec![Lane::default(); threads];
-    while let Ok(pending) = rx.recv() {
-        let Pending { id, req, tx } = *pending;
+    loop {
+        // The workers share one receiver; whoever holds the lock waits in
+        // `recv`. The guard lives only in this statement, so it is released
+        // before the request is served and another worker can take the next.
+        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(Pending { id, req, tx }) = next else {
+            break;
+        };
         // `holding` only sizes the fan-out (a heuristic, no data is
         // published through it), so `Relaxed` suffices.
         holding.fetch_add(1, Ordering::Relaxed);
@@ -342,23 +349,37 @@ fn product_at(
 mod tests {
     use super::*;
     use crate::ForecastRequest;
-    use wildfire_sim::{DomainSpec, SimulationBuilder};
+    use std::sync::Condvar;
+    use std::time::Duration;
+    use wildfire_fire::IgnitionShape;
+    use wildfire_obs::StridedPsi;
+    use wildfire_sim::{DomainSpec, Scenario, SimulationBuilder};
+
+    /// A 13×13 fire mesh over a 5×5×4 atmosphere, ignited at its center.
+    fn tiny_scenario() -> Scenario {
+        let domain = DomainSpec {
+            nx: 5,
+            ny: 5,
+            nz: 4,
+            dx: 60.0,
+            dy: 60.0,
+            dz: 50.0,
+            refinement: 3,
+        };
+        SimulationBuilder::new()
+            .domain(domain)
+            .ignite(IgnitionShape::Circle {
+                center: domain.center(),
+                radius: 30.0,
+            })
+            .into_scenario()
+    }
 
     #[test]
     fn non_finite_spread_fails_the_request() {
         // Such a spread ignites no member; the request must fail, not
         // deliver products of fireless members.
-        let scenario = SimulationBuilder::new()
-            .domain(DomainSpec {
-                nx: 5,
-                ny: 5,
-                nz: 4,
-                dx: 60.0,
-                dy: 60.0,
-                dz: 50.0,
-                refinement: 3,
-            })
-            .into_scenario();
+        let scenario = tiny_scenario();
         let service = ForecastService::start(ServiceConfig {
             threads: 1,
             tick: 2.0,
@@ -371,6 +392,95 @@ mod tests {
             assert!(
                 matches!(&outcome, Err(ServiceError::Failed(m)) if m.starts_with("member construction")),
                 "spread {spread}: {outcome:?}"
+            );
+        }
+    }
+
+    /// A source that delivers nothing and, in its first poll, waits up to
+    /// ten seconds for `parties` sources sharing `arrived` to poll too.
+    struct Rendezvous {
+        arrived: Arc<(Mutex<usize>, Condvar)>,
+        met: Arc<AtomicUsize>,
+        parties: usize,
+        polled: bool,
+    }
+
+    impl ObsSource for Rendezvous {
+        fn poll(&mut self, _now: f64, _inbox: &mut ObsInbox) -> wildfire_obs::Result<usize> {
+            if !std::mem::replace(&mut self.polled, true) {
+                let (count, arrival) = &*self.arrived;
+                let mut n = count.lock().unwrap();
+                *n += 1;
+                arrival.notify_all();
+                let wait = Duration::from_secs(10);
+                let (n, _) = arrival
+                    .wait_timeout_while(n, wait, |n| *n < self.parties)
+                    .unwrap();
+                if *n >= self.parties {
+                    self.met.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            Ok(0)
+        }
+
+        fn next_due(&self) -> Option<f64> {
+            None
+        }
+    }
+
+    #[test]
+    fn workers_serve_queued_requests_concurrently() {
+        // Two streamed requests on two workers can only both finish their
+        // first poll's rendezvous if the workers serve them at once; a
+        // worker holding the queue while it serves would make each wait
+        // out its deadline alone.
+        let scenario = tiny_scenario();
+        let grid = scenario.model().expect("model").fire_grid;
+        let service = ForecastService::start(ServiceConfig {
+            threads: 2,
+            tick: 1.0,
+        });
+        let (arrived, met) = (Arc::default(), Arc::<AtomicUsize>::default());
+        let streamed: Vec<_> = (0..2)
+            .map(|_| {
+                let mut req = ForecastRequest::free_run(scenario.clone(), vec![2.0]);
+                req.operators = vec![Box::new(StridedPsi::new(grid, 3, 0.5))];
+                req.source = Some(Box::new(Rendezvous {
+                    arrived: Arc::clone(&arrived),
+                    met: Arc::clone(&met),
+                    parties: 2,
+                    polled: false,
+                }));
+                service.submit(req).expect("submit")
+            })
+            .collect();
+        for handle in streamed {
+            assert_eq!(handle.wait().expect("streamed request").len(), 1);
+        }
+        assert_eq!(
+            met.load(Ordering::SeqCst),
+            2,
+            "the requests never overlapped"
+        );
+
+        // A burst: every request gets exactly one terminal event, its own.
+        let burst: Vec<_> = (0..12)
+            .map(|_| {
+                let req = ForecastRequest::free_run(scenario.clone(), vec![0.5]);
+                service.submit(req).expect("submit")
+            })
+            .collect();
+        service.shutdown();
+        for handle in burst {
+            let events: Vec<_> = std::iter::from_fn(|| handle.next_event()).collect();
+            let terminal: Vec<_> = events
+                .iter()
+                .filter(|e| !matches!(e, ForecastEvent::Product(_)))
+                .collect();
+            assert!(
+                matches!(terminal[..], [ForecastEvent::Finished { request }] if *request == handle.id()),
+                "request {}: {events:?}",
+                handle.id()
             );
         }
     }
