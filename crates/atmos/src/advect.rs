@@ -25,7 +25,7 @@ fn upwind(vel: f64, vm: f64, vc: f64, vp: f64, h: f64) -> f64 {
 ///
 /// The advecting velocity at the cell center is the average of the adjacent
 /// face velocities.
-pub fn scalar_tendency_into(state: &AtmosState, q: &[f64], out: &mut Vec<f64>) {
+pub(crate) fn scalar_tendency_into(state: &AtmosState, q: &[f64], out: &mut Vec<f64>) {
     let g = &state.grid;
     out.clear();
     out.resize(g.n_cells(), 0.0);
@@ -58,7 +58,7 @@ pub fn scalar_tendency_into(state: &AtmosState, q: &[f64], out: &mut Vec<f64>) {
 /// Writes the horizontal Laplacian diffusion tendency `ν ∇²_h q` of a
 /// cell-centered scalar (periodic lateral boundaries) into `out`, resizing
 /// it (reusing its storage).
-pub fn diffusion_tendency_into(g: &AtmosGrid, q: &[f64], nu: f64, out: &mut Vec<f64>) {
+pub(crate) fn diffusion_tendency_into(g: &AtmosGrid, q: &[f64], nu: f64, out: &mut Vec<f64>) {
     out.clear();
     out.resize(g.n_cells(), 0.0);
     if nu == 0.0 {
@@ -83,7 +83,7 @@ pub fn diffusion_tendency_into(g: &AtmosGrid, q: &[f64], nu: f64, out: &mut Vec<
 /// Writes the advective tendencies of the three staggered velocity
 /// components, `−(u⃗·∇)u`, `−(u⃗·∇)v`, `−(u⃗·∇)w`, each at its own face
 /// set, into `du`, `dv` and `dw`, resizing them (reusing their storage).
-pub fn momentum_tendencies_into(
+pub(crate) fn momentum_tendencies_into(
     state: &AtmosState,
     du: &mut Vec<f64>,
     dv: &mut Vec<f64>,

@@ -38,8 +38,12 @@ impl AtmosModel {
 
     /// Advective CFL bound for the current state (with a 1e-6 m/s floor on
     /// speeds so a quiescent atmosphere returns a large but finite step).
+    /// NaN when a velocity component is NaN.
     pub fn max_stable_dt(&self, state: &AtmosState) -> f64 {
         let (mu, mv, mw) = state.max_speed();
+        if mu.is_nan() || mv.is_nan() || mw.is_nan() {
+            return f64::NAN;
+        }
         let g = &self.grid;
         let bound = (g.dx / mu.max(1e-6))
             .min(g.dy / mv.max(1e-6))
@@ -56,8 +60,8 @@ impl AtmosModel {
     /// # Errors
     /// [`AtmosError::GridMismatch`] when the flux fields are not on
     /// [`AtmosGrid::horizontal`]; [`AtmosError::CflViolation`] when `dt`
-    /// exceeds the advective bound or is NaN. Either leaves `state`
-    /// untouched.
+    /// exceeds the advective bound, or either of them is NaN. Either error
+    /// leaves `state` untouched.
     pub fn step_ws(
         &self,
         state: &mut AtmosState,
@@ -72,7 +76,7 @@ impl AtmosModel {
             return Err(AtmosError::GridMismatch("fire heat flux fields"));
         }
         let dt_max = self.max_stable_dt(state);
-        if dt.is_nan() || dt > dt_max {
+        if dt.is_nan() || dt_max.is_nan() || dt > dt_max {
             return Err(AtmosError::CflViolation { dt, dt_max });
         }
         let p = &self.params;
@@ -533,6 +537,26 @@ mod tests {
             Err(AtmosError::CflViolation { .. })
         ));
         assert_eq!(s, before);
+    }
+
+    /// A NaN velocity makes the CFL bound NaN instead of the calm-air
+    /// floor's huge step, and the step is refused with every field, and
+    /// the clock, as they were.
+    #[test]
+    fn nan_velocity_refused_by_the_cfl_bound() {
+        let model = small_model();
+        let (qs, ql) = zero_flux(&model);
+        let mut s = model.initial_state();
+        s.u[7] = f64::NAN;
+        assert!(model.max_stable_dt(&s).is_nan());
+        let before = s.clone();
+        assert!(matches!(
+            step(&model, &mut s, &qs, &ql, 0.5),
+            Err(AtmosError::CflViolation { .. })
+        ));
+        assert_eq!(s.time, before.time);
+        assert_eq!(s.v, before.v);
+        assert_eq!(s.theta, before.theta);
     }
 
     #[test]

@@ -91,19 +91,19 @@ impl Default for AtmosParams {
     }
 }
 
-impl AtmosParams {
-    /// Calm-air variant (no ambient wind), used by the rising-bubble tests.
-    pub fn calm() -> Self {
-        AtmosParams {
-            ambient_wind: (0.0, 0.0),
-            ..Default::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AtmosParams {
+        /// Calm-air variant (no ambient wind), used by the rising-bubble tests.
+        pub(crate) fn calm() -> Self {
+            AtmosParams {
+                ambient_wind: (0.0, 0.0),
+                ..Default::default()
+            }
+        }
+    }
 
     #[test]
     fn defaults_are_physical() {

@@ -58,7 +58,7 @@ impl AtmosGrid {
     /// Flat index of the w-face below level `k` of column `(i, j)`;
     /// `k ∈ 0..=nz`.
     #[inline]
-    pub fn wface(&self, i: usize, j: usize, k: usize) -> usize {
+    pub(crate) fn wface(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.nx && j < self.ny && k <= self.nz);
         i + self.nx * (j + self.ny * k)
     }
@@ -169,18 +169,11 @@ impl AtmosState {
         self.w.iter().fold(0.0_f64, |m, &x| m.max(x))
     }
 
-    /// Maximum absolute velocity component (for CFL bounds).
+    /// Maximum absolute velocity component (for CFL bounds). A component
+    /// holding a NaN reads NaN, so a blown-up member cannot pass for a calm
+    /// one.
     pub fn max_speed(&self) -> (f64, f64, f64) {
-        let fmax = |v: &[f64]| v.iter().fold(0.0_f64, |m, &x| m.max(x.abs()));
-        (fmax(&self.u), fmax(&self.v), fmax(&self.w))
-    }
-
-    /// Total kinetic energy (J), Boussinesq density `rho`.
-    pub fn kinetic_energy(&self, rho: f64) -> f64 {
-        let g = &self.grid;
-        let vol = g.dx * g.dy * g.dz;
-        let sum_sq = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
-        0.5 * rho * vol * (sum_sq(&self.u) + sum_sq(&self.v) + sum_sq(&self.w))
+        (max_abs(&self.u), max_abs(&self.v), max_abs(&self.w))
     }
 
     /// Domain-integrated sensible heat content of the θ′ field (J):
@@ -189,12 +182,6 @@ impl AtmosState {
         let g = &self.grid;
         let vol = g.dx * g.dy * g.dz;
         rho * cp * vol * self.theta.iter().sum::<f64>()
-    }
-
-    /// Domain-integrated water vapor mass (kg): `ρ·Σ q′·dV`.
-    pub fn vapor_mass(&self, rho: f64) -> f64 {
-        let g = &self.grid;
-        rho * g.dx * g.dy * g.dz * self.qv.iter().sum::<f64>()
     }
 
     /// All fields finite.
@@ -219,9 +206,42 @@ impl AtmosState {
     }
 }
 
+/// Largest `|x|` over `v` (0 when empty), or NaN when `v` holds a NaN,
+/// which `f64::max` alone would drop. One pass in four independent lanes:
+/// the maximum does not depend on their order, and the lanes keep the loop
+/// as fast as a plain `f64::max` fold.
+fn max_abs(v: &[f64]) -> f64 {
+    let mut lanes = [0.0_f64; 4];
+    let mut nan = false;
+    let chunks = v.chunks_exact(4);
+    for &x in chunks.remainder() {
+        lanes[0] = lanes[0].max(x.abs());
+        nan |= x.is_nan();
+    }
+    for c in chunks {
+        for (m, &x) in lanes.iter_mut().zip(c) {
+            *m = m.max(x.abs());
+            nan |= x.is_nan();
+        }
+    }
+    if nan {
+        f64::NAN
+    } else {
+        lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AtmosState {
+        /// Domain-integrated water vapor mass (kg): `ρ·Σ q′·dV`.
+        pub(crate) fn vapor_mass(&self, rho: f64) -> f64 {
+            let g = &self.grid;
+            rho * g.dx * g.dy * g.dz * self.qv.iter().sum::<f64>()
+        }
+    }
 
     fn grid() -> AtmosGrid {
         AtmosGrid {
@@ -253,14 +273,26 @@ mod tests {
         assert!((s.max_divergence() - 0.1).abs() < 1e-12);
     }
 
+    /// The four-lane fold gives the plain fold's bits on every length, and
+    /// a NaN anywhere, remainder included, reads NaN.
+    #[test]
+    fn max_abs_matches_the_plain_fold_and_keeps_nan() {
+        for n in [0, 1, 3, 4, 5, 9] {
+            let v: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
+            let plain = v.iter().fold(0.0_f64, |m, &x| m.max(x.abs()));
+            assert_eq!(max_abs(&v).to_bits(), plain.to_bits(), "n = {n}");
+            for k in 0..n {
+                let mut w = v.clone();
+                w[k] = f64::NAN;
+                assert!(max_abs(&w).is_nan(), "n = {n}, NaN at {k}");
+            }
+        }
+    }
+
     #[test]
     fn energies_scale_with_fields() {
         let g = grid();
         let mut s = AtmosState::uniform(g, (2.0, 0.0));
-        let ke = s.kinetic_energy(1.2);
-        // 0.5·ρ·V·Σu² with u = 2 on all 120 faces, V = 60·60·50.
-        let expected = 0.5 * 1.2 * 60.0 * 60.0 * 50.0 * (120.0 * 4.0);
-        assert!((ke - expected).abs() / expected < 1e-12);
         s.theta = vec![0.5; g.n_cells()];
         let te = s.thermal_energy(1.2, 1000.0);
         let expected_te = 1.2 * 1000.0 * 180_000.0 * 0.5 * 120.0;

@@ -23,6 +23,9 @@ use wildfire_grid::{Grid2, NodeBox, VectorField2};
 /// difference is 2 ulp at 246 s and 0.16 m at 600 s (README, "far field").
 pub const FAR_FIELD_CELLS: f64 = 32.0;
 
+/// Most atmosphere sub-steps one coupled step may take.
+const MAX_ATMOS_SUBSTEPS: usize = 10_000;
+
 /// Joint state of the coupled system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoupledState {
@@ -220,21 +223,11 @@ impl CoupledModel {
 
     /// Advances the coupled system by `dt` (both components sub-step to
     /// their own stability limits internally; the paper's configuration of
-    /// dt = 0.5 s needs no sub-stepping).
-    ///
-    /// # Errors
-    /// Propagates component failures.
-    pub fn step(&self, state: &mut CoupledState, dt: f64) -> Result<StepDiagnostics> {
-        let mut ws = CoupledWorkspace::new();
-        self.step_ws(state, dt, &mut ws)
-    }
-
-    /// Allocation-free [`CoupledModel::step`]: every temporary — fire Heun
+    /// dt = 0.5 s needs no sub-stepping). Every temporary — fire Heun
     /// stages, mesh-transfer fields, heat fluxes, atmosphere tendencies and
-    /// the pressure solve's tables — comes from `ws`, sized on first use and reused
-    /// thereafter. Bit-identical to the allocating wrapper. This is the one
-    /// stepping path: wind onto the fire mesh
-    /// ([`CoupledModel::fire_wind_into`]), the fire advance
+    /// the pressure solve's tables — comes from `ws`, sized on first use and
+    /// reused thereafter. This is the one stepping path: wind onto the fire
+    /// mesh ([`CoupledModel::fire_wind_into`]), the fire advance
     /// ([`LevelSetSolver::advance_to_stats_ws`]), then heat fluxes,
     /// atmosphere and diagnostics.
     ///
@@ -249,8 +242,11 @@ impl CoupledModel {
     /// the uncoupled configuration.
     ///
     /// # Errors
-    /// [`CoupledError::Config`] when `state` is not on this model's grids;
-    /// otherwise as [`CoupledModel::step`].
+    /// [`CoupledError::Config`] when `state` is not on this model's grids,
+    /// or when the atmosphere's CFL bound at the step's start already
+    /// implies more than 10 000 sub-steps (then the atmosphere is left
+    /// untouched); otherwise the component failures — a NaN velocity fails
+    /// the atmosphere's CFL check.
     pub fn step_ws(
         &self,
         state: &mut CoupledState,
@@ -312,11 +308,21 @@ impl CoupledModel {
             ws.latent_coarse.resize_zeroed(h);
         }
 
-        // 6: advance the atmosphere with sub-stepping to its CFL bound.
+        // 6: advance the atmosphere with sub-stepping to its CFL bound. A
+        // first bound that already asks for more sub-steps than the limit
+        // fails before the first one (a NaN bound fails in `step_ws`).
         let mut guard = 0;
         while state.atmos.time < t_target - 1e-9 {
             let dt_max = self.atmos.max_stable_dt(&state.atmos);
-            let sub = dt_max.min(t_target - state.atmos.time);
+            let remaining = t_target - state.atmos.time;
+            if guard == MAX_ATMOS_SUBSTEPS
+                || (guard == 0 && remaining / dt_max > MAX_ATMOS_SUBSTEPS as f64)
+            {
+                return Err(CoupledError::Config(
+                    "atmosphere sub-stepping failed to reach the target time",
+                ));
+            }
+            let sub = dt_max.min(remaining);
             self.atmos.step_ws(
                 &mut state.atmos,
                 &ws.sensible_coarse,
@@ -325,11 +331,6 @@ impl CoupledModel {
                 &mut ws.atmos,
             )?;
             guard += 1;
-            if guard > 10_000 {
-                return Err(CoupledError::Config(
-                    "atmosphere sub-stepping failed to reach the target time",
-                ));
-            }
         }
 
         self.atmos
@@ -443,7 +444,9 @@ mod tests {
     fn coupled_step_advances_both_components() {
         let m = model(true);
         let mut s = m.ignite(&center_ignition(&m), 0.0);
-        let diag = m.step(&mut s, 0.5).unwrap();
+        let diag = m
+            .step_ws(&mut s, 0.5, &mut CoupledWorkspace::new())
+            .unwrap();
         assert!((s.fire.time - 0.5).abs() < 1e-9);
         assert!((s.atmos.time - 0.5).abs() < 1e-9);
         assert!(diag.burned_area > 0.0);
@@ -533,13 +536,16 @@ mod tests {
 
     #[test]
     fn workspace_step_matches_allocating_step_bitwise() {
+        // One reused workspace against a fresh workspace per step.
         for coupled in [true, false] {
             let m = model(coupled);
             let mut alloc = m.ignite(&center_ignition(&m), 0.0);
             let mut with_ws = alloc.clone();
             let mut ws = CoupledWorkspace::new();
             for _ in 0..6 {
-                let da = m.step(&mut alloc, 0.5).unwrap();
+                let da = m
+                    .step_ws(&mut alloc, 0.5, &mut CoupledWorkspace::new())
+                    .unwrap();
                 let dw = m.step_ws(&mut with_ws, 0.5, &mut ws).unwrap();
                 assert_eq!(da, dw, "diagnostics must match (coupled = {coupled})");
             }
@@ -568,7 +574,8 @@ mod tests {
             let mut shared = m.ignite(&center_ignition(&m), 0.0);
             let mut fresh = shared.clone();
             m.step_ws(&mut shared, 0.5, &mut ws).unwrap();
-            m.step(&mut fresh, 0.5).unwrap();
+            m.step_ws(&mut fresh, 0.5, &mut CoupledWorkspace::new())
+                .unwrap();
             assert_eq!(shared.fire.psi, fresh.fire.psi, "refinement {refinement}");
             assert_eq!(shared.atmos.w, fresh.atmos.w, "refinement {refinement}");
         }

@@ -164,35 +164,18 @@ impl EnsembleKalmanFilter {
     /// * `data` — the real observation vector `d` (`m`);
     /// * `obs_var` — observation error variances (diagonal of `R`, `m`),
     ///   each positive and finite;
-    /// * `rng` — source of the observation perturbations.
-    ///
-    /// # Errors
-    /// Dimension mismatches, ensembles smaller than 2,
-    /// [`EnkfError::NonPositiveObsVariance`], and linear-algebra failures.
-    /// The first three are returned before `ensemble` or `rng` is touched.
-    pub fn analyze(
-        &self,
-        ensemble: &mut Matrix,
-        synthetic: &Matrix,
-        data: &[f64],
-        obs_var: &[f64],
-        rng: &mut GaussianSampler,
-    ) -> Result<()> {
-        let mut ws = AnalysisWorkspace::new();
-        self.analyze_ws(ensemble, synthetic, data, obs_var, rng, &mut ws)
-    }
-
-    /// Allocation-free [`EnsembleKalmanFilter::analyze`]: every dense
-    /// temporary comes from `ws`, sized on the first call with a given shape
-    /// and reused thereafter (zero heap allocation in steady state).
-    /// Bit-identical to the allocating wrapper.
+    /// * `rng` — source of the observation perturbations;
+    /// * `ws` — every dense temporary, sized on the first call with a given
+    ///   shape and reused thereafter (zero heap allocation in steady state).
     ///
     /// The ensemble-space weights `W` depend only on `HA`, the data and
     /// `R`, so they are computed first; `X` is then updated in place, one
     /// block of rows at a time, and no `n × N` temporary exists.
     ///
     /// # Errors
-    /// Same as [`EnsembleKalmanFilter::analyze`].
+    /// Dimension mismatches, ensembles smaller than 2,
+    /// [`EnkfError::NonPositiveObsVariance`], and linear-algebra failures.
+    /// The first three are returned before `ensemble` or `rng` is touched.
     pub fn analyze_ws(
         &self,
         ensemble: &mut Matrix,
@@ -294,7 +277,9 @@ mod tests {
         }
         let (ha, _) = synthetic.anomalies();
         let scale = 1.0 / (n_ens as f64 - 1.0);
-        let mut c = ha.matmul_tr(&ha).unwrap();
+        let mut c = Matrix::from_fn(m, m, |i, k| {
+            (0..n_ens).map(|j| ha[(i, j)] * ha[(k, j)]).sum::<f64>()
+        });
         c.scale_mut(scale);
         let mean_var = obs_var.iter().sum::<f64>() / m as f64;
         for i in 0..m {
@@ -308,10 +293,15 @@ mod tests {
                 delta[(i, j)] = data[i] + eps - synthetic[(i, j)];
             }
         }
-        let z = chol.solve_matrix(&delta).unwrap();
-        let mut w = ha.tr_matmul(&z).unwrap();
+        let mut z = delta;
+        for j in 0..n_ens {
+            Cholesky::solve_in_place_with(chol.l(), z.col_mut(j));
+        }
+        let (mut w, mut aw) = (Matrix::default(), Matrix::default());
+        ha.tr_matmul_into(&z, &mut w).unwrap();
         w.scale_mut(scale);
-        ensemble.axpy_mut(1.0, &a.matmul(&w).unwrap()).unwrap();
+        a.matmul_into(&w, &mut aw).unwrap();
+        ensemble.axpy_mut(1.0, &aw).unwrap();
     }
 
     /// Same inputs and seed through the production filter and the oracle:
@@ -327,7 +317,8 @@ mod tests {
         let x0 = init.normal_matrix(n, n_ens, 2.0);
         // A dense random observation operator, so that m may exceed n.
         let h = init.normal_matrix(m, n, 1.0);
-        let y0 = h.matmul(&x0).unwrap();
+        let mut y0 = Matrix::default();
+        h.matmul_into(&x0, &mut y0).unwrap();
         let data: Vec<f64> = (0..m).map(|_| init.normal(1.0, 2.0)).collect();
         let (lo, hi) = (var_range.0.ln(), var_range.1.ln());
         let obs_var: Vec<f64> = (0..m).map(|_| init.uniform(lo, hi).exp()).collect();
@@ -335,7 +326,14 @@ mod tests {
         let mut x = x0.clone();
         let mut rng = GaussianSampler::new(seed ^ 0x5eed);
         EnsembleKalmanFilter::new(config)
-            .analyze(&mut x, &y0, &data, &obs_var, &mut rng)
+            .analyze_ws(
+                &mut x,
+                &y0,
+                &data,
+                &obs_var,
+                &mut rng,
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
         let mut x_ref = x0;
         let mut rng_ref = GaussianSampler::new(seed ^ 0x5eed);
@@ -473,7 +471,14 @@ mod tests {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let mut x = x0.clone();
             let rng_before = rng.state();
-            let err = filter.analyze(&mut x, &y, &[0.0; 3], &[0.5, 0.5, bad], &mut rng);
+            let err = filter.analyze_ws(
+                &mut x,
+                &y,
+                &[0.0; 3],
+                &[0.5, 0.5, bad],
+                &mut rng,
+                &mut AnalysisWorkspace::new(),
+            );
             assert_eq!(err, Err(EnkfError::NonPositiveObsVariance { row: 2 }));
             assert!(err.unwrap_err().to_string().contains("row 2"));
             assert_eq!(x, x0, "ensemble touched for variance {bad}");
@@ -501,7 +506,14 @@ mod tests {
 
         let filter = EnsembleKalmanFilter::default();
         filter
-            .analyze(&mut x, &y, &[obs], &[obs_var], &mut rng)
+            .analyze_ws(
+                &mut x,
+                &y,
+                &[obs],
+                &[obs_var],
+                &mut rng,
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
 
         // Exact posterior: K = 4/5; mean = 1 + K(3−1) = 2.6; var = (1−K)·4 = 0.8.
@@ -524,7 +536,14 @@ mod tests {
         let obs_var = vec![0.25; n];
         let before: f64 = x.col_mean().iter().sum::<f64>() / n as f64;
         EnsembleKalmanFilter::default()
-            .analyze(&mut x, &y, &data, &obs_var, &mut rng)
+            .analyze_ws(
+                &mut x,
+                &y,
+                &data,
+                &obs_var,
+                &mut rng,
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
         let after: f64 = x.col_mean().iter().sum::<f64>() / n as f64;
         assert!(before.abs() < 0.5);
@@ -541,7 +560,14 @@ mod tests {
         let obs_var = vec![0.5; 5];
         let spread_before = stats::ensemble_spread(&x);
         EnsembleKalmanFilter::default()
-            .analyze(&mut x, &y, &data, &obs_var, &mut rng)
+            .analyze_ws(
+                &mut x,
+                &y,
+                &data,
+                &obs_var,
+                &mut rng,
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
         let spread_after = stats::ensemble_spread(&x);
         assert!(
@@ -563,7 +589,14 @@ mod tests {
         }
         let y = x.submatrix(0, 1, 0, n_ens);
         EnsembleKalmanFilter::default()
-            .analyze(&mut x, &y, &[4.0], &[0.01], &mut rng)
+            .analyze_ws(
+                &mut x,
+                &y,
+                &[4.0],
+                &[0.01],
+                &mut rng,
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
         let m0 = stats::mean(&x.row(0));
         let m1 = stats::mean(&x.row(1));
@@ -586,7 +619,15 @@ mod tests {
                 ..Default::default()
             });
             // Huge obs error → analysis ≈ prior, exposing the inflation.
-            f.analyze(&mut x, &y, &[0.0; 4], &[1e12; 4], rng).unwrap();
+            f.analyze_ws(
+                &mut x,
+                &y,
+                &[0.0; 4],
+                &[1e12; 4],
+                rng,
+                &mut AnalysisWorkspace::new(),
+            )
+            .unwrap();
             stats::ensemble_spread(&x)
         };
         let s1 = run(1.0, &mut rng);
@@ -617,7 +658,14 @@ mod tests {
             let mut x_alloc = x0.clone();
             let mut rng_a = GaussianSampler::new(55);
             filter
-                .analyze(&mut x_alloc, &y0, &data, &obs_var, &mut rng_a)
+                .analyze_ws(
+                    &mut x_alloc,
+                    &y0,
+                    &data,
+                    &obs_var,
+                    &mut rng_a,
+                    &mut AnalysisWorkspace::new(),
+                )
                 .unwrap();
 
             let mut x_ws = x0.clone();
@@ -638,12 +686,24 @@ mod tests {
         let mut rng = GaussianSampler::new(1);
         let mut x = Matrix::zeros(3, 10);
         let y = Matrix::zeros(2, 9);
-        let err =
-            EnsembleKalmanFilter::default().analyze(&mut x, &y, &[0.0; 2], &[1.0; 2], &mut rng);
+        let err = EnsembleKalmanFilter::default().analyze_ws(
+            &mut x,
+            &y,
+            &[0.0; 2],
+            &[1.0; 2],
+            &mut rng,
+            &mut AnalysisWorkspace::new(),
+        );
         assert!(matches!(err, Err(EnkfError::DimensionMismatch { .. })));
         let y2 = Matrix::zeros(2, 10);
-        let err2 =
-            EnsembleKalmanFilter::default().analyze(&mut x, &y2, &[0.0; 3], &[1.0; 3], &mut rng);
+        let err2 = EnsembleKalmanFilter::default().analyze_ws(
+            &mut x,
+            &y2,
+            &[0.0; 3],
+            &[1.0; 3],
+            &mut rng,
+            &mut AnalysisWorkspace::new(),
+        );
         assert!(matches!(err2, Err(EnkfError::DimensionMismatch { .. })));
     }
 
@@ -653,7 +713,14 @@ mod tests {
         let mut x = Matrix::zeros(3, 1);
         let y = Matrix::zeros(2, 1);
         assert!(matches!(
-            EnsembleKalmanFilter::default().analyze(&mut x, &y, &[0.0; 2], &[1.0; 2], &mut rng),
+            EnsembleKalmanFilter::default().analyze_ws(
+                &mut x,
+                &y,
+                &[0.0; 2],
+                &[1.0; 2],
+                &mut rng,
+                &mut AnalysisWorkspace::new()
+            ),
             Err(EnkfError::EnsembleTooSmall)
         ));
     }
@@ -665,7 +732,14 @@ mod tests {
         let before = x.clone();
         let y = Matrix::zeros(0, 6);
         EnsembleKalmanFilter::default()
-            .analyze(&mut x, &y, &[], &[], &mut rng)
+            .analyze_ws(
+                &mut x,
+                &y,
+                &[],
+                &[],
+                &mut rng,
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
         assert_eq!(x, before);
     }

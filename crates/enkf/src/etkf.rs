@@ -62,40 +62,22 @@ impl Etkf {
         Etkf { inflation }
     }
 
-    /// One deterministic analysis step in place.
-    ///
-    /// Arguments mirror
-    /// [`crate::EnsembleKalmanFilter::analyze`] minus the RNG (no
-    /// perturbations are drawn).
-    ///
-    /// # Errors
-    /// Same classes as the stochastic filter, checked before `ensemble` is
-    /// touched.
-    pub fn analyze(
-        &self,
-        ensemble: &mut Matrix,
-        synthetic: &Matrix,
-        data: &[f64],
-        obs_var: &[f64],
-    ) -> Result<()> {
-        let mut ws = AnalysisWorkspace::new();
-        self.analyze_ws(ensemble, synthetic, data, obs_var, &mut ws)
-    }
-
-    /// Workspace-backed [`Etkf::analyze`]: every temporary — the
-    /// observation anomalies, the scaled observation anomalies, the `N × N`
+    /// One deterministic analysis step in place. Arguments mirror
+    /// [`crate::EnsembleKalmanFilter::analyze_ws`] minus the RNG (no
+    /// perturbations are drawn). Every temporary — the observation
+    /// anomalies, the scaled observation anomalies, the `N × N`
     /// ensemble-space eigendecomposition (`SymmetricEigen::factor_into`
     /// with Jacobi scratch in `ws`) and a block of state anomalies — comes
     /// from `ws` and is reused across calls, so a steady-state analysis
-    /// performs no heap allocation. Bit-identical to the allocating
-    /// wrapper.
+    /// performs no heap allocation.
     ///
     /// `M^{-1/2}` and the mean weights `w̄` depend only on `HA`, the data
     /// and `R`, so they are computed first; `X` is then rewritten in place,
     /// one block of rows at a time, and no `n × N` temporary exists.
     ///
     /// # Errors
-    /// Same classes as the stochastic filter.
+    /// Same classes as the stochastic filter, checked before `ensemble` is
+    /// touched.
     pub fn analyze_ws(
         &self,
         ensemble: &mut Matrix,
@@ -192,7 +174,9 @@ mod tests {
             x[(0, j)] = rng.normal(1.0, 2.0);
         }
         let y = x.clone();
-        Etkf::new(1.0).analyze(&mut x, &y, &[3.0], &[1.0]).unwrap();
+        Etkf::new(1.0)
+            .analyze_ws(&mut x, &y, &[3.0], &[1.0], &mut AnalysisWorkspace::new())
+            .unwrap();
         let vals = x.row(0);
         // Posterior: mean 2.6, var 0.8 (same as the stochastic test).
         assert!((stats::mean(&vals) - 2.6).abs() < 0.1);
@@ -207,8 +191,22 @@ mod tests {
         let mut x1 = x0.clone();
         let mut x2 = x0.clone();
         let f = Etkf::new(1.0);
-        f.analyze(&mut x1, &y0, &[1.0; 6], &[0.5; 6]).unwrap();
-        f.analyze(&mut x2, &y0, &[1.0; 6], &[0.5; 6]).unwrap();
+        f.analyze_ws(
+            &mut x1,
+            &y0,
+            &[1.0; 6],
+            &[0.5; 6],
+            &mut AnalysisWorkspace::new(),
+        )
+        .unwrap();
+        f.analyze_ws(
+            &mut x2,
+            &y0,
+            &[1.0; 6],
+            &[0.5; 6],
+            &mut AnalysisWorkspace::new(),
+        )
+        .unwrap();
         assert_eq!(x1, x2, "ETKF must be deterministic");
     }
 
@@ -219,7 +217,13 @@ mod tests {
         let mut x = x0.clone();
         let y = x0.clone();
         Etkf::new(1.0)
-            .analyze(&mut x, &y, &[100.0; 3], &[1e14; 3])
+            .analyze_ws(
+                &mut x,
+                &y,
+                &[100.0; 3],
+                &[1e14; 3],
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
         let m0 = x0.col_mean();
         let m1 = x.col_mean();
@@ -235,7 +239,13 @@ mod tests {
         let y = x.clone();
         let before = stats::ensemble_spread(&x);
         Etkf::new(1.0)
-            .analyze(&mut x, &y, &[0.0; 4], &[0.01; 4])
+            .analyze_ws(
+                &mut x,
+                &y,
+                &[0.0; 4],
+                &[0.01; 4],
+                &mut AnalysisWorkspace::new(),
+            )
             .unwrap();
         let after = stats::ensemble_spread(&x);
         assert!(after < 0.2 * before, "{before} → {after}");
@@ -249,10 +259,22 @@ mod tests {
         let data: Vec<f64> = (0..8).map(|i| i as f64 * 0.2).collect();
         let obs_var = vec![0.5; 8];
         let f = Etkf::new(1.1);
-        let mut x_alloc = x0.clone();
-        f.analyze(&mut x_alloc, &y0, &data, &obs_var).unwrap();
-        let mut x_ws = x0.clone();
+        // A workspace warmed on another shape against a fresh one.
         let mut ws = AnalysisWorkspace::new();
+        let mut warm = rng.normal_matrix(20, 6, 1.0);
+        let warm_y = warm.submatrix(0, 5, 0, 6);
+        f.analyze_ws(&mut warm, &warm_y, &[0.0; 5], &[1.0; 5], &mut ws)
+            .unwrap();
+        let mut x_alloc = x0.clone();
+        f.analyze_ws(
+            &mut x_alloc,
+            &y0,
+            &data,
+            &obs_var,
+            &mut AnalysisWorkspace::new(),
+        )
+        .unwrap();
+        let mut x_ws = x0.clone();
         f.analyze_ws(&mut x_ws, &y0, &data, &obs_var, &mut ws)
             .unwrap();
         assert_eq!(x_alloc.as_slice(), x_ws.as_slice());
@@ -329,7 +351,13 @@ mod tests {
         let y = x0.submatrix(0, 3, 0, 6);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let mut x = x0.clone();
-            let err = Etkf::new(1.2).analyze(&mut x, &y, &[0.0; 3], &[bad, 0.5, 0.5]);
+            let err = Etkf::new(1.2).analyze_ws(
+                &mut x,
+                &y,
+                &[0.0; 3],
+                &[bad, 0.5, 0.5],
+                &mut AnalysisWorkspace::new(),
+            );
             assert_eq!(err, Err(EnkfError::NonPositiveObsVariance { row: 0 }));
             assert_eq!(x, x0, "ensemble touched for variance {bad}");
         }
@@ -339,6 +367,8 @@ mod tests {
     fn rejects_mismatched_inputs() {
         let mut x = Matrix::zeros(3, 5);
         let y = Matrix::zeros(2, 5);
-        assert!(Etkf::new(1.0).analyze(&mut x, &y, &[0.0], &[1.0]).is_err());
+        assert!(Etkf::new(1.0)
+            .analyze_ws(&mut x, &y, &[0.0], &[1.0], &mut AnalysisWorkspace::new())
+            .is_err());
     }
 }

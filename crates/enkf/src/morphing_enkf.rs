@@ -125,7 +125,8 @@ pub fn packed_len(config: &MorphingConfig, n_fields: usize, field_grid: Grid2) -
     n_fields * field_grid.len() + 2 * config.registration.output_grid(field_grid).len()
 }
 
-/// [`MorphingEnkf::to_extended`] into a reused state: the registration
+/// Transforms a member (list of fields) into its extended state, reusing
+/// `out`: the registration
 /// scratch comes from `reg` and the residuals and displacement overwrite
 /// `out`, so warm buffers make the transform allocation-free. Field
 /// `reg_index` drives the registration; every residual is taken at the one
@@ -274,26 +275,9 @@ impl MorphingEnkf {
     }
 
     /// Transforms a member (list of fields) into its extended state, using
-    /// field `reg_index` to drive the registration.
-    ///
-    /// # Errors
-    /// As [`to_extended_into`].
-    pub fn to_extended(
-        &self,
-        fields: &[Field2],
-        reference: &[Field2],
-        reg_index: usize,
-    ) -> Result<ExtendedState> {
-        self.to_extended_ws(
-            fields,
-            reference,
-            reg_index,
-            &mut RegistrationWorkspace::new(),
-        )
-    }
-
-    /// [`MorphingEnkf::to_extended`] with caller-provided registration
-    /// scratch; an owned-result wrapper of [`to_extended_into`].
+    /// field `reg_index` to drive the registration and caller-provided
+    /// registration scratch; an owned-result wrapper of
+    /// [`to_extended_into`].
     ///
     /// # Errors
     /// As [`to_extended_into`].
@@ -309,99 +293,10 @@ impl MorphingEnkf {
         Ok(out)
     }
 
-    /// Reconstructs the physical fields from an extended state.
-    pub fn from_extended(&self, ext: &ExtendedState, reference: &[Field2]) -> Vec<Field2> {
-        let mut out: Vec<Field2> = reference
-            .iter()
-            .map(|u0| Field2::zeros(u0.grid()))
-            .collect();
-        let mut outs: Vec<&mut Field2> = out.iter_mut().collect();
-        let c = &ext.t.control;
-        let control = (c.grid(), c.u.as_slice(), c.v.as_slice());
-        morph_into(
-            reference,
-            |f| ext.residuals[f].as_slice(),
-            1.0,
-            control,
-            &mut outs,
-        );
-        out
-    }
-
-    /// One morphing-EnKF analysis.
-    ///
-    /// * `members` — the ensemble; each member is a list of fields (all
-    ///   members and the reference share layouts and grids);
-    /// * `reference` — the common registration reference `u0` (e.g. the
-    ///   forecast of a designated member);
-    /// * `data` — the observed fields in the same layout (the identical-twin
-    ///   experiments pass the truth state as retrieved from imagery);
-    /// * `reg_index` — which field drives registration (the fire experiments
-    ///   use the level-set function ψ).
-    ///
-    /// Returns the analysis ensemble (same layout).
-    ///
-    /// # Errors
-    /// Dimension mismatches, registration failures and numerical failures
-    /// from the inner EnKF.
-    pub fn analyze(
-        &self,
-        members: &[Vec<Field2>],
-        reference: &[Field2],
-        data: &[Field2],
-        reg_index: usize,
-        rng: &mut GaussianSampler,
-    ) -> Result<Vec<Vec<Field2>>> {
-        let n_ens = members.len();
-        if n_ens < 2 {
-            return Err(EnkfError::EnsembleTooSmall);
-        }
-        let n_fields = reference.len();
-        if data.len() != n_fields {
-            return Err(EnkfError::DimensionMismatch {
-                what: "data field count differs from reference",
-            });
-        }
-        if reg_index >= n_fields {
-            return Err(EnkfError::DimensionMismatch {
-                what: "registration field index out of range",
-            });
-        }
-        for obs in &self.config.observed_fields {
-            if *obs >= n_fields {
-                return Err(EnkfError::DimensionMismatch {
-                    what: "observed field index out of range",
-                });
-            }
-        }
-
-        // --- Transform members and data into extended space. -------------
-        let mut extended = Vec::with_capacity(n_ens);
-        for m in members {
-            extended.push(self.to_extended(m, reference, reg_index)?);
-        }
-        let data_ext = self.to_extended(data, reference, reg_index)?;
-        self.analyze_extended(&extended, &data_ext, reference, rng)
-    }
-
-    /// The analysis core operating on precomputed extended states.
-    ///
-    /// # Errors
-    /// Dimension mismatches and numerical failures from the inner EnKF.
-    pub fn analyze_extended(
-        &self,
-        extended: &[ExtendedState],
-        data_ext: &ExtendedState,
-        reference: &[Field2],
-        rng: &mut GaussianSampler,
-    ) -> Result<Vec<Vec<Field2>>> {
-        let mut ws = MorphingWorkspace::new();
-        self.analyze_extended_ws(extended, data_ext, reference, rng, &mut ws)
-    }
-
-    /// Workspace-backed [`MorphingEnkf::analyze_extended`]: packs the
+    /// One morphing-EnKF analysis on precomputed extended states: packs the
     /// states into `ws`, runs [`analyze_packed_ws`] and morphs every column
-    /// back with [`from_packed_into`] into freshly allocated fields.
+    /// back with [`from_packed_into`] into freshly allocated fields (same
+    /// layout as `reference`).
     ///
     /// # Errors
     /// Dimension mismatches and numerical failures from the inner EnKF.
@@ -463,6 +358,40 @@ mod tests {
         })
     }
 
+    /// The extended state of `fields`, registered on field 0.
+    fn extend(filter: &MorphingEnkf, fields: &[Field2], reference: &[Field2]) -> ExtendedState {
+        filter
+            .to_extended_ws(fields, reference, 0, &mut RegistrationWorkspace::new())
+            .unwrap()
+    }
+
+    /// Members and data through `to_extended_ws`, then one
+    /// `analyze_extended_ws` with a fresh workspace.
+    fn analyze(
+        filter: &MorphingEnkf,
+        members: &[Vec<Field2>],
+        reference: &[Field2],
+        data: &[Field2],
+        reg_index: usize,
+        rng: &mut GaussianSampler,
+    ) -> Result<Vec<Vec<Field2>>> {
+        let mut reg = RegistrationWorkspace::new();
+        let mut to_ext =
+            |fields: &[Field2]| filter.to_extended_ws(fields, reference, reg_index, &mut reg);
+        let extended = members
+            .iter()
+            .map(|m| to_ext(m))
+            .collect::<Result<Vec<_>>>()?;
+        let data_ext = to_ext(data)?;
+        filter.analyze_extended_ws(
+            &extended,
+            &data_ext,
+            reference,
+            rng,
+            &mut MorphingWorkspace::new(),
+        )
+    }
+
     fn cfg() -> MorphingConfig {
         MorphingConfig {
             registration: RegistrationConfig {
@@ -484,8 +413,12 @@ mod tests {
         let filter = MorphingEnkf::new(cfg());
         let reference = vec![cone(32.0, 32.0)];
         let member = vec![cone(44.0, 32.0)];
-        let ext = filter.to_extended(&member, &reference, 0).unwrap();
-        let back = filter.from_extended(&ext, &reference);
+        let ext = extend(&filter, &member, &reference);
+        let mut packed = vec![0.0; packed_len(&filter.config, 1, grid())];
+        ext.pack_into(&mut packed);
+        let mut back = [Field2::zeros(grid())];
+        let mut outs: Vec<&mut Field2> = back.iter_mut().collect();
+        from_packed_into(&reference, ext.t.control.grid(), &packed, &mut outs);
         // Interior reconstruction error should be small (window clear of
         // the ~12 m displacement's boundary-clamping reach).
         let mut max_err = 0.0_f64;
@@ -506,9 +439,7 @@ mod tests {
         let members: Vec<Vec<Field2>> = (0..8).map(|i| vec![cone(20.0 + i as f64, 32.0)]).collect();
         let data = vec![cone(44.0, 32.0)];
         let mut rng = GaussianSampler::new(31);
-        let analyzed = filter
-            .analyze(&members, &reference, &data, 0, &mut rng)
-            .unwrap();
+        let analyzed = analyze(&filter, &members, &reference, &data, 0, &mut rng).unwrap();
         // Fire "position" = argmin of the cone field.
         let locate = |f: &Field2| -> f64 {
             let g = f.grid();
@@ -541,9 +472,7 @@ mod tests {
             .collect();
         let data = vec![cone(40.0, 36.0)];
         let mut rng = GaussianSampler::new(5);
-        let analyzed = filter
-            .analyze(&members, &reference, &data, 0, &mut rng)
-            .unwrap();
+        let analyzed = analyze(&filter, &members, &reference, &data, 0, &mut rng).unwrap();
         for m in &analyzed {
             assert!(m[0].all_finite());
             // Still has a burning region (negative values) — the morph does
@@ -569,9 +498,7 @@ mod tests {
             .collect();
         let data = vec![cone(40.0, 30.0), cone(40.0, 30.0)];
         let mut rng = GaussianSampler::new(77);
-        let analyzed = filter
-            .analyze(&members, &reference, &data, 0, &mut rng)
-            .unwrap();
+        let analyzed = analyze(&filter, &members, &reference, &data, 0, &mut rng).unwrap();
         // The unobserved second field must track the observed first one
         // (same displacement, correlated residuals).
         for m in &analyzed {
@@ -588,16 +515,26 @@ mod tests {
         let data = vec![cone(40.0, 32.0)];
         let extended: Vec<ExtendedState> = members
             .iter()
-            .map(|m| filter.to_extended(m, &reference, 0).unwrap())
+            .map(|m| extend(&filter, m, &reference))
             .collect();
-        let data_ext = filter.to_extended(&data, &reference, 0).unwrap();
+        let data_ext = extend(&filter, &data, &reference);
 
         let mut rng_a = GaussianSampler::new(97);
         let alloc = filter
-            .analyze_extended(&extended, &data_ext, &reference, &mut rng_a)
+            .analyze_extended_ws(
+                &extended,
+                &data_ext,
+                &reference,
+                &mut rng_a,
+                &mut MorphingWorkspace::new(),
+            )
+            .unwrap();
+        // A workspace warmed by an analysis of a smaller ensemble.
+        let mut ws = MorphingWorkspace::new();
+        filter
+            .analyze_extended_ws(&extended[..3], &data_ext, &reference, &mut rng_a, &mut ws)
             .unwrap();
         let mut rng_b = GaussianSampler::new(97);
-        let mut ws = MorphingWorkspace::new();
         let with_ws = filter
             .analyze_extended_ws(&extended, &data_ext, &reference, &mut rng_b, &mut ws)
             .unwrap();
@@ -632,10 +569,10 @@ mod tests {
         let extended: Vec<ExtendedState> = (0..6)
             .map(|i| {
                 let member = [cone(26.0 + 2.0 * i as f64)];
-                filter.to_extended(&member, &reference, 0).unwrap()
+                extend(&filter, &member, &reference)
             })
             .collect();
-        let data_ext = filter.to_extended(&[cone(40.0)], &reference, 0).unwrap();
+        let data_ext = extend(&filter, &[cone(40.0)], &reference);
         let mut ws = MorphingWorkspace::new();
         let mut rng = GaussianSampler::new(3);
         filter
@@ -709,14 +646,10 @@ mod tests {
         let extended: Vec<ExtendedState> = (0..4)
             .map(|i| {
                 let c = 24.0 + 2.0 * i as f64;
-                filter
-                    .to_extended(&[cone(c, 30.0), cone(c, 30.0)], &reference, 0)
-                    .unwrap()
+                extend(&filter, &[cone(c, 30.0), cone(c, 30.0)], &reference)
             })
             .collect();
-        let data_ext = filter
-            .to_extended(&[cone(40.0, 30.0), cone(40.0, 30.0)], &reference, 0)
-            .unwrap();
+        let data_ext = extend(&filter, &[cone(40.0, 30.0), cone(40.0, 30.0)], &reference);
         let mut ws = MorphingWorkspace::new();
         filter
             .analyze_extended_ws(&extended, &data_ext, &reference, &mut rng, &mut ws)
@@ -733,12 +666,10 @@ mod tests {
         let one = vec![vec![cone(30.0, 30.0)]];
         let mut rng = GaussianSampler::new(1);
         assert!(matches!(
-            filter.analyze(&one, &reference, &reference.clone(), 0, &mut rng),
+            analyze(&filter, &one, &reference, &reference.clone(), 0, &mut rng),
             Err(EnkfError::EnsembleTooSmall)
         ));
         let two = vec![vec![cone(30.0, 30.0)], vec![cone(31.0, 30.0)]];
-        assert!(filter
-            .analyze(&two, &reference, &reference.clone(), 5, &mut rng)
-            .is_err());
+        assert!(analyze(&filter, &two, &reference, &reference.clone(), 5, &mut rng).is_err());
     }
 }

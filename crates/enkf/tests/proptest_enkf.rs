@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use wildfire_enkf::morph::{morph, residual};
 use wildfire_enkf::registration::DisplacementField;
-use wildfire_enkf::{EnkfConfig, EnsembleKalmanFilter, Etkf};
+use wildfire_enkf::{AnalysisWorkspace, EnkfConfig, EnsembleKalmanFilter, Etkf};
 use wildfire_grid::{Field2, Grid2};
 use wildfire_math::{stats, GaussianSampler, Matrix};
 
@@ -29,7 +29,7 @@ proptest! {
         let y = x.clone();
         let data = vec![data_val; n];
         EnsembleKalmanFilter::default()
-            .analyze(&mut x, &y, &data, &vec![obs_var; n], &mut rng)
+            .analyze_ws(&mut x, &y, &data, &vec![obs_var; n], &mut rng, &mut AnalysisWorkspace::new())
             .unwrap();
         prop_assert!(x.all_finite());
         let post_mean: f64 = x.col_mean().iter().sum::<f64>() / n as f64;
@@ -49,7 +49,7 @@ proptest! {
         let y = x.clone();
         let before = stats::ensemble_spread(&x);
         Etkf::new(1.0)
-            .analyze(&mut x, &y, &[0.0; 5], &[obs_var; 5])
+            .analyze_ws(&mut x, &y, &[0.0; 5], &[obs_var; 5], &mut AnalysisWorkspace::new())
             .unwrap();
         let after = stats::ensemble_spread(&x);
         prop_assert!(after <= before + 1e-9, "{before} -> {after}");
@@ -65,7 +65,7 @@ proptest! {
         let mut x = x0.clone();
         let y = x0.clone();
         EnsembleKalmanFilter::new(EnkfConfig { inflation: 1.0, ridge: 0.0 })
-            .analyze(&mut x, &y, &[0.0; 4], &[1e14; 4], &mut rng)
+            .analyze_ws(&mut x, &y, &[0.0; 4], &[1e14; 4], &mut rng, &mut AnalysisWorkspace::new())
             .unwrap();
         let m0 = x0.col_mean();
         let m1 = x.col_mean();

@@ -866,7 +866,7 @@ mod tests {
     use crate::metrics::evaluate_coupled_ensemble;
     use crate::store::MemStore;
     use wildfire_atmos::state::AtmosGrid;
-    use wildfire_atmos::AtmosParams;
+    use wildfire_atmos::{AtmosError, AtmosParams};
     use wildfire_enkf::{EnkfError, RegistrationConfig};
     use wildfire_fire::{FuelCategory, IgnitionShape};
     use wildfire_obs::StridedPsi;
@@ -1001,6 +1001,39 @@ mod tests {
                         ),
                         "threads {threads}, missing {missing}, foreign {foreign}: {err:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A member whose wind is NaN, or so fast that its CFL bound asks for
+    /// more than the coupled step's sub-step limit, fails the forecast at
+    /// its first step with its atmosphere clock where it was; the other
+    /// members still complete.
+    #[test]
+    fn forecast_refuses_a_blown_up_member_at_its_first_step() {
+        use wildfire_core::CoupledError;
+        for (what, u) in [("NaN", f64::NAN), ("1e7 m/s", 1e7)] {
+            for threads in [1, 2] {
+                let d = driver(threads);
+                let mut members = ensemble(&d, 3);
+                members[1].atmos.u[5] = u;
+                let err = d
+                    .forecast_ws(&mut members, 1.0, 0.5, &mut EnsembleWorkspace::new())
+                    .unwrap_err();
+                // NaN fails the atmosphere's CFL check; 1e7 m/s fails the
+                // sub-step limit before the first sub-step.
+                let expected = match &err {
+                    EnsembleError::Model(CoupledError::Atmos(AtmosError::CflViolation {
+                        ..
+                    })) => u.is_nan(),
+                    EnsembleError::Model(CoupledError::Config(_)) => !u.is_nan(),
+                    _ => false,
+                };
+                assert!(expected, "{what}, threads {threads}: {err:?}");
+                assert_eq!(members[1].atmos.time, 0.0, "{what}, threads {threads}");
+                for m in [&members[0], &members[2]] {
+                    assert!((m.time() - 1.0).abs() < 1e-9, "{what}, threads {threads}");
                 }
             }
         }

@@ -25,13 +25,8 @@ pub struct EnsembleMetrics {
     pub mean_area_ratio: f64,
 }
 
-/// Computes [`EnsembleMetrics`] for fire states against a truth state.
-pub fn evaluate_fire_ensemble(members: &[FireState], truth: &FireState) -> EnsembleMetrics {
-    evaluate_fire_refs(members.iter(), truth)
-}
-
-/// Convenience overload for coupled states (borrows the fire components —
-/// no member state is cloned).
+/// Computes [`EnsembleMetrics`] for coupled states against a truth state
+/// (borrows the fire components — no member state is cloned).
 pub fn evaluate_coupled_ensemble(
     members: &[CoupledState],
     truth: &CoupledState,
@@ -106,8 +101,8 @@ mod tests {
     #[test]
     fn perfect_ensemble_has_zero_errors() {
         let truth = fire_at(40.0);
-        let members = vec![truth.clone(), truth.clone(), truth.clone()];
-        let m = evaluate_fire_ensemble(&members, &truth);
+        let members = [truth.clone(), truth.clone(), truth.clone()];
+        let m = evaluate_fire_refs(members.iter(), &truth);
         assert_eq!(m.mean_position_error, 0.0);
         assert_eq!(m.mean_shape_error, 0.0);
         assert_eq!(m.position_spread, 0.0);
@@ -118,8 +113,8 @@ mod tests {
     #[test]
     fn displaced_ensemble_measures_offset() {
         let truth = fire_at(40.0);
-        let members = vec![fire_at(20.0), fire_at(24.0)];
-        let m = evaluate_fire_ensemble(&members, &truth);
+        let members = [fire_at(20.0), fire_at(24.0)];
+        let m = evaluate_fire_refs(members.iter(), &truth);
         assert!(
             (m.mean_position_error - 18.0).abs() < 3.0,
             "position error {}",
@@ -133,8 +128,8 @@ mod tests {
     fn empty_member_flagged_nonphysical() {
         let truth = fire_at(40.0);
         let g = truth.grid();
-        let members = vec![FireState::unburned(g), fire_at(40.0)];
-        let m = evaluate_fire_ensemble(&members, &truth);
+        let members = [FireState::unburned(g), fire_at(40.0)];
+        let m = evaluate_fire_refs(members.iter(), &truth);
         assert!((m.nonphysical_fraction - 0.5).abs() < 1e-12);
         assert!(m.mean_position_error > 1e5, "empty member dominates");
     }

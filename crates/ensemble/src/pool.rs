@@ -2,9 +2,9 @@
 //!
 //! Members are handed to workers — the "subset of processors" assignment of
 //! Fig. 2 — either claimed one at a time from a shared cursor
-//! ([`parallel_for_each_ws`], and [`try_for_each_ws`] when an item can
+//! (`parallel_for_each_ws`, and [`try_for_each_ws`] when an item can
 //! fail) or, for column-major buffers, split into one contiguous chunk of
-//! columns per worker ([`parallel_for_each_column_ws`]). Every worker owns
+//! columns per worker (`parallel_for_each_column_ws`). Every worker owns
 //! its scratch, so there are no locks in the hot path.
 
 use std::sync::{Mutex, PoisonError};
@@ -29,7 +29,7 @@ use std::sync::{Mutex, PoisonError};
 /// Panics if `workspaces` is empty while `items` is not. A panic in `f`
 /// is re-raised on the caller once every worker has joined, so no worker
 /// outlives the call and a caller's `catch_unwind` sees the panic.
-pub fn parallel_for_each_ws<T: Send, W: Send, F>(items: &mut [T], workspaces: &mut [W], f: F)
+pub(crate) fn parallel_for_each_ws<T: Send, W: Send, F>(items: &mut [T], workspaces: &mut [W], f: F)
 where
     F: Fn(usize, &mut T, &mut W) + Sync,
 {
@@ -103,7 +103,7 @@ where
     });
 }
 
-/// [`parallel_for_each_ws`] for a fallible `f`: every item still runs, and
+/// `parallel_for_each_ws` for a fallible `f`: every item still runs, and
 /// the result is the error of the lowest-indexed failing item, so which
 /// failure is reported never depends on which worker claimed what first.
 /// Adds no allocation to the fan-out.
@@ -112,7 +112,7 @@ where
 /// The error `f` returned for the lowest failing index.
 ///
 /// # Panics
-/// As [`parallel_for_each_ws`].
+/// As `parallel_for_each_ws`.
 pub fn try_for_each_ws<T: Send, W: Send, E: Send, F>(
     items: &mut [T],
     workspaces: &mut [W],
@@ -169,7 +169,7 @@ impl<E> LowestError<E> {
 /// Panics if `data.len()` is not a multiple of `col_len`, or if
 /// `workspaces` is empty while `data` is not. A panic in `f` is re-raised
 /// on the caller once every worker has joined.
-pub fn parallel_for_each_column_ws<W: Send, F>(
+pub(crate) fn parallel_for_each_column_ws<W: Send, F>(
     data: &mut [f64],
     col_len: usize,
     workspaces: &mut [W],

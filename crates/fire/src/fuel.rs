@@ -218,11 +218,6 @@ impl FuelModel {
         }
     }
 
-    /// Total heat per unit area released by complete combustion, J/m².
-    pub fn total_heat_per_area(&self) -> f64 {
-        self.fuel_load * self.heat_content
-    }
-
     /// Flattens the spread-rate law into the per-evaluation constants the
     /// level-set kernels stream: the moisture damping (a pure function of
     /// the fuel constants) and the zero-wind wind term are folded in once,
@@ -417,7 +412,7 @@ mod tests {
         let f = FuelModel::custom(0.05, 0.3, 1.5, 0.2, 2.0, 30.0, 1.0, 18.0e6, 0.05);
         assert!(f.category.is_none());
         assert!(f.spread_rate(3.0, 0.0) > 0.0);
-        assert!((f.total_heat_per_area() - 18.0e6).abs() < 1.0);
+        assert!((f.fuel_load * f.heat_content - 18.0e6).abs() < 1.0);
     }
 
     proptest! {

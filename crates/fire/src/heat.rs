@@ -103,19 +103,6 @@ pub fn heat_fluxes_box_into(
     (sum_s, sum_l)
 }
 
-/// Remaining fuel fraction field at time `t` (1 where unburned).
-pub fn fuel_fraction_at(mesh: &FireMesh, state: &FireState, t: f64) -> Field2 {
-    let g = mesh.grid;
-    Field2::from_fn(g, |ix, iy| {
-        let tig = state.tig.get(ix, iy);
-        if tig == UNBURNED {
-            1.0
-        } else {
-            mesh.fuel.at(ix, iy).mass_fraction(t - tig)
-        }
-    })
-}
-
 /// Total energy released between ignition and time `t`, J — the time
 /// integral of the heat release, evaluated in closed form from the
 /// exponential mass-loss law: `w0·h·(1 − e^{−Δt/τ})` per unit area.
@@ -144,6 +131,19 @@ mod tests {
     use crate::state::FireState;
     use crate::FuelCategory;
     use wildfire_grid::Grid2;
+
+    /// Remaining fuel fraction field at time `t` (1 where unburned).
+    fn fuel_fraction_at(mesh: &FireMesh, state: &FireState, t: f64) -> Field2 {
+        let g = mesh.grid;
+        Field2::from_fn(g, |ix, iy| {
+            let tig = state.tig.get(ix, iy);
+            if tig == UNBURNED {
+                1.0
+            } else {
+                mesh.fuel.at(ix, iy).mass_fraction(t - tig)
+            }
+        })
+    }
 
     fn setup() -> (FireMesh, FireState) {
         let g = Grid2::new(21, 21, 2.0, 2.0).unwrap();
@@ -248,7 +248,7 @@ mod tests {
         // Upper bound: everything inside the circle burned completely.
         let fuel = mesh.fuel.at(0, 0);
         let burned_cells = state.burned_nodes() as f64;
-        let cap = burned_cells * 4.0 * fuel.total_heat_per_area();
+        let cap = burned_cells * 4.0 * fuel.fuel_load * fuel.heat_content;
         assert!(e3 <= cap * 1.001);
     }
 

@@ -33,7 +33,7 @@ pub enum IgnitionShape {
 impl IgnitionShape {
     /// Signed distance from a point to this shape: negative inside the
     /// burning region, positive outside, zero on the fireline.
-    pub fn signed_distance(&self, x: f64, y: f64) -> f64 {
+    pub(crate) fn signed_distance(&self, x: f64, y: f64) -> f64 {
         match *self {
             IgnitionShape::Circle { center, radius } => {
                 let d = ((x - center.0).powi(2) + (y - center.1).powi(2)).sqrt();

@@ -100,9 +100,9 @@ pub struct LevelSetSolver {
     mesh: FireMesh,
     /// Time integration scheme.
     pub integrator: Integrator,
-    /// CFL safety factor in `(0, 1]` applied by [`LevelSetSolver::max_stable_dt`].
+    /// CFL safety factor in `(0, 1]` applied by [`LevelSetSolver::max_stable_dt_ws`].
     pub cfl: f64,
-    /// When true (default), [`LevelSetSolver::step`] rejects steps beyond the
+    /// When true (default), [`LevelSetSolver::step_ws`] rejects steps beyond the
     /// CFL bound. Experiment E5 disables this to study integrator behaviour
     /// in the marginally-stable regime where the paper observed Euler
     /// stalling the fire.
@@ -135,7 +135,7 @@ impl LevelSetSolver {
 
     /// Upwinded partial derivatives of ψ at a node — the paper's Godunov
     /// selection per axis. Returns `(Dx, Dy)`.
-    pub fn godunov_gradient(psi: &Field2, ix: usize, iy: usize) -> (f64, f64) {
+    pub(crate) fn godunov_gradient(psi: &Field2, ix: usize, iy: usize) -> (f64, f64) {
         let select = |left: f64, right: f64, central: f64| -> f64 {
             if left >= 0.0 && central >= 0.0 {
                 left
@@ -258,22 +258,10 @@ impl LevelSetSolver {
     }
 
     /// Largest stable time step for the current state and wind under the
-    /// 2-D upwind CFL condition `dt · S · (1/dx + 1/dy) ≤ cfl`.
-    ///
-    /// **Convenience wrapper**: it builds (and sizes) a fresh
-    /// [`FireWorkspace`] on every call, i.e. it heap-allocates a full RHS
-    /// field each time. Fine for one-off queries and tests; anything that
-    /// asks per step must hold a workspace and call
-    /// [`LevelSetSolver::max_stable_dt_ws`] — and a loop that steps right
-    /// after asking should use [`LevelSetSolver::advance_to_ws`], which
-    /// shares one RHS evaluation between the bound and the step.
-    pub fn max_stable_dt(&self, state: &FireState, wind: &VectorField2) -> f64 {
-        let mut ws = FireWorkspace::new();
-        self.max_stable_dt_ws(state, wind, &mut ws)
-    }
-
-    /// Allocation-free [`LevelSetSolver::max_stable_dt`] using workspace
-    /// scratch.
+    /// 2-D upwind CFL condition `dt · S · (1/dx + 1/dy) ≤ cfl`, using
+    /// workspace scratch. A loop that steps right after asking should use
+    /// [`LevelSetSolver::advance_to_ws`], which shares one RHS evaluation
+    /// between the bound and the step.
     pub fn max_stable_dt_ws(
         &self,
         state: &FireState,
@@ -301,22 +289,12 @@ impl LevelSetSolver {
     ///
     /// Updates ψ with the configured integrator, then sets ignition times
     /// for nodes whose ψ crossed zero during the step (linear interpolation
-    /// of the crossing instant, as the front-arrival time).
+    /// of the crossing instant, as the front-arrival time). All temporaries
+    /// come from `ws`, which is sized on first use and reused thereafter.
     ///
     /// # Errors
     /// [`FireError::GridMismatch`] when the wind lives on a different grid;
     /// [`FireError::CflViolation`] when `dt` exceeds the stability bound.
-    pub fn step(&self, state: &mut FireState, wind: &VectorField2, dt: f64) -> Result<()> {
-        let mut ws = FireWorkspace::new();
-        self.step_ws(state, wind, dt, &mut ws)
-    }
-
-    /// Allocation-free [`LevelSetSolver::step`]: all temporaries come from
-    /// `ws`, which is sized on first use and reused thereafter. Bit-identical
-    /// to the allocating wrapper.
-    ///
-    /// # Errors
-    /// Same as [`LevelSetSolver::step`].
     pub fn step_ws(
         &self,
         state: &mut FireState,
@@ -423,25 +401,11 @@ impl LevelSetSolver {
     /// Advances to `t_target` by repeated stable steps (each no larger than
     /// both `dt_hint` and the CFL bound). Returns the number of steps taken.
     ///
-    /// # Errors
-    /// Propagates stepping errors.
-    pub fn advance_to(
-        &self,
-        state: &mut FireState,
-        wind: &VectorField2,
-        t_target: f64,
-        dt_hint: f64,
-    ) -> Result<usize> {
-        let mut ws = FireWorkspace::new();
-        self.advance_to_ws(state, wind, t_target, dt_hint, &mut ws)
-    }
-
-    /// Allocation-free [`LevelSetSolver::advance_to`]. The level-set RHS is
-    /// evaluated **once** per step: the same `k1 = −S‖∇ψ‖` that yields the
-    /// CFL bound is handed to the integrator (the seed evaluated it twice —
-    /// once in `max_stable_dt`, again inside `step`). Bit-identical to
-    /// driving [`LevelSetSolver::max_stable_dt_ws`] + [`LevelSetSolver::step_ws`]
-    /// by hand, at roughly two-thirds the Heun-step cost.
+    /// The level-set RHS is evaluated **once** per step: the same
+    /// `k1 = −S‖∇ψ‖` that yields the CFL bound is handed to the integrator.
+    /// Bit-identical to driving [`LevelSetSolver::max_stable_dt_ws`] +
+    /// [`LevelSetSolver::step_ws`] by hand, at roughly two-thirds the
+    /// Heun-step cost.
     ///
     /// # Errors
     /// Propagates stepping errors.
@@ -561,7 +525,9 @@ mod tests {
         let mut state = circle_state(&solver, 8.0);
         let wind = VectorField2::zeros(solver.mesh.grid);
         let a0 = state.burned_area();
-        solver.advance_to(&mut state, &wind, 60.0, 1.0).unwrap();
+        solver
+            .advance_to_ws(&mut state, &wind, 60.0, 1.0, &mut FireWorkspace::new())
+            .unwrap();
         let a1 = state.burned_area();
         assert!(a1 > a0, "area must grow: {a0} → {a1}");
         assert!(state.is_consistent());
@@ -572,7 +538,9 @@ mod tests {
         let solver = grass_solver(21, 2.0);
         let mut state = FireState::unburned(solver.mesh.grid);
         let wind = VectorField2::zeros(solver.mesh.grid);
-        solver.advance_to(&mut state, &wind, 30.0, 1.0).unwrap();
+        solver
+            .advance_to_ws(&mut state, &wind, 30.0, 1.0, &mut FireWorkspace::new())
+            .unwrap();
         assert_eq!(state.burned_nodes(), 0);
     }
 
@@ -598,7 +566,9 @@ mod tests {
         let mut state = circle_state(&solver, 6.0);
         // Strong +x wind.
         let wind = VectorField2::from_fn(solver.mesh.grid, |_, _| (8.0, 0.0));
-        solver.advance_to(&mut state, &wind, 30.0, 0.5).unwrap();
+        solver
+            .advance_to_ws(&mut state, &wind, 30.0, 0.5, &mut FireWorkspace::new())
+            .unwrap();
         let g = solver.mesh.grid;
         let (cx, cy) = (g.nx / 2, g.ny / 2);
         // Measure the front reach left and right of the ignition center.
@@ -629,7 +599,9 @@ mod tests {
         let s = fuel.spread_rate(0.0, 0.0);
         assert!(s > 0.0);
         let t_end = 100.0;
-        solver.advance_to(&mut state, &wind, t_end, 0.5).unwrap();
+        solver
+            .advance_to_ws(&mut state, &wind, t_end, 0.5, &mut FireWorkspace::new())
+            .unwrap();
         // Expected radius = 10 + s·t; measured from burned area πr².
         let r_expected = 10.0 + s * t_end;
         let r_measured = (state.burned_area() / std::f64::consts::PI).sqrt();
@@ -658,8 +630,11 @@ mod tests {
         let mut ws = FireWorkspace::new();
         for _ in 0..40 {
             let dt = heun.max_stable_dt_ws(&sh, &wh, &mut ws).min(2.0);
-            heun.step(&mut sh, &wh, dt).unwrap();
-            euler.step(&mut se, &wh, dt).unwrap();
+            heun.step_ws(&mut sh, &wh, dt, &mut FireWorkspace::new())
+                .unwrap();
+            euler
+                .step_ws(&mut se, &wh, dt, &mut FireWorkspace::new())
+                .unwrap();
         }
         let (ah, ae) = (sh.burned_area(), se.burned_area());
         let rel = (ah - ae).abs() / ah.max(ae);
@@ -683,11 +658,14 @@ mod tests {
         let wind = VectorField2::from_fn(heun.mesh.grid, |_, _| (6.0, 0.0));
         let mut sh = circle_state(&heun, 8.0);
         let mut se = sh.clone();
-        let dt0 = heun.max_stable_dt(&sh, &wind);
+        let dt0 = heun.max_stable_dt_ws(&sh, &wind, &mut FireWorkspace::new());
         let dt = 4.0 * dt0;
         for _ in 0..60 {
-            heun.step(&mut sh, &wind, dt).unwrap();
-            euler.step(&mut se, &wind, dt).unwrap();
+            heun.step_ws(&mut sh, &wind, dt, &mut FireWorkspace::new())
+                .unwrap();
+            euler
+                .step_ws(&mut se, &wind, dt, &mut FireWorkspace::new())
+                .unwrap();
         }
         assert!(
             sh.burned_area() > 1.5 * se.burned_area(),
@@ -699,9 +677,8 @@ mod tests {
 
     #[test]
     fn workspace_step_matches_allocating_step_bitwise() {
-        // The workspace path must be bit-identical to the allocating
-        // wrapper, for both integrators, across many steps with one reused
-        // workspace.
+        // One reused workspace must be bit-identical to a fresh workspace
+        // per step, for both integrators, across many steps.
         for integ in [Integrator::Heun, Integrator::Euler] {
             let mut solver = grass_solver(41, 2.0);
             solver.integrator = integ;
@@ -712,8 +689,12 @@ mod tests {
             let mut ws_state = alloc.clone();
             let mut ws = FireWorkspace::new();
             for _ in 0..15 {
-                let dt = solver.max_stable_dt(&alloc, &wind).min(1.0);
-                solver.step(&mut alloc, &wind, dt).unwrap();
+                let dt = solver
+                    .max_stable_dt_ws(&alloc, &wind, &mut FireWorkspace::new())
+                    .min(1.0);
+                solver
+                    .step_ws(&mut alloc, &wind, dt, &mut FireWorkspace::new())
+                    .unwrap();
                 solver.step_ws(&mut ws_state, &wind, dt, &mut ws).unwrap();
             }
             assert_eq!(alloc.psi, ws_state.psi, "{integ:?} ψ must match bitwise");
@@ -735,7 +716,9 @@ mod tests {
             solver
                 .advance_to_ws(&mut shared, &wind, 5.0, 1.0, &mut ws)
                 .unwrap();
-            solver.advance_to(&mut fresh, &wind, 5.0, 1.0).unwrap();
+            solver
+                .advance_to_ws(&mut fresh, &wind, 5.0, 1.0, &mut FireWorkspace::new())
+                .unwrap();
             assert_eq!(shared.psi, fresh.psi, "n = {n}");
             assert_eq!(shared.tig, fresh.tig, "n = {n}");
         }
@@ -803,7 +786,7 @@ mod tests {
         let solver = grass_solver(31, 1.0);
         let mut state = circle_state(&solver, 5.0);
         let wind = VectorField2::from_fn(solver.mesh.grid, |_, _| (10.0, 0.0));
-        let err = solver.step(&mut state, &wind, 1e3);
+        let err = solver.step_ws(&mut state, &wind, 1e3, &mut FireWorkspace::new());
         assert!(matches!(err, Err(FireError::CflViolation { .. })));
     }
 
@@ -814,7 +797,7 @@ mod tests {
         let mut state = circle_state(&solver, 5.0);
         let wind = VectorField2::zeros(other);
         assert!(matches!(
-            solver.step(&mut state, &wind, 0.1),
+            solver.step_ws(&mut state, &wind, 0.1, &mut FireWorkspace::new()),
             Err(FireError::GridMismatch(_))
         ));
     }
@@ -824,7 +807,9 @@ mod tests {
         let solver = grass_solver(61, 1.0);
         let mut state = circle_state(&solver, 5.0);
         let wind = VectorField2::zeros(solver.mesh.grid);
-        solver.advance_to(&mut state, &wind, 200.0, 1.0).unwrap();
+        solver
+            .advance_to_ws(&mut state, &wind, 200.0, 1.0, &mut FireWorkspace::new())
+            .unwrap();
         let cy = solver.mesh.grid.ny / 2;
         let cx = solver.mesh.grid.nx / 2;
         // Along the +x ray, farther nodes ignite later.

@@ -54,7 +54,7 @@ pub use fuel::{FuelCategory, FuelModel, HeatFluxes};
 pub use ignition::IgnitionShape;
 pub use levelset::{AdvanceStats, GradientScheme, Integrator, LevelSetSolver};
 pub use mesh::{FireMesh, FuelMap};
-pub use reinit::{reinitialize, reinitialize_into};
+pub use reinit::reinitialize_into;
 pub use state::FireState;
 pub use workspace::{FireWorkspace, ReinitWorkspace};
 

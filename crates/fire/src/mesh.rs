@@ -122,20 +122,22 @@ impl FireMesh {
             terrain,
         })
     }
-
-    /// Largest `S_max` over the palette — the CFL-relevant speed bound.
-    pub fn max_spread_bound(&self) -> f64 {
-        self.fuel
-            .palette()
-            .iter()
-            .map(|f| f.max_spread)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FireMesh {
+        /// Largest `S_max` over the palette — the CFL-relevant speed bound.
+        pub(crate) fn max_spread_bound(&self) -> f64 {
+            self.fuel
+                .palette()
+                .iter()
+                .map(|f| f.max_spread)
+                .fold(0.0, f64::max)
+        }
+    }
 
     #[test]
     fn uniform_map_returns_same_fuel() {

@@ -1,47 +1,12 @@
-//! Fireline extraction and front-shape diagnostics.
+//! Fireline diagnostics.
 //!
-//! The Fig. 1 experiment needs quantitative front metrics (downwind reach,
-//! irregularity, merging of separate ignitions) and the Fig. 4 experiment
+//! The Fig. 1 experiment needs quantitative front metrics (fireline length,
+//! burned centroid, merging of separate ignitions) and the Fig. 4 experiment
 //! needs a position error between two fires. All of those are derived here
 //! from the zero level set.
 
 use crate::state::FireState;
 use wildfire_grid::Field2;
-
-/// A point on the fireline (world coordinates, m).
-pub type FrontPoint = (f64, f64);
-
-/// Extracts points on the zero level set by scanning grid edges for sign
-/// changes and linearly interpolating the crossing (marching-squares edge
-/// sampling; returns one point per crossed edge).
-pub fn extract_front(psi: &Field2) -> Vec<FrontPoint> {
-    let g = psi.grid();
-    let mut pts = Vec::new();
-    for iy in 0..g.ny {
-        for ix in 0..g.nx {
-            let v = psi.get(ix, iy);
-            // Horizontal edge to (ix+1, iy).
-            if ix + 1 < g.nx {
-                let w = psi.get(ix + 1, iy);
-                if (v < 0.0) != (w < 0.0) && v != w {
-                    let t = v / (v - w);
-                    let (x0, y0) = g.world(ix, iy);
-                    pts.push((x0 + t * g.dx, y0));
-                }
-            }
-            // Vertical edge to (ix, iy+1).
-            if iy + 1 < g.ny {
-                let w = psi.get(ix, iy + 1);
-                if (v < 0.0) != (w < 0.0) && v != w {
-                    let t = v / (v - w);
-                    let (x0, y0) = g.world(ix, iy);
-                    pts.push((x0, y0 + t * g.dy));
-                }
-            }
-        }
-    }
-    pts
-}
 
 /// Total length (m) of the fireline: the zero level set traced cell by
 /// cell with marching squares. Each cell contributes the straight segments
@@ -148,39 +113,6 @@ pub fn burned_centroid(psi: &Field2) -> Option<(f64, f64)> {
     }
 }
 
-/// Statistics of the front radius about the burned centroid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrontShape {
-    /// Mean distance of front points from the centroid (m).
-    pub mean_radius: f64,
-    /// Standard deviation of that distance (m) — the irregularity measure
-    /// used by experiment E1 ("the fire front … has irregular shape").
-    pub radius_std: f64,
-    /// Number of front points the statistics were computed from.
-    pub count: usize,
-}
-
-/// Computes [`FrontShape`] for the current front; `None` when the front is
-/// empty or nothing burns.
-pub fn front_shape(psi: &Field2) -> Option<FrontShape> {
-    let centroid = burned_centroid(psi)?;
-    let pts = extract_front(psi);
-    if pts.is_empty() {
-        return None;
-    }
-    let radii: Vec<f64> = pts
-        .iter()
-        .map(|&(x, y)| ((x - centroid.0).powi(2) + (y - centroid.1).powi(2)).sqrt())
-        .collect();
-    let mean = wildfire_math::stats::mean(&radii);
-    let std = wildfire_math::stats::std_dev(&radii);
-    Some(FrontShape {
-        mean_radius: mean,
-        radius_std: std,
-        count: radii.len(),
-    })
-}
-
 /// Position error between two fires: distance between burned centroids (m).
 /// Infinite when exactly one of the two has no burning region, zero when
 /// neither does (identical "no fire" states).
@@ -269,31 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn front_points_lie_on_circle() {
-        let psi = circle_psi(8.0);
-        let pts = extract_front(&psi);
-        assert!(!pts.is_empty());
-        for &(x, y) in &pts {
-            let r = ((x - 20.0_f64).powi(2) + (y - 20.0).powi(2)).sqrt();
-            assert!((r - 8.0).abs() < 0.2, "point ({x},{y}) at radius {r}");
-        }
-    }
-
-    #[test]
     fn centroid_of_circle_is_center() {
         let psi = circle_psi(8.0);
         let (cx, cy) = burned_centroid(&psi).unwrap();
         assert!((cx - 20.0).abs() < 0.5);
         assert!((cy - 20.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn circle_front_has_low_irregularity() {
-        let psi = circle_psi(10.0);
-        let shape = front_shape(&psi).unwrap();
-        assert!((shape.mean_radius - 10.0).abs() < 0.3);
-        assert!(shape.radius_std < 0.2, "σ={}", shape.radius_std);
-        assert!(shape.count > 20);
     }
 
     #[test]
@@ -342,7 +254,6 @@ mod tests {
         let g = Grid2::new(11, 11, 1.0, 1.0).unwrap();
         let psi = crate::ignition::initial_level_set(g, &[]);
         assert!(burned_centroid(&psi).is_none());
-        assert!(front_shape(&psi).is_none());
         assert_eq!(burning_components(&psi), 0);
     }
 

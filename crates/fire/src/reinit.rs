@@ -6,27 +6,16 @@
 //! `‖∇ψ‖ ≈ 1` while preserving the zero level set, keeping registration and
 //! subsequent propagation well-scaled.
 //!
-//! Two entry points: [`reinitialize`] (allocating convenience wrapper) and
-//! [`reinitialize_into`], which takes a [`ReinitWorkspace`] and performs no
-//! steady-state heap allocation — the sweeps iterate index arithmetic
-//! directly instead of materializing traversal-order vectors.
+//! One entry point, [`reinitialize_into`], which takes a [`ReinitWorkspace`]
+//! and performs no steady-state heap allocation — the sweeps iterate index
+//! arithmetic directly instead of materializing traversal-order vectors.
 
 use crate::workspace::ReinitWorkspace;
 use wildfire_grid::Field2;
 
-/// Rebuilds ψ as an approximate signed distance to its own zero level set.
-///
-/// Convenience wrapper over [`reinitialize_into`] that allocates the output
-/// field and a fresh workspace per call.
-pub fn reinitialize(psi: &Field2) -> Field2 {
-    let mut out = Field2::default();
-    let mut ws = ReinitWorkspace::new();
-    reinitialize_into(psi, &mut out, &mut ws);
-    out
-}
-
-/// Allocation-free [`reinitialize`]: writes the reinitialized field into
-/// `out` (re-targeted to ψ's grid) using workspace scratch.
+/// Rebuilds ψ as an approximate signed distance to its own zero level set:
+/// writes the reinitialized field into `out` (re-targeted to ψ's grid)
+/// using workspace scratch.
 ///
 /// Two phases:
 /// 1. Initialize distances exactly on the nodes adjacent to the interface
@@ -188,6 +177,13 @@ mod tests {
     use crate::ignition::{initial_level_set, IgnitionShape};
     use wildfire_grid::Grid2;
 
+    /// Reinitializes with a fresh workspace.
+    fn reinitialized(psi: &Field2) -> Field2 {
+        let mut out = Field2::default();
+        reinitialize_into(psi, &mut out, &mut ReinitWorkspace::new());
+        out
+    }
+
     #[test]
     fn exact_signed_distance_is_fixed_point() {
         let g = Grid2::new(41, 41, 1.0, 1.0).unwrap();
@@ -198,7 +194,7 @@ mod tests {
                 radius: 8.0,
             }],
         );
-        let re = reinitialize(&psi);
+        let re = reinitialized(&psi);
         // Zero level set preserved and distances close to the original.
         for iy in 0..g.ny {
             for ix in 0..g.nx {
@@ -223,7 +219,7 @@ mod tests {
         // Destroy the signed-distance property by a nonlinear rescale that
         // keeps the zero level set.
         psi.map_inplace(|v| v * (1.0 + 0.5 * v.abs() / 10.0));
-        let re = reinitialize(&psi);
+        let re = reinitialized(&psi);
         // Check ‖∇ψ‖ ≈ 1 outside the fire, away from the interface and the
         // domain boundary. (Inside, the distance field legitimately has a
         // zero gradient on the medial axis — the circle center — so the
@@ -246,14 +242,14 @@ mod tests {
     fn no_interface_is_untouched() {
         let g = Grid2::new(11, 11, 1.0, 1.0).unwrap();
         let psi = initial_level_set(g, &[]);
-        let re = reinitialize(&psi);
+        let re = reinitialized(&psi);
         assert_eq!(re, psi);
     }
 
     #[test]
     fn into_path_matches_wrapper_and_reuses_workspace() {
         // One workspace across different shapes and grid sizes must keep
-        // producing exactly what the allocating wrapper produces.
+        // producing exactly what a fresh workspace produces.
         let mut ws = ReinitWorkspace::new();
         let mut out = Field2::default();
         for (n, r) in [(31, 8.0), (21, 5.0), (41, 12.0)] {
@@ -267,8 +263,7 @@ mod tests {
             );
             psi.map_inplace(|v| v * (1.0 + 0.1 * v.abs()));
             reinitialize_into(&psi, &mut out, &mut ws);
-            let wrapper = reinitialize(&psi);
-            assert_eq!(out, wrapper, "n = {n}");
+            assert_eq!(out, reinitialized(&psi), "n = {n}");
         }
     }
 
@@ -280,7 +275,7 @@ mod tests {
         let psi = wildfire_grid::Field2::from_world_fn(g, |x, y| {
             (x - 10.0).powi(2) + (y - 10.0).powi(2) - 25.0
         });
-        let re = reinitialize(&psi);
+        let re = reinitialized(&psi);
         // The reinitialized field should vanish near radius 5.
         let v_inside = re.sample_bilinear(10.0 + 4.0, 10.0);
         let v_on = re.sample_bilinear(10.0 + 5.0, 10.0);

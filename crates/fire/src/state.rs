@@ -53,11 +53,6 @@ impl FireState {
         self.psi.grid()
     }
 
-    /// Whether node `(ix, iy)` is burning or burned over.
-    pub fn is_burned(&self, ix: usize, iy: usize) -> bool {
-        self.tig.get(ix, iy) < UNBURNED
-    }
-
     /// Burned area (m²): nodes with ψ < 0 weighted by cell area.
     pub fn burned_area(&self) -> f64 {
         let g = self.grid();
@@ -103,7 +98,7 @@ impl FireState {
     /// Packs `(ψ, t_i)` into one flat vector `[ψ…, t_i…]` for the ensemble
     /// filter. `t_i = UNBURNED` entries are encoded as `time_cap` so the
     /// vector stays finite (the filter cannot average infinities); use the
-    /// matching [`FireState::unpack`] with the same cap.
+    /// matching [`FireState::unpack_into`] with the same cap.
     pub fn pack(&self, time_cap: f64) -> Vec<f64> {
         let mut v = vec![0.0; 2 * self.psi.as_slice().len()];
         self.pack_into(time_cap, &mut v);
@@ -148,23 +143,9 @@ impl FireState {
         }
     }
 
-    /// Inverse of [`FireState::pack`]: entries of the t_i block at or above
-    /// `time_cap` become `UNBURNED` again.
-    ///
-    /// # Panics
-    /// Panics if `v.len()` is not exactly twice the grid size.
-    pub fn unpack(grid: Grid2, v: &[f64], time_cap: f64, time: f64) -> Self {
-        let mut out = FireState {
-            psi: Field2::zeros(grid),
-            tig: Field2::zeros(grid),
-            time,
-        };
-        out.unpack_into(v, time_cap, time);
-        out
-    }
-
-    /// Allocation-free [`FireState::unpack`]: overwrites this state from the
-    /// packed vector, reusing the field storage (the grid is kept).
+    /// Inverse of [`FireState::pack`]: overwrites this state from the
+    /// packed vector, reusing the field storage (the grid is kept). Entries
+    /// of the t_i block at or above `time_cap` become `UNBURNED` again.
     ///
     /// # Panics
     /// Panics if `v.len()` is not exactly twice the grid size.
@@ -202,9 +183,7 @@ mod tests {
             radius: 2.0,
         }];
         let s = FireState::ignite(grid(), &shapes, 3.0);
-        assert!(s.is_burned(5, 5));
         assert_eq!(s.tig.get(5, 5), 3.0);
-        assert!(!s.is_burned(0, 0));
         assert_eq!(s.tig.get(0, 0), UNBURNED);
         assert!(s.is_consistent());
         assert!(s.burned_area() > 0.0);
@@ -231,7 +210,8 @@ mod tests {
         let cap = 1e4;
         let v = s.pack(cap);
         assert!(v.iter().all(|x| x.is_finite()));
-        let s2 = FireState::unpack(grid(), &v, cap, s.time);
+        let mut s2 = FireState::ignite(grid(), &[], 0.0);
+        s2.unpack_into(&v, cap, s.time);
         assert_eq!(s.psi, s2.psi);
         assert_eq!(s.tig, s2.tig);
     }
@@ -239,7 +219,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "packed state length mismatch")]
     fn unpack_rejects_bad_length() {
-        let _ = FireState::unpack(grid(), &[0.0; 7], 1e4, 0.0);
+        FireState::ignite(grid(), &[], 0.0).unpack_into(&[0.0; 7], 1e4, 0.0);
     }
 
     #[test]

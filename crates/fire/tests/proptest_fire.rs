@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 use wildfire_fire::ignition::{signed_distance_union, IgnitionShape};
-use wildfire_fire::{FireMesh, FireState, FuelCategory, LevelSetSolver, UNBURNED};
-use wildfire_grid::{Grid2, VectorField2};
+use wildfire_fire::{
+    FireMesh, FireState, FireWorkspace, FuelCategory, LevelSetSolver, ReinitWorkspace, UNBURNED,
+};
+use wildfire_grid::{Field2, Grid2, VectorField2};
 
 fn arb_circle() -> impl Strategy<Value = IgnitionShape> {
     (10.0f64..70.0, 10.0f64..70.0, 2.0f64..15.0).prop_map(|(x, y, r)| IgnitionShape::Circle {
@@ -77,7 +79,9 @@ proptest! {
             0.0,
         );
         let wind = VectorField2::from_fn(grid, |_, _| (wx, 0.0));
-        solver.advance_to(&mut state, &wind, t_end, 0.5).unwrap();
+        solver
+            .advance_to_ws(&mut state, &wind, t_end, 0.5, &mut FireWorkspace::new())
+            .unwrap();
         // Max distance of any burned node from the ignition center.
         let mut max_r: f64 = 0.0;
         for iy in 0..grid.ny {
@@ -104,7 +108,8 @@ proptest! {
         let cap = 1e4;
         let packed = state.pack(cap);
         prop_assert!(packed.iter().all(|v| v.is_finite()));
-        let back = FireState::unpack(grid, &packed, cap, state.time);
+        let mut back = FireState::ignite(grid, &[], 0.0);
+        back.unpack_into(&packed, cap, state.time);
         prop_assert_eq!(&back.psi, &state.psi);
         prop_assert_eq!(&back.tig, &state.tig);
     }
@@ -114,7 +119,8 @@ proptest! {
     fn reinit_preserves_signs(shape in arb_circle()) {
         let grid = Grid2::new(31, 31, 3.0, 3.0).unwrap();
         let psi = wildfire_fire::ignition::initial_level_set(grid, &[shape]);
-        let re = wildfire_fire::reinit::reinitialize(&psi);
+        let mut re = Field2::default();
+        wildfire_fire::reinitialize_into(&psi, &mut re, &mut ReinitWorkspace::new());
         for (a, b) in psi.as_slice().iter().zip(re.as_slice().iter()) {
             prop_assert_eq!(*a < 0.0, *b < 0.0);
         }

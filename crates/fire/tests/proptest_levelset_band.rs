@@ -188,7 +188,7 @@ proptest! {
         let mut k1 = Field2::default();
         for k in 0..STEPS {
             let wind = wind_at(k);
-            let dt = dt_draw.min(solver.max_stable_dt(&oracle, &wind));
+            let dt = dt_draw.min(solver.max_stable_dt_ws(&oracle, &wind, &mut FireWorkspace::new()));
             solver.step_ws(&mut carried, &wind, dt, &mut ws).unwrap();
             solver.step_ws(&mut fresh, &wind, dt, &mut FireWorkspace::new()).unwrap();
             solver.rhs_into(&oracle.psi, &wind, &mut k1);

@@ -84,7 +84,7 @@ impl Grid2 {
 
     /// Continuous (fractional) grid coordinates of a world point, unclamped.
     #[inline]
-    pub fn to_grid_coords(&self, x: f64, y: f64) -> (f64, f64) {
+    pub(crate) fn to_grid_coords(self, x: f64, y: f64) -> (f64, f64) {
         ((x - self.origin.0) / self.dx, (y - self.origin.1) / self.dy)
     }
 

@@ -79,7 +79,7 @@ impl Grid3 {
 
     /// Volume of one cell.
     #[inline]
-    pub fn cell_volume(&self) -> f64 {
+    pub(crate) fn cell_volume(&self) -> f64 {
         self.dx * self.dy * self.dz
     }
 }
@@ -222,45 +222,47 @@ impl Field3 {
         let start = self.grid.idx(0, 0, iz);
         self.data[start..start + n].to_vec()
     }
-
-    /// Trilinear sample at world coordinates, clamped to the domain.
-    pub fn sample_trilinear(&self, x: f64, y: f64, z: f64) -> f64 {
-        let g = &self.grid;
-        let gx = ((x - g.origin.0) / g.dx).clamp(0.0, (g.nx - 1) as f64);
-        let gy = ((y - g.origin.1) / g.dy).clamp(0.0, (g.ny - 1) as f64);
-        let gz = ((z - g.origin.2) / g.dz).clamp(0.0, (g.nz - 1) as f64);
-        let ix = (gx.floor() as usize).min(g.nx.saturating_sub(2));
-        let iy = (gy.floor() as usize).min(g.ny.saturating_sub(2));
-        let iz = (gz.floor() as usize).min(g.nz.saturating_sub(2));
-        let fx = gx - ix as f64;
-        let fy = gy - iy as f64;
-        let fz = gz - iz as f64;
-        // Degenerate single-layer axes: clamp index math keeps ix+1 valid
-        // only when nx ≥ 2, so guard each axis.
-        let ix1 = (ix + 1).min(g.nx - 1);
-        let iy1 = (iy + 1).min(g.ny - 1);
-        let iz1 = (iz + 1).min(g.nz - 1);
-        let c000 = self.get(ix, iy, iz);
-        let c100 = self.get(ix1, iy, iz);
-        let c010 = self.get(ix, iy1, iz);
-        let c110 = self.get(ix1, iy1, iz);
-        let c001 = self.get(ix, iy, iz1);
-        let c101 = self.get(ix1, iy, iz1);
-        let c011 = self.get(ix, iy1, iz1);
-        let c111 = self.get(ix1, iy1, iz1);
-        let c00 = c000 * (1.0 - fx) + c100 * fx;
-        let c10 = c010 * (1.0 - fx) + c110 * fx;
-        let c01 = c001 * (1.0 - fx) + c101 * fx;
-        let c11 = c011 * (1.0 - fx) + c111 * fx;
-        let c0 = c00 * (1.0 - fy) + c10 * fy;
-        let c1 = c01 * (1.0 - fy) + c11 * fy;
-        c0 * (1.0 - fz) + c1 * fz
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Field3 {
+        /// Trilinear sample at world coordinates, clamped to the domain.
+        pub(crate) fn sample_trilinear(&self, x: f64, y: f64, z: f64) -> f64 {
+            let g = &self.grid;
+            let gx = ((x - g.origin.0) / g.dx).clamp(0.0, (g.nx - 1) as f64);
+            let gy = ((y - g.origin.1) / g.dy).clamp(0.0, (g.ny - 1) as f64);
+            let gz = ((z - g.origin.2) / g.dz).clamp(0.0, (g.nz - 1) as f64);
+            let ix = (gx.floor() as usize).min(g.nx.saturating_sub(2));
+            let iy = (gy.floor() as usize).min(g.ny.saturating_sub(2));
+            let iz = (gz.floor() as usize).min(g.nz.saturating_sub(2));
+            let fx = gx - ix as f64;
+            let fy = gy - iy as f64;
+            let fz = gz - iz as f64;
+            // Degenerate single-layer axes: clamp index math keeps ix+1 valid
+            // only when nx ≥ 2, so guard each axis.
+            let ix1 = (ix + 1).min(g.nx - 1);
+            let iy1 = (iy + 1).min(g.ny - 1);
+            let iz1 = (iz + 1).min(g.nz - 1);
+            let c000 = self.get(ix, iy, iz);
+            let c100 = self.get(ix1, iy, iz);
+            let c010 = self.get(ix, iy1, iz);
+            let c110 = self.get(ix1, iy1, iz);
+            let c001 = self.get(ix, iy, iz1);
+            let c101 = self.get(ix1, iy, iz1);
+            let c011 = self.get(ix, iy1, iz1);
+            let c111 = self.get(ix1, iy1, iz1);
+            let c00 = c000 * (1.0 - fx) + c100 * fx;
+            let c10 = c010 * (1.0 - fx) + c110 * fx;
+            let c01 = c001 * (1.0 - fx) + c101 * fx;
+            let c11 = c011 * (1.0 - fx) + c111 * fx;
+            let c0 = c00 * (1.0 - fy) + c10 * fy;
+            let c1 = c01 * (1.0 - fy) + c11 * fy;
+            c0 * (1.0 - fz) + c1 * fz
+        }
+    }
 
     #[test]
     fn indexing_order() {

@@ -85,63 +85,65 @@ impl Field2 {
     pub fn gradient(&self, ix: usize, iy: usize) -> (f64, f64) {
         (self.diff_x(ix, iy).central, self.diff_y(ix, iy).central)
     }
-
-    /// 5-point Laplacian at an interior node; one-sided at boundaries
-    /// (mirror extension).
-    pub fn laplacian(&self, ix: usize, iy: usize) -> f64 {
-        let g = self.grid();
-        if g.nx < 2 || g.ny < 2 {
-            return 0.0;
-        }
-        let here = self.get(ix, iy);
-        let xm = if ix > 0 {
-            self.get(ix - 1, iy)
-        } else {
-            self.get(ix + 1, iy)
-        };
-        let xp = if ix + 1 < g.nx {
-            self.get(ix + 1, iy)
-        } else {
-            self.get(ix - 1, iy)
-        };
-        let ym = if iy > 0 {
-            self.get(ix, iy - 1)
-        } else {
-            self.get(ix, iy + 1)
-        };
-        let yp = if iy + 1 < g.ny {
-            self.get(ix, iy + 1)
-        } else {
-            self.get(ix, iy - 1)
-        };
-        (xp - 2.0 * here + xm) / (g.dx * g.dx) + (yp - 2.0 * here + ym) / (g.dy * g.dy)
-    }
-
-    /// Discrete H¹ seminorm squared: `Σ |∇f|² dx dy` with forward
-    /// differences. Used by the registration regularizer `‖∇T‖`.
-    pub fn grad_norm_sq(&self) -> f64 {
-        let g = self.grid();
-        let mut s = 0.0;
-        for iy in 0..g.ny {
-            for ix in 0..g.nx {
-                let here = self.get(ix, iy);
-                if ix + 1 < g.nx {
-                    let d = (self.get(ix + 1, iy) - here) / g.dx;
-                    s += d * d;
-                }
-                if iy + 1 < g.ny {
-                    let d = (self.get(ix, iy + 1) - here) / g.dy;
-                    s += d * d;
-                }
-            }
-        }
-        s * g.dx * g.dy
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::field2::{Field2, Grid2};
+
+    impl Field2 {
+        /// 5-point Laplacian at an interior node; one-sided at boundaries
+        /// (mirror extension).
+        pub(crate) fn laplacian(&self, ix: usize, iy: usize) -> f64 {
+            let g = self.grid();
+            if g.nx < 2 || g.ny < 2 {
+                return 0.0;
+            }
+            let here = self.get(ix, iy);
+            let xm = if ix > 0 {
+                self.get(ix - 1, iy)
+            } else {
+                self.get(ix + 1, iy)
+            };
+            let xp = if ix + 1 < g.nx {
+                self.get(ix + 1, iy)
+            } else {
+                self.get(ix - 1, iy)
+            };
+            let ym = if iy > 0 {
+                self.get(ix, iy - 1)
+            } else {
+                self.get(ix, iy + 1)
+            };
+            let yp = if iy + 1 < g.ny {
+                self.get(ix, iy + 1)
+            } else {
+                self.get(ix, iy - 1)
+            };
+            (xp - 2.0 * here + xm) / (g.dx * g.dx) + (yp - 2.0 * here + ym) / (g.dy * g.dy)
+        }
+
+        /// Discrete H¹ seminorm squared: `Σ |∇f|² dx dy` with forward
+        /// differences.
+        pub(crate) fn grad_norm_sq(&self) -> f64 {
+            let g = self.grid();
+            let mut s = 0.0;
+            for iy in 0..g.ny {
+                for ix in 0..g.nx {
+                    let here = self.get(ix, iy);
+                    if ix + 1 < g.nx {
+                        let d = (self.get(ix + 1, iy) - here) / g.dx;
+                        s += d * d;
+                    }
+                    if iy + 1 < g.ny {
+                        let d = (self.get(ix, iy + 1) - here) / g.dy;
+                        s += d * d;
+                    }
+                }
+            }
+            s * g.dx * g.dy
+        }
+    }
 
     #[test]
     fn differences_exact_on_linear() {

@@ -53,21 +53,9 @@ pub fn refinement_between(fine: &Grid2, coarse: &Grid2) -> Result<Refinement> {
     })
 }
 
-/// Prolongs (bilinear-interpolates) a coarse field onto a fine grid.
-///
-/// This is how near-surface winds travel from the atmosphere mesh to the
-/// fire mesh.
-///
-/// # Errors
-/// Propagates alignment errors from [`refinement_between`].
-pub fn prolong(coarse: &Field2, fine_grid: Grid2) -> Result<Field2> {
-    let mut out = Field2::zeros(fine_grid);
-    prolong_into(coarse, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-free [`prolong`]: writes into `out`, whose grid determines the
-/// fine target.
+/// Prolongs (bilinear-interpolates) a coarse field onto a fine grid: writes
+/// into `out`, whose grid determines the fine target. This is how
+/// near-surface winds travel from the atmosphere mesh to the fire mesh.
 ///
 /// Grid alignment (which [`refinement_between`] validates) makes the
 /// bilinear weights a pure function of the fine node's offset inside its
@@ -142,24 +130,14 @@ pub fn prolong_box_into(coarse: &Field2, out: &mut Field2, bx: NodeBox) -> Resul
     Ok(())
 }
 
-/// Restricts a fine field onto a coarse grid by cell averaging.
+/// Restricts a fine field onto a coarse grid by cell averaging: writes into
+/// `out`, whose grid determines the coarse target.
 ///
 /// Each coarse node receives the mean of the fine nodes inside its dual cell
 /// (the rectangle of half a coarse spacing on each side). The weighting keeps
 /// the discrete integral `Σ v · dA` unchanged up to boundary truncation, so
 /// total heat flux is conserved through the transfer — exactly the property
 /// the coupling needs.
-///
-/// # Errors
-/// Propagates alignment errors from [`refinement_between`].
-pub fn restrict(fine: &Field2, coarse_grid: Grid2) -> Result<Field2> {
-    let mut out = Field2::zeros(coarse_grid);
-    restrict_into(fine, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-free [`restrict`]: writes into `out`, whose grid determines
-/// the coarse target.
 ///
 /// # Errors
 /// Propagates alignment errors from [`refinement_between`].
@@ -248,6 +226,18 @@ pub fn restrict_box_into(fine: &Field2, out: &mut Field2, bx: NodeBox) -> Result
 mod tests {
     use super::*;
 
+    fn prolonged(coarse: &Field2, fine_grid: Grid2) -> Field2 {
+        let mut out = Field2::zeros(fine_grid);
+        prolong_into(coarse, &mut out).unwrap();
+        out
+    }
+
+    fn restricted(fine: &Field2, coarse_grid: Grid2) -> Field2 {
+        let mut out = Field2::zeros(coarse_grid);
+        restrict_into(fine, &mut out).unwrap();
+        out
+    }
+
     fn pair(r: usize, nc: usize) -> (Grid2, Grid2) {
         let coarse = Grid2::new(nc, nc, 10.0, 10.0).unwrap();
         let fine = Grid2::new(
@@ -281,7 +271,7 @@ mod tests {
     fn prolong_exact_on_linear() {
         let (fine_g, coarse_g) = pair(4, 6);
         let coarse = Field2::from_world_fn(coarse_g, |x, y| 2.0 * x - y + 3.0);
-        let fine = prolong(&coarse, fine_g).unwrap();
+        let fine = prolonged(&coarse, fine_g);
         for iy in 0..fine_g.ny {
             for ix in 0..fine_g.nx {
                 let (x, y) = fine_g.world(ix, iy);
@@ -294,7 +284,7 @@ mod tests {
     fn restrict_preserves_constants() {
         let (fine_g, coarse_g) = pair(5, 4);
         let fine = Field2::filled(fine_g, 7.25);
-        let coarse = restrict(&fine, coarse_g).unwrap();
+        let coarse = restricted(&fine, coarse_g);
         for v in coarse.as_slice() {
             assert!((v - 7.25).abs() < 1e-12);
         }
@@ -304,7 +294,7 @@ mod tests {
     fn restrict_approximates_linear() {
         let (fine_g, coarse_g) = pair(6, 5);
         let fine = Field2::from_world_fn(fine_g, |x, y| 0.5 * x + 0.25 * y);
-        let coarse = restrict(&fine, coarse_g).unwrap();
+        let coarse = restricted(&fine, coarse_g);
         // Cell-averaging a linear function reproduces it at interior nodes.
         for cy in 1..coarse_g.ny - 1 {
             for cx in 1..coarse_g.nx - 1 {
@@ -321,8 +311,8 @@ mod tests {
     fn restrict_then_prolong_roundtrip_smooth() {
         let (fine_g, coarse_g) = pair(2, 9);
         let smooth = Field2::from_world_fn(fine_g, |x, y| (0.05 * x).sin() + (0.04 * y).cos());
-        let down = restrict(&smooth, coarse_g).unwrap();
-        let up = prolong(&down, fine_g).unwrap();
+        let down = restricted(&smooth, coarse_g);
+        let up = prolonged(&down, fine_g);
         // Smooth fields survive the roundtrip with small error (restriction
         // attenuates the resolved wave slightly; prolongation adds O(h²)).
         assert!(smooth.rmse(&up).unwrap() < 0.06);
@@ -339,7 +329,7 @@ mod tests {
                 fine.set(ix, iy, 3.0);
             }
         }
-        let coarse = restrict(&fine, coarse_g).unwrap();
+        let coarse = restricted(&fine, coarse_g);
         let fine_int = fine.integral();
         let coarse_int = coarse.integral();
         let rel = (fine_int - coarse_int).abs() / fine_int;
@@ -351,7 +341,7 @@ mod tests {
         for r in [1, 2, 5, 10] {
             let (fine_g, coarse_g) = pair(r, 7);
             let coarse = Field2::from_fn(coarse_g, |ix, iy| ((ix * 7 + iy * 3) as f64).sin());
-            let whole = prolong(&coarse, fine_g).unwrap();
+            let whole = prolonged(&coarse, fine_g);
             let n = fine_g.nx;
             let boxes = [
                 NodeBox::full(fine_g),
@@ -396,7 +386,7 @@ mod tests {
                         fine.set(ix, iy, 1.0 + ((ix + 2 * iy) as f64).cos());
                     }
                 }
-                let expected = restrict(&fine, coarse_g).unwrap();
+                let expected = restricted(&fine, coarse_g);
                 let halo = bx.dilated(r, fine_g);
                 for iy in 0..fine_g.ny {
                     for ix in 0..fine_g.nx {
@@ -419,8 +409,8 @@ mod tests {
     fn unit_refinement_is_identity() {
         let g = Grid2::new(6, 6, 2.0, 2.0).unwrap();
         let f = Field2::from_fn(g, |ix, iy| (ix * 11 + iy) as f64);
-        let r = restrict(&f, g).unwrap();
-        let p = prolong(&f, g).unwrap();
+        let r = restricted(&f, g);
+        let p = prolonged(&f, g);
         assert_eq!(r, f);
         assert_eq!(p, f);
     }

@@ -132,25 +132,6 @@ impl VectorField2 {
         m.sqrt()
     }
 
-    /// L² norm `√(Σ (u² + v²) dx dy)` — the `‖T‖` regularization term of the
-    /// registration functional.
-    pub fn l2_norm(&self) -> f64 {
-        let g = self.grid();
-        let s: f64 = self
-            .u
-            .as_slice()
-            .iter()
-            .zip(self.v.as_slice().iter())
-            .map(|(a, b)| a * a + b * b)
-            .sum();
-        (s * g.dx * g.dy).sqrt()
-    }
-
-    /// H¹ seminorm `√(‖∇u‖² + ‖∇v‖²)` — the `‖∇T‖` regularization term.
-    pub fn h1_seminorm(&self) -> f64 {
-        (self.u.grad_norm_sq() + self.v.grad_norm_sq()).sqrt()
-    }
-
     /// Applies the mapping `(I + self)` to a world point: `p ↦ p + T(p)`,
     /// with `T` sampled bilinearly.
     pub fn displace(&self, x: f64, y: f64) -> (f64, f64) {
@@ -236,9 +217,6 @@ mod tests {
         let g = Grid2::new(3, 3, 1.0, 1.0).unwrap();
         let t = VectorField2::from_fn(g, |_, _| (3.0, 4.0));
         assert!((t.max_magnitude() - 5.0).abs() < 1e-12);
-        // L2: sqrt(9 nodes × 25 × 1) = 15.
-        assert!((t.l2_norm() - 15.0).abs() < 1e-12);
-        assert_eq!(t.h1_seminorm(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for fields, samplers, and transfer operators.
 
 use proptest::prelude::*;
-use wildfire_grid::transfer::{prolong, restrict};
+use wildfire_grid::transfer::{prolong_into, restrict_into};
 use wildfire_grid::{Field2, Grid2, VectorField2};
 
 fn arb_grid() -> impl Strategy<Value = Grid2> {
@@ -68,7 +68,8 @@ proptest! {
         let nf = r * (nc - 1) + 1;
         let fine_g = Grid2::new(nf, nf, 12.0 / r as f64, 12.0 / r as f64).unwrap();
         let fine = Field2::filled(fine_g, value);
-        let coarse = restrict(&fine, coarse_g).unwrap();
+        let mut coarse = Field2::zeros(coarse_g);
+        restrict_into(&fine, &mut coarse).unwrap();
         for v in coarse.as_slice() {
             prop_assert!((v - value).abs() < 1e-10);
         }
@@ -81,7 +82,8 @@ proptest! {
         let fine_g = Grid2::new(nf, nf, 12.0 / r as f64, 12.0 / r as f64).unwrap();
         let coarse = Field2::from_fn(coarse_g, |ix, iy| ((ix * 5 + iy * 3 + seed as usize) % 9) as f64);
         let (lo, hi) = coarse.min_max();
-        let fine = prolong(&coarse, fine_g).unwrap();
+        let mut fine = Field2::zeros(fine_g);
+        prolong_into(&coarse, &mut fine).unwrap();
         let (flo, fhi) = fine.min_max();
         prop_assert!(flo >= lo - 1e-10 && fhi <= hi + 1e-10);
     }

@@ -81,7 +81,7 @@ impl Cholesky {
     ///
     /// # Panics
     /// Panics if `b.len()` differs from the factor dimension.
-    pub fn solve_in_place(&self, b: &mut [f64]) {
+    pub(crate) fn solve_in_place(&self, b: &mut [f64]) {
         Self::solve_in_place_with(&self.l, b);
     }
 
@@ -119,30 +119,6 @@ impl Cholesky {
         self.solve_in_place(&mut x);
         x
     }
-
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    /// [`MathError::DimensionMismatch`] if `B` has the wrong row count.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        if b.rows() != self.dim() {
-            return Err(MathError::DimensionMismatch {
-                op: "cholesky solve_matrix",
-                lhs: (self.dim(), self.dim()),
-                rhs: b.dims(),
-            });
-        }
-        let mut x = b.clone();
-        for j in 0..x.cols() {
-            self.solve_in_place(x.col_mut(j));
-        }
-        Ok(x)
-    }
-
-    /// Log-determinant of `A` (twice the log-determinant of `L`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +128,8 @@ mod tests {
     fn spd_example() -> Matrix {
         // A = Bᵀ B + I is SPD for any B.
         let b = Matrix::from_fn(4, 4, |i, j| ((i * 3 + j * 7) % 5) as f64 - 2.0);
-        let mut a = b.tr_matmul(&b).unwrap();
+        let mut a = Matrix::default();
+        b.tr_matmul_into(&b, &mut a).unwrap();
         a.add_diagonal_mut(1.0);
         a
     }
@@ -161,7 +138,8 @@ mod tests {
     fn reconstructs_matrix() {
         let a = spd_example();
         let ch = Cholesky::new(&a).unwrap();
-        let rec = ch.l().matmul_tr(ch.l()).unwrap();
+        let mut rec = Matrix::default();
+        ch.l().matmul_tr_into(ch.l(), &mut rec).unwrap();
         assert!((&rec - &a).max_abs() < 1e-12);
     }
 
@@ -169,25 +147,12 @@ mod tests {
     fn solve_recovers_known_solution() {
         let a = spd_example();
         let x_true = vec![1.0, -2.0, 0.5, 3.0];
-        let b = a.matvec(&x_true).unwrap();
+        let mut b = vec![0.0; 4];
+        a.matvec_into(&x_true, &mut b).unwrap();
         let ch = Cholesky::new(&a).unwrap();
         let x = ch.solve(&b);
         for (xi, ti) in x.iter().zip(x_true.iter()) {
             assert!((xi - ti).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn solve_matrix_matches_vector_solve() {
-        let a = spd_example();
-        let ch = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_fn(4, 3, |i, j| (i + j) as f64);
-        let x = ch.solve_matrix(&b).unwrap();
-        for j in 0..3 {
-            let xj = ch.solve(b.col(j));
-            for i in 0..4 {
-                assert!((x[(i, j)] - xj[i]).abs() < 1e-14);
-            }
         }
     }
 
@@ -214,13 +179,14 @@ mod tests {
         let ch = Cholesky::new(&Matrix::identity(5)).unwrap();
         let b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(ch.solve(&b), b);
-        assert!(ch.log_det().abs() < 1e-15);
     }
 
     #[test]
     fn log_det_of_diagonal() {
+        // The factor carries the determinant: det A = (Π L_ii)².
         let a = Matrix::from_diagonal(&[2.0, 3.0, 4.0]);
         let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 24.0_f64.ln()).abs() < 1e-12);
+        let log_det: f64 = (0..3).map(|i| ch.l()[(i, i)].ln()).sum::<f64>() * 2.0;
+        assert!((log_det - 24.0_f64.ln()).abs() < 1e-12);
     }
 }

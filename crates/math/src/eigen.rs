@@ -193,12 +193,6 @@ impl SymmetricEigen {
     pub fn reconstruct(&self) -> Matrix {
         self.map(|x| x)
     }
-
-    /// Inverse square root `A^{-1/2}`, flooring eigenvalues at `floor` to
-    /// guard against tiny negative values from roundoff.
-    pub fn inv_sqrt(&self, floor: f64) -> Matrix {
-        self.map(|lam| 1.0 / lam.max(floor).sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -226,30 +220,36 @@ mod tests {
     #[test]
     fn reconstruction_and_orthogonality() {
         let b = Matrix::from_fn(5, 5, |i, j| ((i * j + i + 1) % 7) as f64);
-        let mut a = b.tr_matmul(&b).unwrap();
+        let mut a = Matrix::default();
+        b.tr_matmul_into(&b, &mut a).unwrap();
         a.symmetrize_mut();
         let e = SymmetricEigen::new(&a).unwrap();
         assert!((&e.reconstruct() - &a).max_abs() < 1e-9);
-        let vtv = e.vectors.tr_matmul(&e.vectors).unwrap();
+        let mut vtv = Matrix::default();
+        e.vectors.tr_matmul_into(&e.vectors, &mut vtv).unwrap();
         assert!((&vtv - &Matrix::identity(5)).max_abs() < 1e-10);
     }
 
     #[test]
     fn inv_sqrt_is_functional_inverse() {
         let b = Matrix::from_fn(4, 4, |i, j| ((i + 2 * j) % 5) as f64 * 0.5);
-        let mut a = b.tr_matmul(&b).unwrap();
+        let mut a = Matrix::default();
+        b.tr_matmul_into(&b, &mut a).unwrap();
         a.add_diagonal_mut(2.0);
         let e = SymmetricEigen::new(&a).unwrap();
-        let s = e.inv_sqrt(1e-12);
+        let s = e.map(|lam| 1.0 / lam.max(1e-12).sqrt());
         // s * a * s ≈ I
-        let prod = s.matmul(&a).unwrap().matmul(&s).unwrap();
+        let (mut sa, mut prod) = (Matrix::default(), Matrix::default());
+        s.matmul_into(&a, &mut sa).unwrap();
+        sa.matmul_into(&s, &mut prod).unwrap();
         assert!((&prod - &Matrix::identity(4)).max_abs() < 1e-9);
     }
 
     #[test]
     fn trace_equals_eigen_sum() {
         let b = Matrix::from_fn(6, 6, |i, j| ((3 * i + j) % 4) as f64 - 1.5);
-        let mut a = b.tr_matmul(&b).unwrap();
+        let mut a = Matrix::default();
+        b.tr_matmul_into(&b, &mut a).unwrap();
         a.symmetrize_mut();
         let e = SymmetricEigen::new(&a).unwrap();
         let sum: f64 = e.values.iter().sum();
@@ -274,7 +274,8 @@ mod tests {
             let b = Matrix::from_fn(size, size, |i, j| {
                 ((seed * i + j * j + 1) % 13) as f64 - 6.0
             });
-            let mut a = b.tr_matmul(&b).unwrap();
+            let mut a = Matrix::default();
+            b.tr_matmul_into(&b, &mut a).unwrap();
             a.symmetrize_mut();
             let fresh = SymmetricEigen::new(&a).unwrap();
             eig.factor_into(&a, &mut ws).unwrap();

@@ -4,38 +4,6 @@
 //! observation layer uses the quadratic kernel directly for the paper's
 //! "biquadratic interpolation" of weather-station data (§3.1).
 
-/// Piecewise-linear interpolation of tabulated data.
-///
-/// `xs` must be strictly increasing. Outside the table the boundary value is
-/// held (constant extrapolation), which is the safe choice for physical
-/// lookup tables such as fuel moisture curves.
-///
-/// # Panics
-/// Panics if `xs` and `ys` differ in length or are empty.
-pub fn linear_table(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "table length mismatch");
-    assert!(!xs.is_empty(), "empty interpolation table");
-    if x <= xs[0] {
-        return ys[0];
-    }
-    if x >= xs[xs.len() - 1] {
-        return ys[ys.len() - 1];
-    }
-    // Binary search for the bracketing interval.
-    let mut lo = 0;
-    let mut hi = xs.len() - 1;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if xs[mid] <= x {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-    ys[lo] + t * (ys[hi] - ys[lo])
-}
-
 /// Quadratic (3-point Lagrange) interpolation through `(x0, y0)`, `(x0+h, y1)`,
 /// `(x0+2h, y2)` evaluated at `x`.
 ///
@@ -65,17 +33,6 @@ pub fn catmull_rom(y: [f64; 4], t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_table_interpolates_and_extrapolates_flat() {
-        let xs = [0.0, 1.0, 3.0];
-        let ys = [10.0, 20.0, 40.0];
-        assert_eq!(linear_table(&xs, &ys, 0.5), 15.0);
-        assert_eq!(linear_table(&xs, &ys, 2.0), 30.0);
-        assert_eq!(linear_table(&xs, &ys, -5.0), 10.0);
-        assert_eq!(linear_table(&xs, &ys, 99.0), 40.0);
-        assert_eq!(linear_table(&xs, &ys, 1.0), 20.0);
-    }
 
     #[test]
     fn quadratic_exact_on_parabola() {

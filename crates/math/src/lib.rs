@@ -30,9 +30,6 @@ pub use eigen::{EigenWorkspace, SymmetricEigen};
 pub use matrix::Matrix;
 pub use rng::GaussianSampler;
 
-/// Relative tolerance used by the default convergence checks in this crate.
-pub const DEFAULT_TOL: f64 = 1e-12;
-
 /// Errors produced by the numerical kernels in this crate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MathError {

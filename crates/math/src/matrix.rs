@@ -56,32 +56,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from row-major nested slices (convenient in tests).
-    ///
-    /// # Panics
-    /// Panics if the rows have inconsistent lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = if r == 0 { 0 } else { rows[0].len() };
-        let mut m = Matrix::zeros(r, c);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), c, "row {i} has inconsistent length");
-            for (j, &v) in row.iter().enumerate() {
-                m[(i, j)] = v;
-            }
-        }
-        m
-    }
-
-    /// Creates a single-column matrix from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Creates a matrix that owns `data` interpreted in column-major order.
     ///
     /// # Panics
@@ -89,16 +63,6 @@ impl Matrix {
     pub fn from_column_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "column-major data length mismatch");
         Matrix { rows, cols, data }
-    }
-
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
     }
 
     /// Number of rows.
@@ -121,7 +85,7 @@ impl Matrix {
 
     /// Whether the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -160,20 +124,9 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `v.len() != rows`.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) {
+    pub(crate) fn set_col(&mut self, j: usize, v: &[f64]) {
         assert_eq!(v.len(), self.rows, "set_col length mismatch");
         self.col_mut(j).copy_from_slice(v);
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for j in 0..self.cols {
-            for i in 0..self.rows {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 
     /// Re-shapes to `rows × cols` and zeroes every entry, reusing the
@@ -215,18 +168,11 @@ impl Matrix {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs`: resizes `out` to `rows × rhs.cols` and
+    /// overwrites it.
     ///
     /// Uses a cache-friendly `j-k-i` loop: for each output column we
     /// accumulate axpys of the columns of `self`, which are contiguous.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`Matrix::matmul`]: resizes `out` to `rows × rhs.cols`
-    /// and overwrites it with `self * rhs`.
     ///
     /// # Errors
     /// [`MathError::DimensionMismatch`] when the inner dimensions disagree.
@@ -255,18 +201,11 @@ impl Matrix {
         Ok(())
     }
 
-    /// Product `selfᵀ * rhs` without materializing the transpose.
+    /// Product `selfᵀ * rhs` without materializing the transpose: resizes
+    /// `out` and overwrites it.
     ///
     /// Each output entry is a dot product of two contiguous columns, so this
     /// is the preferred kernel for ensemble Gram matrices `AᵀA`.
-    pub fn tr_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.tr_matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`Matrix::tr_matmul`]: resizes `out` and overwrites it
-    /// with `selfᵀ * rhs`.
     ///
     /// # Errors
     /// [`MathError::DimensionMismatch`] when the row counts disagree.
@@ -295,15 +234,8 @@ impl Matrix {
         Ok(())
     }
 
-    /// Product `self * rhsᵀ` without materializing the transpose.
-    pub fn matmul_tr(&self, rhs: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_tr_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`Matrix::matmul_tr`]: resizes `out` and overwrites it
-    /// with `self * rhsᵀ`.
+    /// Product `self * rhsᵀ` without materializing the transpose: resizes
+    /// `out` and overwrites it.
     ///
     /// # Errors
     /// [`MathError::DimensionMismatch`] when the column counts disagree.
@@ -332,14 +264,7 @@ impl Matrix {
         Ok(())
     }
 
-    /// Matrix–vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; self.rows];
-        self.matvec_into(v, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`Matrix::matvec`]: overwrites `out` with `self * v`.
+    /// Matrix–vector product: overwrites `out` with `self * v`.
     ///
     /// # Errors
     /// [`MathError::DimensionMismatch`] when `v.len() != cols` or
@@ -372,15 +297,7 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transposed matrix–vector product `selfᵀ * v`.
-    pub fn tr_matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        let mut out = vec![0.0; self.cols];
-        self.tr_matvec_into(v, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`Matrix::tr_matvec`]: overwrites `out` with
-    /// `selfᵀ * v`.
+    /// Transposed matrix–vector product: overwrites `out` with `selfᵀ * v`.
     ///
     /// # Errors
     /// [`MathError::DimensionMismatch`] when `v.len() != rows` or
@@ -441,7 +358,7 @@ impl Matrix {
     }
 
     /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
+    pub(crate) fn fro_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
@@ -488,7 +405,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `v.len() != rows`.
-    pub fn subtract_col_vector(&mut self, v: &[f64]) {
+    pub(crate) fn subtract_col_vector(&mut self, v: &[f64]) {
         assert_eq!(v.len(), self.rows, "subtract_col_vector length mismatch");
         for j in 0..self.cols {
             for (x, &m) in self.col_mut(j).iter_mut().zip(v.iter()) {
@@ -546,23 +463,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Stacks `top` above `bottom` (they must have equal column counts).
-    pub fn vstack(top: &Matrix, bottom: &Matrix) -> Result<Matrix> {
-        if top.cols != bottom.cols {
-            return Err(MathError::DimensionMismatch {
-                op: "vstack",
-                lhs: top.dims(),
-                rhs: bottom.dims(),
-            });
-        }
-        let mut out = Matrix::zeros(top.rows + bottom.rows, top.cols);
-        for j in 0..top.cols {
-            out.col_mut(j)[..top.rows].copy_from_slice(top.col(j));
-            out.col_mut(j)[top.rows..].copy_from_slice(bottom.col(j));
-        }
-        Ok(out)
     }
 
     /// Whether the matrix is symmetric to within `tol` (absolute).
@@ -681,8 +581,36 @@ impl Neg for &Matrix {
 mod tests {
     use super::*;
 
+    /// Test fixtures and the explicit-transpose oracle for the fused
+    /// transposed products.
+    impl Matrix {
+        /// Creates a matrix from row-major nested slices.
+        pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
+            let r = rows.len();
+            let c = if r == 0 { 0 } else { rows[0].len() };
+            Matrix::from_fn(r, c, |i, j| rows[i][j])
+        }
+
+        /// Creates a diagonal matrix from the given diagonal entries.
+        pub(crate) fn from_diagonal(diag: &[f64]) -> Self {
+            let n = diag.len();
+            Matrix::from_fn(n, n, |i, j| if i == j { diag[i] } else { 0.0 })
+        }
+
+        /// Returns the transpose.
+        pub(crate) fn transpose(&self) -> Matrix {
+            Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        }
+    }
+
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
+    }
+
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_into(b, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -692,7 +620,8 @@ mod tests {
         // with exactly the dot-product values.
         let a = Matrix::from_column_major(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_column_major(3, 2, vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let expected = a.tr_matmul(&b).unwrap();
+        let mut expected = Matrix::zeros(2, 2);
+        a.tr_matmul_into(&b, &mut expected).unwrap();
         let mut out = Matrix::zeros(5, 5);
         out.as_mut_slice().fill(99.0);
         a.tr_matmul_into(&b, &mut out).unwrap();
@@ -719,7 +648,9 @@ mod tests {
     fn identity_matvec_is_identity() {
         let id = Matrix::identity(4);
         let v = vec![1.0, -2.0, 3.0, 0.5];
-        assert_eq!(id.matvec(&v).unwrap(), v);
+        let mut out = vec![f64::NAN; 4];
+        id.matvec_into(&v, &mut out).unwrap();
+        assert_eq!(out, v);
     }
 
     #[test]
@@ -735,7 +666,7 @@ mod tests {
     fn matmul_known_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b).unwrap();
+        let c = matmul(&a, &b);
         assert_eq!(c[(0, 0)], 19.0);
         assert_eq!(c[(0, 1)], 22.0);
         assert_eq!(c[(1, 0)], 43.0);
@@ -747,7 +678,7 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(matches!(
-            a.matmul(&b),
+            a.matmul_into(&b, &mut Matrix::default()),
             Err(MathError::DimensionMismatch { .. })
         ));
     }
@@ -756,8 +687,9 @@ mod tests {
     fn tr_matmul_matches_explicit_transpose() {
         let a = Matrix::from_fn(4, 3, |i, j| (i + 2 * j) as f64);
         let b = Matrix::from_fn(4, 2, |i, j| (3 * i) as f64 - j as f64);
-        let fast = a.tr_matmul(&b).unwrap();
-        let slow = a.transpose().matmul(&b).unwrap();
+        let mut fast = Matrix::default();
+        a.tr_matmul_into(&b, &mut fast).unwrap();
+        let slow = matmul(&a.transpose(), &b);
         assert!((&fast - &slow).max_abs() < 1e-14);
     }
 
@@ -765,8 +697,9 @@ mod tests {
     fn matmul_tr_matches_explicit_transpose() {
         let a = Matrix::from_fn(3, 4, |i, j| (i * j) as f64 + 1.0);
         let b = Matrix::from_fn(2, 4, |i, j| i as f64 - j as f64);
-        let fast = a.matmul_tr(&b).unwrap();
-        let slow = a.matmul(&b.transpose()).unwrap();
+        let mut fast = Matrix::default();
+        a.matmul_tr_into(&b, &mut fast).unwrap();
+        let slow = matmul(&a, &b.transpose());
         assert!((&fast - &slow).max_abs() < 1e-14);
     }
 
@@ -797,16 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn vstack_stacks() {
-        let a = Matrix::filled(2, 3, 1.0);
-        let b = Matrix::filled(1, 3, 2.0);
-        let s = Matrix::vstack(&a, &b).unwrap();
-        assert_eq!(s.dims(), (3, 3));
-        assert_eq!(s[(2, 0)], 2.0);
-        assert_eq!(s[(0, 0)], 1.0);
-    }
-
-    #[test]
     fn symmetrize_makes_symmetric() {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[4.0, 3.0]]);
         m.symmetrize_mut();
@@ -827,16 +750,18 @@ mod tests {
     fn matvec_and_tr_matvec_agree_with_matmul() {
         let a = Matrix::from_fn(3, 4, |i, j| (i + j) as f64 * 0.5);
         let v = vec![1.0, 2.0, 3.0, 4.0];
-        let mv = a.matvec(&v).unwrap();
-        let mv_ref = a.matmul(&Matrix::col_vector(&v)).unwrap();
+        let mut mv = vec![0.0; 3];
+        a.matvec_into(&v, &mut mv).unwrap();
+        let mv_ref = matmul(&a, &Matrix::from_column_major(4, 1, v.clone()));
         for i in 0..3 {
             assert!(approx(mv[i], mv_ref[(i, 0)], 1e-14));
         }
         let w = vec![1.0, -1.0, 0.5];
-        let tv = a.tr_matvec(&w).unwrap();
-        let tv_ref = a.transpose().matvec(&w).unwrap();
+        let mut tv = vec![0.0; 4];
+        a.tr_matvec_into(&w, &mut tv).unwrap();
+        let tv_ref = matmul(&a.transpose(), &Matrix::from_column_major(3, 1, w));
         for j in 0..4 {
-            assert!(approx(tv[j], tv_ref[j], 1e-14));
+            assert!(approx(tv[j], tv_ref[(j, 0)], 1e-14));
         }
     }
 

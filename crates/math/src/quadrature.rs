@@ -115,52 +115,51 @@ impl FixedRule {
     }
 }
 
-/// Adaptive Simpson integration with absolute tolerance `tol`.
-///
-/// Used where the integrand has localized structure (e.g. flame emission
-/// spikes along a ray). Recursion depth is capped at 50.
-pub fn adaptive_simpson(f: &impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
-    fn simpson(fa: f64, fm: f64, fb: f64, a: f64, b: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        f: &impl Fn(f64) -> f64,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: usize,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = simpson(fa, flm, fm, a, m);
-        let right = simpson(fm, frm, fb, m, b);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            recurse(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-                + recurse(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-        }
-    }
-    let m = 0.5 * (a + b);
-    let fa = f(a);
-    let fm = f(m);
-    let fb = f(b);
-    let whole = simpson(fa, fm, fb, a, b);
-    recurse(&f, a, b, fa, fm, fb, whole, tol, 50)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Adaptive Simpson integration with absolute tolerance `tol`: an
+    /// independent oracle for the Gauss–Legendre rules. Recursion depth is
+    /// capped at 50.
+    fn adaptive_simpson(f: &impl Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
+        fn simpson(fa: f64, fm: f64, fb: f64, a: f64, b: f64) -> f64 {
+            (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        }
+        #[allow(clippy::too_many_arguments)]
+        fn recurse(
+            f: &impl Fn(f64) -> f64,
+            a: f64,
+            b: f64,
+            fa: f64,
+            fm: f64,
+            fb: f64,
+            whole: f64,
+            tol: f64,
+            depth: usize,
+        ) -> f64 {
+            let m = 0.5 * (a + b);
+            let lm = 0.5 * (a + m);
+            let rm = 0.5 * (m + b);
+            let flm = f(lm);
+            let frm = f(rm);
+            let left = simpson(fa, flm, fm, a, m);
+            let right = simpson(fm, frm, fb, m, b);
+            let delta = left + right - whole;
+            if depth == 0 || delta.abs() <= 15.0 * tol {
+                left + right + delta / 15.0
+            } else {
+                recurse(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+                    + recurse(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+            }
+        }
+        let m = 0.5 * (a + b);
+        let fa = f(a);
+        let fm = f(m);
+        let fb = f(b);
+        let whole = simpson(fa, fm, fb, a, b);
+        recurse(&f, a, b, fa, fm, fb, whole, tol, 50)
+    }
 
     #[test]
     fn nodes_symmetric_weights_sum_to_two() {

@@ -21,7 +21,7 @@ pub fn variance(xs: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
+pub(crate) fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
@@ -65,7 +65,7 @@ pub fn min_max(xs: &[f64]) -> (f64, f64) {
 ///
 /// # Panics
 /// Panics if `xs` is empty or `q` is outside `[0, 1]`.
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile level outside [0,1]");
     let mut s = xs.to_vec();
@@ -84,21 +84,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 /// Median (0.5-quantile).
 pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
-}
-
-/// Sample covariance matrix of ensemble columns: `C = A·Aᵀ/(N−1)` where `A`
-/// is the anomaly matrix. This is the estimator the EnKF uses implicitly.
-///
-/// Returns the zero matrix when there are fewer than two columns.
-pub fn ensemble_covariance(x: &Matrix) -> Matrix {
-    let n = x.cols();
-    if n < 2 {
-        return Matrix::zeros(x.rows(), x.rows());
-    }
-    let (a, _) = x.anomalies();
-    let mut c = a.matmul_tr(&a).expect("dims agree");
-    c.scale_mut(1.0 / (n as f64 - 1.0));
-    c
 }
 
 /// Ensemble spread: root of the mean over state components of the ensemble
@@ -163,18 +148,6 @@ mod tests {
         assert_eq!(min_max(&[3.0, -1.0, 2.0]), (-1.0, 3.0));
         let (lo, hi) = min_max(&[]);
         assert!(lo.is_infinite() && hi.is_infinite());
-    }
-
-    #[test]
-    fn ensemble_covariance_two_members() {
-        // Members (0,0) and (2,2): anomalies ±(1,1); C = [[2,2],[2,2]]/1.
-        let x = Matrix::from_rows(&[&[0.0, 2.0], &[0.0, 2.0]]);
-        let c = ensemble_covariance(&x);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((c[(i, j)] - 2.0).abs() < 1e-14);
-            }
-        }
     }
 
     #[test]

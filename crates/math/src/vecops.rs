@@ -3,28 +3,6 @@
 //! These operate on plain `&[f64]` slices so that grid fields, matrix
 //! columns, and raw state vectors can all share the same hot loops.
 
-/// Dot product of two equally sized slices.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-}
-
-/// Euclidean norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// ∞-norm (maximum absolute value); 0 for an empty slice.
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-}
-
 /// `y += alpha * x` element-wise.
 ///
 /// # Panics
@@ -69,12 +47,6 @@ pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
     (ss / a.len() as f64).sqrt()
 }
 
-/// Linear interpolation between `a` and `b` at parameter `t ∈ [0,1]`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + t * (b - a)
-}
-
 /// Clamps `x` into `[lo, hi]`.
 ///
 /// # Panics
@@ -95,15 +67,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_norms() {
-        let a = [3.0, 4.0];
-        assert_eq!(dot(&a, &a), 25.0);
-        assert_eq!(norm2(&a), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let x = [1.0, 2.0];
         let mut y = [10.0, 20.0];
@@ -115,13 +78,6 @@ mod tests {
     fn rmse_known() {
         assert!((rmse(&[0.0, 0.0], &[3.0, 4.0]) - (12.5_f64).sqrt()).abs() < 1e-15);
         assert_eq!(rmse(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_middle() {
-        assert_eq!(lerp(2.0, 4.0, 0.0), 2.0);
-        assert_eq!(lerp(2.0, 4.0, 1.0), 4.0);
-        assert_eq!(lerp(2.0, 4.0, 0.5), 3.0);
     }
 
     #[test]

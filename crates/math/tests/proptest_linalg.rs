@@ -28,7 +28,8 @@ fn tall_matrix() -> impl Strategy<Value = Matrix> {
 fn spd_matrix() -> impl Strategy<Value = Matrix> {
     small_dim().prop_flat_map(|n| {
         square_matrix(n).prop_map(move |b| {
-            let mut a = b.tr_matmul(&b).expect("square dims");
+            let mut a = Matrix::default();
+            b.tr_matmul_into(&b, &mut a).expect("square dims");
             a.add_diagonal_mut(1.0);
             a.symmetrize_mut();
             a
@@ -40,7 +41,8 @@ proptest! {
     #[test]
     fn cholesky_reconstructs(a in spd_matrix()) {
         let ch = Cholesky::new(&a).unwrap();
-        let rec = ch.l().matmul_tr(ch.l()).unwrap();
+        let mut rec = Matrix::default();
+        ch.l().matmul_tr_into(ch.l(), &mut rec).unwrap();
         prop_assert!((&rec - &a).max_abs() < 1e-10);
     }
 
@@ -48,7 +50,8 @@ proptest! {
     fn cholesky_solve_is_inverse(a in spd_matrix(), seed in 0u64..1000) {
         let n = a.rows();
         let x_true: Vec<f64> = (0..n).map(|i| ((seed as f64 + i as f64) * 0.37).sin()).collect();
-        let b = a.matvec(&x_true).unwrap();
+        let mut b = vec![0.0; n];
+        a.matvec_into(&x_true, &mut b).unwrap();
         let x = Cholesky::new(&a).unwrap().solve(&b);
         for (xi, ti) in x.iter().zip(x_true.iter()) {
             prop_assert!((xi - ti).abs() < 1e-6);
@@ -72,15 +75,21 @@ proptest! {
         let a = Matrix::from_column_major(n, n, data[0..n*n].to_vec());
         let b = Matrix::from_column_major(n, n, data[n*n..2*n*n].to_vec());
         let c = Matrix::from_column_major(n, n, data[2*n*n..3*n*n].to_vec());
-        let left = a.matmul(&b).unwrap().matmul(&c).unwrap();
-        let right = a.matmul(&b.matmul(&c).unwrap()).unwrap();
+        let product = |x: &Matrix, y: &Matrix| {
+            let mut out = Matrix::default();
+            x.matmul_into(y, &mut out).unwrap();
+            out
+        };
+        let left = product(&product(&a, &b), &c);
+        let right = product(&a, &product(&b, &c));
         prop_assert!((&left - &right).max_abs() < 1e-10);
     }
 
     #[test]
     fn transpose_product_identity(a in tall_matrix()) {
         // (Aᵀ A) symmetric.
-        let g = a.tr_matmul(&a).unwrap();
+        let mut g = Matrix::default();
+        a.tr_matmul_into(&a, &mut g).unwrap();
         prop_assert!(g.is_symmetric(1e-12));
     }
 }

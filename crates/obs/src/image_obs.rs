@@ -61,9 +61,8 @@ impl ImageObservation {
     /// Renders the synthetic image for one member state (the observation
     /// function `h` of the assimilation loop).
     ///
-    /// Allocating convenience over
-    /// [`ImageObservation::synthetic_image_into`]; per-member loops should
-    /// hold an [`ImageObsScratch`] and use the `_into` form.
+    /// Allocates a fresh [`ImageObsScratch`] per call; per-member loops go
+    /// through the [`crate::ImagePixels`] operator, which reuses one.
     ///
     /// # Errors
     /// Rendering failures.
@@ -85,7 +84,7 @@ impl ImageObservation {
     /// # Errors
     /// [`crate::ObsError::Operator`] when `state` is not on `model`'s grids;
     /// rendering failures.
-    pub fn synthetic_image_into(
+    pub(crate) fn synthetic_image_into(
         &self,
         model: &CoupledModel,
         state: &CoupledState,
@@ -112,7 +111,7 @@ impl ImageObservation {
     ///
     /// # Errors
     /// Rendering failures.
-    pub fn real_image_from_truth(
+    pub(crate) fn real_image_from_truth(
         &self,
         model: &CoupledModel,
         truth: &CoupledState,
@@ -126,11 +125,6 @@ impl ImageObservation {
             *v = (*v * rel + rng.normal(0.0, noise_rel * mean)).max(0.0);
         }
         Ok(img)
-    }
-
-    /// Flattens an image into the observation vector the EnKF consumes.
-    pub fn to_observation_vector(img: &SceneImage) -> Vec<f64> {
-        img.data.clone()
     }
 }
 
@@ -164,10 +158,9 @@ mod tests {
         let m = model();
         let obs = ImageObservation::over_fire_domain(&m, 3000.0, 32);
         let g = m.fire_grid;
-        let (gx, gy) = obs.camera.pixel_ground_point(0, 0);
-        assert!(g.contains(gx, gy));
-        let (gx1, gy1) = obs.camera.pixel_ground_point(31, 31);
-        assert!(g.contains(gx1, gy1));
+        assert_eq!(obs.camera.footprint_origin, g.origin);
+        assert_eq!(obs.camera.footprint_size, g.extent());
+        assert_eq!(obs.camera.pixels, (32, 32));
     }
 
     #[test]
@@ -214,7 +207,8 @@ mod tests {
         let s = m.ignite(&[], 0.0);
         let obs = ImageObservation::over_fire_domain(&m, 3000.0, 8);
         let img = obs.synthetic_image(&m, &s).unwrap();
-        let v = ImageObservation::to_observation_vector(&img);
+        // The image data, row-major, is the observation vector.
+        let v = &img.data;
         assert_eq!(v.len(), 64);
         assert_eq!(v[0], img.get(0, 0));
     }

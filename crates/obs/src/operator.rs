@@ -15,8 +15,8 @@
 //!   fire-mesh node (by linear node index, reproducing the seed's
 //!   `obs_stride` convention bit-for-bit);
 //! * [`StationTemperatures`] — 2-m temperature at each station of a
-//!   network, through [`WeatherStation::observe_with`] (cell lookup +
-//!   biquadratic sampling, §3.1);
+//!   network, through the station's cell lookup and biquadratic sampling
+//!   (§3.1);
 //! * [`ImagePixels`] — radiance at every pixel of a synthetic infrared
 //!   image rendered from the member state (§3.2).
 
@@ -174,7 +174,7 @@ impl StridedPsi {
     }
 
     /// Linear fire-mesh node indices of the observed samples.
-    pub fn node_indices(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn node_indices(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.grid.len()).step_by(self.stride)
     }
 
@@ -183,7 +183,7 @@ impl StridedPsi {
     ///
     /// # Errors
     /// [`ObsError::Operator`] when the state lives on a different grid.
-    pub fn observe_fire_into(&self, fire: &FireState, out: &mut [f64]) -> Result<()> {
+    pub(crate) fn observe_fire_into(&self, fire: &FireState, out: &mut [f64]) -> Result<()> {
         if fire.psi.grid() != self.grid {
             return Err(ObsError::Operator("strided-psi grid mismatch"));
         }

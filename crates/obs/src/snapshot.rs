@@ -184,7 +184,10 @@ impl Snapshot {
     }
 
     /// Header + record parse; fills `snap` (reusing same-named buffers) and
-    /// returns the record count declared by the stream.
+    /// returns the record count declared by the stream. Record names must
+    /// be strictly increasing — the order [`Snapshot::serialize_into`]
+    /// writes — so a repeated name cannot overwrite an earlier record or
+    /// leave a stale one standing.
     fn parse_into(bytes: &[u8], snap: &mut Snapshot) -> Result<usize> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
@@ -206,11 +209,18 @@ impl Snapshot {
             )));
         }
         let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
+        let mut previous: Option<&str> = None;
         for _ in 0..count {
             let name_len =
                 u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
             let name = std::str::from_utf8(take(&mut pos, name_len)?)
                 .map_err(|_| ObsError::BadStateFile("non-utf8 record name".into()))?;
+            if previous.is_some_and(|p| name <= p) {
+                return Err(ObsError::BadStateFile(format!(
+                    "record {name:?} repeated or out of order"
+                )));
+            }
+            previous = Some(name);
             let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")) as usize;
             // Bound the element count by the remaining bytes before any
             // reservation, so a corrupt length cannot balloon memory.
@@ -502,6 +512,56 @@ mod tests {
         target.put_slice("stale", &[3.0]);
         Snapshot::from_bytes_into(&bytes, &mut target).unwrap();
         assert_eq!(target, a);
+    }
+
+    /// A stream with `count` records named `names`, one value each.
+    fn stream(names: &[&str]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out.extend_from_slice(&(names.len() as u32).to_le_bytes());
+        for (k, name) in names.iter().enumerate() {
+            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&1u64.to_le_bytes());
+            out.extend_from_slice(&(k as f64).to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn repeated_record_name_rejected_fresh_and_reused() {
+        let bytes = stream(&["a", "a"]);
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(ObsError::BadStateFile(_))
+        ));
+        // Over a snap holding {a, b}: refused, not Ok with a stale `b`.
+        let mut snap = Snapshot::new();
+        snap.put_slice("a", &[7.0]);
+        snap.put_slice("b", &[8.0]);
+        assert!(matches!(
+            Snapshot::from_bytes_into(&bytes, &mut snap),
+            Err(ObsError::BadStateFile(_))
+        ));
+        // The serializer's own order still parses.
+        assert!(Snapshot::from_bytes(&stream(&["a", "b"])).is_ok());
+    }
+
+    #[test]
+    fn out_of_order_record_names_rejected() {
+        let bytes = stream(&["b", "a"]);
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(ObsError::BadStateFile(_))
+        ));
+        let mut snap = Snapshot::new();
+        snap.put_slice("a", &[1.0]);
+        snap.put_slice("b", &[2.0]);
+        assert!(matches!(
+            Snapshot::from_bytes_into(&bytes, &mut snap),
+            Err(ObsError::BadStateFile(_))
+        ));
     }
 
     #[test]

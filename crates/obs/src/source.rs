@@ -80,7 +80,7 @@ impl ObsInbox {
     }
 
     /// A recycled (or fresh) report buffer for a source to fill.
-    pub fn take_spare(&mut self) -> ObsReport {
+    pub(crate) fn take_spare(&mut self) -> ObsReport {
         let mut r = self.spare.pop().unwrap_or_default();
         r.data.clear();
         r
@@ -355,11 +355,6 @@ impl StateFileTail {
         &self.path
     }
 
-    /// Reports ingested from the log so far (delivered or still pending).
-    pub fn ingested(&self) -> usize {
-        self.seen
-    }
-
     /// Reads any new reports from the log into the pending queue.
     fn ingest(&mut self, inbox: &mut ObsInbox) -> Result<()> {
         let Ok(meta) = std::fs::metadata(&self.path) else {
@@ -418,7 +413,7 @@ impl ObsSource for StateFileTail {
 /// what is due. Late or duplicate reports follow the module-level drop
 /// policy. A disconnected (all senders dropped) channel is not an error —
 /// the source simply delivers its remaining staged reports and then runs
-/// dry, observable via [`is_disconnected`](Self::is_disconnected).
+/// dry.
 #[derive(Debug)]
 pub struct ChannelSource {
     rx: Receiver<ObsReport>,
@@ -439,12 +434,6 @@ impl ChannelSource {
                 disconnected: false,
             },
         )
-    }
-
-    /// Whether every sender has dropped (no further reports can arrive;
-    /// staged ones still deliver).
-    pub fn is_disconnected(&self) -> bool {
-        self.disconnected
     }
 }
 
@@ -474,6 +463,21 @@ impl ObsSource for ChannelSource {
 mod tests {
     use super::*;
     use crate::timeline::{ObsStreamKind, ObsStreamSpec};
+
+    impl ChannelSource {
+        /// Whether every sender has dropped (no further reports can arrive;
+        /// staged ones still deliver).
+        pub(crate) fn is_disconnected(&self) -> bool {
+            self.disconnected
+        }
+    }
+
+    impl StateFileTail {
+        /// Reports ingested from the log so far (delivered or still pending).
+        pub(crate) fn ingested(&self) -> usize {
+            self.seen
+        }
+    }
 
     fn spec(start: f64, period: f64) -> ObsStreamSpec {
         ObsStreamSpec::new(

@@ -10,7 +10,6 @@
 //! really is a fire in the cell."
 
 use wildfire_core::CoupledState;
-use wildfire_fire::UNBURNED;
 use wildfire_grid::Field2;
 
 /// A fixed ground station.
@@ -96,7 +95,7 @@ impl SurfaceFields {
     /// Evaluates only the 2-m temperature field — the sweep a
     /// temperature-only network needs; the vapor and wind fills (3/4 of the
     /// full [`SurfaceFields::evaluate`] cost) are skipped.
-    pub fn evaluate_temperature(&mut self, state: &CoupledState, theta0: f64) {
+    pub(crate) fn evaluate_temperature(&mut self, state: &CoupledState, theta0: f64) {
         let agrid = state.atmos.grid;
         self.temperature.resize_zeroed(agrid.horizontal());
         for j in 0..agrid.ny {
@@ -131,7 +130,7 @@ impl WeatherStation {
     /// [`SurfaceFields`], so a station network pays the surface-field sweep
     /// once per state instead of once per station. Bit-identical to
     /// [`WeatherStation::observe`].
-    pub fn observe_with(
+    pub(crate) fn observe_with(
         &self,
         state: &CoupledState,
         surface: &SurfaceFields,
@@ -232,26 +231,6 @@ pub fn synthesize_reports(
         .collect()
 }
 
-/// Convenience: checks that the station's ignition-time field indicates a
-/// fire arrival before `t` anywhere within radius `r` of the station — the
-/// "is there really a fire in the cell" confirmation of §3.1 applied to the
-/// fire state.
-pub fn fire_arrived_near(state: &CoupledState, location: (f64, f64), r: f64, t: f64) -> bool {
-    let g = state.fire.tig.grid();
-    for iy in 0..g.ny {
-        for ix in 0..g.nx {
-            let (x, y) = g.world(ix, iy);
-            if (x - location.0).powi(2) + (y - location.1).powi(2) <= r * r {
-                let tig = state.fire.tig.get(ix, iy);
-                if tig < UNBURNED && tig <= t {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +238,27 @@ mod tests {
     use wildfire_atmos::AtmosParams;
     use wildfire_core::CoupledModel;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fire::FuelCategory;
+    use wildfire_fire::{FuelCategory, UNBURNED};
+
+    /// Convenience: checks that the station's ignition-time field indicates a
+    /// fire arrival before `t` anywhere within radius `r` of the station — the
+    /// "is there really a fire in the cell" confirmation of §3.1 applied to the
+    /// fire state.
+    fn fire_arrived_near(state: &CoupledState, location: (f64, f64), r: f64, t: f64) -> bool {
+        let g = state.fire.tig.grid();
+        for iy in 0..g.ny {
+            for ix in 0..g.nx {
+                let (x, y) = g.world(ix, iy);
+                if (x - location.0).powi(2) + (y - location.1).powi(2) <= r * r {
+                    let tig = state.fire.tig.get(ix, iy);
+                    if tig < UNBURNED && tig <= t {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
 
     fn model() -> CoupledModel {
         CoupledModel::new(

@@ -45,7 +45,7 @@ impl Camera {
     }
 
     /// Ground-point world coordinates of pixel `(px, py)` (pixel centers).
-    pub fn pixel_ground_point(&self, px: usize, py: usize) -> (f64, f64) {
+    pub(crate) fn pixel_ground_point(&self, px: usize, py: usize) -> (f64, f64) {
         let fx = (px as f64 + 0.5) / self.pixels.0 as f64;
         let fy = (py as f64 + 0.5) / self.pixels.1 as f64;
         (
@@ -54,16 +54,8 @@ impl Camera {
         )
     }
 
-    /// Ground sample distance (m per pixel) along x and y.
-    pub fn gsd(&self) -> (f64, f64) {
-        (
-            self.footprint_size.0 / self.pixels.0 as f64,
-            self.footprint_size.1 / self.pixels.1 as f64,
-        )
-    }
-
     /// Unit direction from the camera to the ground point of a pixel.
-    pub fn ray_direction(&self, px: usize, py: usize) -> (f64, f64, f64) {
+    pub(crate) fn ray_direction(&self, px: usize, py: usize) -> (f64, f64, f64) {
         let (gx, gy) = self.pixel_ground_point(px, py);
         let (cx, cy, cz) = self.position();
         let dx = gx - cx;
@@ -74,7 +66,7 @@ impl Camera {
     }
 
     /// Path length (m) from the camera to the ground point of a pixel.
-    pub fn path_length(&self, px: usize, py: usize) -> f64 {
+    pub(crate) fn path_length(&self, px: usize, py: usize) -> f64 {
         let (gx, gy) = self.pixel_ground_point(px, py);
         let (cx, cy, cz) = self.position();
         ((gx - cx).powi(2) + (gy - cy).powi(2) + cz * cz).sqrt()
@@ -109,9 +101,11 @@ mod tests {
     #[test]
     fn gsd_matches_footprint() {
         let c = cam();
-        let (gx, gy) = c.gsd();
-        assert!((gx - 3.125).abs() < 1e-12);
-        assert!((gy - 3.125).abs() < 1e-12);
+        // Ground sample distance: the spacing of adjacent pixel centers.
+        let (x0, y0) = c.pixel_ground_point(0, 0);
+        let (x1, y1) = c.pixel_ground_point(1, 1);
+        assert!((x1 - x0 - 3.125).abs() < 1e-12);
+        assert!((y1 - y0 - 3.125).abs() < 1e-12);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Default for FlameModel {
 impl FlameModel {
     /// Flame length (m) for a local heat flux (W/m²), through Byram's
     /// correlation with `I = flux · flame_depth`.
-    pub fn flame_length(&self, flux_w_m2: f64) -> f64 {
+    pub(crate) fn flame_length(&self, flux_w_m2: f64) -> f64 {
         if flux_w_m2 <= 0.0 {
             return 0.0;
         }
@@ -64,7 +64,7 @@ impl FlameModel {
 
     /// Flame tilt from vertical (radians) for a wind speed (m/s):
     /// `atan(wind / buoyant_velocity)`, capped at 75°.
-    pub fn tilt(&self, wind_speed: f64) -> f64 {
+    pub(crate) fn tilt(&self, wind_speed: f64) -> f64 {
         (wind_speed.max(0.0) / self.buoyant_velocity)
             .atan()
             .min(75.0_f64.to_radians())
@@ -171,7 +171,7 @@ impl FlameVolume {
     }
 
     /// Maximum flame-top height with nonzero emission (m).
-    pub fn flame_top(&self) -> f64 {
+    pub(crate) fn flame_top(&self) -> f64 {
         let g = self.emission.grid();
         let mut top = 0.0;
         for k in 0..g.nz {

@@ -50,7 +50,7 @@ impl GroundThermalModel {
 
     /// Ground-temperature field (K) for a fire state at time `t`, using the
     /// ignition-time field as the front arrival time.
-    pub fn temperature_field(&self, mesh: &FireMesh, state: &FireState, t: f64) -> Field2 {
+    pub(crate) fn temperature_field(&self, mesh: &FireMesh, state: &FireState, t: f64) -> Field2 {
         let mut out = Field2::default();
         self.temperature_field_into(mesh, state, t, &mut out);
         out
@@ -59,7 +59,7 @@ impl GroundThermalModel {
     /// Allocation-free [`GroundThermalModel::temperature_field`]: re-targets
     /// `out` to the fire grid and overwrites every node (no heap traffic
     /// once the shape has been seen).
-    pub fn temperature_field_into(
+    pub(crate) fn temperature_field_into(
         &self,
         mesh: &FireMesh,
         state: &FireState,

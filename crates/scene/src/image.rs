@@ -94,44 +94,12 @@ impl SceneImage {
         self.data.iter().sum::<f64>() / self.data.len() as f64
     }
 
-    /// Converts a pixel's radiance to brightness temperature (K).
-    pub fn brightness_temperature_at(&self, px: usize, py: usize) -> f64 {
-        brightness_temperature(self.band.0, self.band.1, self.get(px, py), 200.0, 2000.0)
-    }
-
     /// Converts the whole image to brightness temperatures (K).
     pub fn to_brightness_temperature(&self) -> Vec<f64> {
         self.data
             .iter()
             .map(|&l| brightness_temperature(self.band.0, self.band.1, l, 200.0, 2000.0))
             .collect()
-    }
-
-    /// Block-averages the image by an integer factor (sensor binning /
-    /// resolution degradation for assimilation).
-    ///
-    /// # Errors
-    /// [`SceneError::EmptyImage`] when the factor does not divide the size.
-    pub fn downsample(&self, factor: usize) -> Result<SceneImage> {
-        if factor == 0 || !self.width.is_multiple_of(factor) || !self.height.is_multiple_of(factor)
-        {
-            return Err(SceneError::EmptyImage);
-        }
-        let w = self.width / factor;
-        let h = self.height / factor;
-        let mut out = SceneImage::new(w, h, self.band)?;
-        for py in 0..h {
-            for px in 0..w {
-                let mut s = 0.0;
-                for dy in 0..factor {
-                    for dx in 0..factor {
-                        s += self.get(px * factor + dx, py * factor + dy);
-                    }
-                }
-                out.set(px, py, s / (factor * factor) as f64);
-            }
-        }
-        Ok(out)
     }
 
     /// Writes the image as an 8-bit binary PGM, log-scaled between the
@@ -165,6 +133,37 @@ mod tests {
     use super::*;
     use crate::radiance::band_radiance;
 
+    impl SceneImage {
+        /// Block-averages the image by an integer factor (sensor binning /
+        /// resolution degradation for assimilation).
+        ///
+        /// # Errors
+        /// [`SceneError::EmptyImage`] when the factor does not divide the size.
+        pub(crate) fn downsample(&self, factor: usize) -> Result<SceneImage> {
+            if factor == 0
+                || !self.width.is_multiple_of(factor)
+                || !self.height.is_multiple_of(factor)
+            {
+                return Err(SceneError::EmptyImage);
+            }
+            let w = self.width / factor;
+            let h = self.height / factor;
+            let mut out = SceneImage::new(w, h, self.band)?;
+            for py in 0..h {
+                for px in 0..w {
+                    let mut s = 0.0;
+                    for dy in 0..factor {
+                        for dx in 0..factor {
+                            s += self.get(px * factor + dx, py * factor + dy);
+                        }
+                    }
+                    out.set(px, py, s / (factor * factor) as f64);
+                }
+            }
+            Ok(out)
+        }
+    }
+
     #[test]
     fn construction_and_accessors() {
         let mut img = SceneImage::new(4, 3, (3e-6, 5e-6)).unwrap();
@@ -178,7 +177,7 @@ mod tests {
     fn brightness_temperature_roundtrip_through_image() {
         let mut img = SceneImage::new(2, 2, (3e-6, 5e-6)).unwrap();
         img.set(0, 0, band_radiance(3e-6, 5e-6, 400.0));
-        let t = img.brightness_temperature_at(0, 0);
+        let t = img.to_brightness_temperature()[0];
         assert!((t - 400.0).abs() < 0.01, "recovered {t}");
     }
 

@@ -36,7 +36,7 @@ pub mod render;
 pub use camera::Camera;
 pub use flame::FlameVolume;
 pub use image::SceneImage;
-pub use render::{render_scene, render_scene_into, RenderScratch, SceneConfig};
+pub use render::{render_scene_into, RenderScratch, SceneConfig};
 
 /// Errors from scene generation.
 #[derive(Debug, Clone, PartialEq)]

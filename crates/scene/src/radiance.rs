@@ -18,7 +18,7 @@ pub const STEFAN_BOLTZMANN: f64 = 5.670374419e-8;
 /// Planck spectral radiance `B(λ, T)` in W·m⁻²·sr⁻¹·m⁻¹ (per meter of
 /// wavelength), with λ in meters and T in kelvin. Zero for non-positive
 /// temperature or wavelength.
-pub fn planck(lambda: f64, t: f64) -> f64 {
+pub(crate) fn planck(lambda: f64, t: f64) -> f64 {
     if t <= 0.0 || lambda <= 0.0 {
         return 0.0;
     }
@@ -30,8 +30,8 @@ pub fn planck(lambda: f64, t: f64) -> f64 {
     C1 / (lambda.powi(5) * (x.exp() - 1.0))
 }
 
-/// Quadrature order of [`band_radiance`] (and of the rules accepted by
-/// [`band_radiance_rule`]).
+/// Quadrature order of the band-radiance integral (and of the rules the
+/// per-pixel path builds once per render).
 pub const BAND_QUADRATURE_ORDER: usize = 24;
 
 /// Band radiance `∫ B(λ, T) dλ` over `[lo, hi]` (W·m⁻²·sr⁻¹).
@@ -40,7 +40,7 @@ pub const BAND_QUADRATURE_ORDER: usize = 24;
 /// mid-wave band to ~machine precision. Builds the rule (two heap buffers +
 /// a Newton solve) per call; per-pixel loops should hoist a [`band_rule`]
 /// and use [`band_radiance_rule`], which is bitwise identical.
-pub fn band_radiance(lo: f64, hi: f64, t: f64) -> f64 {
+pub(crate) fn band_radiance(lo: f64, hi: f64, t: f64) -> f64 {
     if t <= 0.0 || hi <= lo {
         return 0.0;
     }
@@ -49,14 +49,14 @@ pub fn band_radiance(lo: f64, hi: f64, t: f64) -> f64 {
 
 /// The hoisted quadrature rule for band `[lo, hi]`, for
 /// [`band_radiance_rule`].
-pub fn band_rule(lo: f64, hi: f64) -> FixedRule {
+pub(crate) fn band_rule(lo: f64, hi: f64) -> FixedRule {
     FixedRule::new(lo, hi, BAND_QUADRATURE_ORDER)
 }
 
 /// [`band_radiance`] with the quadrature rule hoisted out: bitwise equal to
 /// `band_radiance(lo, hi, t)` when `rule = band_rule(lo, hi)`, with no heap
 /// traffic per evaluation.
-pub fn band_radiance_rule(rule: &FixedRule, t: f64) -> f64 {
+pub(crate) fn band_radiance_rule(rule: &FixedRule, t: f64) -> f64 {
     if t <= 0.0 || rule.half_width() <= 0.0 {
         return 0.0;
     }
@@ -66,7 +66,7 @@ pub fn band_radiance_rule(rule: &FixedRule, t: f64) -> f64 {
 /// Inverse of [`band_radiance`] in temperature: the brightness temperature
 /// whose blackbody band radiance equals `l`. Bisection on `[t_min, t_max]`;
 /// clamps to the bracket ends when `l` is outside their radiance range.
-pub fn brightness_temperature(lo: f64, hi: f64, l: f64, t_min: f64, t_max: f64) -> f64 {
+pub(crate) fn brightness_temperature(lo: f64, hi: f64, l: f64, t_min: f64, t_max: f64) -> f64 {
     let r_min = band_radiance(lo, hi, t_min);
     let r_max = band_radiance(lo, hi, t_max);
     if l <= r_min {
@@ -93,7 +93,7 @@ pub fn brightness_temperature(lo: f64, hi: f64, l: f64, t_min: f64, t_max: f64) 
 
 /// Total hemispherical emissive power `σT⁴` (W/m²) — used for the fire
 /// radiated energy (FRE) validation against Wooster et al. (2003).
-pub fn total_emissive_power(t: f64) -> f64 {
+pub(crate) fn total_emissive_power(t: f64) -> f64 {
     STEFAN_BOLTZMANN * t * t * t * t
 }
 

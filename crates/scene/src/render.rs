@@ -80,32 +80,10 @@ impl RenderScratch {
 }
 
 /// Renders the synthetic mid-wave image of the fire state at time `t` as
-/// seen by `camera` — the synthetic-data half of the assimilation loop.
-///
-/// Allocating convenience over [`render_scene_into`]; per-member loops
-/// (ensemble observation operators) should hold a [`RenderScratch`] and an
-/// output image and use the `_into` form.
-///
-/// # Errors
-/// Propagates image-construction failures.
-pub fn render_scene(
-    mesh: &FireMesh,
-    state: &FireState,
-    wind: &VectorField2,
-    t: f64,
-    camera: &Camera,
-    config: &SceneConfig,
-) -> Result<SceneImage> {
-    let mut img = SceneImage::default();
-    let mut scratch = RenderScratch::new();
-    render_scene_into(mesh, state, wind, t, camera, config, &mut img, &mut scratch)?;
-    Ok(img)
-}
-
-/// Allocation-free [`render_scene`]: renders into `img` (re-targeted to the
-/// camera resolution) drawing every intermediate from `scratch`. Bitwise
-/// identical to the allocating form; no heap traffic once every shape has
-/// been seen.
+/// seen by `camera` — the synthetic-data half of the assimilation loop —
+/// into `img` (re-targeted to the camera resolution), drawing every
+/// intermediate from `scratch`: no heap traffic once every shape has been
+/// seen.
 ///
 /// # Errors
 /// Propagates image-construction failures.
@@ -261,7 +239,7 @@ pub fn render_scene_into(
 /// Fire radiative power (W, full spectrum): hot-ground excess emission plus
 /// flame-surface emission — the quantity compared against satellite-derived
 /// values in the paper's validation (Wooster et al. 2003).
-pub fn fire_radiative_power(
+pub(crate) fn fire_radiative_power(
     mesh: &FireMesh,
     state: &FireState,
     wind: &VectorField2,
@@ -301,7 +279,7 @@ pub fn fire_radiative_power(
     frp + n_vox as f64 * flame_power_per_voxel
 }
 
-/// Radiative fraction: [`fire_radiative_power`] divided by the fire's total
+/// Radiative fraction: the fire radiative power divided by the fire's total
 /// heat release rate. Published biomass-burning values fall in roughly
 /// 0.05–0.25; the README's "Paper claims" table (E3) records where this
 /// implementation lands.
@@ -326,6 +304,21 @@ mod tests {
     use wildfire_fire::ignition::IgnitionShape;
     use wildfire_fire::FuelCategory;
     use wildfire_grid::Grid2;
+
+    /// [`render_scene_into`] with a fresh image and scratch.
+    fn render_scene(
+        mesh: &FireMesh,
+        state: &FireState,
+        wind: &VectorField2,
+        t: f64,
+        camera: &Camera,
+        config: &SceneConfig,
+    ) -> Result<SceneImage> {
+        let mut img = SceneImage::default();
+        let mut scratch = RenderScratch::new();
+        render_scene_into(mesh, state, wind, t, camera, config, &mut img, &mut scratch)?;
+        Ok(img)
+    }
 
     fn setup() -> (FireMesh, FireState, VectorField2, Camera) {
         let g = Grid2::new(41, 41, 4.0, 4.0).unwrap();
@@ -363,8 +356,9 @@ mod tests {
         let (mesh, state, wind, camera) = setup();
         let img =
             render_scene(&mesh, &state, &wind, 20.0, &camera, &SceneConfig::default()).unwrap();
-        let t_corner = img.brightness_temperature_at(0, 0);
-        let t_center = img.brightness_temperature_at(16, 16);
+        let t = img.to_brightness_temperature();
+        let t_corner = t[0];
+        let t_center = t[16 * img.width + 16];
         assert!(
             (t_corner - 300.0).abs() < 25.0,
             "background brightness T {t_corner}"

@@ -2,7 +2,7 @@
 //! [`Scenario`] parts, and [`Simulation`]: a model + state pair stepped at
 //! the scenario's reference dt.
 
-use crate::scenario::{DomainSpec, FuelPatch, FuelSpec, Scenario, WindShift, WindSpec};
+use crate::scenario::{DomainSpec, FuelSpec, Scenario, WindShift, WindSpec};
 use crate::{Result, SimError};
 use wildfire_atmos::AtmosParams;
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace, StepDiagnostics};
@@ -87,21 +87,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Paints a rectangular fuel patch `(x0, y0, x1, y1)` over the base.
-    pub fn fuel_patch(mut self, rect: (f64, f64, f64, f64), fuel: FuelCategory) -> Self {
-        self.scenario.fuel = match self.scenario.fuel {
-            FuelSpec::Uniform(base) => FuelSpec::Patches {
-                base,
-                patches: vec![FuelPatch { rect, fuel }],
-            },
-            FuelSpec::Patches { base, mut patches } => {
-                patches.push(FuelPatch { rect, fuel });
-                FuelSpec::Patches { base, patches }
-            }
-        };
-        self
-    }
-
     /// Adds an ignition shape. The first call replaces the default center
     /// circle; later calls accumulate.
     pub fn ignite(mut self, shape: IgnitionShape) -> Self {
@@ -158,7 +143,7 @@ impl SimulationBuilder {
     /// # Errors
     /// [`SimError::Scenario`] for malformed descriptors,
     /// [`SimError::Model`] when the coupled model rejects the configuration.
-    pub fn build_model(&self) -> Result<CoupledModel> {
+    pub(crate) fn build_model(&self) -> Result<CoupledModel> {
         let s = &self.scenario;
         if s.dt <= 0.0 {
             return Err(SimError::Scenario("dt must be positive"));
@@ -200,8 +185,9 @@ impl SimulationBuilder {
     /// Builds the full [`Simulation`]: model and ignited state.
     ///
     /// # Errors
-    /// As [`SimulationBuilder::build_model`], plus
-    /// [`SimError::Scenario`] when the ignition set is empty.
+    /// [`SimError::Scenario`] when the ignition set is empty or the
+    /// scenario does not describe a valid model; model construction
+    /// failures.
     pub fn build(self) -> Result<Simulation> {
         if self.scenario.ignitions.is_empty() {
             return Err(SimError::Scenario("scenario has no ignition shapes"));
@@ -325,6 +311,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::FuelPatch;
     use wildfire_fire::{FuelCategory, IgnitionShape};
 
     #[test]
@@ -372,10 +359,17 @@ mod tests {
 
     #[test]
     fn fuel_patches_paint_heterogeneous_mesh() {
-        let sim = SimulationBuilder::new()
+        let scenario = SimulationBuilder::new()
             .domain(DomainSpec::SMALL)
-            .fuel(FuelCategory::ShortGrass)
-            .fuel_patch((0.0, 0.0, 120.0, 120.0), FuelCategory::Chaparral)
+            .into_scenario()
+            .with_fuel(FuelSpec::Patches {
+                base: FuelCategory::ShortGrass,
+                patches: vec![FuelPatch {
+                    rect: (0.0, 0.0, 120.0, 120.0),
+                    fuel: FuelCategory::Chaparral,
+                }],
+            });
+        let sim = SimulationBuilder::from_scenario(scenario)
             .build()
             .expect("builds");
         let inside = sim.model.fire.mesh().fuel.at(0, 0);
@@ -389,11 +383,20 @@ mod tests {
 
     #[test]
     fn too_many_fuel_patches_is_a_scenario_error() {
-        let mut b = SimulationBuilder::new().domain(DomainSpec::SMALL);
-        for i in 0..300 {
-            let x = i as f64;
-            b = b.fuel_patch((x, 0.0, x + 1.0, 1.0), FuelCategory::Brush);
-        }
+        let patches = (0..300)
+            .map(|i| FuelPatch {
+                rect: (i as f64, 0.0, i as f64 + 1.0, 1.0),
+                fuel: FuelCategory::Brush,
+            })
+            .collect();
+        let scenario = SimulationBuilder::new()
+            .domain(DomainSpec::SMALL)
+            .into_scenario()
+            .with_fuel(FuelSpec::Patches {
+                base: FuelCategory::ShortGrass,
+                patches,
+            });
+        let b = SimulationBuilder::from_scenario(scenario);
         assert!(matches!(b.build_model(), Err(SimError::Scenario(_))));
     }
 

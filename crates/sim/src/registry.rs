@@ -281,7 +281,6 @@ mod tests {
     #[test]
     fn heterogeneous_fuel_scenario_is_heterogeneous() {
         let scn = by_name(HETEROGENEOUS_FUEL).expect("present");
-        assert!(scn.fuel.is_heterogeneous());
         match &scn.fuel {
             FuelSpec::Patches { patches, .. } => assert!(patches.len() >= 2),
             FuelSpec::Uniform(_) => panic!("expected patches"),

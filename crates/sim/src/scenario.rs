@@ -113,16 +113,6 @@ pub enum FuelSpec {
     },
 }
 
-impl FuelSpec {
-    /// Whether more than one fuel category can appear on the mesh.
-    pub fn is_heterogeneous(&self) -> bool {
-        match self {
-            FuelSpec::Uniform(_) => false,
-            FuelSpec::Patches { patches, .. } => !patches.is_empty(),
-        }
-    }
-}
-
 /// A scheduled change of the ambient wind during the run — frontal passages
 /// and diurnal shifts are the classic drivers of blow-up fire behavior.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -241,7 +231,7 @@ impl Scenario {
     }
 
     /// Returns the scenario with an additional declared data stream.
-    pub fn with_stream(mut self, stream: ObsStreamSpec) -> Self {
+    pub(crate) fn with_stream(mut self, stream: ObsStreamSpec) -> Self {
         self.streams.push(stream);
         self
     }

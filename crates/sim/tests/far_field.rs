@@ -106,7 +106,9 @@ fn ignite_caps_psi_and_an_empty_ignition_is_one_free_plateau() {
         assert_eq!(stats.max_spread_rate, 0.0);
         // And through the coupled step (empty wind reach, empty ignited box).
         let mut cold = model.ignite(&[], 0.0);
-        let diag = model.step(&mut cold, 0.5).expect("cold coupled step");
+        let diag = model
+            .step_ws(&mut cold, 0.5, &mut CoupledWorkspace::new())
+            .expect("cold coupled step");
         assert_eq!((diag.burned_area, diag.total_power()), (0.0, 0.0));
         assert!(cold.fire.psi.as_slice().iter().all(|&v| v == plateau));
     }
