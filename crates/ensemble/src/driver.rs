@@ -1084,6 +1084,34 @@ mod tests {
     }
 
     #[test]
+    fn member_snapshot_bytes_are_pinned() {
+        // The member exchange format: FNV-1a of a member's serialized
+        // snapshot, at ignition and after 10 coupled steps. A codec change
+        // must leave these bytes as they are.
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let d = driver(1);
+        let mut state = ensemble(&d, 1).remove(0);
+        let mut snap = Snapshot::new();
+        let mut hashes = Vec::new();
+        for t in [0.0, 5.0] {
+            d.model
+                .run_ws(&mut state, t, 0.5, &mut CoupledWorkspace::new(), |_, _| {})
+                .unwrap();
+            d.model.snapshot_into(&state, None, &mut snap);
+            hashes.push(fnv(&snap.to_bytes()));
+        }
+        assert_eq!(
+            hashes,
+            [0x16aa_aca4_41d3_3920, 0x4be4_7823_06ee_65d5],
+            "{hashes:#018x?}"
+        );
+    }
+
+    #[test]
     fn standard_analysis_pulls_psi_toward_truth() {
         let d = driver(2);
         let mut members = ensemble(&d, 8);
