@@ -281,7 +281,10 @@ mod tests {
                 dy: 60.0,
                 dz: 50.0,
             },
-            AtmosParams::calm(),
+            AtmosParams {
+                ambient_wind: (0.0, 0.0),
+                ..Default::default()
+            },
         )
         .unwrap()
     }

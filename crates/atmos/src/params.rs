@@ -95,16 +95,6 @@ impl Default for AtmosParams {
 mod tests {
     use super::*;
 
-    impl AtmosParams {
-        /// Calm-air variant (no ambient wind), used by the rising-bubble tests.
-        pub(crate) fn calm() -> Self {
-            AtmosParams {
-                ambient_wind: (0.0, 0.0),
-                ..Default::default()
-            }
-        }
-    }
-
     #[test]
     fn defaults_are_physical() {
         let p = AtmosParams::default();
@@ -113,10 +103,5 @@ mod tests {
         assert!(p.cp > 0.0);
         assert!(p.heat_depth > 0.0);
         assert!(p.pressure_tol > 0.0 && p.pressure_tol < 1e-3);
-    }
-
-    #[test]
-    fn calm_has_no_wind() {
-        assert_eq!(AtmosParams::calm().ambient_wind, (0.0, 0.0));
     }
 }

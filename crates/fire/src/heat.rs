@@ -132,19 +132,6 @@ mod tests {
     use crate::FuelCategory;
     use wildfire_grid::Grid2;
 
-    /// Remaining fuel fraction field at time `t` (1 where unburned).
-    fn fuel_fraction_at(mesh: &FireMesh, state: &FireState, t: f64) -> Field2 {
-        let g = mesh.grid;
-        Field2::from_fn(g, |ix, iy| {
-            let tig = state.tig.get(ix, iy);
-            if tig == UNBURNED {
-                1.0
-            } else {
-                mesh.fuel.at(ix, iy).mass_fraction(t - tig)
-            }
-        })
-    }
-
     fn setup() -> (FireMesh, FireState) {
         let g = Grid2::new(21, 21, 2.0, 2.0).unwrap();
         let mesh = FireMesh::flat(g, FuelCategory::TallGrass);
@@ -221,19 +208,6 @@ mod tests {
         // Evaluate at t = 0 exactly: no time has elapsed since ignition.
         let hf = heat_fluxes_at(&mesh, &state, 0.0);
         assert_eq!(hf.total_power(), 0.0);
-    }
-
-    #[test]
-    fn fuel_fraction_bounds_and_decay() {
-        let (mesh, state) = setup();
-        let f0 = fuel_fraction_at(&mesh, &state, 0.0);
-        let f1 = fuel_fraction_at(&mesh, &state, 60.0);
-        for (a, b) in f0.as_slice().iter().zip(f1.as_slice().iter()) {
-            assert!((0.0..=1.0).contains(a));
-            assert!(b <= a, "fuel fraction must not grow");
-        }
-        // Unburned corner stays at 1.
-        assert_eq!(f1.get(0, 0), 1.0);
     }
 
     #[test]

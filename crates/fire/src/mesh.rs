@@ -128,17 +128,6 @@ impl FireMesh {
 mod tests {
     use super::*;
 
-    impl FireMesh {
-        /// Largest `S_max` over the palette — the CFL-relevant speed bound.
-        pub(crate) fn max_spread_bound(&self) -> f64 {
-            self.fuel
-                .palette()
-                .iter()
-                .map(|f| f.max_spread)
-                .fold(0.0, f64::max)
-        }
-    }
-
     #[test]
     fn uniform_map_returns_same_fuel() {
         let g = Grid2::new(5, 5, 1.0, 1.0).unwrap();
@@ -191,16 +180,5 @@ mod tests {
         let map = FuelMap::uniform_category(g, FuelCategory::Brush);
         assert!(FireMesh::new(g, map.clone(), Field2::zeros(g2)).is_err());
         assert!(FireMesh::new(g, map, Field2::zeros(g)).is_ok());
-    }
-
-    #[test]
-    fn max_spread_bound_over_palette() {
-        let g = Grid2::new(4, 4, 1.0, 1.0).unwrap();
-        let mut map = FuelMap::uniform_category(g, FuelCategory::HeavySlash);
-        map.add_fuel(FuelModel::for_category(FuelCategory::TallGrass))
-            .unwrap();
-        let mesh = FireMesh::new(g, map, Field2::zeros(g)).unwrap();
-        let grass_smax = FuelModel::for_category(FuelCategory::TallGrass).max_spread;
-        assert_eq!(mesh.max_spread_bound(), grass_smax);
     }
 }

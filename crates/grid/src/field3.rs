@@ -228,42 +228,6 @@ impl Field3 {
 mod tests {
     use super::*;
 
-    impl Field3 {
-        /// Trilinear sample at world coordinates, clamped to the domain.
-        pub(crate) fn sample_trilinear(&self, x: f64, y: f64, z: f64) -> f64 {
-            let g = &self.grid;
-            let gx = ((x - g.origin.0) / g.dx).clamp(0.0, (g.nx - 1) as f64);
-            let gy = ((y - g.origin.1) / g.dy).clamp(0.0, (g.ny - 1) as f64);
-            let gz = ((z - g.origin.2) / g.dz).clamp(0.0, (g.nz - 1) as f64);
-            let ix = (gx.floor() as usize).min(g.nx.saturating_sub(2));
-            let iy = (gy.floor() as usize).min(g.ny.saturating_sub(2));
-            let iz = (gz.floor() as usize).min(g.nz.saturating_sub(2));
-            let fx = gx - ix as f64;
-            let fy = gy - iy as f64;
-            let fz = gz - iz as f64;
-            // Degenerate single-layer axes: clamp index math keeps ix+1 valid
-            // only when nx ≥ 2, so guard each axis.
-            let ix1 = (ix + 1).min(g.nx - 1);
-            let iy1 = (iy + 1).min(g.ny - 1);
-            let iz1 = (iz + 1).min(g.nz - 1);
-            let c000 = self.get(ix, iy, iz);
-            let c100 = self.get(ix1, iy, iz);
-            let c010 = self.get(ix, iy1, iz);
-            let c110 = self.get(ix1, iy1, iz);
-            let c001 = self.get(ix, iy, iz1);
-            let c101 = self.get(ix1, iy, iz1);
-            let c011 = self.get(ix, iy1, iz1);
-            let c111 = self.get(ix1, iy1, iz1);
-            let c00 = c000 * (1.0 - fx) + c100 * fx;
-            let c10 = c010 * (1.0 - fx) + c110 * fx;
-            let c01 = c001 * (1.0 - fx) + c101 * fx;
-            let c11 = c011 * (1.0 - fx) + c111 * fx;
-            let c0 = c00 * (1.0 - fy) + c10 * fy;
-            let c1 = c01 * (1.0 - fy) + c11 * fy;
-            c0 * (1.0 - fz) + c1 * fz
-        }
-    }
-
     #[test]
     fn indexing_order() {
         let g = Grid3::new(2, 3, 4, 1.0, 1.0, 1.0).unwrap();
@@ -286,31 +250,6 @@ mod tests {
         let f = Field3::from_fn(g, |_, _, iz| iz as f64);
         assert_eq!(f.slab(0), vec![0.0; 4]);
         assert_eq!(f.slab(2), vec![2.0; 4]);
-    }
-
-    #[test]
-    fn trilinear_exact_on_linear_function() {
-        let g = Grid3::new(4, 4, 4, 0.5, 1.0, 2.0).unwrap();
-        let f = Field3::from_fn(g, |ix, iy, iz| {
-            let (x, y, z) = g.world(ix, iy, iz);
-            2.0 * x - 3.0 * y + 0.5 * z + 1.0
-        });
-        for &(x, y, z) in &[(0.3, 1.7, 2.9), (1.0, 0.0, 0.0), (1.49, 2.99, 5.9)] {
-            let v = f.sample_trilinear(x, y, z);
-            let expected = 2.0 * x - 3.0 * y + 0.5 * z + 1.0;
-            assert!(
-                (v - expected).abs() < 1e-12,
-                "at ({x},{y},{z}): {v} vs {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn trilinear_clamps_outside() {
-        let g = Grid3::new(2, 2, 2, 1.0, 1.0, 1.0).unwrap();
-        let f = Field3::from_fn(g, |ix, _, _| ix as f64);
-        assert_eq!(f.sample_trilinear(-5.0, 0.5, 0.5), 0.0);
-        assert_eq!(f.sample_trilinear(9.0, 0.5, 0.5), 1.0);
     }
 
     #[test]

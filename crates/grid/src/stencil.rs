@@ -91,60 +91,6 @@ impl Field2 {
 mod tests {
     use crate::field2::{Field2, Grid2};
 
-    impl Field2 {
-        /// 5-point Laplacian at an interior node; one-sided at boundaries
-        /// (mirror extension).
-        pub(crate) fn laplacian(&self, ix: usize, iy: usize) -> f64 {
-            let g = self.grid();
-            if g.nx < 2 || g.ny < 2 {
-                return 0.0;
-            }
-            let here = self.get(ix, iy);
-            let xm = if ix > 0 {
-                self.get(ix - 1, iy)
-            } else {
-                self.get(ix + 1, iy)
-            };
-            let xp = if ix + 1 < g.nx {
-                self.get(ix + 1, iy)
-            } else {
-                self.get(ix - 1, iy)
-            };
-            let ym = if iy > 0 {
-                self.get(ix, iy - 1)
-            } else {
-                self.get(ix, iy + 1)
-            };
-            let yp = if iy + 1 < g.ny {
-                self.get(ix, iy + 1)
-            } else {
-                self.get(ix, iy - 1)
-            };
-            (xp - 2.0 * here + xm) / (g.dx * g.dx) + (yp - 2.0 * here + ym) / (g.dy * g.dy)
-        }
-
-        /// Discrete H¹ seminorm squared: `Σ |∇f|² dx dy` with forward
-        /// differences.
-        pub(crate) fn grad_norm_sq(&self) -> f64 {
-            let g = self.grid();
-            let mut s = 0.0;
-            for iy in 0..g.ny {
-                for ix in 0..g.nx {
-                    let here = self.get(ix, iy);
-                    if ix + 1 < g.nx {
-                        let d = (self.get(ix + 1, iy) - here) / g.dx;
-                        s += d * d;
-                    }
-                    if iy + 1 < g.ny {
-                        let d = (self.get(ix, iy + 1) - here) / g.dy;
-                        s += d * d;
-                    }
-                }
-            }
-            s * g.dx * g.dy
-        }
-    }
-
     #[test]
     fn differences_exact_on_linear() {
         let g = Grid2::new(5, 5, 0.5, 2.0).unwrap();
@@ -173,33 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn laplacian_of_quadratic() {
-        let g = Grid2::new(7, 7, 1.0, 1.0).unwrap();
-        let f = Field2::from_world_fn(g, |x, y| x * x + 2.0 * y * y);
-        // Interior: ∆f = 2 + 4 = 6 exactly for quadratics.
-        for iy in 1..6 {
-            for ix in 1..6 {
-                assert!((f.laplacian(ix, iy) - 6.0).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn grad_norm_sq_of_constant_is_zero() {
-        let g = Grid2::new(6, 6, 1.0, 1.0).unwrap();
-        assert_eq!(Field2::filled(g, 3.7).grad_norm_sq(), 0.0);
-    }
-
-    #[test]
-    fn grad_norm_sq_linear_field() {
-        // f = x on an n×n unit grid: forward x-differences are 1 at
-        // (nx−1)·ny edges; scaled by cell area 1.
-        let g = Grid2::new(4, 3, 1.0, 1.0).unwrap();
-        let f = Field2::from_world_fn(g, |x, _| x);
-        assert!((f.grad_norm_sq() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn boundary_differences_are_finite() {
         let g = Grid2::new(3, 3, 1.0, 1.0).unwrap();
         let f = Field2::from_fn(g, |ix, iy| ((ix * 3 + iy) as f64).sin());
@@ -209,7 +128,6 @@ mod tests {
                 let dy = f.diff_y(ix, iy);
                 assert!(dx.left.is_finite() && dx.right.is_finite());
                 assert!(dy.left.is_finite() && dy.right.is_finite());
-                assert!(f.laplacian(ix, iy).is_finite());
             }
         }
     }

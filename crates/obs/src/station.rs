@@ -238,27 +238,7 @@ mod tests {
     use wildfire_atmos::AtmosParams;
     use wildfire_core::CoupledModel;
     use wildfire_fire::ignition::IgnitionShape;
-    use wildfire_fire::{FuelCategory, UNBURNED};
-
-    /// Convenience: checks that the station's ignition-time field indicates a
-    /// fire arrival before `t` anywhere within radius `r` of the station — the
-    /// "is there really a fire in the cell" confirmation of §3.1 applied to the
-    /// fire state.
-    fn fire_arrived_near(state: &CoupledState, location: (f64, f64), r: f64, t: f64) -> bool {
-        let g = state.fire.tig.grid();
-        for iy in 0..g.ny {
-            for ix in 0..g.nx {
-                let (x, y) = g.world(ix, iy);
-                if (x - location.0).powi(2) + (y - location.1).powi(2) <= r * r {
-                    let tig = state.fire.tig.get(ix, iy);
-                    if tig < UNBURNED && tig <= t {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
+    use wildfire_fire::FuelCategory;
 
     fn model() -> CoupledModel {
         CoupledModel::new(
@@ -380,15 +360,5 @@ mod tests {
             let st = WeatherStation::new("W", x, y);
             assert_eq!(st.observe(&s, 300.0), st.observe_with(&s, &surface));
         }
-    }
-
-    #[test]
-    fn fire_arrival_radius_check() {
-        let m = model();
-        let s = burning_state(&m);
-        assert!(fire_arrived_near(&s, (240.0, 240.0), 10.0, 1.0));
-        assert!(!fire_arrived_near(&s, (60.0, 60.0), 10.0, 1.0));
-        // Radius too small to reach the fire from a point 50 m away.
-        assert!(!fire_arrived_near(&s, (300.0, 240.0), 5.0, 1.0));
     }
 }

@@ -133,37 +133,6 @@ mod tests {
     use super::*;
     use crate::radiance::band_radiance;
 
-    impl SceneImage {
-        /// Block-averages the image by an integer factor (sensor binning /
-        /// resolution degradation for assimilation).
-        ///
-        /// # Errors
-        /// [`SceneError::EmptyImage`] when the factor does not divide the size.
-        pub(crate) fn downsample(&self, factor: usize) -> Result<SceneImage> {
-            if factor == 0
-                || !self.width.is_multiple_of(factor)
-                || !self.height.is_multiple_of(factor)
-            {
-                return Err(SceneError::EmptyImage);
-            }
-            let w = self.width / factor;
-            let h = self.height / factor;
-            let mut out = SceneImage::new(w, h, self.band)?;
-            for py in 0..h {
-                for px in 0..w {
-                    let mut s = 0.0;
-                    for dy in 0..factor {
-                        for dx in 0..factor {
-                            s += self.get(px * factor + dx, py * factor + dy);
-                        }
-                    }
-                    out.set(px, py, s / (factor * factor) as f64);
-                }
-            }
-            Ok(out)
-        }
-    }
-
     #[test]
     fn construction_and_accessors() {
         let mut img = SceneImage::new(4, 3, (3e-6, 5e-6)).unwrap();
@@ -179,23 +148,6 @@ mod tests {
         img.set(0, 0, band_radiance(3e-6, 5e-6, 400.0));
         let t = img.to_brightness_temperature()[0];
         assert!((t - 400.0).abs() < 0.01, "recovered {t}");
-    }
-
-    #[test]
-    fn downsample_averages_blocks() {
-        let mut img = SceneImage::new(4, 4, (3e-6, 5e-6)).unwrap();
-        for py in 0..4 {
-            for px in 0..4 {
-                img.set(px, py, (px / 2 + 2 * (py / 2)) as f64);
-            }
-        }
-        let small = img.downsample(2).unwrap();
-        assert_eq!(small.width, 2);
-        assert_eq!(small.get(0, 0), 0.0);
-        assert_eq!(small.get(1, 0), 1.0);
-        assert_eq!(small.get(0, 1), 2.0);
-        assert_eq!(small.get(1, 1), 3.0);
-        assert!(img.downsample(3).is_err());
     }
 
     #[test]
