@@ -11,11 +11,10 @@
 //! plus the filter RNG so an interrupted assimilation run resumes bit for
 //! bit.
 
-use crate::pool::{
-    parallel_for_each_column_ws, parallel_for_each_ws, try_for_each_ws, LowestError,
-};
+use crate::pool::try_for_each_ws;
 use crate::store::SnapshotStore;
 use crate::{EnsembleError, Result};
+use std::convert::Infallible;
 use std::sync::Mutex;
 use wildfire_core::{CoupledModel, CoupledState, CoupledWorkspace};
 use wildfire_enkf::morphing_enkf::{
@@ -28,9 +27,7 @@ use wildfire_enkf::{
 use wildfire_fire::FireState;
 use wildfire_grid::Field2;
 use wildfire_math::{GaussianSampler, Matrix};
-use wildfire_obs::snapshot::{
-    check_model_fingerprint, decode_tig_into, encode_tig_into, model_fingerprint_into, FINGERPRINT,
-};
+use wildfire_obs::snapshot::{restore_states_from, snapshot_states_into};
 use wildfire_obs::{
     CoupledSnapshot, ObsInbox, ObsScratch, ObsSet, ObsSource, ObsWorkspace, ObservationOperator,
     Snapshot, TIME_EPS,
@@ -40,15 +37,15 @@ use wildfire_obs::{
 /// inside filter state vectors.
 pub const TIG_CAP: f64 = 1.0e4;
 
-/// Scratch for a full forecast–analysis cycle: one [`CoupledWorkspace`] per
-/// worker thread for the member-parallel forecast, plus the packed filter
-/// matrices and the analysis workspaces. Create once per driver lifetime
-/// and thread through [`EnsembleDriver::cycle_obs_ws`]; everything is sized
-/// on first use and reused across cycles.
+/// Scratch for a full forecast–analysis cycle: one scratch lane per worker
+/// thread for every member-parallel phase, plus the packed filter matrices
+/// and the analysis workspaces. Create once per driver lifetime and thread
+/// through [`EnsembleDriver::cycle_obs_ws`]; everything is sized on first
+/// use and reused across cycles.
 #[derive(Debug, Default)]
 pub struct EnsembleWorkspace {
-    /// Per-worker coupled-model workspaces (index = worker).
-    pub workers: Vec<CoupledWorkspace>,
+    /// Per-worker scratch (index = worker).
+    lanes: Vec<Lane>,
     /// Packed ensemble `X`: the member states (`2·grid × N`) for the
     /// standard and ETKF analyses, their extended states for the morphing
     /// analysis.
@@ -59,45 +56,38 @@ pub struct EnsembleWorkspace {
     pub analysis: AnalysisWorkspace,
     /// Morphing-EnKF scratch (morphing path).
     pub morph: MorphingWorkspace,
-    /// Per-worker scratch of the morphing analyses' parallel transform
-    /// and morph-back phases (index = worker).
-    pub(crate) morph_workers: Vec<MorphWorker>,
     /// Reference fields `[ψ, capped t_i]` of the morphing analyses (a copy:
     /// the morph-back overwrites the member they come from).
     pub(crate) reference: Vec<Field2>,
     /// Packed extended state of the data for the morphing analyses.
     pub(crate) data_ext: Vec<f64>,
-    /// Per-worker operator-evaluation scratch for the member-parallel
-    /// observation packing (index = worker).
-    pub obs_scratch: Vec<ObsScratch>,
     /// Gridded-ψ data field scratch for the morphing observation path.
     pub(crate) psi_data: Field2,
-    /// Per-worker scratch for the store-routed forecast (index = worker):
-    /// each worker owns its stepping workspace *and* its snapshot/exchange
-    /// buffers, so shard forecasts stay lock-free and allocation-free in
-    /// steady state.
-    pub store_workers: Vec<StoreWorker>,
 }
 
-/// One store-exchange worker's scratch: a coupled stepping workspace plus
-/// the snapshot container its member states travel through.
+/// One worker's scratch, shared by every member-parallel phase: the
+/// stepping workspace, the snapshot a member travels through the store in,
+/// the observation operators' scratch, and the morphing transform's
+/// registration pyramid, field slots `[ψ, capped t_i]` and extended state.
 #[derive(Debug, Default)]
-pub struct StoreWorker {
-    /// Stepping workspace.
-    pub coupled: CoupledWorkspace,
-    /// Snapshot exchange buffer (record names + payload capacities are
-    /// reused across members and calls).
-    pub snap: Snapshot,
-}
-
-/// One morphing worker's scratch: the registration pyramid, the field
-/// slots `[ψ, capped t_i]` of the item it transforms, and that item's
-/// extended state.
-#[derive(Debug, Default)]
-pub(crate) struct MorphWorker {
+struct Lane {
+    coupled: CoupledWorkspace,
+    snap: Snapshot,
+    obs: ObsScratch,
     reg: RegistrationWorkspace,
     fields: Vec<Field2>,
     ext: ExtendedState,
+}
+
+/// The first `threads` lanes (at least one), grown on first use. Slicing
+/// keeps lanes grown by a driver with more threads from raising this
+/// driver's worker count (the pool runs one worker per lane handed in).
+fn ensure(lanes: &mut Vec<Lane>, threads: usize) -> &mut [Lane] {
+    let want = threads.max(1);
+    if lanes.len() < want {
+        lanes.resize_with(want, Lane::default);
+    }
+    &mut lanes[..want]
 }
 
 /// Writes a fire state's filter fields `[ψ, t_i capped at TIG_CAP]` into
@@ -115,22 +105,6 @@ impl EnsembleWorkspace {
     /// An empty workspace; buffers are sized on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Makes sure there is one coupled workspace per worker.
-    pub(crate) fn ensure_workers(&mut self, threads: usize) {
-        let want = threads.max(1);
-        if self.workers.len() < want {
-            self.workers.resize_with(want, CoupledWorkspace::new);
-        }
-    }
-
-    /// Makes sure there is one store-exchange worker scratch per worker.
-    pub(crate) fn ensure_store_workers(&mut self, threads: usize) {
-        let want = threads.max(1);
-        if self.store_workers.len() < want {
-            self.store_workers.resize_with(want, StoreWorker::default);
-        }
     }
 }
 
@@ -192,8 +166,8 @@ impl EnsembleDriver {
 
     /// Advances all members to `t_target` in parallel (the forecast phase
     /// of Fig. 2): each worker thread steps its members through its own
-    /// [`CoupledWorkspace`] from `ws`, so the parallel path stays lock-free
-    /// and bit-identical to sequential.
+    /// [`CoupledWorkspace`] from `ws`, so the results are bit-identical to
+    /// sequential.
     /// All *stepping* buffers are reused; with `threads <= 1` the call is
     /// fully allocation-free in steady state, while `threads > 1` still
     /// spawns the scoped worker threads each call.
@@ -208,13 +182,10 @@ impl EnsembleDriver {
         dt: f64,
         ws: &mut EnsembleWorkspace,
     ) -> Result<()> {
-        ws.ensure_workers(self.threads);
-        // Slice, don't pass the whole vec: a workspace previously grown by a
-        // driver with more threads must not raise THIS driver's worker count
-        // (parallel_for_each_ws runs one worker per workspace handed in).
-        let workers = &mut ws.workers[..self.threads.max(1)];
-        try_for_each_ws(members, workers, |_, state, cw| {
-            self.model.run_ws(state, t_target, dt, cw, |_, _| {})
+        let lanes = ensure(&mut ws.lanes, self.threads);
+        try_for_each_ws(members, lanes, |_, state, lane| {
+            self.model
+                .run_ws(state, t_target, dt, &mut lane.coupled, |_, _| {})
         })
         .map_err(EnsembleError::from)
     }
@@ -223,8 +194,8 @@ impl EnsembleDriver {
     /// dataflow of Fig. 2: saves every member's full-state snapshot, then
     /// runs the whole ensemble as shard 0 of 1 through
     /// [`EnsembleDriver::forecast_shard_via_store`]. Each worker
-    /// loads, steps, and stores through its own [`StoreWorker`] scratch, so
-    /// with `threads <= 1` the exchange is allocation-free in steady state.
+    /// loads, steps, and stores through its own scratch in `ws`, so with
+    /// `threads <= 1` the exchange is allocation-free in steady state.
     ///
     /// # Errors
     /// Store or model failures.
@@ -236,8 +207,7 @@ impl EnsembleDriver {
         dt: f64,
         ws: &mut EnsembleWorkspace,
     ) -> Result<()> {
-        ws.ensure_store_workers(self.threads);
-        let snap = &mut ws.store_workers[0].snap;
+        let snap = &mut ensure(&mut ws.lanes, self.threads)[0].snap;
         for (i, m) in members.iter().enumerate() {
             self.model.snapshot_into(m, None, snap);
             store.save(i, snap)?;
@@ -272,72 +242,34 @@ impl EnsembleDriver {
         dt: f64,
         ws: &mut EnsembleWorkspace,
     ) -> Result<()> {
-        ws.ensure_store_workers(self.threads);
-        let workers = &mut ws.store_workers[..self.threads.max(1)];
-        try_for_each_ws(shard, workers, |i, state, sw| {
+        let lanes = ensure(&mut ws.lanes, self.threads);
+        try_for_each_ws(shard, lanes, |i, state, lane| {
             let member = first_member + i;
-            store.load_into(member, &mut sw.snap)?;
+            store.load_into(member, &mut lane.snap)?;
             self.model
-                .restore_from(state, Some(&mut sw.coupled), &sw.snap)
+                .restore_from(state, Some(&mut lane.coupled), &lane.snap)
                 .map_err(EnsembleError::Store)?;
             self.model
-                .run_ws(state, t_target, dt, &mut sw.coupled, |_, _| {})?;
+                .run_ws(state, t_target, dt, &mut lane.coupled, |_, _| {})?;
             self.model
-                .snapshot_into(state, Some(&sw.coupled), &mut sw.snap);
-            store.save(member, &sw.snap)
+                .snapshot_into(state, Some(&lane.coupled), &mut lane.snap);
+            store.save(member, &lane.snap)
         })
     }
 
-    /// Captures the whole ensemble — every member's full coupled state
-    /// (concatenated, member-major), ambient wind included, plus the
-    /// analysis RNG's provenance — into `snap`, reusing its buffers
-    /// (allocation-free once warm). Record names are static (`ens/psi`,
-    /// `ens/u`, …), so checkpointing N members every cycle never formats a
-    /// per-member string. The workspaces carry no state between steps, so
-    /// resuming from the checkpoint is bitwise exact.
+    /// Captures the whole ensemble — every member's full coupled state,
+    /// ambient wind included, through the member snapshot's records
+    /// ([`snapshot_states_into`]: one record per field, member-major) —
+    /// plus the analysis RNG's provenance in `ens/rng`, reusing `snap`'s
+    /// buffers (allocation-free once warm). The workspaces carry no state
+    /// between steps, so resuming from the checkpoint is bitwise exact.
     pub fn snapshot_into(
         &self,
         members: &[CoupledState],
         rng: &GaussianSampler,
         snap: &mut Snapshot,
     ) {
-        model_fingerprint_into(&self.model, snap.record_mut(FINGERPRINT));
-        snap.put_scalar("ens/n_members", members.len() as f64);
-        let psi = snap.record_mut("ens/psi");
-        for m in members {
-            psi.extend_from_slice(m.fire.psi.as_slice());
-        }
-        let tig = snap.record_mut("ens/tig");
-        for m in members {
-            encode_tig_into(m.fire.tig.as_slice(), tig);
-        }
-        let ft = snap.record_mut("ens/fire_time");
-        ft.extend(members.iter().map(|m| m.fire.time));
-        for (name, pick) in [
-            ("ens/u", 0usize),
-            ("ens/v", 1),
-            ("ens/w", 2),
-            ("ens/theta", 3),
-            ("ens/qv", 4),
-        ] {
-            let rec = snap.record_mut(name);
-            for m in members {
-                let src: &[f64] = match pick {
-                    0 => &m.atmos.u,
-                    1 => &m.atmos.v,
-                    2 => &m.atmos.w,
-                    3 => &m.atmos.theta,
-                    _ => &m.atmos.qv,
-                };
-                rec.extend_from_slice(src);
-            }
-        }
-        let at = snap.record_mut("ens/atmos_time");
-        at.extend(members.iter().map(|m| m.atmos.time));
-        let wind = snap.record_mut("ens/ambient_wind");
-        for m in members {
-            wind.extend_from_slice(&[m.atmos.ambient_wind.0, m.atmos.ambient_wind.1]);
-        }
+        snapshot_states_into(&self.model, members, snap);
         let (words, spare) = rng.state();
         let r = snap.record_mut("ens/rng");
         r.extend(words.iter().map(|&w| f64::from_bits(w)));
@@ -360,83 +292,12 @@ impl EnsembleDriver {
         rng: &mut GaussianSampler,
         snap: &Snapshot,
     ) -> Result<()> {
-        check_model_fingerprint(&self.model, snap).map_err(EnsembleError::Store)?;
-        let n = snap
-            .get_scalar("ens/n_members")
-            .map_err(EnsembleError::Store)? as usize;
-        if n != members.len() {
-            return Err(EnsembleError::Config(
-                "checkpoint member count does not match the ensemble",
-            ));
-        }
-        let fg_len = self.model.fire_grid.len();
-        let ag = self.model.atmos.grid;
-        let n_uv = ag.nx * ag.ny * ag.nz;
-        let n_w = ag.nx * ag.ny * (ag.nz + 1);
-        let n_c = ag.n_cells();
-        let want = [
-            ("ens/psi", n * fg_len),
-            ("ens/tig", n * fg_len),
-            ("ens/fire_time", n),
-            ("ens/u", n * n_uv),
-            ("ens/v", n * n_uv),
-            ("ens/w", n * n_w),
-            ("ens/theta", n * n_c),
-            ("ens/qv", n * n_c),
-            ("ens/atmos_time", n),
-            ("ens/ambient_wind", 2 * n),
-            ("ens/rng", 6),
-        ];
-        for (name, len) in want {
-            if snap.get(name).map_err(EnsembleError::Store)?.len() != len {
-                return Err(EnsembleError::Config("checkpoint record size mismatch"));
-            }
-        }
-        let fg = self.model.fire_grid;
-        let psi = snap.get("ens/psi").expect("validated");
-        let tig = snap.get("ens/tig").expect("validated");
-        let ft = snap.get("ens/fire_time").expect("validated");
-        let u = snap.get("ens/u").expect("validated");
-        let v = snap.get("ens/v").expect("validated");
-        let w = snap.get("ens/w").expect("validated");
-        let theta = snap.get("ens/theta").expect("validated");
-        let qv = snap.get("ens/qv").expect("validated");
-        let at = snap.get("ens/atmos_time").expect("validated");
-        let wind = snap.get("ens/ambient_wind").expect("validated");
-        for (i, m) in members.iter_mut().enumerate() {
-            m.fire.psi.resize_no_zero(fg);
-            m.fire
-                .psi
-                .as_mut_slice()
-                .copy_from_slice(&psi[i * fg_len..(i + 1) * fg_len]);
-            m.fire.tig.resize_no_zero(fg);
-            decode_tig_into(
-                &tig[i * fg_len..(i + 1) * fg_len],
-                m.fire.tig.as_mut_slice(),
-            );
-            m.fire.time = ft[i];
-            for (dst, src, stride) in [
-                (&mut m.atmos.u, u, n_uv),
-                (&mut m.atmos.v, v, n_uv),
-                (&mut m.atmos.w, w, n_w),
-                (&mut m.atmos.theta, theta, n_c),
-                (&mut m.atmos.qv, qv, n_c),
-            ] {
-                dst.clear();
-                dst.extend_from_slice(&src[i * stride..(i + 1) * stride]);
-            }
-            m.atmos.grid = ag;
-            m.atmos.time = at[i];
-            m.atmos.ambient_wind = (wind[2 * i], wind[2 * i + 1]);
-        }
-        let r = snap.get("ens/rng").expect("validated");
-        let words = [
-            r[0].to_bits(),
-            r[1].to_bits(),
-            r[2].to_bits(),
-            r[3].to_bits(),
-        ];
-        *rng = GaussianSampler::from_state(words, (r[4] != 0.0).then_some(r[5]));
+        let &[w0, w1, w2, w3, has_spare, spare] = snap.get("ens/rng")? else {
+            return Err(EnsembleError::Config("checkpoint record size mismatch"));
+        };
+        restore_states_from(&self.model, members, snap)?;
+        let words = [w0.to_bits(), w1.to_bits(), w2.to_bits(), w3.to_bits()];
+        *rng = GaussianSampler::from_state(words, (has_spare != 0.0).then_some(spare));
         Ok(())
     }
 
@@ -459,15 +320,15 @@ impl EnsembleDriver {
         ws: &mut EnsembleWorkspace,
     ) -> Result<()> {
         self.pack_pool_ws(members, pool, ws)?;
-        self.analyze_packed_ws(members, inflation, rng, ws)
+        self.analyze_packed_ws(members, pool, ObsFilter::Standard { inflation }, rng, ws)
     }
 
     /// Member-parallel [`ObsSet::pack_into`]: the member-independent `y`/`R`
     /// stacking runs once, then the `H(X)` columns are filled over the
-    /// worker pool (one contiguous chunk of member columns per worker, each
-    /// worker with its own [`ObsScratch`] from `ws.obs_scratch`) — the
-    /// Fig. 2 fan-out of the observation function over the "subsets of
-    /// processors". Column contents are independent of the partitioning, so
+    /// worker pool (one member column per item, each worker with its own
+    /// [`ObsScratch`]) — the Fig. 2 fan-out of the observation function
+    /// over the "subsets of processors". Column contents are independent of
+    /// which worker fills them, so
     /// the packed `(y, H(X), R)` is bit-identical to the serial
     /// `pack_into` for every thread count (pinned by test).
     ///
@@ -482,77 +343,64 @@ impl EnsembleDriver {
     ) -> Result<()> {
         pool.pack_fixed_into(members.len(), &mut ws.obs);
         let m = pool.total_dim();
-        if m == 0 || members.is_empty() {
+        if m == 0 {
             return Ok(());
         }
-        let workers = self.threads.max(1).min(members.len());
-        if ws.obs_scratch.len() < workers {
-            ws.obs_scratch.resize_with(workers, ObsScratch::new);
-        }
-        let lowest = LowestError::new();
-        parallel_for_each_column_ws(
-            ws.obs.hx.as_mut_slice(),
-            m,
-            &mut ws.obs_scratch[..workers],
-            |j, col, scratch| {
-                if let Err(e) = pool.pack_member_column(&members[j], col, scratch) {
-                    lowest.record(j, e);
-                }
-            },
-        );
-        lowest.into_result().map_err(EnsembleError::Store)
+        try_for_each_ws(
+            ws.obs.hx.as_mut_slice().chunks_mut(m),
+            ensure(&mut ws.lanes, self.threads),
+            |j, col, lane| pool.pack_member_column(&members[j], col, &mut lane.obs),
+        )
+        .map_err(EnsembleError::Store)
     }
 
-    /// [`EnsembleDriver::analyze_obs_ws`] minus the pool packing: assumes
-    /// `ws.obs` already holds `(y, H(X), R)` for the *current* member
-    /// states — the seam [`EnsembleDriver::cycle_obs_ws`] uses to avoid
-    /// re-evaluating every observation operator right after packing them
-    /// for the innovation report.
+    /// Analyzes `members` against `pool` with `filter`. The standard EnKF
+    /// and the ETKF read the pool packed already: `ws.obs` must hold
+    /// `(y, H(X), R)` for the *current* member states — the seam
+    /// [`EnsembleDriver::cycle_obs_ws`] uses to avoid re-evaluating every
+    /// observation operator right after packing them for the innovation
+    /// report. The ETKF consumes no RNG. The morphing filter registers
+    /// against the pool's gridded ψ stream instead.
     fn analyze_packed_ws(
         &self,
         members: &mut [CoupledState],
-        inflation: f64,
+        pool: &ObsSet<'_>,
+        filter: ObsFilter<'_>,
         rng: &mut GaussianSampler,
         ws: &mut EnsembleWorkspace,
     ) -> Result<()> {
-        self.pack_members(members, ws)?;
-        let filter = EnsembleKalmanFilter::new(EnkfConfig {
-            inflation,
-            ..EnkfConfig::default()
-        });
-        filter.analyze_ws(
-            &mut ws.x,
-            &ws.obs.hx,
-            &ws.obs.data,
-            &ws.obs.var,
-            rng,
-            &mut ws.analysis,
-        )?;
-        self.unpack_members(members, ws);
-        Ok(())
-    }
-
-    /// Deterministic square-root (ETKF) analysis of the packed pool in
-    /// `ws.obs` — the sampling-noise-free variant [`ObsFilter::Etkf`]
-    /// selects; no RNG is consumed (see
-    /// [`EnsembleDriver::analyze_packed_ws`]).
-    fn analyze_packed_etkf_ws(
-        &self,
-        members: &mut [CoupledState],
-        inflation: f64,
-        ws: &mut EnsembleWorkspace,
-    ) -> Result<()> {
-        self.pack_members(members, ws)?;
-        let filter = Etkf::new(inflation);
-        filter
-            .analyze_ws(
-                &mut ws.x,
-                &ws.obs.hx,
-                &ws.obs.data,
-                &ws.obs.var,
-                &mut ws.analysis,
-            )
-            .map_err(EnsembleError::Filter)?;
+        match filter {
+            ObsFilter::Standard { inflation } => {
+                self.pack_members(members, ws)?;
+                let filter = EnsembleKalmanFilter::new(EnkfConfig {
+                    inflation,
+                    ..EnkfConfig::default()
+                });
+                let obs = &ws.obs;
+                filter.analyze_ws(
+                    &mut ws.x,
+                    &obs.hx,
+                    &obs.data,
+                    &obs.var,
+                    rng,
+                    &mut ws.analysis,
+                )?;
+            }
+            ObsFilter::Etkf { inflation } => {
+                self.pack_members(members, ws)?;
+                let obs = &ws.obs;
+                Etkf::new(inflation).analyze_ws(
+                    &mut ws.x,
+                    &obs.hx,
+                    &obs.data,
+                    &obs.var,
+                    &mut ws.analysis,
+                )?;
+            }
+            ObsFilter::Morphing(config) => {
+                return self.analyze_obs_morphing_ws(members, pool, config, rng, ws);
+            }
+        }
         self.unpack_members(members, ws);
         Ok(())
     }
@@ -628,51 +476,50 @@ impl EnsembleDriver {
         let n_state = packed_len(config, 2, grid);
         ws.x.resize_no_zero(n_state, n_ens);
         ws.data_ext.resize(n_state, 0.0);
-        let workers = self.threads.max(1).min(n_ens + 1);
-        if ws.morph_workers.len() < workers {
-            ws.morph_workers.resize_with(workers, MorphWorker::default);
-        }
 
         // Parallel transform (the expensive phase): the members and, as the
-        // last item, the data are claimed from a shared cursor; each worker
-        // registers into its own scratch and packs the result into its
-        // column (the data into `data_ext`) under a short lock. The items
-        // are only indices (a `Vec<()>` never allocates).
+        // last item, the data are claimed from the pool's queue; each worker
+        // registers into its own lane and packs the result into its column
+        // (the data into `data_ext`) under a short lock.
         let EnsembleWorkspace {
             x,
             data_ext,
             reference,
             psi_data,
-            morph_workers,
+            lanes,
             ..
         } = &mut *ws;
+        let lanes = ensure(lanes, self.threads);
         let (reference, psi_data, states) = (&*reference, &*psi_data, &*members);
         let packed = Mutex::new((x, data_ext));
-        try_for_each_ws(
-            &mut vec![(); n_ens + 1],
-            &mut morph_workers[..workers],
-            |i, (), w| {
-                match states.get(i) {
-                    Some(m) => fire_fields_into(&m.fire, &mut w.fields),
-                    None => {
-                        w.fields.resize_with(2, Field2::default);
-                        w.fields[0].copy_from(psi_data);
-                        w.fields[1].copy_from(&reference[1]);
-                    }
+        try_for_each_ws(0..n_ens + 1, lanes, |i, _, lane| {
+            match states.get(i) {
+                Some(m) => fire_fields_into(&m.fire, &mut lane.fields),
+                None => {
+                    lane.fields.resize_with(2, Field2::default);
+                    lane.fields[0].copy_from(psi_data);
+                    lane.fields[1].copy_from(&reference[1]);
                 }
-                to_extended_into(config, &w.fields, reference, 0, &mut w.reg, &mut w.ext)?;
-                let mut packed = packed
-                    .lock()
-                    .expect("no worker panics while holding the packing lock");
-                let (x, data_ext) = &mut *packed;
-                if i < x.cols() {
-                    w.ext.pack_into(x.col_mut(i));
-                } else {
-                    w.ext.pack_into(data_ext);
-                }
-                Ok(())
-            },
-        )
+            }
+            to_extended_into(
+                config,
+                &lane.fields,
+                reference,
+                0,
+                &mut lane.reg,
+                &mut lane.ext,
+            )?;
+            let mut packed = packed
+                .lock()
+                .expect("no worker panics while holding the packing lock");
+            let (x, data_ext) = &mut *packed;
+            if i < x.cols() {
+                lane.ext.pack_into(x.col_mut(i));
+            } else {
+                lane.ext.pack_into(data_ext);
+            }
+            Ok(())
+        })
         .map_err(EnsembleError::Filter)?;
 
         analyze_packed_ws(
@@ -686,10 +533,11 @@ impl EnsembleDriver {
         .map_err(EnsembleError::Filter)?;
 
         // Morph back straight into the members, one column per member, read
-        // in place: the workers need no scratch (a `Vec<()>` never allocates).
+        // in place: the workers need no scratch of their own.
         let ctrl = config.registration.output_grid(grid);
         let (x, reference) = (&ws.x, &ws.reference);
-        parallel_for_each_ws(members, &mut vec![(); workers.min(n_ens)], |j, m, _| {
+        let lanes = ensure(&mut ws.lanes, self.threads);
+        let Ok(()) = try_for_each_ws(members, lanes, |j, m, _| {
             let fire = &mut m.fire;
             from_packed_into(
                 reference,
@@ -704,6 +552,7 @@ impl EnsembleDriver {
             }
             fire.time = time;
             fire.sanitize(TIG_CAP * 0.99, time);
+            Ok::<(), Infallible>(())
         });
         Ok(())
     }
@@ -757,19 +606,9 @@ impl EnsembleDriver {
         self.pack_pool_ws(members, pool, ws)?;
         let forecast_innovation_rms = ws.obs.innovation_rms();
         // `ws.obs` is already packed for the forecast states; the packed
-        // analysis variants reuse it instead of re-evaluating every
-        // operator on unchanged members.
-        match filter {
-            ObsFilter::Standard { inflation } => {
-                self.analyze_packed_ws(members, inflation, rng, ws)?;
-            }
-            ObsFilter::Etkf { inflation } => {
-                self.analyze_packed_etkf_ws(members, inflation, ws)?;
-            }
-            ObsFilter::Morphing(config) => {
-                self.analyze_obs_morphing_ws(members, pool, config, rng, ws)?;
-            }
-        }
+        // analysis reuses it instead of re-evaluating every operator on
+        // unchanged members.
+        self.analyze_packed_ws(members, pool, filter, rng, ws)?;
         self.pack_pool_ws(members, pool, ws)?;
         Ok(ObsCycleReport {
             forecast_innovation_rms,

@@ -9,8 +9,9 @@
 //! This crate maps that architecture onto a single node:
 //!
 //! * [`pool`] — scoped `std` worker threads standing in for the
-//!   processor subsets; members are partitioned across workers for the
-//!   forecast and observation phases;
+//!   processor subsets: one fan-out claims members (or columns, or plain
+//!   indices) from a shared queue, one scratch lane per worker, for the
+//!   forecast, observation, transform and exchange phases;
 //! * [`store`] — the state exchange: a [`store::SnapshotStore`] abstraction
 //!   with an in-memory backend and a disk backend writing one versioned
 //!   full-state [`wildfire_obs::Snapshot`] per member (atomic renames),
@@ -22,21 +23,15 @@
 //!   N states of one model; `wildfire_sim::perturb` builds those states
 //!   (the identical-twin setup of Fig. 4: an ensemble ignited at an
 //!   intentionally displaced location).
-//!
-//! `unsafe` is denied crate-wide; [`pool`] alone is allowed it, for the
-//! disjoint per-item `&mut` hand-out of its dynamic scheduler.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod metrics;
-#[allow(unsafe_code)]
 pub mod pool;
 pub mod store;
 
-pub use driver::{
-    EnsembleDriver, EnsembleWorkspace, ObsCycleReport, ObsFilter, SourceCycleReport, StoreWorker,
-};
+pub use driver::{EnsembleDriver, EnsembleWorkspace, ObsCycleReport, ObsFilter, SourceCycleReport};
 pub use store::{DiskStore, MemStore, SnapshotStore};
 
 /// Errors from the ensemble layer.

@@ -1,218 +1,82 @@
-//! Worker-pool primitives on [`std::thread::scope`].
+//! The worker pool on [`std::thread::scope`]: one fallible fan-out.
 //!
-//! Members are handed to workers — the "subset of processors" assignment of
-//! Fig. 2 — either claimed one at a time from a shared cursor
-//! (`parallel_for_each_ws`, and [`try_for_each_ws`] when an item can
-//! fail) or, for column-major buffers, split into one contiguous chunk of
-//! columns per worker (`parallel_for_each_column_ws`). Every worker owns
-//! its scratch, so there are no locks in the hot path.
+//! Items are handed to workers — the "subset of processors" assignment of
+//! Fig. 2 — one at a time from a shared queue, each worker with a scratch
+//! workspace of its own. Items are whatever an iterator yields: members of
+//! a slice, columns of a column-major buffer (`chunks_mut`), or plain
+//! indices (`0..n`).
 
 use std::sync::{Mutex, PoisonError};
 
-/// Runs `f(index, item, workspace)` over all items with one dedicated
-/// mutable workspace per worker. Every worker pulls the next unclaimed item
-/// index from a shared atomic cursor until the queue drains, so a cheap or
-/// already-finished item never pins a worker while another grinds through
-/// an expensive one — the load balances dynamically, which is what members
-/// of different grid sizes and step counts need. Each item's computation is
-/// independent of which worker claims it, so results are bit-identical to
-/// the sequential loop for every workspace count; only the scratch buffers
-/// are worker-local.
+/// Runs `f(index, item, workspace)` over every item, one dedicated mutable
+/// workspace per worker, and returns the error of the lowest-indexed
+/// failing item. Every item still runs, so which failure is reported never
+/// depends on which worker claimed what first.
+///
+/// Workers claim `(index, item)` pairs from one queue until it drains, so a
+/// cheap item never waits behind an expensive one on the same worker — the
+/// load balances dynamically, which members of different step counts need.
+/// The queue's lock is released before `f` runs. Each item's computation
+/// depends only on its index and item, so results are bit-identical to the
+/// sequential loop for every workspace count.
 ///
 /// The calling thread is one of the workers: it runs `workspaces[0]`'s
-/// claim loop itself and one thread fewer is spawned, so a caller that
-/// fans out small batches often (a service tick) does not pay for a
-/// thread it would only sit waiting on. With a single workspace or a
-/// single item the loop runs inline.
-///
-/// # Panics
-/// Panics if `workspaces` is empty while `items` is not. A panic in `f`
-/// is re-raised on the caller once every worker has joined, so no worker
-/// outlives the call and a caller's `catch_unwind` sees the panic.
-pub(crate) fn parallel_for_each_ws<T: Send, W: Send, F>(items: &mut [T], workspaces: &mut [W], f: F)
-where
-    F: Fn(usize, &mut T, &mut W) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    assert!(
-        !workspaces.is_empty(),
-        "parallel_for_each_ws needs at least one workspace"
-    );
-    let threads = workspaces.len().min(n);
-    if threads == 1 {
-        let w = &mut workspaces[0];
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item, w);
-        }
-        return;
-    }
-
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Raw base pointer of the item slice, made sendable so each scoped
-    /// worker can materialize disjoint `&mut` borrows from claimed indices.
-    struct SendPtr<T>(*mut T);
-    // SAFETY: the pointer is only dereferenced at indices claimed from the
-    // shared cursor (each handed out once), and `T: Send` lets the item
-    // behind a claimed index be mutated from whichever thread claimed it.
-    unsafe impl<T: Send> Send for SendPtr<T> {}
-    impl<T> Clone for SendPtr<T> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-    impl<T> Copy for SendPtr<T> {}
-
-    /// One worker's loop: claim the next index, run `f` on it, until the
-    /// cursor passes `n`.
-    fn claim_loop<T, W, F: Fn(usize, &mut T, &mut W)>(
-        base: SendPtr<T>,
-        n: usize,
-        cursor: &AtomicUsize,
-        f: &F,
-        w: &mut W,
-    ) {
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            // SAFETY: `fetch_add` hands out each index in `0..n` to exactly
-            // one worker, so the `&mut` borrows formed here are disjoint,
-            // in-bounds, and outlived by the scope that holds the exclusive
-            // borrow of `items`.
-            let item = unsafe { &mut *base.0.add(i) };
-            f(i, item, w);
-        }
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let base = SendPtr(items.as_mut_ptr());
-    let (own, spawned) = workspaces[..threads]
-        .split_first_mut()
-        .expect("threads >= 2 past the inline path");
-    std::thread::scope(|scope| {
-        let (f, cursor) = (&f, &cursor);
-        for w in spawned {
-            scope.spawn(move || claim_loop(base, n, cursor, f, w));
-        }
-        claim_loop(base, n, cursor, f, own);
-    });
-}
-
-/// `parallel_for_each_ws` for a fallible `f`: every item still runs, and
-/// the result is the error of the lowest-indexed failing item, so which
-/// failure is reported never depends on which worker claimed what first.
-/// Adds no allocation to the fan-out.
+/// claim loop itself and one thread fewer is spawned. With a single
+/// workspace or a single item the loop runs inline and spawns nothing, so
+/// a warm caller on one worker allocates nothing.
 ///
 /// # Errors
 /// The error `f` returned for the lowest failing index.
 ///
 /// # Panics
-/// As `parallel_for_each_ws`.
-pub fn try_for_each_ws<T: Send, W: Send, E: Send, F>(
-    items: &mut [T],
-    workspaces: &mut [W],
-    f: F,
-) -> Result<(), E>
+/// Panics if `workspaces` is empty while there are items. A panic in `f`
+/// is re-raised on the caller once every worker has joined, so no worker
+/// outlives the call and a caller's `catch_unwind` sees the panic.
+pub fn try_for_each_ws<I, W, E, F>(items: I, workspaces: &mut [W], f: F) -> Result<(), E>
 where
-    F: Fn(usize, &mut T, &mut W) -> Result<(), E> + Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    W: Send,
+    E: Send,
+    F: Fn(usize, I::Item, &mut W) -> Result<(), E> + Sync,
 {
-    let lowest = LowestError::new();
-    parallel_for_each_ws(items, workspaces, |i, item, w| {
+    let items = items.into_iter();
+    let n = items.len();
+    if n == 0 {
+        return Ok(());
+    }
+    let queue = Mutex::new(items.enumerate());
+    let lowest: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    // Poisoning is ignored: the queue's guard is never held across `f`,
+    // and the error slot holds a whole value at every step.
+    let claim_loop = |w: &mut W| loop {
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some((i, item)) = next else { break };
         if let Err(e) = f(i, item, w) {
-            lowest.record(i, e);
+            let mut slot = lowest.lock().unwrap_or_else(PoisonError::into_inner);
+            if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                *slot = Some((i, e));
+            }
         }
-    });
-    lowest.into_result()
-}
-
-/// The error of the lowest-indexed failing item, recorded from any number
-/// of workers.
-pub(crate) struct LowestError<E>(Mutex<Option<(usize, E)>>);
-
-impl<E> LowestError<E> {
-    pub(crate) fn new() -> Self {
-        LowestError(Mutex::new(None))
+    };
+    let threads = workspaces.len().min(n);
+    let (own, spawned) = workspaces[..threads]
+        .split_first_mut()
+        .expect("try_for_each_ws needs at least one workspace");
+    if spawned.is_empty() {
+        claim_loop(own);
+    } else {
+        std::thread::scope(|scope| {
+            for w in spawned {
+                scope.spawn(|| claim_loop(w));
+            }
+            claim_loop(own);
+        });
     }
-
-    /// Keeps `e` if no item below `i` has failed.
-    pub(crate) fn record(&self, i: usize, e: E) {
-        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-            *slot = Some((i, e));
-        }
+    match lowest.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
     }
-
-    pub(crate) fn into_result(self) -> Result<(), E> {
-        match self.0.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Runs `f(col_index, column, workspace)` over the contiguous
-/// length-`col_len` columns of a column-major buffer with one dedicated
-/// mutable workspace per worker: the flat buffer is split directly into one
-/// contiguous chunk of columns per workspace (no per-call `Vec` of column
-/// borrows). With a single workspace the loop runs inline. Each
-/// column's computation is independent of the partitioning and scratch
-/// reuse, so results are bit-identical for every workspace count — this is
-/// the member-parallel observation-packing shape (one `H(X)` column per
-/// member, one operator scratch per worker).
-///
-/// # Panics
-/// Panics if `data.len()` is not a multiple of `col_len`, or if
-/// `workspaces` is empty while `data` is not. A panic in `f` is re-raised
-/// on the caller once every worker has joined.
-pub(crate) fn parallel_for_each_column_ws<W: Send, F>(
-    data: &mut [f64],
-    col_len: usize,
-    workspaces: &mut [W],
-    f: F,
-) where
-    F: Fn(usize, &mut [f64], &mut W) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert_eq!(
-        data.len() % col_len,
-        0,
-        "buffer length must be a whole number of columns"
-    );
-    assert!(
-        !workspaces.is_empty(),
-        "parallel_for_each_column_ws needs at least one workspace"
-    );
-    let n_cols = data.len() / col_len;
-    let threads = workspaces.len().min(n_cols);
-    if threads == 1 {
-        let w = &mut workspaces[0];
-        for (j, col) in data.chunks_mut(col_len).enumerate() {
-            f(j, col, w);
-        }
-        return;
-    }
-    let cols_per_chunk = n_cols.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for ((c, chunk), w) in data
-            .chunks_mut(cols_per_chunk * col_len)
-            .enumerate()
-            .zip(workspaces.iter_mut())
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for (k, col) in chunk.chunks_mut(col_len).enumerate() {
-                    f(c * cols_per_chunk + k, col, w);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -220,54 +84,33 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn for_each_ws_bitwise_identical_across_worker_counts() {
-        // Each worker's scratch must not leak into results: outputs are
-        // bit-identical no matter how many workspaces (= workers) serve the
-        // slice, even though the scratch is reused within a worker.
-        let init: Vec<f64> = (0..83).map(|i| (i as f64) * 0.61 - 20.0).collect();
-        let run = |n_ws: usize| -> Vec<u64> {
-            let mut items = init.clone();
-            let mut wss: Vec<Vec<f64>> = vec![Vec::new(); n_ws];
-            parallel_for_each_ws(&mut items, &mut wss, |i, x, scratch| {
-                scratch.clear();
-                scratch.resize(8, *x);
-                let s: f64 = scratch.iter().sum();
-                *x = (s * 0.125 + i as f64).sin();
-            });
-            items.iter().map(|v| v.to_bits()).collect()
-        };
-        let seq = run(1);
-        for n_ws in [2, 3, 7, 100] {
-            assert_eq!(seq, run(n_ws), "workspaces = {n_ws}");
-        }
-    }
-
-    #[test]
-    fn for_each_ws_handles_empty_items() {
-        let mut empty: Vec<u8> = vec![];
-        let mut wss: Vec<()> = vec![];
-        parallel_for_each_ws(&mut empty, &mut wss, |_, _, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one workspace")]
-    fn for_each_ws_rejects_missing_workspaces() {
-        let mut items = vec![1u8];
-        let mut wss: Vec<()> = vec![];
-        parallel_for_each_ws(&mut items, &mut wss, |_, _, _| {});
+    /// `try_for_each_ws` for an infallible `f`.
+    fn for_each_ws<I, W: Send>(
+        items: I,
+        workspaces: &mut [W],
+        f: impl Fn(usize, I::Item, &mut W) + Sync,
+    ) where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+    {
+        try_for_each_ws(items, workspaces, |i, item, w| {
+            f(i, item, w);
+            Ok::<(), ()>(())
+        })
+        .expect("infallible");
     }
 
     #[test]
     fn dynamic_ws_bitwise_identical_across_worker_counts() {
         // The claim order is nondeterministic, but each item's computation
         // depends only on its own index/value, so outputs must be
-        // bit-identical for every workspace count.
+        // bit-identical for every workspace count, even though the scratch
+        // is reused within a worker.
         let init: Vec<f64> = (0..83).map(|i| (i as f64) * 0.61 - 20.0).collect();
         let run = |n_ws: usize| -> Vec<u64> {
             let mut items = init.clone();
             let mut wss: Vec<Vec<f64>> = vec![Vec::new(); n_ws];
-            parallel_for_each_ws(&mut items, &mut wss, |i, x, scratch| {
+            for_each_ws(&mut items, &mut wss, |i, x, scratch| {
                 scratch.clear();
                 scratch.resize(8, *x);
                 let s: f64 = scratch.iter().sum();
@@ -285,14 +128,14 @@ mod tests {
     fn dynamic_ws_skewed_costs_overlap() {
         // One slot blocks until every other slot has finished. Static
         // chunking would co-locate the blocker with undone slots on the
-        // same worker and never complete; the dynamic cursor lets the
+        // same worker and never complete; the shared queue lets the
         // other worker drain the cheap slots while the blocker waits.
         let n = 16;
         let mut items: Vec<usize> = vec![0; n];
         let mut wss: Vec<()> = vec![(), ()];
         let done = AtomicUsize::new(0);
         let overlapped = AtomicUsize::new(0);
-        parallel_for_each_ws(&mut items, &mut wss, |i, item, _| {
+        for_each_ws(&mut items, &mut wss, |i, item, _| {
             if i == 0 {
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
                 while done.load(Ordering::SeqCst) < n - 1 {
@@ -332,7 +175,7 @@ mod tests {
         let mut wss: Vec<Vec<std::thread::ThreadId>> = vec![Vec::new(); 3];
         let arrived = AtomicUsize::new(0);
         let met = AtomicUsize::new(0);
-        parallel_for_each_ws(&mut items, &mut wss, |i, item, seen| {
+        for_each_ws(&mut items, &mut wss, |i, item, seen| {
             seen.push(std::thread::current().id());
             if i < 3 {
                 arrived.fetch_add(1, Ordering::SeqCst);
@@ -368,7 +211,7 @@ mod tests {
     fn dynamic_ws_handles_empty_items() {
         let mut empty: Vec<u8> = vec![];
         let mut wss: Vec<()> = vec![];
-        parallel_for_each_ws(&mut empty, &mut wss, |_, _, _| {});
+        for_each_ws(&mut empty, &mut wss, |_, _, _| {});
     }
 
     #[test]
@@ -376,7 +219,7 @@ mod tests {
     fn dynamic_ws_rejects_missing_workspaces() {
         let mut items = vec![1u8];
         let mut wss: Vec<()> = vec![];
-        parallel_for_each_ws(&mut items, &mut wss, |_, _, _| {});
+        for_each_ws(&mut items, &mut wss, |_, _, _| {});
     }
 
     #[test]
@@ -384,7 +227,7 @@ mod tests {
         let mut items: Vec<usize> = vec![0; 37];
         let mut wss: Vec<()> = vec![(); 3];
         let visits = AtomicUsize::new(0);
-        parallel_for_each_ws(&mut items, &mut wss, |i, item, _| {
+        for_each_ws(&mut items, &mut wss, |i, item, _| {
             *item += i;
             visits.fetch_add(1, Ordering::Relaxed);
         });
@@ -428,9 +271,9 @@ mod tests {
 
     #[test]
     fn column_split_ws_bitwise_identical_across_workspace_counts() {
-        // The workspace variant must reproduce the sequential per-column
-        // kernel bit-for-bit for any workspace count, with worker-local
-        // scratch reuse invisible in the results.
+        // Columns of a column-major buffer fed through `chunks_mut`: every
+        // workspace count must reproduce the sequential per-column kernel
+        // bit for bit, with worker-local scratch reuse invisible.
         let col_len = 11;
         let n_cols = 23;
         let init: Vec<f64> = (0..col_len * n_cols)
@@ -439,7 +282,7 @@ mod tests {
         let run = |n_ws: usize| -> Vec<u64> {
             let mut data = init.clone();
             let mut wss: Vec<Vec<f64>> = vec![Vec::new(); n_ws];
-            parallel_for_each_column_ws(&mut data, col_len, &mut wss, |j, col, scratch| {
+            for_each_ws(data.chunks_mut(col_len), &mut wss, |j, col, scratch| {
                 scratch.clear();
                 scratch.extend_from_slice(col);
                 let s: f64 = scratch.iter().sum();
@@ -459,22 +302,12 @@ mod tests {
     fn column_split_ws_handles_empty_and_rejects_missing_workspaces() {
         let mut empty: Vec<f64> = vec![];
         let mut none: Vec<()> = vec![];
-        parallel_for_each_column_ws(&mut empty, 4, &mut none, |_, _, _| {});
+        for_each_ws(empty.chunks_mut(4), &mut none, |_, _, _| {});
         let caught = std::panic::catch_unwind(|| {
-            let mut data = vec![0.0; 8];
+            let mut data = [0.0; 8];
             let mut none: Vec<()> = vec![];
-            parallel_for_each_column_ws(&mut data, 4, &mut none, |_, _, _| {});
+            for_each_ws(data.chunks_mut(4), &mut none, |_, _, _| {});
         });
         assert!(caught.is_err(), "missing workspaces must be rejected");
-    }
-
-    #[test]
-    fn column_split_ws_rejects_ragged() {
-        let caught = std::panic::catch_unwind(|| {
-            let mut ragged = vec![0.0; 7];
-            let mut wss: Vec<()> = vec![(); 2];
-            parallel_for_each_column_ws(&mut ragged, 4, &mut wss, |_, _, _| {});
-        });
-        assert!(caught.is_err(), "ragged buffers must be rejected");
     }
 }

@@ -3,8 +3,8 @@
 //! Ensemble members flow between the forecast, observation, and analysis
 //! phases — and between *worker processes* holding different shards of the
 //! ensemble — through a [`SnapshotStore`] carrying versioned full-state
-//! [`Snapshot`]s (ψ, ignition times, atmosphere, warm-start potential,
-//! clocks). The disk backend reproduces the paper's architecture literally
+//! [`Snapshot`]s (ψ, ignition times, atmosphere, clocks, ambient wind).
+//! The disk backend reproduces the paper's architecture literally
 //! ("the ensemble of model states is maintained in disk files") with
 //! atomic temp-then-rename writes, so a reader never observes a torn
 //! member file; the memory backend provides the same interface without the

@@ -292,37 +292,15 @@ impl Snapshot {
     }
 }
 
-/// Encodes ignition times with `UNBURNED` mapped to the exactly
-/// representable `f64::MAX` sentinel, writing
-/// in place into a snapshot record. Public so ensemble-level snapshots can
-/// concatenate member `t_i` fields under the same encoding.
-pub fn encode_tig_into(tig: &[f64], rec: &mut Vec<f64>) {
-    rec.extend(
-        tig.iter()
-            .map(|&t| if t.is_finite() { t } else { f64::MAX }),
-    );
-}
-
-/// Decodes a sentinel-mapped ignition-time record into `out` (inverse of
-/// [`encode_tig_into`]).
-pub fn decode_tig_into(rec: &[f64], out: &mut [f64]) {
-    for (o, &t) in out.iter_mut().zip(rec) {
-        *o = if t >= f64::MAX { UNBURNED } else { t };
-    }
-}
-
 /// The configuration fingerprint record: grids and coupling flag of the
 /// producing model, checked on restore so a snapshot cannot be deserialized
 /// into a structurally different model.
-pub const FINGERPRINT: &str = "model/fingerprint";
+const FINGERPRINT: &str = "model/fingerprint";
 
-/// Writes the [`FINGERPRINT`] payload for `model` into `rec` (cleared by
-/// the caller via [`Snapshot::record_mut`]). Public so ensemble-level
-/// snapshots can stamp the same fingerprint record.
-pub fn model_fingerprint_into(model: &CoupledModel, rec: &mut Vec<f64>) {
+fn fingerprint(model: &CoupledModel) -> [f64; 13] {
     let fg = model.fire_grid;
     let ag = model.atmos.grid;
-    rec.extend_from_slice(&[
+    [
         fg.nx as f64,
         fg.ny as f64,
         fg.dx,
@@ -336,18 +314,63 @@ pub fn model_fingerprint_into(model: &CoupledModel, rec: &mut Vec<f64>) {
         ag.dy,
         ag.dz,
         if model.coupled { 1.0 } else { 0.0 },
-    ]);
+    ]
 }
 
-/// Verifies that `snap`'s [`FINGERPRINT`] record was produced by a model
-/// bitwise-compatible with `model`.
+/// Writes `states`, N states of `model`, into `snap`: the model's
+/// fingerprint plus one record per field holding the N states' values
+/// member-major. For one state these are the member snapshot's records.
+/// Ignition times are stored with `UNBURNED` mapped to the exactly
+/// representable `f64::MAX`. Reuses `snap`'s buffers, so it allocates
+/// nothing once warm.
+pub fn snapshot_states_into(model: &CoupledModel, states: &[CoupledState], snap: &mut Snapshot) {
+    snap.put_slice(FINGERPRINT, &fingerprint(model));
+    let mut put = |name: &str, each: &dyn Fn(&CoupledState, &mut Vec<f64>)| {
+        let rec = snap.record_mut(name);
+        for s in states {
+            each(s, rec);
+        }
+    };
+    put("fire/psi", &|s, r| {
+        r.extend_from_slice(s.fire.psi.as_slice())
+    });
+    put("fire/tig", &|s, r| {
+        r.extend(
+            s.fire
+                .tig
+                .as_slice()
+                .iter()
+                .map(|&t| if t.is_finite() { t } else { f64::MAX }),
+        );
+    });
+    put("fire/time", &|s, r| r.push(s.fire.time));
+    put("atmos/u", &|s, r| r.extend_from_slice(&s.atmos.u));
+    put("atmos/v", &|s, r| r.extend_from_slice(&s.atmos.v));
+    put("atmos/w", &|s, r| r.extend_from_slice(&s.atmos.w));
+    put("atmos/theta", &|s, r| r.extend_from_slice(&s.atmos.theta));
+    put("atmos/qv", &|s, r| r.extend_from_slice(&s.atmos.qv));
+    put("atmos/time", &|s, r| r.push(s.atmos.time));
+    put("atmos/ambient_wind", &|s, r| {
+        r.extend_from_slice(&[s.atmos.ambient_wind.0, s.atmos.ambient_wind.1]);
+    });
+}
+
+/// Restores `states` from records written by [`snapshot_states_into`] for
+/// exactly `states.len()` states of `model`. The fingerprint and every
+/// record's presence and length are checked before any state is written,
+/// so a refused snapshot leaves every state as it was.
 ///
 /// # Errors
-/// Missing record or any mismatching entry.
-pub fn check_model_fingerprint(model: &CoupledModel, snap: &Snapshot) -> Result<()> {
+/// A missing record, a record of the wrong length (which includes a
+/// different state count), or a fingerprint from a different model
+/// configuration.
+pub fn restore_states_from(
+    model: &CoupledModel,
+    states: &mut [CoupledState],
+    snap: &Snapshot,
+) -> Result<()> {
     let rec = snap.get(FINGERPRINT)?;
-    let mut want = Vec::new();
-    model_fingerprint_into(model, &mut want);
+    let want = fingerprint(model);
     if rec.len() != want.len()
         || rec
             .iter()
@@ -358,12 +381,70 @@ pub fn check_model_fingerprint(model: &CoupledModel, snap: &Snapshot) -> Result<
             "snapshot fingerprint does not match the restoring model".into(),
         ));
     }
+    let (fg, ag) = (model.fire_grid, model.atmos.grid);
+    let n_uv = ag.nx * ag.ny * ag.nz;
+    let n_w = ag.nx * ag.ny * (ag.nz + 1);
+    let n_c = ag.n_cells();
+    let n = states.len();
+    let mut recs: [&[f64]; 10] = [&[]; 10];
+    for (rec, (name, per_state)) in recs.iter_mut().zip([
+        ("fire/psi", fg.len()),
+        ("fire/tig", fg.len()),
+        ("fire/time", 1),
+        ("atmos/u", n_uv),
+        ("atmos/v", n_uv),
+        ("atmos/w", n_w),
+        ("atmos/theta", n_c),
+        ("atmos/qv", n_c),
+        ("atmos/time", 1),
+        ("atmos/ambient_wind", 2),
+    ]) {
+        *rec = snap.get(name)?;
+        if rec.len() != n * per_state {
+            return Err(ObsError::BadStateFile(format!(
+                "record {name} holds {} values, not {per_state} for each of {n} states",
+                rec.len()
+            )));
+        }
+    }
+    let [psi, tig, fire_time, u, v, w, theta, qv, atmos_time, wind] = recs;
+    for (i, s) in states.iter_mut().enumerate() {
+        let part = |rec| share(rec, i, n);
+        // Every node is overwritten below; skip the memset.
+        s.fire.psi.resize_no_zero(fg);
+        s.fire.psi.as_mut_slice().copy_from_slice(part(psi));
+        s.fire.tig.resize_no_zero(fg);
+        for (o, &t) in s.fire.tig.as_mut_slice().iter_mut().zip(part(tig)) {
+            *o = if t >= f64::MAX { UNBURNED } else { t };
+        }
+        s.fire.time = fire_time[i];
+        for (dst, rec) in [
+            (&mut s.atmos.u, u),
+            (&mut s.atmos.v, v),
+            (&mut s.atmos.w, w),
+            (&mut s.atmos.theta, theta),
+            (&mut s.atmos.qv, qv),
+        ] {
+            dst.clear();
+            dst.extend_from_slice(part(rec));
+        }
+        s.atmos.grid = ag;
+        s.atmos.time = atmos_time[i];
+        s.atmos.ambient_wind = (wind[2 * i], wind[2 * i + 1]);
+    }
     Ok(())
 }
 
-/// Checkpoint/restore on the coupled model — implemented here (the obs
-/// crate owns the on-disk format) as an extension trait over
-/// [`CoupledModel`].
+/// State `i`'s share of a record holding `n` states' values member-major.
+fn share(rec: &[f64], i: usize, n: usize) -> &[f64] {
+    let len = rec.len() / n;
+    &rec[i * len..(i + 1) * len]
+}
+
+/// Checkpoint/restore of one state of the coupled model — implemented here
+/// (the obs crate owns the on-disk format) as an extension trait over
+/// [`CoupledModel`], through [`snapshot_states_into`] and
+/// [`restore_states_from`] with one state.
 pub trait CoupledSnapshot {
     /// Captures `state` into `snap`, reusing its buffers. Allocation-free
     /// once `snap` is warm. The workspace carries no state between steps,
@@ -375,8 +456,9 @@ pub trait CoupledSnapshot {
         snap: &mut Snapshot,
     );
 
-    /// Restores `state` from `snap`, writing into the existing buffers.
-    /// `ws` is left untouched (see [`CoupledSnapshot::snapshot_into`]).
+    /// Restores `state` from `snap`, writing into the existing buffers; a
+    /// refused snapshot leaves `state` as it was. `ws` is left untouched
+    /// (see [`CoupledSnapshot::snapshot_into`]).
     ///
     /// # Errors
     /// Missing records, size mismatches, or a fingerprint from a different
@@ -396,18 +478,7 @@ impl CoupledSnapshot for CoupledModel {
         _ws: Option<&CoupledWorkspace>,
         snap: &mut Snapshot,
     ) {
-        model_fingerprint_into(self, snap.record_mut(FINGERPRINT));
-        snap.put_slice("fire/psi", state.fire.psi.as_slice());
-        encode_tig_into(state.fire.tig.as_slice(), snap.record_mut("fire/tig"));
-        snap.put_scalar("fire/time", state.fire.time);
-        snap.put_slice("atmos/u", &state.atmos.u);
-        snap.put_slice("atmos/v", &state.atmos.v);
-        snap.put_slice("atmos/w", &state.atmos.w);
-        snap.put_slice("atmos/theta", &state.atmos.theta);
-        snap.put_slice("atmos/qv", &state.atmos.qv);
-        snap.put_scalar("atmos/time", state.atmos.time);
-        let (u, v) = state.atmos.ambient_wind;
-        snap.put_slice("atmos/ambient_wind", &[u, v]);
+        snapshot_states_into(self, std::slice::from_ref(state), snap);
     }
 
     fn restore_from(
@@ -416,47 +487,7 @@ impl CoupledSnapshot for CoupledModel {
         _ws: Option<&mut CoupledWorkspace>,
         snap: &Snapshot,
     ) -> Result<()> {
-        check_model_fingerprint(self, snap)?;
-        let fg = self.fire_grid;
-        let psi = snap.get("fire/psi")?;
-        let tig = snap.get("fire/tig")?;
-        if psi.len() != fg.len() || tig.len() != fg.len() {
-            return Err(ObsError::BadStateFile("fire field size mismatch".into()));
-        }
-        // Every node is overwritten below; skip the memset.
-        state.fire.psi.resize_no_zero(fg);
-        state.fire.psi.as_mut_slice().copy_from_slice(psi);
-        state.fire.tig.resize_no_zero(fg);
-        decode_tig_into(tig, state.fire.tig.as_mut_slice());
-        state.fire.time = snap.get_scalar("fire/time")?;
-
-        let ag = self.atmos.grid;
-        let n_uv = ag.nx * ag.ny * ag.nz;
-        let n_w = ag.nx * ag.ny * (ag.nz + 1);
-        let n_c = ag.n_cells();
-        for (name, dst, want) in [
-            ("atmos/u", &mut state.atmos.u, n_uv),
-            ("atmos/v", &mut state.atmos.v, n_uv),
-            ("atmos/w", &mut state.atmos.w, n_w),
-            ("atmos/theta", &mut state.atmos.theta, n_c),
-            ("atmos/qv", &mut state.atmos.qv, n_c),
-        ] {
-            let rec = snap.get(name)?;
-            if rec.len() != want {
-                return Err(ObsError::BadStateFile(format!("{name} size mismatch")));
-            }
-            dst.clear();
-            dst.extend_from_slice(rec);
-        }
-        let &[u, v] = snap.get("atmos/ambient_wind")? else {
-            return Err(ObsError::BadStateFile(
-                "atmos/ambient_wind must hold two values".into(),
-            ));
-        };
-        state.atmos.grid = ag;
-        state.atmos.time = snap.get_scalar("atmos/time")?;
-        state.atmos.ambient_wind = (u, v);
-        Ok(())
+        restore_states_from(self, std::slice::from_mut(state), snap)
     }
 }
 
@@ -666,6 +697,55 @@ mod tests {
         let mut target = other.ignite(&[], 0.0);
         let err = other.restore_from(&mut target, None, &snap).unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "got: {err}");
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_state_untouched() {
+        // Drop each record in turn, then give each one a wrong length in
+        // turn: every restore must fail before it writes any field.
+        let m = model();
+        let mut source = ignited(&m);
+        m.run_ws(
+            &mut source,
+            2.0,
+            0.5,
+            &mut CoupledWorkspace::new(),
+            |_, _| {},
+        )
+        .unwrap();
+        source.atmos.ambient_wind = (1.5, -2.25);
+        let mut good = Snapshot::new();
+        m.snapshot_into(&source, None, &mut good);
+        let mut target = m.ignite(
+            &[IgnitionShape::Circle {
+                center: (90.0, 200.0),
+                radius: 30.0,
+            }],
+            0.0,
+        );
+        let bytes_of = |s: &CoupledState| {
+            let mut snap = Snapshot::new();
+            m.snapshot_into(s, None, &mut snap);
+            snap.to_bytes()
+        };
+        let before = bytes_of(&target);
+        let names: Vec<String> = good.names().map(str::to_string).collect();
+        assert_eq!(names.len(), 11);
+        for name in &names {
+            let mut dropped = good.clone();
+            dropped.records.remove(name);
+            let mut long = good.clone();
+            long.records.get_mut(name).unwrap().push(0.0);
+            for (what, bad) in [("dropped", dropped), ("lengthened", long)] {
+                assert!(
+                    m.restore_from(&mut target, None, &bad).is_err(),
+                    "{name} {what}"
+                );
+                assert!(bytes_of(&target) == before, "{name} {what}: torn state");
+            }
+        }
+        m.restore_from(&mut target, None, &good).unwrap();
+        assert_eq!(bytes_of(&target), bytes_of(&source));
     }
 
     #[test]

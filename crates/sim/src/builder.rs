@@ -427,6 +427,45 @@ mod tests {
     }
 
     #[test]
+    fn failed_restore_leaves_the_state_untouched() {
+        // Drop each record in turn, then give each one a wrong length in
+        // turn: every restore must fail and leave the simulation as it was.
+        let build = || {
+            SimulationBuilder::new()
+                .domain(DomainSpec::SMALL)
+                .build()
+                .expect("builds")
+        };
+        let mut source = build();
+        source.run_until(1.0, |_, _| {}).expect("run");
+        let mut good = Snapshot::new();
+        source.snapshot_into(&mut good);
+        let mut target = build();
+        let bytes_of = |sim: &Simulation| {
+            let mut snap = Snapshot::new();
+            sim.snapshot_into(&mut snap);
+            snap.to_bytes()
+        };
+        let before = bytes_of(&target);
+        for skip in good.names() {
+            for lengthen in [false, true] {
+                let mut bad = Snapshot::new();
+                for name in good.names().filter(|&n| lengthen || n != skip) {
+                    let rec = bad.record_mut(name);
+                    rec.extend_from_slice(good.get(name).expect("listed"));
+                    if name == skip {
+                        rec.push(0.0);
+                    }
+                }
+                assert!(target.restore_from(&bad).is_err(), "{skip} {lengthen}");
+                assert!(bytes_of(&target) == before, "{skip} {lengthen}: torn");
+            }
+        }
+        target.restore_from(&good).expect("restores");
+        assert_eq!(bytes_of(&target), bytes_of(&source));
+    }
+
+    #[test]
     fn empty_ignitions_rejected() {
         let err = SimulationBuilder::new().ignitions(Vec::new()).build();
         assert!(err.is_err());
